@@ -1,0 +1,516 @@
+"""Quantitative claims run as reproducible experiments over function families.
+
+Each verify_* function assembles a family, sweeps one inequality or
+equivalence over it at a base quadrature resolution and once more at a
+refined resolution, and returns a VerificationReport.  Acceptance is
+finiteness plus refinement stability: empirical constants that move by at
+most 10% under refinement pass, drift up to 50% is inconclusive (quadrature
+limits, not violations), and anything beyond that, or a broken hard
+inequality, fails.
+
+Reports are deterministic functions of (seed, configuration): families are
+drawn from a seeded generator, reductions are ordered, and case-level work is
+safe to fan out over threads without changing a single bit of the output.
+"""
+
+from __future__ import annotations
+
+import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import brackets
+from .errors import DomainError
+from .growth import (
+    GrowthFunction,
+    equivalence_constants,
+    interpolate_growth,
+    power_growth,
+    rho_power,
+)
+from .holo import HoloFunction, Series, chain_inequality_check, test_function, to_series
+from .measure import WeightedMeasure, make_measure
+from .norms import (
+    derivative_modulars,
+    derivative_pointwise_constant,
+    luxemburg_norm,
+    pointwise_bound_constant,
+    rule_for_function,
+    small_type_estimate_check,
+)
+from .operators import (
+    CesaroSymbol,
+    bloch_seminorm,
+    cesaro_apply_exact,
+    cesaro_norm_lower_bound,
+    cesaro_upper_bound_check,
+)
+
+__all__ = [
+    "VerificationReport",
+    "default_family",
+    "default_symbols",
+    "verify_derivative_equivalence",
+    "verify_pointwise_estimates",
+    "verify_test_functions",
+    "verify_cesaro_boundedness",
+    "verify_cesaro_compactness",
+    "verify_interpolation_power",
+    "verify_small_type",
+]
+
+PASS = "pass"
+FAIL = "fail"
+INCONCLUSIVE = "inconclusive"
+
+_DRIFT_PASS = 0.10
+_DRIFT_INCONCLUSIVE = 0.50
+_CHAIN_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    suite: str
+    verdict: str
+    seed: int
+    config: dict
+    cases: tuple
+    empirical_constants: dict
+    rule_info: dict
+
+    def to_json_dict(self) -> dict:
+        return {
+            "suite": self.suite,
+            "verdict": self.verdict,
+            "seed": self.seed,
+            "config": self.config,
+            "cases": list(self.cases),
+            "empirical_constants": self.empirical_constants,
+            "rule_info": self.rule_info,
+        }
+
+
+def _map_ordered(fn, items, jobs: int):
+    """Apply fn over items, optionally threaded, preserving input order."""
+    items = list(items)
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
+def _drift(a: float, b: float) -> float:
+    if a == b:
+        return 0.0
+    scale = max(abs(a), abs(b), 1e-300)
+    return abs(a - b) / scale
+
+
+def _drift_verdict(drifts, finite_values) -> str:
+    if not all(math.isfinite(v) for v in finite_values):
+        return FAIL
+    worst = max(drifts) if drifts else 0.0
+    if worst <= _DRIFT_PASS:
+        return PASS
+    if worst <= _DRIFT_INCONCLUSIVE:
+        return INCONCLUSIVE
+    return FAIL
+
+
+def _e1_monomial(n: int, k: int, coeff: complex = 1.0) -> Series:
+    return Series(n, {(k,) + (0,) * (n - 1): coeff})
+
+
+def _e1_point(n: int, r: float) -> np.ndarray:
+    a = np.zeros(n, dtype=complex)
+    a[0] = r
+    return a
+
+
+def default_family(phi: GrowthFunction, measure: WeightedMeasure, seed: int,
+                   monomial_max: int = 8, random_count: int = 10,
+                   random_degree: int = 6, kernel_radii=(0.5, 0.9),
+                   truncation_degree: int = 48):
+    """The standard sweep family: monomials, seeded random polynomials, and
+    truncated kernel test functions attached to interior points.
+
+    Returns (case id, function) pairs; every member is a nonconstant Series,
+    so one exact code path serves every downstream operator.
+    """
+    n = measure.n
+    fam: list[tuple[str, Series]] = []
+    for k in range(1, monomial_max + 1):
+        fam.append((f"monomial:k={k}", _e1_monomial(n, k)))
+    rng = np.random.default_rng(seed)
+    for i in range(random_count):
+        terms: dict[tuple, complex] = {}
+        lead = int(rng.integers(1, random_degree + 1))
+        terms[(lead,) + (0,) * (n - 1)] = complex(*rng.normal(size=2))
+        for _ in range(5):
+            m = tuple(int(v) for v in rng.integers(0, random_degree + 1, size=n))
+            if sum(m) > random_degree:
+                continue
+            terms[m] = terms.get(m, 0.0) + complex(*rng.normal(size=2))
+        fam.append((f"random:i={i}", Series(n, terms)))
+    for r in kernel_radii:
+        f_a = test_function(phi, _e1_point(n, float(r)), measure.alpha)
+        fam.append((f"testfn:a={float(r):g}", to_series(f_a, truncation_degree)))
+    return fam
+
+
+def default_symbols(n: int):
+    """The stock Cesaro symbols: z1, z1^2, and their sum."""
+    z1 = _e1_monomial(n, 1)
+    z1sq = _e1_monomial(n, 2)
+    both = Series(n, dict(z1.terms) | dict(z1sq.terms))
+    return [("g=z1", z1), ("g=z1^2", z1sq), ("g=z1+z1^2", both)]
+
+
+# ---------------------------------------------------------------------------
+# Suites
+
+
+def verify_derivative_equivalence(phi: GrowthFunction, alpha: float, n: int = 1,
+                                  family=None, seed: int = 0,
+                                  base_degree: int = 32,
+                                  jobs: int = 1) -> VerificationReport:
+    """Two-sided comparison of the four norm-defining modulars.
+
+    Per function: modulars of |f - f(0)|, |invariant gradient|,
+    (1-|z|^2)|grad f| and (1-|z|^2)|Rf| at base and refined quadrature, the
+    per-case ratios, and the pointwise derivative chain (a hard invariant).
+    The reported constants are the worst ratios across the family.
+    """
+    measure = make_measure(n, alpha)
+    fam = default_family(phi, measure, seed) if family is None else list(family)
+
+    def run_case(item):
+        cid, f = item
+        rule0 = rule_for_function(f, measure, phi, base_degree)
+        rule1 = rule_for_function(f, measure, phi, base_degree, refine=1)
+        m0 = {k: v.value for k, v in derivative_modulars(f, phi, rule0).items()}
+        m1 = {k: v.value for k, v in derivative_modulars(f, phi, rule1).items()}
+        if min(m0["function"], m0["weighted_radial"]) <= 0.0:
+            raise DomainError(f"family member {cid} is constant on the rule nodes")
+        chain = chain_inequality_check(f, rule0.points, tol=_CHAIN_TOL)
+        ordered = (
+            m0["weighted_radial"] <= m0["weighted_gradient"] * (1 + 1e-12)
+            and m0["weighted_gradient"] <= m0["invariant_gradient"] * (1 + 1e-12)
+        )
+        return {
+            "id": cid,
+            "quantities": {"base": m0, "refined": m1},
+            "ratios": {
+                "up_base": m0["invariant_gradient"] / m0["function"],
+                "up_refined": m1["invariant_gradient"] / m1["function"],
+                "down_base": m0["function"] / m0["weighted_radial"],
+                "down_refined": m1["function"] / m1["weighted_radial"],
+            },
+            "chain_margin": chain.worst_margin,
+            "modulars_ordered": bool(ordered),
+            "rules": [rule0.rule_id, rule1.rule_id],
+        }
+
+    cases = _map_ordered(run_case, fam, jobs)
+    c_plus0 = max(c["ratios"]["up_base"] for c in cases)
+    c_plus1 = max(c["ratios"]["up_refined"] for c in cases)
+    c_minus0 = max(c["ratios"]["down_base"] for c in cases)
+    c_minus1 = max(c["ratios"]["down_refined"] for c in cases)
+    chain_worst = max(c["chain_margin"] for c in cases)
+    drifts = [_drift(c_plus0, c_plus1), _drift(c_minus0, c_minus1)]
+    verdict = _drift_verdict(drifts, [c_plus0, c_plus1, c_minus0, c_minus1])
+    if chain_worst > _CHAIN_TOL or not all(c["modulars_ordered"] for c in cases):
+        verdict = FAIL
+    constants = {
+        "C_plus": c_plus0,
+        "C_minus": c_minus0,
+        "C_plus_drift": drifts[0],
+        "C_minus_drift": drifts[1],
+        "chain_worst_margin": chain_worst,
+    }
+    return VerificationReport(
+        suite="derivative_equivalence", verdict=verdict, seed=seed,
+        config={"phi": phi.name, "alpha": alpha, "n": n, "base_degree": base_degree,
+                "family_size": len(fam)},
+        cases=tuple(cases), empirical_constants=constants,
+        rule_info={"base_degree": base_degree, "refined": "degree doubled"},
+    )
+
+
+def verify_pointwise_estimates(phi: GrowthFunction, alpha: float, n: int = 1,
+                               family=None, seed: int = 0,
+                               jobs: int = 1) -> VerificationReport:
+    """Interior growth control by the inverse growth function.
+
+    For each family member, the largest ratio of |f(z)| (and of
+    (1-|z|^2)|grad f(z)|) to Phi^{-1}((1-|z|^2)^{-(n+1+alpha)}) ||f|| over a
+    probe grid reaching radius 0.999, at two quadrature resolutions.
+    """
+    measure = make_measure(n, alpha)
+    fam = default_family(phi, measure, seed) if family is None else list(family)
+
+    def run_case(item):
+        cid, f = item
+        c_fun0 = pointwise_bound_constant([f], phi, measure, seed=seed)
+        c_fun1 = pointwise_bound_constant([f], phi, measure, seed=seed, refine=1)
+        c_grad0 = derivative_pointwise_constant([f], phi, measure, seed=seed)
+        c_grad1 = derivative_pointwise_constant([f], phi, measure, seed=seed, refine=1)
+        return {
+            "id": cid,
+            "quantities": {
+                "value_base": c_fun0, "value_refined": c_fun1,
+                "gradient_base": c_grad0, "gradient_refined": c_grad1,
+            },
+        }
+
+    cases = _map_ordered(run_case, fam, jobs)
+    c_fun0 = max(c["quantities"]["value_base"] for c in cases)
+    c_fun1 = max(c["quantities"]["value_refined"] for c in cases)
+    c_grad0 = max(c["quantities"]["gradient_base"] for c in cases)
+    c_grad1 = max(c["quantities"]["gradient_refined"] for c in cases)
+    drifts = [_drift(c_fun0, c_fun1), _drift(c_grad0, c_grad1)]
+    verdict = _drift_verdict(drifts, [c_fun0, c_fun1, c_grad0, c_grad1])
+    constants = {
+        "C_value": c_fun0,
+        "C_gradient": c_grad0,
+        "C_value_drift": drifts[0],
+        "C_gradient_drift": drifts[1],
+    }
+    return VerificationReport(
+        suite="pointwise_estimates", verdict=verdict, seed=seed,
+        config={"phi": phi.name, "alpha": alpha, "n": n, "family_size": len(fam)},
+        cases=tuple(cases), empirical_constants=constants,
+        rule_info={"probe_radius_max": 0.999},
+    )
+
+
+def verify_test_functions(phi: GrowthFunction, alpha: float, n: int = 1,
+                          k: float | None = None,
+                          radii=(0.0, 0.5, 0.9, 0.99, 0.999),
+                          bracket: float = 1e4, seed: int = 0,
+                          jobs: int = 1) -> VerificationReport:
+    """Uniform boundedness of the kernel test-function norms.
+
+    The operative detector is the growth trend: the log-log slope of the norm
+    against 1/(1-|a|) between the last two radii must not exceed 0.05 (a
+    converging, even increasing, sequence has slope near 0; an unbounded
+    family has a genuinely positive exponent).  The bracket on max/min is a
+    gross sanity ceiling; the limiting constant depends on (phi, alpha, k)
+    and reaches ~1.2e3 for t^(1/2) at alpha = 2.5, so tighten the bracket per
+    configuration when a sharper bound is known.
+    """
+    measure = make_measure(n, alpha)
+    radii = [float(r) for r in radii]
+    if sorted(radii) != radii or any(not (0.0 <= r < 1.0) for r in radii):
+        raise DomainError("test-function radii must increase inside [0, 1)")
+
+    def run_case(r: float):
+        f_a = test_function(phi, _e1_point(n, r), alpha, k)
+        rule = rule_for_function(f_a, measure, phi)
+        norm = luxemburg_norm(f_a, phi, rule)
+        return {
+            "id": f"a={r:g}",
+            "quantities": {"norm": norm.lambda_star, "residual": norm.residual},
+            "rules": [rule.rule_id],
+        }
+
+    cases = _map_ordered(run_case, radii, jobs)
+    norms = [c["quantities"]["norm"] for c in cases]
+    vmax, vmin = max(norms), min(norms)
+    ratio = vmax / vmin if vmin > 0 else math.inf
+    slope = 0.0
+    if len(radii) >= 2 and norms[-1] > 0 and norms[-2] > 0:
+        x_prev = -math.log(1.0 - radii[-2])
+        x_last = -math.log(1.0 - radii[-1])
+        if x_last > x_prev:
+            slope = (math.log(norms[-1]) - math.log(norms[-2])) / (x_last - x_prev)
+    ok = math.isfinite(ratio) and ratio <= bracket and slope <= 0.05
+    constants = {"norm_max": vmax, "norm_min": vmin, "max_over_min": ratio,
+                 "tail_slope": slope}
+    return VerificationReport(
+        suite="test_functions", verdict=PASS if ok else FAIL, seed=seed,
+        config={"phi": phi.name, "alpha": alpha, "n": n,
+                "k": k if k is not None else "auto", "bracket": bracket,
+                "radii": radii},
+        cases=tuple(cases), empirical_constants=constants,
+        rule_info={"rule": "boundary-refined, auto angular"},
+    )
+
+
+def verify_cesaro_boundedness(phi: GrowthFunction, alpha: float, n: int = 1,
+                              symbols=None, family=None, seed: int = 0,
+                              tol: float = 1e-6, c_min: float | None = None,
+                              jobs: int = 1) -> VerificationReport:
+    """Two-sided control of the Cesaro operator by the Bloch seminorm.
+
+    Per symbol: the modular-level upper check (integrand dominated via the
+    operator identity; must come out <= 1 + tol) and the family ratio
+    max ||T_g f|| / ||f||, divided by M.  The family-wide floor on lower/M is
+    the recorded calibration bracket unless overridden.
+    """
+    measure = make_measure(n, alpha)
+    fam = default_family(phi, measure, seed) if family is None else list(family)
+    fam_fns = [f for _, f in fam]
+    syms = default_symbols(n) if symbols is None else list(symbols)
+    floor = brackets.CESARO_LOWER_OVER_M_MIN if c_min is None else float(c_min)
+
+    def run_case(item):
+        sid, g = item
+        sym = CesaroSymbol(g)
+        bl = bloch_seminorm(sym)
+        if bl.M <= 0.0:
+            raise DomainError(f"symbol {sid} has zero Bloch seminorm")
+        low = cesaro_norm_lower_bound(sym, phi, measure, fam_fns)
+        up = cesaro_upper_bound_check(sym, phi, measure, fam_fns,
+                                      bloch_m=bl.M, tol=tol)
+        return {
+            "id": sid,
+            "quantities": {
+                "bloch_m": bl.M,
+                "lower_bound": low.value,
+                "lower_over_m": low.value / bl.M,
+                "worst_upper_modular": up.worst_modular,
+            },
+            "upper_passes": bool(up.passes),
+        }
+
+    cases = _map_ordered(run_case, syms, jobs)
+    min_ratio = min(c["quantities"]["lower_over_m"] for c in cases)
+    worst_mod = max(c["quantities"]["worst_upper_modular"] for c in cases)
+    ok = all(c["upper_passes"] for c in cases) and min_ratio >= floor
+    constants = {"lower_over_m_min": min_ratio, "worst_upper_modular": worst_mod,
+                 "c_min_floor": floor}
+    return VerificationReport(
+        suite="cesaro_boundedness", verdict=PASS if ok else FAIL, seed=seed,
+        config={"phi": phi.name, "alpha": alpha, "n": n, "tol": tol,
+                "symbols": [sid for sid, _ in syms], "family_size": len(fam)},
+        cases=tuple(cases), empirical_constants=constants,
+        rule_info={"operator_path": "exact coefficients on truncations"},
+    )
+
+
+def verify_cesaro_compactness(phi: GrowthFunction, alpha: float, n: int = 1,
+                              symbol=None, radii=(0.5, 0.9, 0.99, 0.999),
+                              k: float | None = None,
+                              truncation_degree: int = 48, seed: int = 0,
+                              jobs: int = 1) -> VerificationReport:
+    """Vanishing of ||T_g f_a|| along test functions pushed to the sphere.
+
+    The little-Bloch symbol should crush the test-function sequence: the
+    norms must decrease beyond their peak and end below a tenth of it.  The
+    per-case chain ratio (1-|a|^2)|Rg(a)| / ||T_g f_a|| is recorded as the
+    empirical constant of the necessity direction, not asserted.
+    """
+    measure = make_measure(n, alpha)
+    g = _e1_monomial(n, 1) if symbol is None else symbol
+    sym = CesaroSymbol(g)
+    radii = [float(r) for r in radii]
+
+    def run_case(r: float):
+        a = _e1_point(n, r)
+        f_a = to_series(test_function(phi, a, alpha, k), truncation_degree)
+        tf = cesaro_apply_exact(sym, f_a, truncation_degree)
+        rule = rule_for_function(tf, measure, phi)
+        norm = luxemburg_norm(tf, phi, rule).lambda_star
+        rg_at_a = abs(complex(sym.rg.eval(a)))
+        weighted = (1.0 - r * r) * rg_at_a
+        return {
+            "id": f"a={r:g}",
+            "quantities": {
+                "transformed_norm": norm,
+                "weighted_rg_at_a": weighted,
+                "chain_ratio": weighted / norm if norm > 0 else math.inf,
+            },
+        }
+
+    cases = _map_ordered(run_case, radii, jobs)
+    norms = [c["quantities"]["transformed_norm"] for c in cases]
+    vmax = max(norms)
+    j0 = norms.index(vmax)
+    decreasing = all(norms[j + 1] <= norms[j] * 1.02 for j in range(j0, len(norms) - 1))
+    final_over_max = norms[-1] / vmax if vmax > 0 else math.inf
+    ok = decreasing and final_over_max < 0.1
+    chain_c = max(c["quantities"]["chain_ratio"] for c in cases)
+    constants = {"final_over_max": final_over_max, "peak_index": float(j0),
+                 "chain_constant": chain_c}
+    return VerificationReport(
+        suite="cesaro_compactness", verdict=PASS if ok else FAIL, seed=seed,
+        config={"phi": phi.name, "alpha": alpha, "n": n,
+                "k": k if k is not None else "auto", "radii": radii,
+                "truncation_degree": truncation_degree},
+        cases=tuple(cases), empirical_constants=constants,
+        rule_info={"operator_path": "exact coefficients on truncations"},
+    )
+
+
+def verify_interpolation_power(p0: float, p1: float, theta: float,
+                               alpha: float = 0.0, n: int = 1, seed: int = 0,
+                               jobs: int = 1) -> VerificationReport:
+    """Power-function interpolation: the combined growth function must match
+    t^(p_theta), 1/p_theta = (1-theta)/p0 + theta/p1, and Luxembourg norms in
+    the two functions must agree within the lifted two-sided constant."""
+    if not (1.0 <= p0 <= p1):
+        raise DomainError(f"need 1 <= p0 <= p1, got ({p0}, {p1})")
+    if not (0.0 < theta < 1.0):
+        raise DomainError(f"theta must lie in (0, 1), got {theta}")
+    phi = interpolate_growth(power_growth(p0), power_growth(p1), rho_power(theta))
+    p_theta = 1.0 / ((1.0 - theta) / p0 + theta / p1)
+    target = power_growth(p_theta)
+    eq = equivalence_constants(phi, target, t_min=1e-6, t_max=1e6)
+    c_two_sided = max(eq.c_upper, 1.0 / eq.c_lower)
+    norm_bracket = c_two_sided ** (1.0 / p_theta) * (1.0 + 1e-6)
+
+    measure = make_measure(n, alpha)
+    fam = [(f"monomial:k={kk}", _e1_monomial(n, kk)) for kk in range(1, 5)]
+
+    def run_case(item):
+        cid, f = item
+        rule = rule_for_function(f, measure, target)
+        n_phi = luxemburg_norm(f, phi, rule).lambda_star
+        n_tgt = luxemburg_norm(f, target, rule).lambda_star
+        ratio = n_phi / n_tgt
+        return {
+            "id": cid,
+            "quantities": {"norm_interp": n_phi, "norm_power": n_tgt, "ratio": ratio},
+            "within_bracket": bool(1.0 / norm_bracket <= ratio <= norm_bracket),
+        }
+
+    cases = _map_ordered(run_case, fam, jobs)
+    ok = (math.isfinite(c_two_sided) and c_two_sided <= 1.01
+          and all(c["within_bracket"] for c in cases))
+    constants = {"two_sided_constant": c_two_sided, "p_theta": p_theta,
+                 "norm_bracket": norm_bracket}
+    return VerificationReport(
+        suite="interpolation_power", verdict=PASS if ok else FAIL, seed=seed,
+        config={"p0": p0, "p1": p1, "theta": theta, "alpha": alpha, "n": n},
+        cases=tuple(cases), empirical_constants=constants,
+        rule_info={"grid": "t in [1e-6, 1e6]"},
+    )
+
+
+def verify_small_type(p: float, alpha: float, n: int = 1, family=None,
+                      seed: int = 0, jobs: int = 1) -> VerificationReport:
+    """Weighted L^1 domination by the p-th power of the A^p quasi-norm."""
+    measure = make_measure(n, alpha)
+    phi = power_growth(p)
+    fam = default_family(phi, measure, seed) if family is None else list(family)
+    fam_fns = [f for _, f in fam]
+    rep0 = small_type_estimate_check(fam_fns, p, measure)
+    rep1 = small_type_estimate_check(fam_fns, p, measure, refine=1)
+    drift = _drift(rep0.constant, rep1.constant)
+    verdict = _drift_verdict([drift], [rep0.constant, rep1.constant])
+    cases = tuple(
+        {"id": fam[i][0],
+         "quantities": {"ratio_base": rep0.ratios[i], "ratio_refined": rep1.ratios[i]}}
+        for i in range(len(fam))
+    )
+    constants = {"C": rep0.constant, "C_drift": drift,
+                 "weight_exponent": rep0.weight_exponent}
+    return VerificationReport(
+        suite="small_type", verdict=verdict, seed=seed,
+        config={"p": p, "alpha": alpha, "n": n, "family_size": len(fam)},
+        cases=cases, empirical_constants=constants,
+        rule_info={"rule_base": rep0.rule_id, "rule_refined": rep1.rule_id},
+    )

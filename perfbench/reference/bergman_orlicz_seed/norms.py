@@ -1,0 +1,323 @@
+"""Orlicz modulars, Luxembourg norms, and the pointwise-estimate sweeps.
+
+The modular of F against a growth function Phi and the measure nu_alpha is
+int Phi(|F|) d nu_alpha.  The Luxembourg norm is the infimal lambda > 0 with
+modular(F / lambda) <= 1; for continuous unbounded Phi the map
+lambda -> modular(F / lambda) is monotone and continuous, so bisection with a
+doubling bracket always converges.  Node values of |F| are computed once per
+function and reused across the bisection, which keeps kernel-heavy norms
+affordable.
+
+Quadrature selection: polynomial integrands get a plain product rule with
+degree scaled to the function degree and the growth exponent; anything
+containing a kernel power is integrated on a boundary-refined rule whose
+angular resolution grows like 1/(1 - |center|), since the trapezoid error for
+the peaked angular profile decays like (r |center|)^N.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import DivergentNormError, DomainError, NonFiniteIntegrandError
+from .growth import GrowthFunction
+from .holo import HoloFunction, max_kernel_center
+from .measure import QuadratureRule, WeightedMeasure, build_rule, mobius_jacobian0_batch
+
+__all__ = [
+    "ModularResult",
+    "LuxNorm",
+    "SmallTypeReport",
+    "modular",
+    "modular_of_values",
+    "luxemburg_norm",
+    "derivative_modulars",
+    "rule_for_function",
+    "pointwise_bound_constant",
+    "derivative_pointwise_constant",
+    "small_type_estimate_check",
+]
+
+_LAMBDA_FLOOR = 1e-280
+_LAMBDA_CEIL = 1e280
+_BISECT_MAX_ITER = 200
+_BISECT_REL_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class ModularResult:
+    value: float
+    rule_id: str
+    integrand_kind: str
+
+
+@dataclass(frozen=True)
+class LuxNorm:
+    lambda_star: float
+    residual: float
+    iterations: int
+    rule_id: str
+
+
+def _node_values(f, rule: QuadratureRule) -> np.ndarray:
+    """|f| at the rule nodes, for a HoloFunction or a vectorized callable."""
+    if isinstance(f, HoloFunction):
+        vals = f._eval(rule.points)
+    else:
+        vals = np.asarray(f(rule.points))
+    vals = np.abs(np.asarray(vals))
+    if vals.shape != (rule.node_count,):
+        raise DomainError(
+            f"integrand values have shape {vals.shape}, expected ({rule.node_count},)"
+        )
+    if not bool(np.all(np.isfinite(vals))):
+        idx = int(np.argmin(np.isfinite(vals)))
+        raise NonFiniteIntegrandError(f"integrand is not finite at node {idx}", idx)
+    return vals
+
+
+def modular_of_values(values: np.ndarray, weights: np.ndarray,
+                      phi: GrowthFunction, scale: float = 1.0) -> float:
+    """sum_i w_i Phi(values_i / scale); the workhorse behind modular and norms."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(weights * phi(values / scale)))
+
+
+def modular(f, phi: GrowthFunction, rule: QuadratureRule,
+            kind: str = "function") -> ModularResult:
+    """int Phi(|f|) d nu_alpha by quadrature."""
+    value = modular_of_values(_node_values(f, rule), rule.weights, phi)
+    return ModularResult(value=value, rule_id=rule.rule_id, integrand_kind=kind)
+
+
+def luxemburg_norm(f, phi: GrowthFunction, rule: QuadratureRule) -> LuxNorm:
+    """inf{lambda > 0 : modular(f / lambda) <= 1} by bracketed bisection.
+
+    The seed bracket starts at max |f| over the nodes and is doubled or halved
+    until the modular straddles 1.  The returned lambda_star is the feasible
+    (modular <= 1) endpoint of the final bracket.
+    """
+    vals = _node_values(f, rule)
+    w = rule.weights
+    top = float(np.max(vals)) if vals.size else 0.0
+    if top == 0.0:
+        return LuxNorm(lambda_star=0.0, residual=0.0, iterations=0, rule_id=rule.rule_id)
+
+    lam = top
+    m = modular_of_values(vals, w, phi, lam)
+    iterations = 0
+    if m <= 1.0:
+        hi = lam
+        while m <= 1.0:
+            lam *= 0.5
+            iterations += 1
+            if lam < _LAMBDA_FLOOR:
+                # Phi crushes every positive value; the infimum is 0 at
+                # working precision.
+                return LuxNorm(lambda_star=0.0, residual=abs(m - 1.0),
+                               iterations=iterations, rule_id=rule.rule_id)
+            m = modular_of_values(vals, w, phi, lam)
+        lo = lam
+    else:
+        lo = lam
+        while m > 1.0:
+            lam *= 2.0
+            iterations += 1
+            if lam > _LAMBDA_CEIL:
+                raise DivergentNormError(
+                    f"modular stays above 1 out to lambda={lam:.3e}; "
+                    f"no finite Luxembourg norm on rule {rule.rule_id}"
+                )
+            m = modular_of_values(vals, w, phi, lam)
+        hi = lam
+
+    # invariant: modular(lo) > 1 >= modular(hi)
+    while iterations < _BISECT_MAX_ITER and (hi - lo) > _BISECT_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        iterations += 1
+        if modular_of_values(vals, w, phi, mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    residual = abs(modular_of_values(vals, w, phi, hi) - 1.0)
+    return LuxNorm(lambda_star=hi, residual=residual, iterations=iterations,
+                   rule_id=rule.rule_id)
+
+
+def derivative_modulars(f: HoloFunction, phi: GrowthFunction,
+                        rule: QuadratureRule) -> dict[str, ModularResult]:
+    """The four modulars whose simultaneous finiteness the theory equates.
+
+    Keys, in order: "function" for |f - f(0)|, "invariant_gradient" for the
+    gradient of f composed with phi_z at 0, "weighted_gradient" for
+    (1-|z|^2)|grad f|, "weighted_radial" for (1-|z|^2)|Rf|.  All four reuse
+    one sweep of evaluations over the rule nodes.
+    """
+    pts = rule.points
+    f0 = f.eval(np.zeros(f.n, dtype=complex))
+    fvals = np.abs(f._eval(pts) - f0)
+    grad = f._partials(pts)
+    one_minus = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
+    radial = np.abs(np.einsum("nj,nj->n", pts, grad))
+    grad_norm = np.linalg.norm(grad, axis=1)
+    inv_norm = np.linalg.norm(
+        np.einsum("nk,nkj->nj", grad, mobius_jacobian0_batch(pts)), axis=1
+    )
+    quantities = {
+        "function": fvals,
+        "invariant_gradient": inv_norm,
+        "weighted_gradient": one_minus * grad_norm,
+        "weighted_radial": one_minus * radial,
+    }
+    return {
+        kind: ModularResult(
+            value=modular_of_values(vals, rule.weights, phi),
+            rule_id=rule.rule_id,
+            integrand_kind=kind,
+        )
+        for kind, vals in quantities.items()
+    }
+
+
+# ---------------------------------------------------------------------------
+# Rule selection
+
+
+def rule_for_function(f: HoloFunction, measure: WeightedMeasure,
+                      phi: GrowthFunction | None = None,
+                      base_degree: int = 32,
+                      refine: int = 0) -> QuadratureRule:
+    """Pick a product rule matched to f's smoothness (n <= 2 only).
+
+    Polynomials get degree >= q * deg(f) + margin with q the growth exponent
+    (so power-function modulars are exact); kernel powers get the
+    boundary-refined rule with angular count scaled like 1/(1 - |center|).
+    refine doubles the degree that many times, for stability sweeps.
+    """
+    sharp = max_kernel_center(f)
+    q = 2.0
+    if phi is not None and phi.kind == "upper":
+        q = max(q, float(phi.type_exponent))
+    if sharp is None:
+        d = f.degree() or 0
+        degree = max(base_degree, int(math.ceil(q * d)) + 8)
+        degree *= 2**refine
+        return build_rule(measure, degree=degree)
+    # Gauss nodes cluster quadratically at the endpoints, so resolving a
+    # boundary layer of width 1 - sharp needs degree ~ (1 - sharp)^(-1/2).
+    gap = max(1e-4, 1.0 - sharp)
+    degree = max(base_degree, 64, int(math.ceil(8.0 / math.sqrt(gap))))
+    if measure.n == 1:
+        degree = min(degree, 512) * 2**refine
+        ang = int(min(8192 * 2**refine, max(512, math.ceil(24.0 / gap))))
+    else:
+        degree = min(degree, 128) * 2**refine
+        ang = int(min(96 * 2**refine, max(48, math.ceil(8.0 / max(1e-2, 1.0 - sharp)))))
+    return build_rule(measure, degree=degree, boundary_refined=True, angular_count=ang)
+
+
+# ---------------------------------------------------------------------------
+# Pointwise-estimate sweeps
+
+
+def _probe_grid(n: int, radii, direction_count: int, seed: int) -> np.ndarray:
+    """Deterministic probe points: each radius times a set of directions."""
+    radii = np.asarray(sorted(radii), dtype=float)
+    if np.any(radii < 0.0) or np.any(radii >= 1.0):
+        raise DomainError("probe radii must lie in [0, 1)")
+    if n == 1:
+        theta = 2.0 * np.pi * np.arange(direction_count) / direction_count
+        dirs = np.exp(1j * theta)[:, None]
+    else:
+        rng = np.random.default_rng(seed)
+        vecs = rng.normal(size=(direction_count, n)) + 1j * rng.normal(size=(direction_count, n))
+        dirs = vecs / np.linalg.norm(vecs, axis=1)[:, None]
+    return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+
+
+_DEFAULT_PROBE_RADII = (0.0, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999)
+
+
+def _pointwise_sweep(family, phi: GrowthFunction, measure: WeightedMeasure,
+                     weighted_gradient: bool, radii, direction_count: int,
+                     seed: int, rule: QuadratureRule | None, refine: int) -> float:
+    m = measure.n + 1.0 + measure.alpha
+    pts = _probe_grid(measure.n, radii, direction_count, seed)
+    one_minus = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
+    denom = phi.inverse(one_minus ** (-m))
+    worst = 0.0
+    for f in family:
+        r = rule if rule is not None else rule_for_function(f, measure, phi, refine=refine)
+        norm = luxemburg_norm(f, phi, r).lambda_star
+        if norm <= 0.0:
+            raise DomainError("pointwise sweep needs functions with positive norm")
+        if weighted_gradient:
+            num = one_minus * np.linalg.norm(f._partials(pts), axis=1)
+        else:
+            num = np.abs(f._eval(pts))
+        worst = max(worst, float(np.max(num / (denom * norm))))
+    return worst
+
+
+def pointwise_bound_constant(family, phi: GrowthFunction, measure: WeightedMeasure,
+                             radii=_DEFAULT_PROBE_RADII, direction_count: int = 64,
+                             seed: int = 0, rule: QuadratureRule | None = None,
+                             refine: int = 0) -> float:
+    """Empirical C with |f(z)| <= C Phi^{-1}((1-|z|^2)^{-(n+1+alpha)}) ||f||.
+
+    Maximized over the family and a radius/direction probe grid reaching
+    radius 0.999.  Finiteness (with refinement stability) is the claim under
+    test; the value is never asserted minimal.
+    """
+    return _pointwise_sweep(family, phi, measure, False, radii, direction_count,
+                            seed, rule, refine)
+
+
+def derivative_pointwise_constant(family, phi: GrowthFunction, measure: WeightedMeasure,
+                                  radii=_DEFAULT_PROBE_RADII, direction_count: int = 64,
+                                  seed: int = 0, rule: QuadratureRule | None = None,
+                                  refine: int = 0) -> float:
+    """Empirical C with (1-|z|^2)|grad f(z)| <= C Phi^{-1}(...) ||f||."""
+    return _pointwise_sweep(family, phi, measure, True, radii, direction_count,
+                            seed, rule, refine)
+
+
+@dataclass(frozen=True)
+class SmallTypeReport:
+    constant: float
+    p: float
+    weight_exponent: float
+    ratios: tuple
+    rule_id: str
+
+
+def small_type_estimate_check(family, p: float, measure: WeightedMeasure,
+                              rule: QuadratureRule | None = None,
+                              refine: int = 0) -> SmallTypeReport:
+    """Weighted L^1 domination for exponents p <= 1.
+
+    For each f, compare int |f| (1-|z|^2)^{(1/p - 1)(n+1+alpha)} d nu_alpha
+    against int |f|^p d nu_alpha (the p-th power of the A^p quasi-norm) and
+    report the largest ratio.  At p = 1 both sides coincide and the constant
+    is exactly 1.
+    """
+    if not (0.0 < p <= 1.0):
+        raise DomainError(f"small-type estimate needs 0 < p <= 1, got {p}")
+    w_exp = (1.0 / p - 1.0) * (measure.n + 1.0 + measure.alpha)
+    ratios = []
+    rid = None
+    for f in family:
+        r = rule if rule is not None else rule_for_function(f, measure, None, refine=refine)
+        rid = r.rule_id if rid is None else rid
+        vals = _node_values(f, r)
+        one_minus = 1.0 - np.sum(np.abs(r.points) ** 2, axis=1)
+        num = float(np.sum(r.weights * vals * one_minus**w_exp))
+        den = float(np.sum(r.weights * vals**p))
+        if den == 0.0:
+            raise DomainError("small-type sweep needs nonzero functions")
+        ratios.append(num / den)
+    return SmallTypeReport(constant=max(ratios), p=p, weight_exponent=w_exp,
+                           ratios=tuple(ratios), rule_id=rid or "")
