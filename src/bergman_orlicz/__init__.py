@@ -60,7 +60,6 @@ from .holo import (
     to_series,
 )
 from .measure import (
-    MobiusMap,
     QuadratureRule,
     WeightedMeasure,
     build_rule,

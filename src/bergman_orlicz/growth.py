@@ -16,7 +16,9 @@ harness suites consume:
 
 All evaluators are vectorized over numpy arrays.  Where no closed form is
 available, inverses fall back to a monotone bisection with geometric bracket
-expansion, and maximizations use a vectorized golden section on a log axis.
+expansion.  Maximizations use golden_section_max, a vectorized golden
+section that the conjugate runs on a log axis and the Bloch seminorm in
+operators.py runs along radii and angles.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ __all__ = [
     "rho_power_log",
     "type_constant",
     "indices",
+    "golden_section_max",
     "complementary",
     "delta2_constant",
     "nabla2_check",
@@ -71,6 +74,7 @@ _BRACKET_LO_CAP = 1e-280
 _CONJUGATE_T_CAP = 1e30
 _DELTA2_CAP = 1e12
 _TYPE_CONSTANT_CAP = 1e3
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _log_grid(lo: float, hi: float, count: int) -> np.ndarray:
@@ -424,6 +428,33 @@ def indices(phi: GrowthFunction, t_min: float = 1e-8, t_max: float = 1e8,
 # Conjugation, Delta_2 and nabla_2
 
 
+def golden_section_max(fn, lo, hi, tol: float = 1e-13, max_iter: int = 90):
+    """Maximize fn on the brackets [lo, hi] by golden section, elementwise.
+
+    fn maps an array of abscissae to values of the same shape and should be
+    unimodal on each bracket.  Every step keeps the better of the two interior
+    probes and evaluates one new probe; the loop stops once every bracket is
+    narrower than tol, or after max_iter steps.  Returns (x, fn(x)) at the
+    bracket midpoints.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    for _ in range(max_iter):
+        if np.all(hi - lo < tol):
+            break
+        right = f1 < f2  # the maximum sits in [x1, hi]
+        lo = np.where(right, x1, lo)
+        hi = np.where(right, hi, x2)
+        x_new = np.where(right, lo + _GOLDEN * (hi - lo), hi - _GOLDEN * (hi - lo))
+        f_new = fn(x_new)
+        x1, x2 = np.where(right, x2, x_new), np.where(right, x_new, x1)
+        f1, f2 = np.where(right, f2, f_new), np.where(right, f_new, f1)
+    xm = 0.5 * (lo + hi)
+    return xm, fn(xm)
+
+
 def _conjugate_values(phi: GrowthFunction, s: np.ndarray) -> np.ndarray:
     """Psi(s) = sup_t (t s - Phi(t)) by bracketed golden section on log t."""
     s = np.asarray(s, dtype=float)
@@ -453,31 +484,11 @@ def _conjugate_values(phi: GrowthFunction, s: np.ndarray) -> np.ndarray:
         if guard > 200:
             raise ConjugateInfiniteError(f"conjugate bracket stalled for {phi.name}")
 
-    # Concave objective on [~0, 2 hi]; standard two-probe golden section,
-    # vectorized with masks, on the log axis.
-    a = np.full_like(sv, math.log(1e-300))
-    b = np.log(2.0 * hi)
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - gr * (b - a)
-    x2 = a + gr * (b - a)
-    f1, f2 = height(np.exp(x1)), height(np.exp(x2))
-    for _ in range(200):
-        pick_right = f1 < f2  # maximum sits in [x1, b]
-        a = np.where(pick_right, x1, a)
-        b = np.where(pick_right, b, x2)
-        old_x1, old_x2 = x1, x2
-        old_f1, old_f2 = f1, f2
-        width = b - a
-        x1 = np.where(pick_right, old_x2, b - gr * width)
-        x2 = np.where(pick_right, a + gr * width, old_x1)
-        eval_x1 = height(np.exp(x1))
-        eval_x2 = height(np.exp(x2))
-        f1 = np.where(pick_right, old_f2, eval_x1)
-        f2 = np.where(pick_right, eval_x2, old_f1)
-        if np.all(b - a < 1e-11):
-            break
-    t_star = np.exp(0.5 * (a + b))
-    out[live] = np.maximum(height(t_star), 0.0)
+    # The objective is concave in t on [~0, 2 hi]; search it on the log axis.
+    _, peak = golden_section_max(lambda x: height(np.exp(x)),
+                                 np.full_like(sv, math.log(1e-300)), np.log(2.0 * hi),
+                                 tol=1e-11, max_iter=200)
+    out[live] = np.maximum(peak, 0.0)
     return out.reshape(s.shape)
 
 

@@ -20,7 +20,9 @@ ball automorphism phi_z; chain_inequality_check verifies the pointwise chain
 
     (1-|z|^2) |R f| <= (1-|z|^2) |grad f| <= |invariant grad f|
 
-which holds exactly for these formulas.
+which holds exactly for these formulas.  gradient_sweep computes every
+quantity in that chain from one gradient evaluation; the chain check, the
+invariant gradient and the derivative modulars in norms.py all call it.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "Product",
     "to_series",
     "max_kernel_center",
+    "gradient_sweep",
     "invariant_gradient",
     "chain_inequality_check",
     "ChainReport",
@@ -346,16 +349,25 @@ def max_kernel_center(f: HoloFunction) -> float | None:
 # Invariant gradient and the derivative chain
 
 
-def invariant_gradient(f: HoloFunction, points):
-    """Gradient of f composed with phi_z, taken at the origin; batch-aware.
+def gradient_sweep(f: HoloFunction, pts: np.ndarray):
+    """The four derivative quantities of f at the rows of pts, from one gradient.
 
-    Row z of the batch gets grad(f o phi_z)(0)_j = sum_k d_k f(z) J_kj with J
-    the Jacobian of phi_z at 0.
+    Returns (1-|z|^2, |Rf(z)|, |grad f(z)|, invariant gradient), the last as
+    (N, n) vectors: row z gets grad(f o phi_z)(0)_j = sum_k d_k f(z) J_kj
+    with J the Jacobian of phi_z at 0.  Rf(z) = sum_j z_j d_j f(z).
     """
-    pts, squeeze = _points_2d(points, f.n)
     grad = f._partials(pts)
-    jac = mobius_jacobian0_batch(pts)
-    out = np.einsum("nk,nkj->nj", grad, jac)
+    one_minus = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
+    radial = np.abs(np.einsum("nj,nj->n", pts, grad))
+    grad_norm = np.linalg.norm(grad, axis=1)
+    invariant = np.einsum("nk,nkj->nj", grad, mobius_jacobian0_batch(pts))
+    return one_minus, radial, grad_norm, invariant
+
+
+def invariant_gradient(f: HoloFunction, points):
+    """Gradient of f composed with phi_z, taken at the origin; batch-aware."""
+    pts, squeeze = _points_2d(points, f.n)
+    out = gradient_sweep(f, pts)[3]
     return out[0] if squeeze else out
 
 
@@ -374,15 +386,10 @@ def chain_inequality_check(f: HoloFunction, points, tol: float = 1e-10) -> Chain
     chain holds strictly everywhere).
     """
     pts, _ = _points_2d(points, f.n)
-    one_minus = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
-    grad = f._partials(pts)
-    radial = np.abs(np.einsum("nj,nj->n", pts, grad))
-    grad_norm = np.linalg.norm(grad, axis=1)
-    inv_norm = np.linalg.norm(np.einsum("nk,nkj->nj", grad, mobius_jacobian0_batch(pts)), axis=1)
-
+    one_minus, radial, grad_norm, invariant = gradient_sweep(f, pts)
     a = one_minus * radial
     b = one_minus * grad_norm
-    c = inv_norm
+    c = np.linalg.norm(invariant, axis=1)
     floor = 1e-300
     margin_ab = (a - b) / np.maximum(b, floor)
     margin_bc = (b - c) / np.maximum(c, floor)

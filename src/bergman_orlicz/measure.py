@@ -9,18 +9,19 @@ u = |z|^2 and splitting off the sphere direction, the radial factor carries the
 weight u^(n-1) (1-u)^alpha on (0,1), which is exactly a Jacobi weight; product
 rules below combine Gauss-Jacobi radial nodes with uniform angular grids, so a
 monomial z^m conj(z)^m' integrates exactly once |m| + |m'| stays at or below
-the advertised degree.  A seed-deterministic low-discrepancy sampler covers the
-dimensions where tensor rules are not practical (n = 3, 4).
+the advertised degree.  Product rules exist for n = 1 and 2 only.
+sphere_directions supplies the unit vectors that the pointwise and Bloch
+sweeps probe along: the equispaced circle for n = 1 and seed-deterministic
+scrambled Halton points for n >= 2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import betaincinv, gammaln, ndtri, roots_jacobi
+from scipy.special import gammaln, ndtri, roots_jacobi
 
 from .errors import (
     DomainError,
@@ -31,16 +32,15 @@ from .errors import (
 __all__ = [
     "WeightedMeasure",
     "QuadratureRule",
-    "MobiusMap",
     "make_measure",
     "build_rule",
+    "sphere_directions",
     "integrate",
     "mobius_apply",
     "mobius_jacobian0",
     "kernel_factor",
 ]
 
-_MAX_MC_DIMENSION = 4
 _REFINED_MIN_ANGULAR = 512
 
 
@@ -97,7 +97,7 @@ class QuadratureRule:
 
     points has shape (N, n) complex, weights shape (N,) positive with sum 1.
     exact_degree is the largest total monomial degree |m| + |m'| the rule
-    integrates exactly (0 for Monte Carlo).
+    integrates exactly.
     """
 
     measure: WeightedMeasure
@@ -160,94 +160,67 @@ def _product_rule_raw(n: int, alpha: float, degree: int, boundary_refined: bool 
         ).reshape(-1)
         return pts, w.copy()
 
-    raise UnsupportedRuleError(f"no tensor product rule for n={n}; use sample_count")
-
-
-def _monte_carlo_rule(measure: WeightedMeasure, sample_count: int, seed: int):
-    """Low-discrepancy equal-weight nodes distributed per nu_alpha.
-
-    The radial variable u = |z|^2 follows Beta(n, alpha+1); directions are
-    uniform on the unit sphere of C^n via normalized Gaussians.  Scrambled
-    Halton makes the node set a deterministic function of the seed.
-    """
-    from scipy.stats import qmc
-
-    n = measure.n
-    sampler = qmc.Halton(d=2 * n + 1, scramble=True, seed=seed)
-    q = sampler.random(sample_count)
-    q = np.clip(q, 1e-15, 1.0 - 1e-15)
-    u = betaincinv(float(n), measure.alpha + 1.0, q[:, 0])
-    gauss = ndtri(q[:, 1:])
-    vecs = gauss[:, :n] + 1j * gauss[:, n:]
-    norms = np.linalg.norm(vecs, axis=1)
-    norms = np.where(norms == 0.0, 1.0, norms)
-    directions = vecs / norms[:, None]
-    pts = np.sqrt(u)[:, None] * directions
-    w = np.full(sample_count, 1.0 / sample_count)
-    return pts, w
+    raise UnsupportedRuleError(f"product rules stop at n=2, got n={n}")
 
 
 def build_rule(
     measure: WeightedMeasure,
     degree: int | None = None,
-    sample_count: int | None = None,
-    seed: int = 0,
     boundary_refined: bool = False,
     angular_count: int | None = None,
 ) -> QuadratureRule:
-    """Construct a quadrature rule for nu_alpha.
+    """Construct the product quadrature rule of the given degree for nu_alpha.
 
-    Exactly one of degree (tensor product, n <= 2) or sample_count (Monte
-    Carlo, n <= 4) must be given.  boundary_refined doubles the radial degree
-    and widens the angular grid; use it for integrands that concentrate near
-    the sphere, such as powers of the reproducing kernel.  angular_count
-    forces at least that many angular nodes per circle, which sharply peaked
-    kernels (center norm close to 1) need on top of the refined radial grid.
+    Product rules exist for n = 1 and 2; other dimensions raise
+    UnsupportedRuleError.  boundary_refined doubles the radial degree and
+    widens the angular grid; use it for integrands that concentrate near the
+    sphere, such as powers of the reproducing kernel.  angular_count forces
+    at least that many angular nodes per circle, which sharply peaked kernels
+    (center norm close to 1) need on top of the refined radial grid.
     """
-    if (degree is None) == (sample_count is None):
-        raise UnsupportedRuleError("specify exactly one of degree or sample_count")
-
+    if degree is None:
+        raise UnsupportedRuleError("a quadrature rule needs a degree")
+    if degree < 0:
+        raise DomainError(f"degree must be >= 0, got {degree}")
     n, alpha = measure.n, measure.alpha
-    if degree is not None:
-        if degree < 0:
-            raise DomainError(f"degree must be >= 0, got {degree}")
-        if n > 2:
-            raise UnsupportedRuleError(
-                f"tensor product rules stop at n=2 (requested n={n}); use sample_count"
-            )
-        pts, raw_w = _product_rule_raw(n, alpha, degree, boundary_refined, angular_count)
-        total = float(np.sum(raw_w))
-        residual = abs(total - 1.0)
-        w = raw_w / total
-        tag = ",refined" if boundary_refined else ""
-        if angular_count is not None:
-            tag += f",angles={int(angular_count)}"
-        rid = f"product:n={n},alpha={alpha:g},degree={degree},nodes={pts.shape[0]}{tag}"
-        return QuadratureRule(
-            measure=measure,
-            kind="product",
-            points=pts,
-            weights=w,
-            exact_degree=degree,
-            rule_id=rid,
-            normalization_residual=residual,
-        )
-
-    if n > _MAX_MC_DIMENSION:
-        raise UnsupportedRuleError(f"Monte Carlo rules stop at n={_MAX_MC_DIMENSION}")
-    if sample_count < 2:
-        raise DomainError(f"sample_count must be >= 2, got {sample_count}")
-    pts, w = _monte_carlo_rule(measure, sample_count, seed)
-    rid = f"mc:n={n},alpha={alpha:g},samples={sample_count},seed={seed}"
+    pts, raw_w = _product_rule_raw(n, alpha, degree, boundary_refined, angular_count)
+    total = float(np.sum(raw_w))
+    residual = abs(total - 1.0)
+    w = raw_w / total
+    tag = ",refined" if boundary_refined else ""
+    if angular_count is not None:
+        tag += f",angles={int(angular_count)}"
+    rid = f"product:n={n},alpha={alpha:g},degree={degree},nodes={pts.shape[0]}{tag}"
     return QuadratureRule(
         measure=measure,
-        kind="monte_carlo",
+        kind="product",
         points=pts,
         weights=w,
-        exact_degree=0,
+        exact_degree=degree,
         rule_id=rid,
-        normalization_residual=0.0,
+        normalization_residual=residual,
     )
+
+
+def sphere_directions(n: int, count: int, seed: int) -> np.ndarray:
+    """count unit vectors of C^n, shape (count, n), for probe sweeps.
+
+    n = 1 gives the equispaced circle (seed unused).  For n >= 2, scrambled
+    Halton points in [0, 1)^(2n) are mapped through the inverse normal CDF to
+    Gaussian vectors and normalized, which spreads them uniformly over the
+    sphere; the set is a deterministic function of the seed.
+    """
+    if n == 1:
+        theta = 2.0 * np.pi * np.arange(count) / count
+        return np.exp(1j * theta)[:, None]
+    from scipy.stats import qmc
+
+    q = qmc.Halton(d=2 * n, scramble=True, seed=seed).random(count)
+    g = ndtri(np.clip(q, 1e-15, 1.0 - 1e-15))
+    vecs = g[:, :n] + 1j * g[:, n:]
+    norms = np.linalg.norm(vecs, axis=1)
+    norms = np.where(norms == 0.0, 1.0, norms)
+    return vecs / norms[:, None]
 
 
 def integrate(rule: QuadratureRule, integrand) -> complex:
@@ -288,25 +261,6 @@ def _as_point(a, n: int | None = None) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class MobiusMap:
-    """The involutive automorphism phi_a of the unit ball, phi_a(0) = a."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        a = _as_point(self.a)
-        object.__setattr__(self, "a", a)
-        if np.linalg.norm(a) >= 1.0:
-            raise DomainError(f"Mobius center must lie inside the ball, |a|={np.linalg.norm(a):.6g}")
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        return mobius_apply(self.a, z)
-
-    def jacobian0(self) -> np.ndarray:
-        return mobius_jacobian0(self.a)
-
-
 def _points_2d(z, n: int) -> tuple[np.ndarray, bool]:
     arr = np.asarray(z, dtype=complex)
     squeeze = arr.ndim <= 1
@@ -326,13 +280,17 @@ def mobius_apply(a, z) -> np.ndarray:
     if np.any(np.linalg.norm(zz, axis=1) >= 1.0 + 1e-14):
         raise DomainError("phi_a is only evaluated inside the closed unit ball")
 
-    a_norm_sq = float(np.vdot(a, a).real)
-    if a_norm_sq == 0.0:
+    # |a|^2 underflows once |a| < ~1e-154, so |a| comes from hypot and the
+    # projection onto a goes through the unit vector a/|a|, divided out per
+    # real component (complex division by a subnormal |a| overflows).
+    a_norm = math.hypot(*np.abs(a))
+    if a_norm == 0.0:
         out = -zz
     else:
-        s = math.sqrt(max(0.0, 1.0 - a_norm_sq))
+        s = math.sqrt(max(0.0, 1.0 - a_norm * a_norm))
+        u = a.real / a_norm + 1j * (a.imag / a_norm)
         ip = zz @ np.conj(a)  # <z, a>
-        p = (ip / a_norm_sq)[:, None] * a[None, :]
+        p = (zz @ np.conj(u))[:, None] * u[None, :]
         q = zz - p
         out = (a[None, :] - p - s * q) / (1.0 - ip)[:, None]
     return out[0] if squeeze else out

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import DivergentNormError, DomainError, NonFiniteIntegrandError
 from .growth import GrowthFunction
-from .holo import HoloFunction, max_kernel_center
-from .measure import QuadratureRule, WeightedMeasure, build_rule, mobius_jacobian0_batch
+from .holo import HoloFunction, gradient_sweep, max_kernel_center
+from .measure import QuadratureRule, WeightedMeasure, build_rule, sphere_directions
 
 __all__ = [
     "ModularResult",
@@ -154,21 +154,15 @@ def derivative_modulars(f: HoloFunction, phi: GrowthFunction,
     Keys, in order: "function" for |f - f(0)|, "invariant_gradient" for the
     gradient of f composed with phi_z at 0, "weighted_gradient" for
     (1-|z|^2)|grad f|, "weighted_radial" for (1-|z|^2)|Rf|.  All four reuse
-    one sweep of evaluations over the rule nodes.
+    one gradient_sweep over the rule nodes.
     """
     pts = rule.points
     f0 = f.eval(np.zeros(f.n, dtype=complex))
     fvals = np.abs(f._eval(pts) - f0)
-    grad = f._partials(pts)
-    one_minus = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
-    radial = np.abs(np.einsum("nj,nj->n", pts, grad))
-    grad_norm = np.linalg.norm(grad, axis=1)
-    inv_norm = np.linalg.norm(
-        np.einsum("nk,nkj->nj", grad, mobius_jacobian0_batch(pts)), axis=1
-    )
+    one_minus, radial, grad_norm, invariant = gradient_sweep(f, pts)
     quantities = {
         "function": fvals,
-        "invariant_gradient": inv_norm,
+        "invariant_gradient": np.linalg.norm(invariant, axis=1),
         "weighted_gradient": one_minus * grad_norm,
         "weighted_radial": one_minus * radial,
     }
@@ -223,29 +217,19 @@ def rule_for_function(f: HoloFunction, measure: WeightedMeasure,
 # Pointwise-estimate sweeps
 
 
-def _probe_grid(n: int, radii, direction_count: int, seed: int) -> np.ndarray:
-    """Deterministic probe points: each radius times a set of directions."""
-    radii = np.asarray(sorted(radii), dtype=float)
-    if np.any(radii < 0.0) or np.any(radii >= 1.0):
-        raise DomainError("probe radii must lie in [0, 1)")
-    if n == 1:
-        theta = 2.0 * np.pi * np.arange(direction_count) / direction_count
-        dirs = np.exp(1j * theta)[:, None]
-    else:
-        rng = np.random.default_rng(seed)
-        vecs = rng.normal(size=(direction_count, n)) + 1j * rng.normal(size=(direction_count, n))
-        dirs = vecs / np.linalg.norm(vecs, axis=1)[:, None]
-    return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-
-
 _DEFAULT_PROBE_RADII = (0.0, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999)
 
 
 def _pointwise_sweep(family, phi: GrowthFunction, measure: WeightedMeasure,
                      weighted_gradient: bool, radii, direction_count: int,
                      seed: int, rule: QuadratureRule | None, refine: int) -> float:
-    m = measure.n + 1.0 + measure.alpha
-    pts = _probe_grid(measure.n, radii, direction_count, seed)
+    n = measure.n
+    m = n + 1.0 + measure.alpha
+    radii = np.asarray(sorted(radii), dtype=float)
+    if np.any(radii < 0.0) or np.any(radii >= 1.0):
+        raise DomainError("probe radii must lie in [0, 1)")
+    dirs = sphere_directions(n, direction_count, seed)
+    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
     one_minus = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
     denom = phi.inverse(one_minus ** (-m))
     worst = 0.0

@@ -17,17 +17,16 @@ golden-section refinement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import ndtri, roots_legendre
+from scipy.special import roots_legendre
 
 from .errors import DomainError, SymbolInvariantError
-from .growth import GrowthFunction
+from .growth import GrowthFunction, golden_section_max
 from .holo import HoloFunction, Series, to_series
-from .measure import QuadratureRule, WeightedMeasure
+from .measure import QuadratureRule, WeightedMeasure, sphere_directions
 from .norms import luxemburg_norm, modular_of_values, rule_for_function
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
 ]
 
 _BLOCH_CAP = 1e6
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +147,7 @@ class IdentityReport:
     coefficient_deviation: float
     sample_deviation: float
     output_terms: int
-    sample_count: int
+    sample_points: int
 
 
 def radial_derivative_identity_check(symbol: CesaroSymbol, f: Series,
@@ -194,7 +192,7 @@ def radial_derivative_identity_check(symbol: CesaroSymbol, f: Series,
         coefficient_deviation=float(worst),
         sample_deviation=float(np.max(gap_f)) if gap_f.size else 0.0,
         output_terms=len(conv),
-        sample_count=pts.shape[0],
+        sample_points=pts.shape[0],
     )
 
 
@@ -218,43 +216,10 @@ class LittleBlochReport:
     verdict: bool
 
 
-def _direction_set(n: int, count: int, seed: int) -> np.ndarray:
-    if n == 1:
-        theta = 2.0 * np.pi * np.arange(count) / count
-        return np.exp(1j * theta)[:, None]
-    from scipy.stats import qmc
-
-    q = qmc.Halton(d=2 * n, scramble=True, seed=seed).random(count)
-    g = ndtri(np.clip(q, 1e-15, 1.0 - 1e-15))
-    vecs = g[:, :n] + 1j * g[:, n:]
-    norms = np.linalg.norm(vecs, axis=1)
-    norms = np.where(norms == 0.0, 1.0, norms)
-    return vecs / norms[:, None]
-
-
 def _weighted_rg_sup(rg: HoloFunction, r: float, dirs: np.ndarray) -> tuple[float, int]:
     vals = (1.0 - r * r) * np.abs(rg._eval(r * dirs))
     i = int(np.argmax(vals))
     return float(vals[i]), i
-
-
-def _golden_max(fn, lo: float, hi: float, iters: int = 90) -> tuple[float, float]:
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
-        if hi - lo < 1e-13:
-            break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = fn(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = fn(x1)
-    xm = 0.5 * (lo + hi)
-    return xm, fn(xm)
 
 
 _BLOCH_RADII = tuple(sorted(set(
@@ -274,7 +239,7 @@ def bloch_seminorm(g, direction_count: int | None = None,
     n = rg.n
     if direction_count is None:
         direction_count = 512 if n == 1 else 2048
-    dirs = _direction_set(n, direction_count, seed)
+    dirs = sphere_directions(n, direction_count, seed)
 
     profile = []
     best = (0.0, 0.0, 0)  # value, radius, direction index
@@ -294,26 +259,27 @@ def bloch_seminorm(g, direction_count: int | None = None,
     hi = _BLOCH_RADII[min(len(_BLOCH_RADII) - 1, idx + 1)]
     direction = dirs[best[2]]
 
-    def along(r: float) -> float:
-        rr = min(max(r, 0.0), 1.0 - 1e-12)
+    def along(r) -> float:
+        rr = min(max(float(r), 0.0), 1.0 - 1e-12)
         return (1.0 - rr * rr) * float(np.abs(rg.eval(rr * direction)))
 
-    r_star, m_star = _golden_max(along, lo, hi)
+    r_star, m_star = golden_section_max(along, lo, hi)
     if n == 1:
         theta0 = float(np.angle(direction[0]))
         step = 2.0 * np.pi / direction_count
+        r_fixed = float(r_star)
 
-        def around(theta: float) -> float:
-            d = np.array([np.exp(1j * theta)])
-            return (1.0 - r_star**2) * float(np.abs(rg.eval(r_star * d)))
+        def around(theta) -> float:
+            d = np.array([np.exp(1j * float(theta))])
+            return (1.0 - r_fixed**2) * float(np.abs(rg.eval(r_fixed * d)))
 
-        theta_star, m_theta = _golden_max(around, theta0 - step, theta0 + step)
+        theta_star, m_theta = golden_section_max(around, theta0 - step, theta0 + step)
         if m_theta > m_star:
-            direction = np.array([np.exp(1j * theta_star)])
-            r_star, m_star = _golden_max(along, lo, hi)
+            direction = np.array([np.exp(1j * float(theta_star))])
+            r_star, m_star = golden_section_max(along, lo, hi)
 
     m_final = max(m_star, best[0])
-    r_final = r_star if m_star >= best[0] else best[1]
+    r_final = float(r_star) if m_star >= best[0] else best[1]
     return BlochReport(M=m_final, argmax_radius=r_final,
                        boundary_profile=tuple(profile), unbounded=unbounded)
 
@@ -334,7 +300,7 @@ def little_bloch_profile(g, radii=_LITTLE_BLOCH_RADII, epsilon: float = 1e-3,
     n = rg.n
     if direction_count is None:
         direction_count = 512 if n == 1 else 2048
-    dirs = _direction_set(n, direction_count, seed)
+    dirs = sphere_directions(n, direction_count, seed)
     radii = sorted(float(r) for r in radii)
     if any(not (0.0 <= r < 1.0) for r in radii):
         raise DomainError("little-Bloch radii must lie in [0, 1)")

@@ -92,14 +92,18 @@ def test_bad_config_schema_is_data_error(capsys, tmp_path):
 
 
 def test_unknown_config_key_is_data_error(capsys):
-    code, _, err = run(capsys, ["verify", "--config", '{"batch_size": 4}'])
-    assert code == 65
-    assert "batch_size" in err
+    # `jobs` is a command-line flag only; a config that sets it is refused.
+    for key, config in (("batch_size", '{"batch_size": 4}'), ("jobs", '{"jobs": 2}')):
+        code, _, err = run(capsys, ["verify", "--config", config])
+        assert code == 65
+        assert key in err
 
 
-def test_out_of_range_dimension_is_data_error(capsys):
-    code, _, err = run(capsys, ["verify", "--config", '{"n": 9}'])
+@pytest.mark.parametrize("n", [3, 9])
+def test_out_of_range_dimension_is_data_error(capsys, n):
+    code, _, err = run(capsys, ["verify", "--config", json.dumps({"n": n})])
     assert code == 65
+    assert "[1, 2]" in err
 
 
 def test_zero_symbol_rejected_by_boundedness(capsys):

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bergman_orlicz.errors import DomainError, UnsupportedRuleError
@@ -86,32 +86,10 @@ def test_boundary_refined_and_angular_override_tags():
         assert val.real == pytest.approx(moment_oracle(1, 0.0, (2,)), abs=1e-13)
 
 
-def test_monte_carlo_tracks_product_rule():
-    measure = make_measure(2, 1.0)
-    product = build_rule(measure, degree=20)
-    mc = build_rule(measure, sample_count=40000, seed=3)
-
-    def smooth(z):
-        return np.real(z[:, 0]) ** 2 + np.abs(z[:, 1]) ** 2
-
-    exact = integrate(product, smooth).real
-    approx = integrate(mc, smooth).real
-    assert approx == pytest.approx(exact, rel=5e-3)
-
-
-def test_monte_carlo_is_seed_deterministic():
-    measure = make_measure(3, 0.5)
-    r1 = build_rule(measure, sample_count=512, seed=11)
-    r2 = build_rule(measure, sample_count=512, seed=11)
-    assert np.array_equal(r1.points, r2.points)
-
-
 def test_rule_argument_validation():
     measure = make_measure(1, 0.0)
     with pytest.raises(UnsupportedRuleError):
         build_rule(measure)
-    with pytest.raises(UnsupportedRuleError):
-        build_rule(measure, degree=4, sample_count=100)
     with pytest.raises(UnsupportedRuleError):
         build_rule(make_measure(3, 0.0), degree=8)
     with pytest.raises(DomainError):
@@ -133,6 +111,7 @@ def test_mobius_swaps_zero_and_center():
        st.floats(min_value=-0.6, max_value=0.6),
        st.floats(min_value=-0.6, max_value=0.6))
 @settings(max_examples=80, deadline=None)
+@example(ar=0.0, ai=1.7e-155, zr=0.3, zi=0.1)  # |a|^2 is subnormal
 def test_mobius_is_an_involution(ar, ai, zr, zi):
     a = complex(ar, ai)
     z = complex(zr, zi)
