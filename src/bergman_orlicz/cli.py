@@ -7,7 +7,12 @@ is canonical JSON (sorted keys, tight separators), so parsing a report and
 re-serializing it reproduces the same bytes, and two runs with the same seed
 and configuration produce identical documents regardless of thread count.
 
-Exit codes: 0 pass, 1 fail, 2 inconclusive, 64 usage, 65 data format.
+Exit codes: 0 pass, 1 fail, 2 inconclusive, 64 usage, 65 data format
+(including a quadrature rule above the node ceiling of measure.py), 70
+internal error: any other exception, such as MemoryError, is reported on one
+stderr line as `internal error: <Type>: <message>` so that it never reads as
+a failing verdict.  At n = 2 a rule costs 40 bytes per node; the largest
+one build_rule accepts (2^24 nodes) holds 0.67 GB.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_INTERNAL = 70
 
 _CONFIG_KEYS = {
     "schema", "n", "alpha", "growth", "seed", "degree", "suites",
@@ -351,6 +357,10 @@ def main(argv=None) -> int:
     except WorkbenchError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

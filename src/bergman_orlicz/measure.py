@@ -10,6 +10,14 @@ weight u^(n-1) (1-u)^alpha on (0,1), which is exactly a Jacobi weight; product
 rules below combine Gauss-Jacobi radial nodes with uniform angular grids, so a
 monomial z^m conj(z)^m' integrates exactly once |m| + |m'| stays at or below
 the advertised degree.  Product rules exist for n = 1 and 2 only.
+
+A rule holds 24 bytes per node at n = 1 and 40 at n = 2 (complex nodes plus
+real weights).  The n = 2 nodes are written from their 1-D factors straight
+into the result, with no node-sized temporaries, and kernel_factor evaluates
+its power in the one buffer of inner products.  Rules above
+_MAX_RULE_NODES = 2^24 nodes (0.67 GB at n = 2) are refused with
+UnsupportedRuleError before any allocation.
+
 sphere_directions supplies the unit vectors that the pointwise and Bloch
 sweeps probe along: the equispaced circle for n = 1 and seed-deterministic
 scrambled Halton points for n >= 2.
@@ -42,6 +50,11 @@ __all__ = [
 ]
 
 _REFINED_MIN_ANGULAR = 512
+# Largest product rule build_rule constructs.  At n = 2 its nodes and weights
+# take 0.67 GB, and a Luxembourg norm of a kernel power on a 16.6M-node rule
+# peaks at 1.09 GB, inside a 1.5 GiB address-space cap; on a 22.4M-node rule
+# the same norm runs out of address space.
+_MAX_RULE_NODES = 2**24
 
 
 @dataclass(frozen=True)
@@ -124,6 +137,8 @@ def _radial_jacobi(n: int, alpha: float, n_nodes: int):
 def _product_rule_raw(n: int, alpha: float, degree: int, boundary_refined: bool = False,
                       angular_count: int | None = None):
     """Raw product nodes/weights before unit-mass normalization (n = 1 or 2)."""
+    if n > 2:
+        raise UnsupportedRuleError(f"product rules stop at n=2, got n={n}")
     c_alpha = _normalizing_constant(n, alpha)
     radial_degree = 2 * degree if boundary_refined else degree
     n_rad = radial_degree // 4 + 1
@@ -132,6 +147,13 @@ def _product_rule_raw(n: int, alpha: float, degree: int, boundary_refined: bool 
         n_ang = max(2 * degree + 1, _REFINED_MIN_ANGULAR if n == 1 else 48)
     if angular_count is not None:
         n_ang = max(n_ang, int(angular_count))
+    n_slice = degree // 4 + 1
+    node_count = n_rad * n_ang if n == 1 else n_rad * n_slice * n_ang * n_ang
+    if node_count > _MAX_RULE_NODES:
+        raise UnsupportedRuleError(
+            f"a product rule with {node_count:,} nodes exceeds the ceiling of "
+            f"{_MAX_RULE_NODES:,} nodes (n={n}, degree={degree})"
+        )
 
     if n == 1:
         u, wu = _radial_jacobi(1, alpha, n_rad)
@@ -142,25 +164,23 @@ def _product_rule_raw(n: int, alpha: float, degree: int, boundary_refined: bool 
         w = np.broadcast_to((c_alpha * np.pi / n_ang) * wu[:, None], zz.shape).reshape(-1)
         return pts, w.copy()
 
-    if n == 2:
-        s, ws = _radial_jacobi(2, alpha, n_rad)
-        n_slice = degree // 4 + 1
-        v, wv = _radial_jacobi(1, 0.0, n_slice)  # Legendre on (0,1)
-        t1 = 2.0 * np.pi * np.arange(n_ang) / n_ang
-        t2 = 2.0 * np.pi * np.arange(n_ang) / n_ang
-        S, V, T1, T2 = np.meshgrid(s, v, t1, t2, indexing="ij")
-        z1 = np.sqrt(S * V) * np.exp(1j * T1)
-        z2 = np.sqrt(S * (1.0 - V)) * np.exp(1j * T2)
-        pts = np.stack([z1.reshape(-1), z2.reshape(-1)], axis=1)
-        WS, WV = np.meshgrid(ws, wv, indexing="ij")
-        w_rad = (WS * WV)[:, :, None, None]
-        w = np.broadcast_to(
-            c_alpha * (2.0 * np.pi / n_ang) ** 2 * 0.25 * w_rad,
-            S.shape,
-        ).reshape(-1)
-        return pts, w.copy()
-
-    raise UnsupportedRuleError(f"product rules stop at n=2, got n={n}")
+    # z = (sqrt(s v) e^{i t1}, sqrt(s (1 - v)) e^{i t2}); each factor is
+    # computed on its 1-D grid and the products are written straight into
+    # the node array, in the C order of (s, v, t1, t2).
+    s, ws = _radial_jacobi(2, alpha, n_rad)
+    v, wv = _radial_jacobi(1, 0.0, n_slice)  # Legendre on (0,1)
+    t = 2.0 * np.pi * np.arange(n_ang) / n_ang
+    e = np.exp(1j * t)
+    shape = (n_rad, n_slice, n_ang, n_ang)
+    pts = np.empty(shape + (2,), dtype=complex)
+    r1 = np.sqrt(s[:, None] * v[None, :])
+    r2 = np.sqrt(s[:, None] * (1.0 - v)[None, :])
+    np.multiply(r1[:, :, None, None], e[None, None, :, None], out=pts[..., 0])
+    np.multiply(r2[:, :, None, None], e[None, None, None, :], out=pts[..., 1])
+    w_rad = (ws[:, None] * wv[None, :])[:, :, None, None]
+    w = np.empty(shape)
+    w[...] = c_alpha * (2.0 * np.pi / n_ang) ** 2 * 0.25 * w_rad
+    return pts.reshape(-1, 2), w.reshape(-1)
 
 
 def build_rule(
@@ -177,6 +197,10 @@ def build_rule(
     sphere, such as powers of the reproducing kernel.  angular_count forces
     at least that many angular nodes per circle, which sharply peaked kernels
     (center norm close to 1) need on top of the refined radial grid.
+
+    The rule costs 24 bytes per node at n = 1 and 40 at n = 2; a rule of
+    more than _MAX_RULE_NODES (2^24) nodes raises UnsupportedRuleError
+    before anything node-sized is allocated.
     """
     if degree is None:
         raise UnsupportedRuleError("a quadrature rule needs a degree")
@@ -186,7 +210,7 @@ def build_rule(
     pts, raw_w = _product_rule_raw(n, alpha, degree, boundary_refined, angular_count)
     total = float(np.sum(raw_w))
     residual = abs(total - 1.0)
-    w = raw_w / total
+    w = np.divide(raw_w, total, out=raw_w)
     tag = ",refined" if boundary_refined else ""
     if angular_count is not None:
         tag += f",angles={int(angular_count)}"
@@ -330,5 +354,9 @@ def kernel_factor(z, w, exponent: float) -> np.ndarray:
     ip = zz @ np.conj(w)
     if np.any(np.abs(ip) >= 1.0):
         raise DomainError("kernel power needs |<z, w>| < 1")
-    out = np.exp(-exponent * np.log(1.0 - ip))
-    return out[0] if squeeze else out
+    # exp(-exponent * log(1 - ip)), evaluated in the one buffer ip owns.
+    np.subtract(1.0, ip, out=ip)
+    np.log(ip, out=ip)
+    np.multiply(-exponent, ip, out=ip)
+    np.exp(ip, out=ip)
+    return ip[0] if squeeze else ip

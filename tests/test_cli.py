@@ -114,6 +114,17 @@ def test_zero_symbol_rejected_by_boundedness(capsys):
     assert "Bloch" in err
 
 
+def test_internal_error_is_not_a_verdict(capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("node array\nof 4.9 GB")
+
+    monkeypatch.setattr(cli.harness, "verify_small_type", out_of_memory)
+    code, out, err = run(capsys, ["verify", "--suite", "small_type"])
+    assert code == cli.EXIT_INTERNAL == 70
+    assert out == ""
+    assert err.splitlines() == ["internal error: MemoryError: node array of 4.9 GB"]
+
+
 def test_verify_writes_reports_and_verdict_lines(capsys, tmp_path):
     out_dir = tmp_path / "reports"
     code, out, _ = run(capsys, [

@@ -12,7 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bergman_orlicz.errors import DomainError, UnsupportedRuleError
+from bergman_orlicz.growth import power_growth
+from bergman_orlicz.holo import test_function as kernel_test_function
+from bergman_orlicz.holo import to_series
 from bergman_orlicz.measure import (
+    _normalizing_constant,
+    _radial_jacobi,
     build_rule,
     integrate,
     kernel_factor,
@@ -20,6 +25,7 @@ from bergman_orlicz.measure import (
     mobius_apply,
     mobius_jacobian0,
 )
+from bergman_orlicz.norms import rule_for_function
 
 
 def moment_oracle(n, alpha, m):
@@ -137,3 +143,78 @@ def test_kernel_factor_value():
     w = np.array([0.5 + 0.0j, 0.0j])
     got = kernel_factor(z, w, 4.0)
     assert complex(got[0]) == pytest.approx((1.0 - 0.25) ** -4.0)
+
+
+def meshgrid_rule_n2(alpha, degree, boundary_refined=False, angular_count=None):
+    """The n = 2 product rule as first written: full-size 4-D meshgrids.
+
+    Reference for the factored builder, which must give the same bytes.
+    """
+    c_alpha = _normalizing_constant(2, alpha)
+    radial_degree = 2 * degree if boundary_refined else degree
+    n_rad = radial_degree // 4 + 1
+    n_ang = degree + 1
+    if boundary_refined:
+        n_ang = max(2 * degree + 1, 48)
+    if angular_count is not None:
+        n_ang = max(n_ang, int(angular_count))
+    s, ws = _radial_jacobi(2, alpha, n_rad)
+    v, wv = _radial_jacobi(1, 0.0, degree // 4 + 1)
+    t1 = 2.0 * np.pi * np.arange(n_ang) / n_ang
+    t2 = 2.0 * np.pi * np.arange(n_ang) / n_ang
+    S, V, T1, T2 = np.meshgrid(s, v, t1, t2, indexing="ij")
+    z1 = np.sqrt(S * V) * np.exp(1j * T1)
+    z2 = np.sqrt(S * (1.0 - V)) * np.exp(1j * T2)
+    pts = np.stack([z1.reshape(-1), z2.reshape(-1)], axis=1)
+    WS, WV = np.meshgrid(ws, wv, indexing="ij")
+    w_rad = (WS * WV)[:, :, None, None]
+    w = np.broadcast_to(
+        c_alpha * (2.0 * np.pi / n_ang) ** 2 * 0.25 * w_rad, S.shape
+    ).reshape(-1).copy()
+    total = float(np.sum(w))
+    return pts, w / total, abs(total - 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+@pytest.mark.parametrize("degree,refined,angles", [(8, False, None), (12, True, None),
+                                                   (12, False, 64)])
+def test_n2_rule_matches_meshgrid_reference(alpha, degree, refined, angles):
+    rule = build_rule(make_measure(2, alpha), degree=degree, boundary_refined=refined,
+                      angular_count=angles)
+    pts, w, residual = meshgrid_rule_n2(alpha, degree, refined, angles)
+    assert rule.points.tobytes() == pts.tobytes()
+    assert rule.weights.tobytes() == w.tobytes()
+    assert rule.normalization_residual == residual
+    tag = (",refined" if refined else "") + (f",angles={angles}" if angles else "")
+    assert rule.rule_id == f"product:n=2,alpha={alpha:g},degree={degree},nodes={len(w)}{tag}"
+
+
+def test_oversized_rule_is_refused_before_allocation():
+    # The truncated kernel test function of the default n = 2 family has
+    # degree 48; its refined polynomial rule would have 53 * 53 * 209^2 =
+    # 122.7M nodes (4.9 GB of nodes and weights).
+    phi = power_growth(2.0)
+    measure = make_measure(2, 0.0)
+    f = to_series(kernel_test_function(phi, np.array([0.9, 0.0]), 0.0), 48)
+    with pytest.raises(UnsupportedRuleError, match=r"122,699,929 nodes.*16,777,216"):
+        rule_for_function(f, measure, phi, refine=1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_kernel_factor_matches_direct_formula(n):
+    rule = build_rule(make_measure(n, 0.5), degree=12, boundary_refined=True)
+    w = np.array([0.6 - 0.3j, 0.2j])[:n]
+    for e in (1.0, 3.7, -0.5):
+        ip = rule.points @ np.conj(w)
+        expected = np.exp(-e * np.log(1 - ip))
+        assert kernel_factor(rule.points, w, e).tobytes() == expected.tobytes()
+    single = kernel_factor(rule.points[5], w, 2.5)
+    assert single.tobytes() == kernel_factor(rule.points[5:6], w, 2.5)[0].tobytes()
+
+
+def test_kernel_factor_refuses_boundary_inner_products():
+    w = np.array([1.0 + 0.0j, 0.0j])
+    with pytest.raises(DomainError):
+        kernel_factor(np.array([[0.5, 0.0], [1.0, 0.0]]), w, 2.0)
+    with pytest.raises(DomainError):
+        kernel_factor(np.array([1.0j]), np.array([-1.0j]), 2.0)
