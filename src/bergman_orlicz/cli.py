@@ -329,7 +329,8 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("--csv", action="store_true",
                        help="also write per-case CSV next to each report")
     p_ver.add_argument("--refine", action="store_true",
-                       help="double the base quadrature degree")
+                       help="double the base quadrature degree of "
+                            "derivative_equivalence")
     p_ver.add_argument("--jobs", type=int, default=1,
                        help="worker threads per suite (output is identical "
                             "for any value)")

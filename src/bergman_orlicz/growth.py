@@ -622,21 +622,17 @@ class InverseClassReport:
 def inverse_class_check(phi: GrowthFunction, cap: float = _TYPE_CONSTANT_CAP) -> InverseClassReport:
     """For lower-type Phi, certify that Phi^{-1} has upper type 1/p empirically.
 
-    Checks Phi^{-1}(st) <= C t^(1/p) Phi^{-1}(s) on the standard grid.
+    Checks Phi^{-1}(st) <= C t^(1/p) Phi^{-1}(s) with type_constant's upper
+    probe grid, applied to Phi^{-1}.
     """
     if phi.kind != "lower":
         raise DomainError("inverse_class_check applies to declared lower-type functions")
     p = phi.type_exponent
     q = 1.0 / p
-    s = _log_grid(1e-6, 1e6, 96)
-    t = _log_grid(1.0, 1e4, 96)
-    inv_s = phi.inverse(s)
-    if np.any(inv_s <= 0.0):
-        raise DegenerateFunctionError(f"{phi.name}: inverse vanishes on probe grid")
-    ratios = phi.inverse(s[:, None] * t[None, :]) / (np.power(t[None, :], q) * inv_s[:, None])
-    c = float(np.max(ratios))
-    return InverseClassReport(p=p, dual_exponent=q, constant=c,
-                              certified=bool(np.isfinite(c) and c <= cap))
+    inverse = GrowthFunction(name=f"{phi.name} inverse", fn=phi.inverse)
+    rep = type_constant(inverse, "upper", q, cap=cap)
+    return InverseClassReport(p=p, dual_exponent=q, constant=rep.constant,
+                              certified=rep.certified)
 
 
 def interpolate_growth(phi0: GrowthFunction, phi1: GrowthFunction,

@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, FunctionSpecError
-from .measure import _points_2d, kernel_factor, mobius_jacobian0_batch
+from .measure import _as_point, _points_2d, kernel_factor, mobius_jacobian0_batch
 
 __all__ = [
     "HoloFunction",
@@ -151,12 +151,6 @@ class Series(HoloFunction):
     def radial_derivative(self) -> "Series":
         return Series(self.n, {m: c * sum(m) for m, c in self.terms.items() if sum(m) > 0})
 
-    def shifted_by_constant(self, c: complex) -> "Series":
-        terms = dict(self.terms)
-        zero = (0,) * self.n
-        terms[zero] = terms.get(zero, 0.0) + complex(c)
-        return Series(self.n, terms)
-
     def scaled(self, c: complex) -> "Series":
         return Series(self.n, {m: v * complex(c) for m, v in self.terms.items()})
 
@@ -192,7 +186,7 @@ class KernelPower(HoloFunction):
     scale: complex = 1.0
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.center, dtype=complex))
+        c = _as_point(self.center)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "scale", complex(self.scale))
         if np.linalg.norm(c) >= 1.0:
@@ -409,7 +403,7 @@ def test_function(phi, a, alpha: float, k: float | None = None) -> KernelPower:
     The default k is the smallest convenient integer-ish choice satisfying
     both constraints.  The family has uniformly bounded Luxembourg norm.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=complex))
+    a = _as_point(a)
     n = a.shape[0]
     norm_a = float(np.linalg.norm(a))
     if norm_a >= 1.0:
@@ -435,9 +429,7 @@ def cauchy_gradient(f: HoloFunction, z, radius: float | None = None,
     e^(-i theta_m); geometric accuracy in M, no subtractive cancellation.
     Serves as an independent cross-check for the closed-form partials.
     """
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    squeeze = zz.ndim == 1
-    pts = zz.reshape(1, -1) if squeeze else zz
+    pts, squeeze = _points_2d(z, f.n)
     count, n = pts.shape
     theta = 2.0 * np.pi * np.arange(points) / points
     phase = np.exp(1j * theta)

@@ -9,7 +9,10 @@ u = |z|^2 and splitting off the sphere direction, the radial factor carries the
 weight u^(n-1) (1-u)^alpha on (0,1), which is exactly a Jacobi weight; product
 rules below combine Gauss-Jacobi radial nodes with uniform angular grids, so a
 monomial z^m conj(z)^m' integrates exactly once |m| + |m'| stays at or below
-the advertised degree.  Product rules exist for n = 1 and 2 only.
+the advertised degree.  Product rules exist for n = 1 and 2 only.  The one
+knob beyond the degree is angular_count, which turns a rule into a kernel
+rule (doubled radial degree, at least angular_count angles per circle) for
+integrands that peak near the sphere.
 
 A rule holds 24 bytes per node at n = 1 and 40 at n = 2 (complex nodes plus
 real weights).  The n = 2 nodes are written from their 1-D factors straight
@@ -21,6 +24,12 @@ UnsupportedRuleError before any allocation.
 sphere_directions supplies the unit vectors that the pointwise and Bloch
 sweeps probe along: the equispaced circle for n = 1 and seed-deterministic
 scrambled Halton points for n >= 2.
+
+Two conventions are defined here once for the whole package.  _points_2d
+reads "a point or a batch": a scalar or a length-n vector is one point and
+gets one value back; an (N, n) array, or at n = 1 a flat array of N
+coordinates, is a batch of N points.  _checked_node_values accepts exactly
+one finite value per rule node, for integrate and for the modulars and norms.
 """
 
 from __future__ import annotations
@@ -49,7 +58,6 @@ __all__ = [
     "kernel_factor",
 ]
 
-_REFINED_MIN_ANGULAR = 512
 # Largest product rule build_rule constructs.  At n = 2 its nodes and weights
 # take 0.67 GB, and a Luxembourg norm of a kernel power on a 16.6M-node rule
 # peaks at 1.09 GB, inside a 1.5 GiB address-space cap; on a 22.4M-node rule
@@ -63,8 +71,6 @@ class WeightedMeasure:
 
     n: int
     alpha: float
-    c_alpha: float
-    unit_mass_residual: float
 
     def __post_init__(self):
         if self.n < 1:
@@ -80,28 +86,22 @@ def _normalizing_constant(n: int, alpha: float) -> float:
 
 
 def make_measure(n: int, alpha: float) -> WeightedMeasure:
-    """Build nu_alpha with its closed-form constant, cross-checked by quadrature.
+    """Build nu_alpha, cross-checking its closed-form constant by quadrature.
 
-    For n <= 2 the raw (un-normalized) product rule mass is compared against 1;
-    the residual is stored on the measure.  Tensor rules do not exist for
-    n >= 3, where the same Gamma-function formula applies unchanged, so the
-    residual is recorded as 0 there.
+    For n <= 2 the mass of the raw (un-normalized) degree-8 product rule must
+    be 1 to within 1e-10, or DomainError is raised.  Product rules do not
+    exist for n >= 3, where the same Gamma-function formula applies unchanged
+    and no cross-check runs.
     """
-    if n < 1:
-        raise DomainError(f"dimension must be >= 1, got n={n}")
-    if alpha <= -1.0:
-        raise DomainError(f"weight exponent must exceed -1, got alpha={alpha}")
-    c_alpha = _normalizing_constant(n, alpha)
-    residual = 0.0
+    measure = WeightedMeasure(n, alpha)
     if n <= 2:
-        raw = _product_rule_raw(n, alpha, degree=8)
-        residual = abs(float(np.sum(raw[1])) - 1.0)
+        residual = abs(float(np.sum(_product_rule_raw(n, alpha, degree=8)[1])) - 1.0)
         if residual > 1e-10:
             raise DomainError(
                 f"normalizing constant failed its quadrature cross-check: "
                 f"residual={residual:.3e} for n={n}, alpha={alpha}"
             )
-    return WeightedMeasure(n=n, alpha=alpha, c_alpha=c_alpha, unit_mass_residual=residual)
+    return measure
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +114,6 @@ class QuadratureRule:
     """
 
     measure: WeightedMeasure
-    kind: str
     points: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     exact_degree: int
@@ -134,19 +133,15 @@ def _radial_jacobi(n: int, alpha: float, n_nodes: int):
     return u, w
 
 
-def _product_rule_raw(n: int, alpha: float, degree: int, boundary_refined: bool = False,
-                      angular_count: int | None = None):
+def _product_rule_raw(n: int, alpha: float, degree: int, angular_count: int | None = None):
     """Raw product nodes/weights before unit-mass normalization (n = 1 or 2)."""
     if n > 2:
         raise UnsupportedRuleError(f"product rules stop at n=2, got n={n}")
     c_alpha = _normalizing_constant(n, alpha)
-    radial_degree = 2 * degree if boundary_refined else degree
-    n_rad = radial_degree // 4 + 1
-    n_ang = degree + 1
-    if boundary_refined:
-        n_ang = max(2 * degree + 1, _REFINED_MIN_ANGULAR if n == 1 else 48)
-    if angular_count is not None:
-        n_ang = max(n_ang, int(angular_count))
+    if angular_count is None:
+        n_rad, n_ang = degree // 4 + 1, degree + 1
+    else:
+        n_rad, n_ang = (2 * degree) // 4 + 1, max(2 * degree + 1, int(angular_count))
     n_slice = degree // 4 + 1
     node_count = n_rad * n_ang if n == 1 else n_rad * n_slice * n_ang * n_ang
     if node_count > _MAX_RULE_NODES:
@@ -183,41 +178,33 @@ def _product_rule_raw(n: int, alpha: float, degree: int, boundary_refined: bool 
     return pts.reshape(-1, 2), w.reshape(-1)
 
 
-def build_rule(
-    measure: WeightedMeasure,
-    degree: int | None = None,
-    boundary_refined: bool = False,
-    angular_count: int | None = None,
-) -> QuadratureRule:
+def build_rule(measure: WeightedMeasure, degree: int,
+               angular_count: int | None = None) -> QuadratureRule:
     """Construct the product quadrature rule of the given degree for nu_alpha.
 
     Product rules exist for n = 1 and 2; other dimensions raise
-    UnsupportedRuleError.  boundary_refined doubles the radial degree and
-    widens the angular grid; use it for integrands that concentrate near the
-    sphere, such as powers of the reproducing kernel.  angular_count forces
-    at least that many angular nodes per circle, which sharply peaked kernels
-    (center norm close to 1) need on top of the refined radial grid.
+    UnsupportedRuleError.  Passing angular_count makes a kernel rule, for
+    integrands that concentrate near the sphere such as powers of the
+    reproducing kernel: the radial degree is doubled and every circle gets
+    max(2 degree + 1, angular_count) angular nodes, since sharply peaked
+    kernels (center norm close to 1) need far more angles than the degree
+    alone asks for.  Its rule_id ends in ",refined,angles=N".
 
     The rule costs 24 bytes per node at n = 1 and 40 at n = 2; a rule of
     more than _MAX_RULE_NODES (2^24) nodes raises UnsupportedRuleError
     before anything node-sized is allocated.
     """
-    if degree is None:
-        raise UnsupportedRuleError("a quadrature rule needs a degree")
     if degree < 0:
         raise DomainError(f"degree must be >= 0, got {degree}")
     n, alpha = measure.n, measure.alpha
-    pts, raw_w = _product_rule_raw(n, alpha, degree, boundary_refined, angular_count)
+    pts, raw_w = _product_rule_raw(n, alpha, degree, angular_count)
     total = float(np.sum(raw_w))
     residual = abs(total - 1.0)
     w = np.divide(raw_w, total, out=raw_w)
-    tag = ",refined" if boundary_refined else ""
-    if angular_count is not None:
-        tag += f",angles={int(angular_count)}"
+    tag = "" if angular_count is None else f",refined,angles={int(angular_count)}"
     rid = f"product:n={n},alpha={alpha:g},degree={degree},nodes={pts.shape[0]}{tag}"
     return QuadratureRule(
         measure=measure,
-        kind="product",
         points=pts,
         weights=w,
         exact_degree=degree,
@@ -247,6 +234,26 @@ def sphere_directions(n: int, count: int, seed: int) -> np.ndarray:
     return vecs / norms[:, None]
 
 
+def _checked_node_values(rule: QuadratureRule, values) -> np.ndarray:
+    """values as an array of shape (N,), one finite value per node of the rule.
+
+    A wrong shape raises DomainError; a non-finite value (real or complex)
+    raises NonFiniteIntegrandError naming the first offending node.
+    """
+    values = np.asarray(values)
+    if values.shape != (rule.node_count,):
+        raise DomainError(
+            f"integrand values have shape {values.shape}, expected ({rule.node_count},)"
+        )
+    finite = np.isfinite(values)
+    if not bool(np.all(finite)):
+        idx = int(np.argmin(finite))
+        raise NonFiniteIntegrandError(
+            f"integrand is not finite at node {idx} (z={rule.points[idx]})", node_index=idx
+        )
+    return values
+
+
 def integrate(rule: QuadratureRule, integrand) -> complex:
     """Apply the rule to a vectorized integrand (callable or node-value array).
 
@@ -254,20 +261,8 @@ def integrate(rule: QuadratureRule, integrand) -> complex:
     Non-finite values abort with the offending node index; the reduction is a
     single deterministic numpy sum, so results do not depend on threading.
     """
-    values = integrand(rule.points) if callable(integrand) else np.asarray(integrand)
-    values = np.asarray(values)
-    if values.shape != (rule.node_count,):
-        raise DomainError(
-            f"integrand values have shape {values.shape}, expected ({rule.node_count},)"
-        )
-    finite = np.isfinite(values) if not np.iscomplexobj(values) else (
-        np.isfinite(values.real) & np.isfinite(values.imag)
-    )
-    if not bool(np.all(finite)):
-        idx = int(np.argmin(finite))
-        raise NonFiniteIntegrandError(
-            f"integrand is not finite at node {idx} (z={rule.points[idx]})", node_index=idx
-        )
+    values = _checked_node_values(
+        rule, integrand(rule.points) if callable(integrand) else integrand)
     acc = np.sum(rule.weights * values)
     return complex(acc) if np.iscomplexobj(values) else float(acc)
 
@@ -286,12 +281,19 @@ def _as_point(a, n: int | None = None) -> np.ndarray:
 
 
 def _points_2d(z, n: int) -> tuple[np.ndarray, bool]:
+    """z as an (N, n) batch of points, and whether z was one single point.
+
+    One point is a scalar (n = 1) or a vector of length n; its results are
+    squeezed back to one value.  Every other input is a batch: an (N, n)
+    array, or at n = 1 a flat array of N coordinates.
+    """
     arr = np.asarray(z, dtype=complex)
-    squeeze = arr.ndim <= 1
-    arr = np.atleast_1d(arr)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1) if arr.shape[0] == n else arr.reshape(-1, 1)
-    if arr.shape[1] != n:
+    squeeze = arr.ndim == 0 or (arr.ndim == 1 and arr.shape[0] == n)
+    if squeeze:
+        arr = arr.reshape(1, -1)
+    elif arr.ndim == 1 and n == 1:
+        arr = arr.reshape(-1, 1)
+    if arr.ndim != 2 or arr.shape[1] != n:
         raise DomainError(f"points must have {n} coordinates, got shape {arr.shape}")
     return arr, squeeze
 
@@ -326,14 +328,11 @@ def mobius_jacobian0(a) -> np.ndarray:
     J[k, j] = -s delta_kj + s/(1+s) a_k conj(a_j) with s = sqrt(1 - |a|^2);
     for n = 1 this is the familiar -(1 - |a|^2).
     """
-    a = _as_point(a)
-    n = a.shape[0]
-    s = math.sqrt(max(0.0, 1.0 - float(np.vdot(a, a).real)))
-    return -s * np.eye(n, dtype=complex) + (s / (1.0 + s)) * np.outer(a, np.conj(a))
+    return mobius_jacobian0_batch(_as_point(a)[None])[0]
 
 
 def mobius_jacobian0_batch(points: np.ndarray) -> np.ndarray:
-    """Jacobians of phi_z at 0 for every row z of points; shape (N, n, n)."""
+    """Jacobians of phi_z at 0 (see mobius_jacobian0) for every row z; shape (N, n, n)."""
     pts = np.asarray(points, dtype=complex)
     n = pts.shape[1]
     s = np.sqrt(np.maximum(0.0, 1.0 - np.sum(np.abs(pts) ** 2, axis=1)))

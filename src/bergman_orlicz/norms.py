@@ -22,10 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentNormError, DomainError, NonFiniteIntegrandError
+from .errors import DivergentNormError, DomainError
 from .growth import GrowthFunction
 from .holo import HoloFunction, gradient_sweep, max_kernel_center
-from .measure import QuadratureRule, WeightedMeasure, build_rule, sphere_directions
+from .measure import (
+    QuadratureRule,
+    WeightedMeasure,
+    _checked_node_values,
+    build_rule,
+    sphere_directions,
+)
 
 __all__ = [
     "ModularResult",
@@ -64,19 +70,8 @@ class LuxNorm:
 
 def _node_values(f, rule: QuadratureRule) -> np.ndarray:
     """|f| at the rule nodes, for a HoloFunction or a vectorized callable."""
-    if isinstance(f, HoloFunction):
-        vals = f._eval(rule.points)
-    else:
-        vals = np.asarray(f(rule.points))
-    vals = np.abs(np.asarray(vals))
-    if vals.shape != (rule.node_count,):
-        raise DomainError(
-            f"integrand values have shape {vals.shape}, expected ({rule.node_count},)"
-        )
-    if not bool(np.all(np.isfinite(vals))):
-        idx = int(np.argmin(np.isfinite(vals)))
-        raise NonFiniteIntegrandError(f"integrand is not finite at node {idx}", idx)
-    return vals
+    vals = f._eval(rule.points) if isinstance(f, HoloFunction) else f(rule.points)
+    return _checked_node_values(rule, np.abs(np.asarray(vals)))
 
 
 def modular_of_values(values: np.ndarray, weights: np.ndarray,
@@ -187,8 +182,9 @@ def rule_for_function(f: HoloFunction, measure: WeightedMeasure,
     """Pick a product rule matched to f's smoothness (n <= 2 only).
 
     Polynomials get degree >= q * deg(f) + margin with q the growth exponent
-    (so power-function modulars are exact); kernel powers get the
-    boundary-refined rule with angular count scaled like 1/(1 - |center|).
+    (so power-function modulars are exact); kernel powers get a kernel rule
+    (build_rule with angular_count) whose angular count scales like
+    1/(1 - |center|), floored at 512 (n = 1) or 48 (n = 2).
     refine doubles the degree that many times, for stability sweeps.
     """
     sharp = max_kernel_center(f)
@@ -210,7 +206,7 @@ def rule_for_function(f: HoloFunction, measure: WeightedMeasure,
     else:
         degree = min(degree, 128) * 2**refine
         ang = int(min(96 * 2**refine, max(48, math.ceil(8.0 / max(1e-2, 1.0 - sharp)))))
-    return build_rule(measure, degree=degree, boundary_refined=True, angular_count=ang)
+    return build_rule(measure, degree=degree, angular_count=ang)
 
 
 # ---------------------------------------------------------------------------

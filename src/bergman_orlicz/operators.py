@@ -26,7 +26,7 @@ from scipy.special import roots_legendre
 from .errors import DomainError, SymbolInvariantError
 from .growth import GrowthFunction, golden_section_max
 from .holo import HoloFunction, Series, to_series
-from .measure import QuadratureRule, WeightedMeasure, sphere_directions
+from .measure import QuadratureRule, WeightedMeasure, _points_2d, sphere_directions
 from .norms import luxemburg_norm, modular_of_values, rule_for_function
 
 __all__ = [
@@ -110,11 +110,7 @@ def cesaro_apply_numeric(symbol: CesaroSymbol, f: HoloFunction, z,
     Rg has no constant term, so Rg(tz)/t extends continuously to t = 0; the
     Gauss nodes are interior and never touch the endpoint.
     """
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    squeeze = zz.ndim == 1 and zz.shape[0] == symbol.n
-    pts = zz.reshape(1, -1) if squeeze else np.atleast_2d(zz)
-    if pts.shape[1] != symbol.n:
-        raise DomainError(f"points must have {symbol.n} coordinates")
+    pts, squeeze = _points_2d(z, symbol.n)
     x, w = roots_legendre(t_count)
     t = 0.5 * (x + 1.0)
     wt = 0.5 * w
@@ -184,9 +180,7 @@ def radial_derivative_identity_check(symbol: CesaroSymbol, f: Series,
 
     tf = cesaro_apply_exact(symbol, f)
     lhs = tf.radial_derivative()
-    pts = np.atleast_2d(np.asarray(samples, dtype=complex))
-    if pts.shape[1] != f.n:
-        raise DomainError(f"sample points must have {f.n} coordinates")
+    pts, _ = _points_2d(samples, f.n)
     gap_f = np.abs(lhs._eval(pts) - f._eval(pts) * rg._eval(pts))
     return IdentityReport(
         coefficient_deviation=float(worst),
@@ -333,11 +327,7 @@ def bergman_project(F, beta: float, measure: WeightedMeasure, rule: QuadratureRu
     wf = weights * fvals
 
     def project(z):
-        zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        squeeze = zz.ndim == 1 and zz.shape[0] == n
-        pts = zz.reshape(1, -1) if squeeze else np.atleast_2d(zz)
-        if pts.shape[1] != n:
-            raise DomainError(f"query points must have {n} coordinates")
+        pts, squeeze = _points_2d(z, n)
         out = np.empty(pts.shape[0], dtype=complex)
         chunk = max(1, int(4e6) // max(1, nodes.shape[0]))
         for start in range(0, pts.shape[0], chunk):

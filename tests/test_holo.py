@@ -22,6 +22,8 @@ from bergman_orlicz.holo import (
     to_series,
 )
 from bergman_orlicz.holo import test_function as kernel_test_function
+from bergman_orlicz.measure import kernel_factor, mobius_apply
+from bergman_orlicz.operators import CesaroSymbol, cesaro_apply_numeric
 
 RNG = np.random.default_rng(20260817)
 
@@ -46,9 +48,40 @@ def test_series_eval_matches_horner_by_hand():
 def test_series_single_point_convention():
     f = Series(1, {(2,): 1.0})
     assert isinstance(f.eval(0.5 + 0.5j), complex)
+    assert isinstance(f.eval(np.array(0.5 + 0.5j)), complex)
+    assert isinstance(f.eval(np.array([0.5 + 0.5j])), complex)
     g = Series(2, {(1, 1): 1.0})
     val = g.eval(np.array([0.3 + 0j, 0.4 + 0j]))
     assert val == pytest.approx(0.12)
+    with pytest.raises(DomainError):
+        g.eval(np.array([0.1, 0.2, 0.3]))
+
+
+_N1_F = Series(1, {(2,): 1.0, (1,): 0.5j})
+_N1_POINT_OPS = {
+    "eval": _N1_F.eval,
+    "partials": _N1_F.partials,
+    "kernel_factor": lambda z: kernel_factor(z, np.array([0.5j]), 2.0),
+    "mobius_apply": lambda z: mobius_apply(np.array([0.3 + 0.1j]), z),
+    "cauchy_gradient": lambda z: cauchy_gradient(_N1_F, z),
+    "cesaro_apply_numeric": lambda z: cesaro_apply_numeric(
+        CesaroSymbol(Series(1, {(1,): 1.0})), _N1_F, z),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_N1_POINT_OPS))
+def test_n1_flat_array_is_a_batch(name):
+    # At n = 1 a flat array of N coordinates is N points; a scalar or a
+    # length-1 vector is one point.
+    op = _N1_POINT_OPS[name]
+    z = np.array([0.1, 0.2j, -0.3])
+    batch = op(z)
+    assert np.shape(batch)[0] == 3
+    for i, zi in enumerate(z):
+        for one_point in (zi, complex(zi), np.array([zi])):
+            single = op(one_point)
+            assert np.shape(single) == np.shape(batch[i])
+            assert np.allclose(single, batch[i], rtol=1e-14, atol=0.0)
 
 
 def test_series_partials_match_cauchy_circles():

@@ -68,7 +68,7 @@ def test_holomorphic_mean_value():
     # int f dnu_alpha = f(0) for holomorphic f; the kernel power is a sharp
     # instance because all its mass sits near one boundary point.
     measure = make_measure(1, 1.0)
-    rule = build_rule(measure, degree=96, boundary_refined=True)
+    rule = build_rule(measure, degree=96, angular_count=512)
     a = 0.7
 
     def kern(z):
@@ -82,20 +82,16 @@ def test_holomorphic_mean_value():
 def test_boundary_refined_and_angular_override_tags():
     measure = make_measure(1, 0.0)
     plain = build_rule(measure, degree=12)
-    refined = build_rule(measure, degree=12, boundary_refined=True)
     forced = build_rule(measure, degree=12, angular_count=64)
-    assert "refined" in refined.rule_id and "refined" not in plain.rule_id
-    assert "angles=64" in forced.rule_id
+    assert "refined" not in plain.rule_id
+    assert forced.rule_id.endswith(",refined,angles=64")
     assert forced.points.shape[0] >= plain.points.shape[0]
-    for rule in (plain, refined, forced):
+    for rule in (plain, forced):
         val = integrate(rule, lambda z: np.abs(z[:, 0]) ** 4)
         assert val.real == pytest.approx(moment_oracle(1, 0.0, (2,)), abs=1e-13)
 
 
 def test_rule_argument_validation():
-    measure = make_measure(1, 0.0)
-    with pytest.raises(UnsupportedRuleError):
-        build_rule(measure)
     with pytest.raises(UnsupportedRuleError):
         build_rule(make_measure(3, 0.0), degree=8)
     with pytest.raises(DomainError):
@@ -177,15 +173,17 @@ def meshgrid_rule_n2(alpha, degree, boundary_refined=False, angular_count=None):
 
 @pytest.mark.parametrize("alpha", [0.0, 1.5])
 @pytest.mark.parametrize("degree,refined,angles", [(8, False, None), (12, True, None),
-                                                   (12, False, 64)])
+                                                   (12, True, 64)])
 def test_n2_rule_matches_meshgrid_reference(alpha, degree, refined, angles):
-    rule = build_rule(make_measure(2, alpha), degree=degree, boundary_refined=refined,
-                      angular_count=angles)
+    # The reference's refined rule without an angle count has its n = 2 floor
+    # of 48 angles, the kernel rule that angular_count=48 asks for.
+    angular_count = (angles or 48) if refined else None
+    rule = build_rule(make_measure(2, alpha), degree=degree, angular_count=angular_count)
     pts, w, residual = meshgrid_rule_n2(alpha, degree, refined, angles)
     assert rule.points.tobytes() == pts.tobytes()
     assert rule.weights.tobytes() == w.tobytes()
     assert rule.normalization_residual == residual
-    tag = (",refined" if refined else "") + (f",angles={angles}" if angles else "")
+    tag = f",refined,angles={angular_count}" if refined else ""
     assert rule.rule_id == f"product:n=2,alpha={alpha:g},degree={degree},nodes={len(w)}{tag}"
 
 
@@ -202,7 +200,7 @@ def test_oversized_rule_is_refused_before_allocation():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_kernel_factor_matches_direct_formula(n):
-    rule = build_rule(make_measure(n, 0.5), degree=12, boundary_refined=True)
+    rule = build_rule(make_measure(n, 0.5), degree=12, angular_count=512 if n == 1 else 48)
     w = np.array([0.6 - 0.3j, 0.2j])[:n]
     for e in (1.0, 3.7, -0.5):
         ip = rule.points @ np.conj(w)
