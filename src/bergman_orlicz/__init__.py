@@ -25,7 +25,6 @@ from .growth import (
     indices,
     interpolate_growth,
     nabla2_check,
-    power_compose,
     power_growth,
     power_inv_log_growth,
     power_log_growth,
@@ -67,7 +66,6 @@ from .measure import (
     kernel_factor,
     make_measure,
     mobius_apply,
-    mobius_jacobian0,
 )
 from .norms import (
     LuxNorm,
@@ -83,13 +81,11 @@ from .norms import (
 from .operators import (
     BlochReport,
     CesaroSymbol,
-    bergman_project,
     bloch_seminorm,
     cesaro_apply_exact,
     cesaro_apply_numeric,
     cesaro_norm_lower_bound,
     cesaro_upper_bound_check,
-    little_bloch_profile,
     radial_derivative_identity_check,
 )
 

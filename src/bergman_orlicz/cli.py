@@ -33,7 +33,7 @@ from .errors import (
     WorkbenchError,
 )
 from .growth import resolve_growth, shipped_growth_ids
-from .holo import function_from_spec, function_to_spec
+from .holo import DEFAULT_TRUNCATION_DEGREE, function_from_spec, function_to_spec
 from .measure import make_measure
 from .norms import luxemburg_norm, rule_for_function
 from .operators import CesaroSymbol, cesaro_apply_exact, cesaro_apply_numeric
@@ -312,7 +312,7 @@ def _build_parser() -> _Parser:
     p_ces.add_argument("--symbol", required=True,
                        help="symbol g spec (must vanish at 0)")
     p_ces.add_argument("--function", required=True, help="argument f spec")
-    p_ces.add_argument("--truncation", type=int, default=48)
+    p_ces.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION_DEGREE)
     p_ces.add_argument("--check", action="store_true",
                        help="cross-validate against the ray-integral oracle")
     p_ces.add_argument("--seed", type=int, default=0)

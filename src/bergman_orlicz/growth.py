@@ -10,7 +10,6 @@ harness suites consume:
 * the index functions a_Phi = inf t Phi'(t)/Phi(t), b_Phi = sup of the same;
 * the convex conjugate Psi(s) = sup_t (ts - Phi(t));
 * the Delta_2 constant sup Phi(2t)/Phi(t) and the nabla_2 verdict;
-* composition Phi_p(t) = Phi(t^(1/p)) and inverse-class duality;
 * interpolation of two growth functions through a pseudo-concave rho, via
   Phi^{-1} = Phi_0^{-1} . rho(Phi_1^{-1} / Phi_0^{-1}).
 
@@ -41,11 +40,9 @@ from .errors import (
 __all__ = [
     "GrowthFunction",
     "PseudoConcaveFunction",
-    "TypeReport",
     "IndicesReport",
     "DeltaTwoReport",
     "Nabla2Report",
-    "InverseClassReport",
     "PseudoConcaveReport",
     "EquivalenceReport",
     "power_growth",
@@ -53,14 +50,11 @@ __all__ = [
     "power_inv_log_growth",
     "rho_power",
     "rho_power_log",
-    "type_constant",
     "indices",
     "golden_section_max",
     "complementary",
     "delta2_constant",
     "nabla2_check",
-    "power_compose",
-    "inverse_class_check",
     "interpolate_growth",
     "pseudo_concave_check",
     "equivalence_constants",
@@ -73,8 +67,9 @@ _BRACKET_HI_CAP = 1e280
 _BRACKET_LO_CAP = 1e-280
 _CONJUGATE_T_CAP = 1e30
 _DELTA2_CAP = 1e12
-_TYPE_CONSTANT_CAP = 1e3
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_INVERSE_REL_TOL = 1e-13
+_INVERSE_MAX_ITER = 250
 
 
 def _log_grid(lo: float, hi: float, count: int) -> np.ndarray:
@@ -158,8 +153,7 @@ class PseudoConcaveFunction:
         return float(out) if np.ndim(s) == 0 else out
 
 
-def _monotone_inverse(fn, targets: np.ndarray, label: str = "", rel_tol: float = 1e-13,
-                      max_iter: int = 250) -> np.ndarray:
+def _monotone_inverse(fn, targets: np.ndarray, label: str = "") -> np.ndarray:
     """Solve fn(t) = s elementwise for non-decreasing fn with fn(0) = 0.
 
     Geometric bracket expansion from t = 1 followed by bisection on the log
@@ -205,12 +199,12 @@ def _monotone_inverse(fn, targets: np.ndarray, label: str = "", rel_tol: float =
                 break
 
         llo, lhi = np.log(lo), np.log(hi)
-        for _ in range(max_iter):
+        for _ in range(_INVERSE_MAX_ITER):
             mid = 0.5 * (llo + lhi)
             below = fn(np.exp(mid)) < tgt
             llo = np.where(below, mid, llo)
             lhi = np.where(below, lhi, mid)
-            if np.all(lhi - llo < rel_tol):
+            if np.all(lhi - llo < _INVERSE_REL_TOL):
                 break
     out[live] = np.exp(0.5 * (llo + lhi))
     return out.reshape(s.shape)
@@ -321,55 +315,7 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Type constants and indices
-
-
-@dataclass(frozen=True)
-class TypeReport:
-    direction: str
-    exponent: float
-    constant: float
-    certified: bool
-    cap: float
-    worst_s: float
-    worst_t: float
-
-
-def type_constant(
-    phi: GrowthFunction,
-    direction: str,
-    exponent: float,
-    s_count: int = 96,
-    t_count: int = 96,
-    cap: float = _TYPE_CONSTANT_CAP,
-) -> TypeReport:
-    """Empirical type constant C = max Phi(st) / (t^q Phi(s)) on a log grid.
-
-    direction "upper" probes t in [1, 1e4], "lower" probes t in [1e-4, 1].
-    The grid maximum certifies the type only when it stays under cap; a probe
-    that blows past the cap is reported as not certified.
-    """
-    if direction not in ("upper", "lower"):
-        raise DomainError(f"direction must be 'upper' or 'lower', got {direction!r}")
-    s = _log_grid(1e-6, 1e6, s_count)
-    t = _log_grid(1.0, 1e4, t_count) if direction == "upper" else _log_grid(1e-4, 1.0, t_count)
-    phi_s = phi(s)
-    if np.any(phi_s <= 0.0):
-        raise DegenerateFunctionError(f"{phi.name} vanishes on the probe grid")
-    st = s[:, None] * t[None, :]
-    ratios = phi(st) / (np.power(t[None, :], exponent) * phi_s[:, None])
-    idx = int(np.argmax(ratios))
-    i, j = np.unravel_index(idx, ratios.shape)
-    c = float(ratios[i, j])
-    return TypeReport(
-        direction=direction,
-        exponent=float(exponent),
-        constant=c,
-        certified=bool(np.isfinite(c) and c <= cap),
-        cap=cap,
-        worst_s=float(s[i]),
-        worst_t=float(t[j]),
-    )
+# Indices
 
 
 @dataclass(frozen=True)
@@ -398,14 +344,13 @@ def _parabolic_refine(logt: np.ndarray, vals: np.ndarray, i: int, sign: float, p
     return math.exp(logt[i]), vals[i]
 
 
-def indices(phi: GrowthFunction, t_min: float = 1e-8, t_max: float = 1e8,
-            count: int = 2048) -> IndicesReport:
+def indices(phi: GrowthFunction) -> IndicesReport:
     """Index pair (a_Phi, b_Phi) = (inf, sup) of t Phi'(t) / Phi(t).
 
-    Grid extrema on a log-spaced axis with one local quadratic refinement
-    pass at each extremum.
+    Grid extrema on 2048 log-spaced points of [1e-8, 1e8] with one local
+    quadratic refinement pass at each extremum.
     """
-    t = _log_grid(t_min, t_max, count)
+    t = _log_grid(1e-8, 1e8, 2048)
 
     def ratio(tt):
         vals = phi(tt)
@@ -513,18 +458,20 @@ class DeltaTwoReport:
     worst_t: float
 
 
-def delta2_constant(phi: GrowthFunction, t_min: float = 1e-6, t_max: float = 1e6,
-                    count: int = 1024, cap: float = _DELTA2_CAP) -> DeltaTwoReport:
-    """Empirical Delta_2 constant sup Phi(2t) / Phi(t) on a log grid."""
-    t = _log_grid(t_min, t_max, count)
+def delta2_constant(phi: GrowthFunction) -> DeltaTwoReport:
+    """Empirical Delta_2 constant sup Phi(2t) / Phi(t) on a log grid of [1e-6, 1e6].
+
+    Certified when the grid maximum stays under _DELTA2_CAP.
+    """
+    t = _log_grid(1e-6, 1e6, 1024)
     lo = phi(t)
     if np.any(lo <= 0.0):
         raise DegenerateFunctionError(f"{phi.name} vanishes on the Delta_2 grid")
     ratios = phi(2.0 * t) / lo
     i = int(np.argmax(ratios))
     c = float(ratios[i])
-    return DeltaTwoReport(constant=c, certified=bool(np.isfinite(c) and c <= cap),
-                          cap=cap, worst_t=float(t[i]))
+    return DeltaTwoReport(constant=c, certified=bool(np.isfinite(c) and c <= _DELTA2_CAP),
+                          cap=_DELTA2_CAP, worst_t=float(t[i]))
 
 
 @dataclass(frozen=True)
@@ -537,10 +484,10 @@ class Nabla2Report:
     agrees: bool
 
 
-def nabla2_check(phi: GrowthFunction, index_margin: float = 1e-6) -> Nabla2Report:
+def nabla2_check(phi: GrowthFunction) -> Nabla2Report:
     """nabla_2 verdict: Phi and its conjugate both satisfy Delta_2 numerically.
 
-    Cross-checked against the index criterion a_Phi > 1.  A conjugate that is
+    Cross-checked against the index criterion a_Phi > 1 + 1e-6.  A conjugate that is
     infinite on the probe grid, overflows, or exceeds the Delta_2 cap counts
     as failing Delta_2; that is exactly the regime a_Phi <= 1 predicts.
     """
@@ -557,7 +504,7 @@ def nabla2_check(phi: GrowthFunction, index_margin: float = 1e-6) -> Nabla2Repor
         k_psi = float("inf")
         psi_ok = False
     verdict = bool(d_phi.certified and psi_ok)
-    criterion = bool(idx.a_phi > 1.0 + index_margin)
+    criterion = bool(idx.a_phi > 1.0 + 1e-6)
     return Nabla2Report(
         verdict=verdict,
         a_phi=idx.a_phi,
@@ -569,70 +516,29 @@ def nabla2_check(phi: GrowthFunction, index_margin: float = 1e-6) -> Nabla2Repor
 
 
 # ---------------------------------------------------------------------------
-# Composition, duality, interpolation
-
-
-def power_compose(phi: GrowthFunction, p: float | None = None):
-    """Phi_p(t) = Phi(t^(1/p)); certifies an upper-type exponent for it.
-
-    Default p is the declared lower-type exponent of Phi.  Returns the
-    composed growth function together with the certifying TypeReport.
-    """
-    if p is None:
-        if phi.kind != "lower":
-            raise DomainError("power_compose needs an explicit p unless Phi is lower-type")
-        p = phi.type_exponent
-    p = float(p)
-    if p <= 0.0:
-        raise DomainError(f"composition exponent must be positive, got {p}")
-
-    def inv(s):
-        return np.power(phi.inverse(s), p)
-
-    composed = GrowthFunction(
-        name=f"powercompose({phi.name},p={_fmt(p)})",
-        fn=lambda t: phi.fn(np.power(t, 1.0 / p)),
-        kind="unclassified",
-        inv=inv,
-    )
-    probe = indices(composed, t_min=1e-6, t_max=1e6, count=512)
-    q = max(1.0, probe.b_phi * (1.0 + 1e-6) + 1e-9)
-    report = type_constant(composed, "upper", q)
-    if not report.certified:
-        raise DegenerateFunctionError(
-            f"{composed.name} failed upper-type certification at q={q:g}"
-        )
-    return GrowthFunction(
-        name=composed.name,
-        fn=composed.fn,
-        kind="upper",
-        type_exponent=q,
-        inv=inv,
-    ), report
+# Interpolation
 
 
 @dataclass(frozen=True)
-class InverseClassReport:
-    p: float
-    dual_exponent: float
-    constant: float
-    certified: bool
+class PseudoConcaveReport:
+    ok: bool
+    worst_ratio: float
+    worst_s: float
+    worst_t: float
 
 
-def inverse_class_check(phi: GrowthFunction, cap: float = _TYPE_CONSTANT_CAP) -> InverseClassReport:
-    """For lower-type Phi, certify that Phi^{-1} has upper type 1/p empirically.
-
-    Checks Phi^{-1}(st) <= C t^(1/p) Phi^{-1}(s) with type_constant's upper
-    probe grid, applied to Phi^{-1}.
-    """
-    if phi.kind != "lower":
-        raise DomainError("inverse_class_check applies to declared lower-type functions")
-    p = phi.type_exponent
-    q = 1.0 / p
-    inverse = GrowthFunction(name=f"{phi.name} inverse", fn=phi.inverse)
-    rep = type_constant(inverse, "upper", q, cap=cap)
-    return InverseClassReport(p=p, dual_exponent=q, constant=rep.constant,
-                              certified=rep.certified)
+def pseudo_concave_check(rho: PseudoConcaveFunction) -> PseudoConcaveReport:
+    """Check rho(s) <= max(1, s/t) rho(t), to 1e-12 relative, on 128 x 128
+    log-spaced pairs of [1e-6, 1e6]."""
+    grid = _log_grid(1e-6, 1e6, 128)
+    r = rho(grid)
+    bound = np.maximum(1.0, grid[:, None] / grid[None, :]) * r[None, :]
+    ratios = r[:, None] / bound
+    idx = int(np.argmax(ratios))
+    i, j = np.unravel_index(idx, ratios.shape)
+    worst = float(ratios[i, j])
+    return PseudoConcaveReport(ok=bool(worst <= 1.0 + 1e-12), worst_ratio=worst,
+                               worst_s=float(grid[i]), worst_t=float(grid[j]))
 
 
 def interpolate_growth(phi0: GrowthFunction, phi1: GrowthFunction,
@@ -640,9 +546,17 @@ def interpolate_growth(phi0: GrowthFunction, phi1: GrowthFunction,
     """Growth function defined through Phi^{-1} = Phi0^{-1} rho(Phi1^{-1}/Phi0^{-1}).
 
     The forward evaluator inverts that monotone expression by bisection.  The
-    combination is rejected if the assembled inverse fails to be increasing on
-    a probe grid.
+    combination is rejected with DomainError when rho fails
+    pseudo_concave_check, a hypothesis of the interpolation theorem, or when
+    the assembled inverse fails to be increasing on a probe grid.
     """
+    concave = pseudo_concave_check(rho)
+    if not concave.ok:
+        raise DomainError(
+            f"{rho.name} is not pseudo-concave: rho(s) / (max(1, s/t) rho(t)) ="
+            f" {concave.worst_ratio:.6g} > 1 at s={concave.worst_s:.6g},"
+            f" t={concave.worst_t:.6g}"
+        )
 
     def inv_fn(s):
         arr = np.asarray(s, dtype=float)
@@ -673,28 +587,6 @@ def interpolate_growth(phi0: GrowthFunction, phi1: GrowthFunction,
 
 
 @dataclass(frozen=True)
-class PseudoConcaveReport:
-    ok: bool
-    worst_ratio: float
-    worst_s: float
-    worst_t: float
-
-
-def pseudo_concave_check(rho: PseudoConcaveFunction, count: int = 128,
-                         tol: float = 1e-12) -> PseudoConcaveReport:
-    """Check rho(s) <= max(1, s/t) rho(t) on a log-spaced pair grid."""
-    grid = _log_grid(1e-6, 1e6, count)
-    r = rho(grid)
-    bound = np.maximum(1.0, grid[:, None] / grid[None, :]) * r[None, :]
-    ratios = r[:, None] / bound
-    idx = int(np.argmax(ratios))
-    i, j = np.unravel_index(idx, ratios.shape)
-    worst = float(ratios[i, j])
-    return PseudoConcaveReport(ok=bool(worst <= 1.0 + tol), worst_ratio=worst,
-                               worst_s=float(grid[i]), worst_t=float(grid[j]))
-
-
-@dataclass(frozen=True)
 class EquivalenceReport:
     c_lower: float
     c_upper: float
@@ -703,10 +595,9 @@ class EquivalenceReport:
 
 
 def equivalence_constants(phi: GrowthFunction, psi: GrowthFunction,
-                          t_min: float = 1e-6, t_max: float = 1e6,
-                          count: int = 2048) -> EquivalenceReport:
+                          t_min: float = 1e-6, t_max: float = 1e6) -> EquivalenceReport:
     """Two-sided constants c_lower <= psi/phi <= c_upper on a shared log grid."""
-    t = _log_grid(t_min, t_max, count)
+    t = _log_grid(t_min, t_max, 2048)
     num, den = psi(t), phi(t)
     if np.any(den <= 0.0) or np.any(num <= 0.0):
         raise DegenerateFunctionError("equivalence needs strictly positive values on the grid")

@@ -30,7 +30,13 @@ from .growth import (
     power_growth,
     rho_power,
 )
-from .holo import HoloFunction, Series, chain_inequality_check, test_function, to_series
+from .holo import (
+    DEFAULT_TRUNCATION_DEGREE,
+    Series,
+    chain_inequality_check,
+    test_function,
+    to_series,
+)
 from .measure import WeightedMeasure, make_measure
 from .norms import (
     derivative_modulars,
@@ -68,6 +74,8 @@ INCONCLUSIVE = "inconclusive"
 _DRIFT_PASS = 0.10
 _DRIFT_INCONCLUSIVE = 0.50
 _CHAIN_TOL = 1e-10
+_TEST_FUNCTION_RADII = (0.0, 0.5, 0.9, 0.99, 0.999)
+_COMPACTNESS_RADII = (0.5, 0.9, 0.99, 0.999)
 
 
 @dataclass(frozen=True)
@@ -119,8 +127,8 @@ def _drift_verdict(drifts, finite_values) -> str:
     return FAIL
 
 
-def _e1_monomial(n: int, k: int, coeff: complex = 1.0) -> Series:
-    return Series(n, {(k,) + (0,) * (n - 1): coeff})
+def _e1_monomial(n: int, k: int) -> Series:
+    return Series(n, {(k,) + (0,) * (n - 1): 1.0})
 
 
 def _e1_point(n: int, r: float) -> np.ndarray:
@@ -129,34 +137,32 @@ def _e1_point(n: int, r: float) -> np.ndarray:
     return a
 
 
-def default_family(phi: GrowthFunction, measure: WeightedMeasure, seed: int,
-                   monomial_max: int = 8, random_count: int = 10,
-                   random_degree: int = 6, kernel_radii=(0.5, 0.9),
-                   truncation_degree: int = 48):
-    """The standard sweep family: monomials, seeded random polynomials, and
-    truncated kernel test functions attached to interior points.
+def default_family(phi: GrowthFunction, measure: WeightedMeasure, seed: int):
+    """The standard sweep family: the monomials z1^k for k = 1..8, ten seeded
+    random polynomials of degree <= 6, and the kernel test functions attached
+    to 0.5 e1 and 0.9 e1, truncated at DEFAULT_TRUNCATION_DEGREE.
 
     Returns (case id, function) pairs; every member is a nonconstant Series,
     so one exact code path serves every downstream operator.
     """
     n = measure.n
     fam: list[tuple[str, Series]] = []
-    for k in range(1, monomial_max + 1):
+    for k in range(1, 9):
         fam.append((f"monomial:k={k}", _e1_monomial(n, k)))
     rng = np.random.default_rng(seed)
-    for i in range(random_count):
+    for i in range(10):
         terms: dict[tuple, complex] = {}
-        lead = int(rng.integers(1, random_degree + 1))
+        lead = int(rng.integers(1, 6 + 1))
         terms[(lead,) + (0,) * (n - 1)] = complex(*rng.normal(size=2))
         for _ in range(5):
-            m = tuple(int(v) for v in rng.integers(0, random_degree + 1, size=n))
-            if sum(m) > random_degree:
+            m = tuple(int(v) for v in rng.integers(0, 6 + 1, size=n))
+            if sum(m) > 6:
                 continue
             terms[m] = terms.get(m, 0.0) + complex(*rng.normal(size=2))
         fam.append((f"random:i={i}", Series(n, terms)))
-    for r in kernel_radii:
-        f_a = test_function(phi, _e1_point(n, float(r)), measure.alpha)
-        fam.append((f"testfn:a={float(r):g}", to_series(f_a, truncation_degree)))
+    for r in (0.5, 0.9):
+        f_a = test_function(phi, _e1_point(n, r), measure.alpha)
+        fam.append((f"testfn:a={r:g}", to_series(f_a, DEFAULT_TRUNCATION_DEGREE)))
     return fam
 
 
@@ -240,8 +246,7 @@ def verify_derivative_equivalence(phi: GrowthFunction, alpha: float, n: int = 1,
 
 
 def verify_pointwise_estimates(phi: GrowthFunction, alpha: float, n: int = 1,
-                               family=None, seed: int = 0,
-                               jobs: int = 1) -> VerificationReport:
+                               seed: int = 0, jobs: int = 1) -> VerificationReport:
     """Interior growth control by the inverse growth function.
 
     For each family member, the largest ratio of |f(z)| (and of
@@ -249,7 +254,7 @@ def verify_pointwise_estimates(phi: GrowthFunction, alpha: float, n: int = 1,
     probe grid reaching radius 0.999, at two quadrature resolutions.
     """
     measure = make_measure(n, alpha)
-    fam = default_family(phi, measure, seed) if family is None else list(family)
+    fam = default_family(phi, measure, seed)
 
     def run_case(item):
         cid, f = item
@@ -287,27 +292,25 @@ def verify_pointwise_estimates(phi: GrowthFunction, alpha: float, n: int = 1,
 
 
 def verify_test_functions(phi: GrowthFunction, alpha: float, n: int = 1,
-                          k: float | None = None,
-                          radii=(0.0, 0.5, 0.9, 0.99, 0.999),
                           bracket: float = 1e4, seed: int = 0,
                           jobs: int = 1) -> VerificationReport:
     """Uniform boundedness of the kernel test-function norms.
 
-    The operative detector is the growth trend: the log-log slope of the norm
-    against 1/(1-|a|) between the last two radii must not exceed 0.05 (a
-    converging, even increasing, sequence has slope near 0; an unbounded
-    family has a genuinely positive exponent).  The bracket on max/min is a
-    gross sanity ceiling; the limiting constant depends on (phi, alpha, k)
-    and reaches ~1.2e3 for t^(1/2) at alpha = 2.5, so tighten the bracket per
-    configuration when a sharper bound is known.
+    The test functions take test_function's default k and sit at |a| in
+    _TEST_FUNCTION_RADII.  The operative detector is the growth trend: the
+    log-log slope of the norm against 1/(1-|a|) between the last two radii
+    must not exceed 0.05 (a converging, even increasing, sequence has slope
+    near 0; an unbounded family has a genuinely positive exponent).  The
+    bracket on max/min is a gross sanity ceiling; the limiting constant
+    depends on (phi, alpha, k) and reaches ~1.2e3 for t^(1/2) at
+    alpha = 2.5, so tighten the bracket per configuration when a sharper
+    bound is known.
     """
     measure = make_measure(n, alpha)
-    radii = [float(r) for r in radii]
-    if sorted(radii) != radii or any(not (0.0 <= r < 1.0) for r in radii):
-        raise DomainError("test-function radii must increase inside [0, 1)")
+    radii = list(_TEST_FUNCTION_RADII)
 
     def run_case(r: float):
-        f_a = test_function(phi, _e1_point(n, r), alpha, k)
+        f_a = test_function(phi, _e1_point(n, r), alpha)
         rule = rule_for_function(f_a, measure, phi)
         norm = luxemburg_norm(f_a, phi, rule)
         return {
@@ -321,19 +324,17 @@ def verify_test_functions(phi: GrowthFunction, alpha: float, n: int = 1,
     vmax, vmin = max(norms), min(norms)
     ratio = vmax / vmin if vmin > 0 else math.inf
     slope = 0.0
-    if len(radii) >= 2 and norms[-1] > 0 and norms[-2] > 0:
+    if norms[-1] > 0 and norms[-2] > 0:
         x_prev = -math.log(1.0 - radii[-2])
         x_last = -math.log(1.0 - radii[-1])
-        if x_last > x_prev:
-            slope = (math.log(norms[-1]) - math.log(norms[-2])) / (x_last - x_prev)
+        slope = (math.log(norms[-1]) - math.log(norms[-2])) / (x_last - x_prev)
     ok = math.isfinite(ratio) and ratio <= bracket and slope <= 0.05
     constants = {"norm_max": vmax, "norm_min": vmin, "max_over_min": ratio,
                  "tail_slope": slope}
     return VerificationReport(
         suite="test_functions", verdict=PASS if ok else FAIL, seed=seed,
         config={"phi": phi.name, "alpha": alpha, "n": n,
-                "k": k if k is not None else "auto", "bracket": bracket,
-                "radii": radii},
+                "k": "auto", "bracket": bracket, "radii": radii},
         cases=tuple(cases), empirical_constants=constants,
         rule_info={"rule": "boundary-refined, auto angular"},
     )
@@ -392,26 +393,24 @@ def verify_cesaro_boundedness(phi: GrowthFunction, alpha: float, n: int = 1,
 
 
 def verify_cesaro_compactness(phi: GrowthFunction, alpha: float, n: int = 1,
-                              symbol=None, radii=(0.5, 0.9, 0.99, 0.999),
-                              k: float | None = None,
-                              truncation_degree: int = 48, seed: int = 0,
-                              jobs: int = 1) -> VerificationReport:
+                              seed: int = 0, jobs: int = 1) -> VerificationReport:
     """Vanishing of ||T_g f_a|| along test functions pushed to the sphere.
 
-    The little-Bloch symbol should crush the test-function sequence: the
-    norms must decrease beyond their peak and end below a tenth of it.  The
-    per-case chain ratio (1-|a|^2)|Rg(a)| / ||T_g f_a|| is recorded as the
-    empirical constant of the necessity direction, not asserted.
+    The little-Bloch symbol g = z1 should crush the test-function sequence
+    (default k, |a| in _COMPACTNESS_RADII, truncated at
+    DEFAULT_TRUNCATION_DEGREE): the norms must decrease beyond their peak and
+    end below a tenth of it.  The per-case chain ratio
+    (1-|a|^2)|Rg(a)| / ||T_g f_a|| is recorded as the empirical constant of
+    the necessity direction, not asserted.
     """
     measure = make_measure(n, alpha)
-    g = _e1_monomial(n, 1) if symbol is None else symbol
-    sym = CesaroSymbol(g)
-    radii = [float(r) for r in radii]
+    sym = CesaroSymbol(_e1_monomial(n, 1))
+    radii = list(_COMPACTNESS_RADII)
 
     def run_case(r: float):
         a = _e1_point(n, r)
-        f_a = to_series(test_function(phi, a, alpha, k), truncation_degree)
-        tf = cesaro_apply_exact(sym, f_a, truncation_degree)
+        f_a = to_series(test_function(phi, a, alpha), DEFAULT_TRUNCATION_DEGREE)
+        tf = cesaro_apply_exact(sym, f_a, DEFAULT_TRUNCATION_DEGREE)
         rule = rule_for_function(tf, measure, phi)
         norm = luxemburg_norm(tf, phi, rule).lambda_star
         rg_at_a = abs(complex(sym.rg.eval(a)))
@@ -438,8 +437,8 @@ def verify_cesaro_compactness(phi: GrowthFunction, alpha: float, n: int = 1,
     return VerificationReport(
         suite="cesaro_compactness", verdict=PASS if ok else FAIL, seed=seed,
         config={"phi": phi.name, "alpha": alpha, "n": n,
-                "k": k if k is not None else "auto", "radii": radii,
-                "truncation_degree": truncation_degree},
+                "k": "auto", "radii": radii,
+                "truncation_degree": DEFAULT_TRUNCATION_DEGREE},
         cases=tuple(cases), empirical_constants=constants,
         rule_info={"operator_path": "exact coefficients on truncations"},
     )

@@ -421,24 +421,24 @@ def test_function(phi, a, alpha: float, k: float | None = None) -> KernelPower:
     return KernelPower(center=a, exponent=k * m, scale=scale)
 
 
-def cauchy_gradient(f: HoloFunction, z, radius: float | None = None,
-                    points: int = 64) -> np.ndarray:
+def cauchy_gradient(f: HoloFunction, z) -> np.ndarray:
     """Numerical holomorphic gradient via the Cauchy integral on small circles.
 
     Per coordinate j, f'_j(z) = (1/(M r)) sum_m f(z + r e^(i theta_m) e_j)
-    e^(-i theta_m); geometric accuracy in M, no subtractive cancellation.
-    Serves as an independent cross-check for the closed-form partials.
+    e^(-i theta_m) with M = 64 nodes on a circle of radius
+    r = min(0.02, (1 - |z|) / 4); geometric accuracy in M, no subtractive
+    cancellation.  Serves as an independent cross-check for the closed-form
+    partials.
     """
     pts, squeeze = _points_2d(z, f.n)
     count, n = pts.shape
+    points = 64
     theta = 2.0 * np.pi * np.arange(points) / points
     phase = np.exp(1j * theta)
     out = np.empty((count, n), dtype=complex)
     for i in range(count):
         row = pts[i]
-        r = radius
-        if r is None:
-            r = min(0.02, 0.25 * max(1e-6, 1.0 - float(np.linalg.norm(row))))
+        r = min(0.02, 0.25 * max(1e-6, 1.0 - float(np.linalg.norm(row))))
         ring = r * phase
         for j in range(n):
             batch = np.tile(row, (points, 1))

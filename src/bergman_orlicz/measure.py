@@ -54,7 +54,6 @@ __all__ = [
     "sphere_directions",
     "integrate",
     "mobius_apply",
-    "mobius_jacobian0",
     "kernel_factor",
 ]
 
@@ -88,19 +87,17 @@ def _normalizing_constant(n: int, alpha: float) -> float:
 def make_measure(n: int, alpha: float) -> WeightedMeasure:
     """Build nu_alpha, cross-checking its closed-form constant by quadrature.
 
-    For n <= 2 the mass of the raw (un-normalized) degree-8 product rule must
-    be 1 to within 1e-10, or DomainError is raised.  Product rules do not
-    exist for n >= 3, where the same Gamma-function formula applies unchanged
-    and no cross-check runs.
+    The mass of the raw (un-normalized) degree-8 product rule must be 1 to
+    within 1e-10, or DomainError is raised.  Product rules exist for n = 1
+    and 2 only, so any other n raises UnsupportedRuleError.
     """
     measure = WeightedMeasure(n, alpha)
-    if n <= 2:
-        residual = abs(float(np.sum(_product_rule_raw(n, alpha, degree=8)[1])) - 1.0)
-        if residual > 1e-10:
-            raise DomainError(
-                f"normalizing constant failed its quadrature cross-check: "
-                f"residual={residual:.3e} for n={n}, alpha={alpha}"
-            )
+    residual = abs(float(np.sum(_product_rule_raw(n, alpha, degree=8)[1])) - 1.0)
+    if residual > 1e-10:
+        raise DomainError(
+            f"normalizing constant failed its quadrature cross-check: "
+            f"residual={residual:.3e} for n={n}, alpha={alpha}"
+        )
     return measure
 
 
@@ -271,12 +268,10 @@ def integrate(rule: QuadratureRule, integrand) -> complex:
 # Mobius automorphisms
 
 
-def _as_point(a, n: int | None = None) -> np.ndarray:
+def _as_point(a) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(a, dtype=complex))
     if arr.ndim != 1:
         raise DomainError(f"a point of B^n must be a flat vector, got shape {arr.shape}")
-    if n is not None and arr.shape[0] != n:
-        raise DomainError(f"expected a point of C^{n}, got C^{arr.shape[0]}")
     return arr
 
 
@@ -322,17 +317,12 @@ def mobius_apply(a, z) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def mobius_jacobian0(a) -> np.ndarray:
-    """Holomorphic Jacobian of phi_a at the origin.
-
-    J[k, j] = -s delta_kj + s/(1+s) a_k conj(a_j) with s = sqrt(1 - |a|^2);
-    for n = 1 this is the familiar -(1 - |a|^2).
-    """
-    return mobius_jacobian0_batch(_as_point(a)[None])[0]
-
-
 def mobius_jacobian0_batch(points: np.ndarray) -> np.ndarray:
-    """Jacobians of phi_z at 0 (see mobius_jacobian0) for every row z; shape (N, n, n)."""
+    """Holomorphic Jacobians of phi_z at the origin for every row z; shape (N, n, n).
+
+    J[k, j] = -s delta_kj + s/(1+s) z_k conj(z_j) with s = sqrt(1 - |z|^2);
+    for n = 1 this is the familiar -(1 - |z|^2).
+    """
     pts = np.asarray(points, dtype=complex)
     n = pts.shape[1]
     s = np.sqrt(np.maximum(0.0, 1.0 - np.sum(np.abs(pts) ** 2, axis=1)))

@@ -57,7 +57,6 @@ _BISECT_REL_TOL = 1e-10
 class ModularResult:
     value: float
     rule_id: str
-    integrand_kind: str
 
 
 @dataclass(frozen=True)
@@ -81,11 +80,10 @@ def modular_of_values(values: np.ndarray, weights: np.ndarray,
         return float(np.sum(weights * phi(values / scale)))
 
 
-def modular(f, phi: GrowthFunction, rule: QuadratureRule,
-            kind: str = "function") -> ModularResult:
+def modular(f, phi: GrowthFunction, rule: QuadratureRule) -> ModularResult:
     """int Phi(|f|) d nu_alpha by quadrature."""
     value = modular_of_values(_node_values(f, rule), rule.weights, phi)
-    return ModularResult(value=value, rule_id=rule.rule_id, integrand_kind=kind)
+    return ModularResult(value=value, rule_id=rule.rule_id)
 
 
 def luxemburg_norm(f, phi: GrowthFunction, rule: QuadratureRule) -> LuxNorm:
@@ -162,11 +160,8 @@ def derivative_modulars(f: HoloFunction, phi: GrowthFunction,
         "weighted_radial": one_minus * radial,
     }
     return {
-        kind: ModularResult(
-            value=modular_of_values(vals, rule.weights, phi),
-            rule_id=rule.rule_id,
-            integrand_kind=kind,
-        )
+        kind: ModularResult(value=modular_of_values(vals, rule.weights, phi),
+                            rule_id=rule.rule_id)
         for kind, vals in quantities.items()
     }
 
@@ -213,25 +208,22 @@ def rule_for_function(f: HoloFunction, measure: WeightedMeasure,
 # Pointwise-estimate sweeps
 
 
-_DEFAULT_PROBE_RADII = (0.0, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999)
+_PROBE_RADII = np.array([0.0, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999])
+_PROBE_DIRECTIONS = 64
 
 
 def _pointwise_sweep(family, phi: GrowthFunction, measure: WeightedMeasure,
-                     weighted_gradient: bool, radii, direction_count: int,
-                     seed: int, rule: QuadratureRule | None, refine: int) -> float:
+                     weighted_gradient: bool, seed: int, refine: int) -> float:
     n = measure.n
     m = n + 1.0 + measure.alpha
-    radii = np.asarray(sorted(radii), dtype=float)
-    if np.any(radii < 0.0) or np.any(radii >= 1.0):
-        raise DomainError("probe radii must lie in [0, 1)")
-    dirs = sphere_directions(n, direction_count, seed)
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+    dirs = sphere_directions(n, _PROBE_DIRECTIONS, seed)
+    pts = (_PROBE_RADII[:, None, None] * dirs[None, :, :]).reshape(-1, n)
     one_minus = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
     denom = phi.inverse(one_minus ** (-m))
     worst = 0.0
     for f in family:
-        r = rule if rule is not None else rule_for_function(f, measure, phi, refine=refine)
-        norm = luxemburg_norm(f, phi, r).lambda_star
+        rule = rule_for_function(f, measure, phi, refine=refine)
+        norm = luxemburg_norm(f, phi, rule).lambda_star
         if norm <= 0.0:
             raise DomainError("pointwise sweep needs functions with positive norm")
         if weighted_gradient:
@@ -243,26 +235,20 @@ def _pointwise_sweep(family, phi: GrowthFunction, measure: WeightedMeasure,
 
 
 def pointwise_bound_constant(family, phi: GrowthFunction, measure: WeightedMeasure,
-                             radii=_DEFAULT_PROBE_RADII, direction_count: int = 64,
-                             seed: int = 0, rule: QuadratureRule | None = None,
-                             refine: int = 0) -> float:
+                             seed: int = 0, refine: int = 0) -> float:
     """Empirical C with |f(z)| <= C Phi^{-1}((1-|z|^2)^{-(n+1+alpha)}) ||f||.
 
-    Maximized over the family and a radius/direction probe grid reaching
-    radius 0.999.  Finiteness (with refinement stability) is the claim under
-    test; the value is never asserted minimal.
+    Maximized over the family and a probe grid of 8 radii reaching 0.999
+    times 64 directions (seeded at n = 2).  Finiteness (with refinement
+    stability) is the claim under test; the value is never asserted minimal.
     """
-    return _pointwise_sweep(family, phi, measure, False, radii, direction_count,
-                            seed, rule, refine)
+    return _pointwise_sweep(family, phi, measure, False, seed, refine)
 
 
 def derivative_pointwise_constant(family, phi: GrowthFunction, measure: WeightedMeasure,
-                                  radii=_DEFAULT_PROBE_RADII, direction_count: int = 64,
-                                  seed: int = 0, rule: QuadratureRule | None = None,
-                                  refine: int = 0) -> float:
+                                  seed: int = 0, refine: int = 0) -> float:
     """Empirical C with (1-|z|^2)|grad f(z)| <= C Phi^{-1}(...) ||f||."""
-    return _pointwise_sweep(family, phi, measure, True, radii, direction_count,
-                            seed, rule, refine)
+    return _pointwise_sweep(family, phi, measure, True, seed, refine)
 
 
 @dataclass(frozen=True)
@@ -275,7 +261,6 @@ class SmallTypeReport:
 
 
 def small_type_estimate_check(family, p: float, measure: WeightedMeasure,
-                              rule: QuadratureRule | None = None,
                               refine: int = 0) -> SmallTypeReport:
     """Weighted L^1 domination for exponents p <= 1.
 
@@ -290,7 +275,7 @@ def small_type_estimate_check(family, p: float, measure: WeightedMeasure,
     ratios = []
     rid = None
     for f in family:
-        r = rule if rule is not None else rule_for_function(f, measure, None, refine=refine)
+        r = rule_for_function(f, measure, None, refine=refine)
         rid = r.rule_id if rid is None else rid
         vals = _node_values(f, r)
         one_minus = 1.0 - np.sum(np.abs(r.points) ** 2, axis=1)

@@ -1,5 +1,4 @@
-"""The extended Cesaro operator, Bloch-type symbol quantities, and the
-Bergman projection.
+"""The extended Cesaro operator and Bloch-type symbol quantities.
 
 T_g f(z) = int_0^1 f(tz) Rg(tz) dt/t.  On power series the operator is pure
 coefficient algebra: with f = sum a_m z^m and Rg = sum b_k z^k (no constant
@@ -25,14 +24,13 @@ from scipy.special import roots_legendre
 
 from .errors import DomainError, SymbolInvariantError
 from .growth import GrowthFunction, golden_section_max
-from .holo import HoloFunction, Series, to_series
-from .measure import QuadratureRule, WeightedMeasure, _points_2d, sphere_directions
+from .holo import DEFAULT_TRUNCATION_DEGREE, HoloFunction, Series, to_series
+from .measure import WeightedMeasure, _points_2d, sphere_directions
 from .norms import luxemburg_norm, modular_of_values, rule_for_function
 
 __all__ = [
     "CesaroSymbol",
     "BlochReport",
-    "LittleBlochReport",
     "IdentityReport",
     "LowerBoundReport",
     "UpperBoundReport",
@@ -40,8 +38,6 @@ __all__ = [
     "cesaro_apply_numeric",
     "radial_derivative_identity_check",
     "bloch_seminorm",
-    "little_bloch_profile",
-    "bergman_project",
     "cesaro_norm_lower_bound",
     "cesaro_upper_bound_check",
 ]
@@ -85,7 +81,7 @@ def _series_pair(symbol: CesaroSymbol, f: HoloFunction,
 
 
 def cesaro_apply_exact(symbol: CesaroSymbol, f: HoloFunction,
-                       truncation_degree: int = 48) -> Series:
+                       truncation_degree: int = DEFAULT_TRUNCATION_DEGREE) -> Series:
     """T_g f by the coefficient formula: z^(m+k) gets a_m b_k / (|m|+|k|).
 
     Non-Series inputs are truncated to Series at truncation_degree first.
@@ -103,15 +99,14 @@ def cesaro_apply_exact(symbol: CesaroSymbol, f: HoloFunction,
     return Series(fs.n, out)
 
 
-def cesaro_apply_numeric(symbol: CesaroSymbol, f: HoloFunction, z,
-                         t_count: int = 64):
-    """T_g f(z) by 1-D Gauss-Legendre on the ray integral; the oracle path.
+def cesaro_apply_numeric(symbol: CesaroSymbol, f: HoloFunction, z):
+    """T_g f(z) by 64-node Gauss-Legendre on the ray integral; the oracle path.
 
     Rg has no constant term, so Rg(tz)/t extends continuously to t = 0; the
     Gauss nodes are interior and never touch the endpoint.
     """
     pts, squeeze = _points_2d(z, symbol.n)
-    x, w = roots_legendre(t_count)
+    x, w = roots_legendre(64)
     t = 0.5 * (x + 1.0)
     wt = 0.5 * w
     out = np.empty(pts.shape[0], dtype=complex)
@@ -202,14 +197,6 @@ class BlochReport:
     unbounded: bool
 
 
-@dataclass(frozen=True)
-class LittleBlochReport:
-    profile: tuple
-    final_value: float
-    epsilon: float
-    verdict: bool
-
-
 def _weighted_rg_sup(rg: HoloFunction, r: float, dirs: np.ndarray) -> tuple[float, int]:
     vals = (1.0 - r * r) * np.abs(rg._eval(r * dirs))
     i = int(np.argmax(vals))
@@ -221,19 +208,18 @@ _BLOCH_RADII = tuple(sorted(set(
 )))
 
 
-def bloch_seminorm(g, direction_count: int | None = None,
-                   seed: int = 0) -> BlochReport:
+def bloch_seminorm(g) -> BlochReport:
     """sup over the ball of (1-|z|^2)|Rg(z)| by grid search plus refinement.
 
     Accepts a CesaroSymbol or any HoloFunction.  The radius grid clusters
-    geometrically toward the sphere; the best cell is polished with
-    golden-section passes (radius, then direction for n=1, then radius again).
+    geometrically toward the sphere and meets 512 directions (n = 1) or 2048
+    (n = 2, seed 0); the best cell is polished with golden-section passes
+    (radius, then direction for n=1, then radius again).
     """
     rg = g.rg if isinstance(g, CesaroSymbol) else g.radial_derivative()
     n = rg.n
-    if direction_count is None:
-        direction_count = 512 if n == 1 else 2048
-    dirs = sphere_directions(n, direction_count, seed)
+    direction_count = 512 if n == 1 else 2048
+    dirs = sphere_directions(n, direction_count, 0)
 
     profile = []
     best = (0.0, 0.0, 0)  # value, radius, direction index
@@ -278,68 +264,6 @@ def bloch_seminorm(g, direction_count: int | None = None,
                        boundary_profile=tuple(profile), unbounded=unbounded)
 
 
-_LITTLE_BLOCH_RADII = tuple(1.0 - np.logspace(np.log10(0.5), -4, 14))
-
-
-def little_bloch_profile(g, radii=_LITTLE_BLOCH_RADII, epsilon: float = 1e-3,
-                         direction_count: int | None = None,
-                         seed: int = 0) -> LittleBlochReport:
-    """Profile of sup over directions of (1-r^2)|Rg| along radii increasing to 1.
-
-    The verdict flags profiles whose final value (default radius 1 - 1e-4)
-    drops below epsilon; it is reported, not asserted, since slowly decaying
-    symbols need radii beyond the default grid.
-    """
-    rg = g.rg if isinstance(g, CesaroSymbol) else g.radial_derivative()
-    n = rg.n
-    if direction_count is None:
-        direction_count = 512 if n == 1 else 2048
-    dirs = sphere_directions(n, direction_count, seed)
-    radii = sorted(float(r) for r in radii)
-    if any(not (0.0 <= r < 1.0) for r in radii):
-        raise DomainError("little-Bloch radii must lie in [0, 1)")
-    profile = tuple((r, _weighted_rg_sup(rg, r, dirs)[0]) for r in radii)
-    final = profile[-1][1]
-    return LittleBlochReport(profile=profile, final_value=final, epsilon=epsilon,
-                             verdict=bool(final < epsilon))
-
-
-# ---------------------------------------------------------------------------
-# Bergman projection
-
-
-def bergman_project(F, beta: float, measure: WeightedMeasure, rule: QuadratureRule):
-    """P_beta F as a callable: z -> int F(xi) (1 - <z, xi>)^(-(n+1+beta)) d nu_beta.
-
-    The rule must represent nu_beta itself.  F is evaluated once over the
-    nodes; each later call pairs the cached values with kernel factors, in
-    chunks so large query batches stay within memory.
-    """
-    if abs(measure.alpha - beta) > 0.0 or rule.measure.alpha != measure.alpha:
-        raise DomainError("bergman_project needs measure = nu_beta and a matching rule")
-    if rule.measure.n != measure.n:
-        raise DomainError("rule dimension does not match the measure")
-    n = measure.n
-    exponent = n + 1.0 + beta
-    nodes = rule.points
-    weights = rule.weights
-    fvals = F._eval(nodes) if isinstance(F, HoloFunction) else np.asarray(F(nodes))
-    wf = weights * fvals
-
-    def project(z):
-        pts, squeeze = _points_2d(z, n)
-        out = np.empty(pts.shape[0], dtype=complex)
-        chunk = max(1, int(4e6) // max(1, nodes.shape[0]))
-        for start in range(0, pts.shape[0], chunk):
-            block = pts[start:start + chunk]
-            ip = block @ np.conj(nodes.T)
-            kern = np.exp(-exponent * np.log(1.0 - ip))
-            out[start:start + chunk] = kern @ wf
-        return complex(out[0]) if squeeze else out
-
-    return project
-
-
 # ---------------------------------------------------------------------------
 # Operator-norm brackets
 
@@ -361,38 +285,32 @@ class UpperBoundReport:
 
 
 def cesaro_norm_lower_bound(symbol: CesaroSymbol, phi: GrowthFunction,
-                            measure: WeightedMeasure, family,
-                            truncation_degree: int = 48,
-                            base_degree: int = 32) -> LowerBoundReport:
+                            measure: WeightedMeasure, family) -> LowerBoundReport:
     """max over the family of ||T_g f|| / ||f||, a certified operator-norm
     lower bound up to truncation and quadrature tolerance.
 
-    Arguments and outputs are truncated to Series so the exact coefficient
-    path does all the operator work.
+    Arguments and outputs are truncated to Series at DEFAULT_TRUNCATION_DEGREE
+    so the exact coefficient path does all the operator work.
     """
     ratios = []
     for f in family:
-        fs = f if isinstance(f, Series) else to_series(f, truncation_degree)
-        tf = cesaro_apply_exact(symbol, fs, truncation_degree)
-        denom = luxemburg_norm(fs, phi,
-                               rule_for_function(fs, measure, phi, base_degree)).lambda_star
+        fs = f if isinstance(f, Series) else to_series(f)
+        tf = cesaro_apply_exact(symbol, fs)
+        denom = luxemburg_norm(fs, phi, rule_for_function(fs, measure, phi)).lambda_star
         if denom <= 0.0:
             raise DomainError("operator-norm family must contain nonzero functions")
-        numer = luxemburg_norm(tf, phi,
-                               rule_for_function(tf, measure, phi, base_degree)).lambda_star
+        numer = luxemburg_norm(tf, phi, rule_for_function(tf, measure, phi)).lambda_star
         ratios.append(numer / denom)
     if not ratios:
         raise DomainError("operator-norm family is empty")
     return LowerBoundReport(value=max(ratios), ratios=tuple(ratios),
-                            truncation_degree=truncation_degree)
+                            truncation_degree=DEFAULT_TRUNCATION_DEGREE)
 
 
 def cesaro_upper_bound_check(symbol: CesaroSymbol, phi: GrowthFunction,
                              measure: WeightedMeasure, family,
-                             rule: QuadratureRule | None = None,
                              bloch_m: float | None = None,
-                             tol: float = 1e-6,
-                             base_degree: int = 32) -> UpperBoundReport:
+                             tol: float = 1e-6) -> UpperBoundReport:
     """The proof-level upper bound: modular((1-|z|^2)|R T_g f| / (M ||f||)) <= 1.
 
     R T_g f is expanded through the operator identity as f Rg, so the check
@@ -406,7 +324,7 @@ def cesaro_upper_bound_check(symbol: CesaroSymbol, phi: GrowthFunction,
     rg = symbol.rg
     modulars = []
     for f in family:
-        r = rule if rule is not None else rule_for_function(f, measure, phi, base_degree)
+        r = rule_for_function(f, measure, phi)
         norm = luxemburg_norm(f, phi, r).lambda_star
         if norm <= 0.0:
             raise DomainError("upper-bound family must contain nonzero functions")

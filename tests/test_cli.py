@@ -142,6 +142,17 @@ def test_verify_writes_reports_and_verdict_lines(capsys, tmp_path):
         assert (out_dir / f"{name}.cases.csv").exists()
 
 
+def test_interp_with_rho_that_is_not_pseudo_concave_is_data_error(capsys):
+    growth = "interp:phi0=power:p=2,phi1=power:p=4,rho=power:theta=1.7"
+    code, out, err = run(capsys, [
+        "verify", "--config", json.dumps({"growth": growth}),
+        "--suite", "interpolation_power,small_type",
+    ])
+    assert code == cli.EXIT_DATA == 65
+    assert out == ""
+    assert "not pseudo-concave" in err
+
+
 def test_reports_byte_identical_across_jobs(capsys, tmp_path):
     args = ["verify", "--suite", "derivative_equivalence", "--seed", "3"]
     d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -14,9 +14,7 @@ from bergman_orlicz.growth import (
     equivalence_constants,
     indices,
     interpolate_growth,
-    inverse_class_check,
     nabla2_check,
-    power_compose,
     power_growth,
     power_inv_log_growth,
     power_log_growth,
@@ -25,7 +23,6 @@ from bergman_orlicz.growth import (
     rho_power,
     rho_power_log,
     shipped_growth_ids,
-    type_constant,
 )
 
 GRID = np.logspace(-6, 6, 600)
@@ -74,27 +71,6 @@ def test_nabla2_matches_index_criterion_on_shipped():
         assert rep.agrees, (gid, rep)
 
 
-def test_upper_type_constant_of_square_is_one():
-    rep = type_constant(power_growth(2), "upper", 2.0)
-    assert rep.certified
-    assert rep.constant == pytest.approx(1.0, rel=1e-9)
-
-
-def test_lower_type_inverse_duality():
-    rep = inverse_class_check(power_growth(0.5))
-    assert rep.certified
-    assert rep.dual_exponent == pytest.approx(2.0)
-    assert rep.constant == pytest.approx(1.0, rel=1e-9)
-
-
-def test_power_compose_certifies_upper_type():
-    phi, rep = power_compose(power_growth(0.5))
-    assert rep.certified
-    # Phi(t) = t^(1/2), p = 1/2: Phi_p(t) = Phi(t^2) = t, upper type ~ 1.
-    vals = phi(GRID)
-    assert np.max(np.abs(vals - GRID) / GRID) < 1e-12
-
-
 def test_interpolation_of_powers_is_power():
     phi = interpolate_growth(power_growth(2), power_growth(4), rho_power(0.5))
     target = power_growth(8.0 / 3.0)
@@ -106,6 +82,12 @@ def test_pseudo_concave_accepts_and_rejects():
     assert pseudo_concave_check(rho_power(0.5)).ok
     assert pseudo_concave_check(rho_power_log(0.5, a=1.0)).ok
     assert not pseudo_concave_check(rho_power(1.7)).ok
+
+
+def test_interpolation_refuses_rho_that_is_not_pseudo_concave():
+    # rho(s) = s^1.7 breaks rho(s) <= max(1, s/t) rho(t) for s > t.
+    with pytest.raises(DomainError, match=r"not pseudo-concave.*s=1e\+06, t=1e-06"):
+        interpolate_growth(power_growth(2), power_growth(4), rho_power(1.7))
 
 
 def test_resolve_growth_name_is_fixpoint():
@@ -151,6 +133,6 @@ def test_growth_functions_are_nondecreasing(t, factor):
 
 def test_inv_log_growth_is_small_near_zero_large_far_out():
     phi = power_inv_log_growth(2, a=1)
-    # t^2 / log(e + 1/t): at t=1 the denominator is log(e+1) > 1.
+    # t^2 / log(e + t): at t=1 the denominator is log(e+1) > 1.
     val = float(phi(np.array([1.0]))[0])
     assert val == pytest.approx(1.0 / math.log(math.e + 1.0), rel=1e-12)

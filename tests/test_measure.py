@@ -16,6 +16,7 @@ from bergman_orlicz.growth import power_growth
 from bergman_orlicz.holo import test_function as kernel_test_function
 from bergman_orlicz.holo import to_series
 from bergman_orlicz.measure import (
+    WeightedMeasure,
     _normalizing_constant,
     _radial_jacobi,
     build_rule,
@@ -23,7 +24,7 @@ from bergman_orlicz.measure import (
     kernel_factor,
     make_measure,
     mobius_apply,
-    mobius_jacobian0,
+    mobius_jacobian0_batch,
 )
 from bergman_orlicz.norms import rule_for_function
 
@@ -93,7 +94,9 @@ def test_boundary_refined_and_angular_override_tags():
 
 def test_rule_argument_validation():
     with pytest.raises(UnsupportedRuleError):
-        build_rule(make_measure(3, 0.0), degree=8)
+        build_rule(WeightedMeasure(3, 0.0), degree=8)
+    with pytest.raises(UnsupportedRuleError):
+        make_measure(3, 0.0)
     with pytest.raises(DomainError):
         make_measure(1, -1.0)
     with pytest.raises(DomainError):
@@ -125,7 +128,7 @@ def test_mobius_is_an_involution(ar, ai, zr, zi):
 
 def test_mobius_jacobian_matches_finite_differences():
     a = np.array([0.4 + 0.1j, -0.2 + 0.3j])
-    jac = mobius_jacobian0(a)
+    jac = mobius_jacobian0_batch(a[None])[0]
     h = 1e-6
     for j in range(2):
         e = np.zeros(2, dtype=complex)

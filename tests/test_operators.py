@@ -10,17 +10,15 @@ from bergman_orlicz.errors import SymbolInvariantError
 from bergman_orlicz.growth import power_growth
 from bergman_orlicz.holo import KernelPower, Series
 from bergman_orlicz.holo import test_function as kernel_test_function
-from bergman_orlicz.measure import build_rule, make_measure
+from bergman_orlicz.measure import make_measure
 from bergman_orlicz.norms import luxemburg_norm, rule_for_function
 from bergman_orlicz.operators import (
     CesaroSymbol,
-    bergman_project,
     bloch_seminorm,
     cesaro_apply_exact,
     cesaro_apply_numeric,
     cesaro_norm_lower_bound,
     cesaro_upper_bound_check,
-    little_bloch_profile,
     radial_derivative_identity_check,
 )
 
@@ -117,24 +115,6 @@ def test_bloch_flags_divergent_symbol():
     g = KernelPower(np.array([1.0 - 1e-9 + 0j]), 2.0, 1.0)
     rep = bloch_seminorm(g)
     assert rep.unbounded
-
-
-def test_polynomials_are_little_bloch():
-    rep = little_bloch_profile(CesaroSymbol(Series(1, {(1,): 1.0})))
-    assert rep.verdict
-    values = [v for _, v in rep.profile]
-    assert values[-1] < 1e-3
-    # profile radii increase toward the sphere and values eventually decay
-    assert values[-1] < max(values)
-
-
-def test_bergman_projection_reproduces_polynomials():
-    measure = make_measure(1, 1.0)
-    rule = build_rule(measure, degree=48)
-    f = Series(1, {(3,): 1.0, (1,): -2j})
-    proj = bergman_project(f, 1.0, measure, rule)
-    pts = ball_points(1, 20, radius=0.5)
-    assert np.max(np.abs(proj(pts) - f.eval(pts))) < 1e-10
 
 
 def test_lower_bound_on_constant_family():
