@@ -12,7 +12,7 @@ Exit codes: 0 pass, 1 fail, 2 inconclusive, 64 usage, 65 data format
 internal error: any other exception, such as MemoryError, is reported on one
 stderr line as `internal error: <Type>: <message>` so that it never reads as
 a failing verdict.  At n = 2 a rule costs 40 bytes per node; the largest
-one build_rule accepts (2^24 nodes) holds 0.67 GB.
+one the node ceiling accepts (2^24 nodes) holds 0.67 GB.
 """
 
 from __future__ import annotations

@@ -44,6 +44,7 @@ __all__ = [
     "Product",
     "to_series",
     "max_kernel_center",
+    "slice_direction",
     "gradient_sweep",
     "invariant_gradient",
     "chain_inequality_check",
@@ -337,6 +338,65 @@ def max_kernel_center(f: HoloFunction) -> float | None:
                 if v is not None]
         return max(vals) if vals else None
     return None
+
+
+# Sentinel for "a slice along every line": a constant.
+_ANY_LINE = "any"
+# Largest distance between two unit vectors read as one complex line.
+_LINE_TOL = 1e-12
+
+
+def _slice_line(f: HoloFunction):
+    """f's complex line as a unit vector, _ANY_LINE for a constant, or None."""
+    if isinstance(f, Series):
+        used = {j for m in f.terms for j, d in enumerate(m) if d > 0}
+        if not used:
+            return _ANY_LINE
+        if len(used) > 1:
+            return None
+        e = np.zeros(f.n, dtype=complex)
+        e[used.pop()] = 1.0
+        return e
+    if isinstance(f, KernelPower):
+        r = float(np.linalg.norm(f.center))
+        return _ANY_LINE if r == 0.0 else f.center / r
+    if isinstance(f, Sum):
+        parts = f.parts
+    elif isinstance(f, Product):
+        parts = (f.left, f.right)
+    else:
+        return None
+    line = _ANY_LINE
+    for p in parts:
+        other = _slice_line(p)
+        if other is None:
+            return None
+        if other is _ANY_LINE:
+            continue
+        if line is _ANY_LINE:
+            line = other
+        elif np.linalg.norm(other - np.vdot(line, other) * line) > _LINE_TOL:
+            return None
+    return line
+
+
+def slice_direction(f: HoloFunction) -> np.ndarray | None:
+    """A unit vector zeta with f(z) = h(<z, zeta>) for some h on the disc, or None.
+
+    Read off the representation, walking the tree max_kernel_center walks: a
+    KernelPower lies on the line of its center, a Series whose terms use the
+    one coordinate j on the line of e_j, and a Sum or Product on a line when
+    every part lies on it up to a phase (the first part's zeta is returned).
+    A constant is a slice along every line and gets e_1.  None means f was
+    not recognised as a slice.
+    """
+    line = _slice_line(f)
+    if line is None:
+        return None
+    if line is _ANY_LINE:
+        line = np.zeros(f.n, dtype=complex)
+        line[0] = 1.0
+    return line
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,19 @@ knob beyond the degree is angular_count, which turns a rule into a kernel
 rule (doubled radial degree, at least angular_count angles per circle) for
 integrands that peak near the sphere.
 
+At n = 2, build_slice_rule serves slices f(z) = h(<z, zeta>): nu_alpha
+pushes forward to nu_{alpha+1} on the disc, so the n = 1 product rule at
+alpha + 1, lifted by a few Gauss-Jacobi nodes in the radial variable
+transverse to zeta, integrates them with disc-sized work.  Its rule_id is
+"slice:n=2,alpha=A,zeta=(Z1,Z2),degree=D,t=T,nodes=N", with the kernel
+rule's ",refined,angles=M" appended when angular_count is set.
+
 A rule holds 24 bytes per node at n = 1 and 40 at n = 2 (complex nodes plus
 real weights).  The n = 2 nodes are written from their 1-D factors straight
 into the result, with no node-sized temporaries, and kernel_factor evaluates
 its power in the one buffer of inner products.  Rules above
-_MAX_RULE_NODES = 2^24 nodes (0.67 GB at n = 2) are refused with
-UnsupportedRuleError before any allocation.
+_MAX_RULE_NODES = 2^24 nodes (0.67 GB at n = 2), product or lifted, are
+refused with UnsupportedRuleError before any allocation.
 
 sphere_directions supplies the unit vectors that the pointwise and Bloch
 sweeps probe along: the equispaced circle for n = 1 and seed-deterministic
@@ -51,6 +58,7 @@ __all__ = [
     "QuadratureRule",
     "make_measure",
     "build_rule",
+    "build_slice_rule",
     "sphere_directions",
     "integrate",
     "mobius_apply",
@@ -130,22 +138,29 @@ def _radial_jacobi(n: int, alpha: float, n_nodes: int):
     return u, w
 
 
+def _product_sizes(degree: int, angular_count: int | None) -> tuple[int, int, int]:
+    """(radial, slice, angular) node counts of the product rule of a degree."""
+    if angular_count is None:
+        return degree // 4 + 1, degree // 4 + 1, degree + 1
+    return (2 * degree) // 4 + 1, degree // 4 + 1, max(2 * degree + 1, int(angular_count))
+
+
+def _check_ceiling(what: str, node_count: int, detail: str) -> None:
+    if node_count > _MAX_RULE_NODES:
+        raise UnsupportedRuleError(
+            f"{what} with {node_count:,} nodes exceeds the ceiling of "
+            f"{_MAX_RULE_NODES:,} nodes ({detail})"
+        )
+
+
 def _product_rule_raw(n: int, alpha: float, degree: int, angular_count: int | None = None):
     """Raw product nodes/weights before unit-mass normalization (n = 1 or 2)."""
     if n > 2:
         raise UnsupportedRuleError(f"product rules stop at n=2, got n={n}")
     c_alpha = _normalizing_constant(n, alpha)
-    if angular_count is None:
-        n_rad, n_ang = degree // 4 + 1, degree + 1
-    else:
-        n_rad, n_ang = (2 * degree) // 4 + 1, max(2 * degree + 1, int(angular_count))
-    n_slice = degree // 4 + 1
+    n_rad, n_slice, n_ang = _product_sizes(degree, angular_count)
     node_count = n_rad * n_ang if n == 1 else n_rad * n_slice * n_ang * n_ang
-    if node_count > _MAX_RULE_NODES:
-        raise UnsupportedRuleError(
-            f"a product rule with {node_count:,} nodes exceeds the ceiling of "
-            f"{_MAX_RULE_NODES:,} nodes (n={n}, degree={degree})"
-        )
+    _check_ceiling("a product rule", node_count, f"n={n}, degree={degree}")
 
     if n == 1:
         u, wu = _radial_jacobi(1, alpha, n_rad)
@@ -195,18 +210,75 @@ def build_rule(measure: WeightedMeasure, degree: int,
         raise DomainError(f"degree must be >= 0, got {degree}")
     n, alpha = measure.n, measure.alpha
     pts, raw_w = _product_rule_raw(n, alpha, degree, angular_count)
+    rid = f"product:n={n},alpha={alpha:g},degree={degree},nodes={pts.shape[0]}"
+    return _unit_mass_rule(measure, pts, raw_w, degree, rid + _kernel_tag(angular_count))
+
+
+def build_slice_rule(measure: WeightedMeasure, direction, degree: int, t_count: int,
+                     angular_count: int | None = None) -> QuadratureRule:
+    """The n = 2 rule for integrands of a slice f(z) = h(<z, zeta>), |zeta| = 1.
+
+    Write z = w zeta + v zeta_perp with w = <z, zeta> and |v|^2 = t (1 - |w|^2).
+    Then nu_alpha on B^2 is nu_{alpha+1} in w on the disc times the law
+    (alpha+1)(1-t)^alpha dt on (0, 1) times a uniform phase of v (Rudin,
+    Function Theory in the Unit Ball of C^n, 1.4).  Every integrand built
+    from a slice, |f|, (1-|z|^2)|Rf|, (1-|z|^2)|grad f|, the invariant
+    gradient and (1-|z|^2)^w |f|, depends on (w, |z|^2) alone, so the phase
+    is dropped: the rule lifts the n = 1 product rule at alpha + 1 (degree
+    and angular_count as in build_rule) with t_count Gauss-Jacobi nodes in t
+    to the nodes w zeta + sqrt(t (1 - |w|^2)) zeta_perp, with weights
+    w_disc w_t.  Its rule_id reads
+    "slice:n=2,alpha=A,zeta=(Z1,Z2),degree=D,t=T,nodes=N", with
+    ",refined,angles=M" appended for a kernel rule.
+
+    The ceiling counts disc nodes times t_count before anything node-sized
+    is allocated; a larger rule raises UnsupportedRuleError.
+    """
+    if measure.n != 2:
+        raise UnsupportedRuleError(f"slice rules lift the disc to n=2, got n={measure.n}")
+    if degree < 0 or t_count < 1:
+        raise DomainError(f"need degree >= 0 and t_count >= 1, got {degree}, {t_count}")
+    zeta = _as_point(direction)
+    if zeta.shape != (2,) or abs(math.hypot(*np.abs(zeta)) - 1.0) > 1e-12:
+        raise DomainError(f"a slice direction must be a unit vector of C^2, got {zeta}")
+    alpha = measure.alpha
+    n_rad, _, n_ang = _product_sizes(degree, angular_count)
+    _check_ceiling("a slice rule", n_rad * n_ang * t_count,
+                   f"{n_rad * n_ang:,} disc nodes times {t_count} t nodes, degree={degree}")
+
+    disc, w_disc = _product_rule_raw(1, alpha + 1.0, degree, angular_count)
+    t, w_t = _radial_jacobi(1, alpha, t_count)
+    w = disc[:, 0]
+    v = np.sqrt(t[None, :] * np.maximum(0.0, 1.0 - np.abs(w) ** 2)[:, None])
+    perp = np.array([-np.conj(zeta[1]), np.conj(zeta[0])])
+    pts = np.empty(v.shape + (2,), dtype=complex)
+    for j in range(2):
+        np.multiply(v, perp[j], out=pts[..., j])
+        pts[..., j] += (w * zeta[j])[:, None]
+    # int_0^1 (1-t)^alpha dt = 1 / (alpha + 1)
+    raw_w = (w_disc[:, None] * ((alpha + 1.0) * w_t)[None, :]).reshape(-1)
+    pts = pts.reshape(-1, 2)
+    z1, z2 = (f"{c.real:.6g}{c.imag:+.6g}j" for c in zeta)
+    rid = (f"slice:n=2,alpha={alpha:g},zeta=({z1},{z2}),degree={degree},"
+           f"t={t_count},nodes={pts.shape[0]}")
+    return _unit_mass_rule(measure, pts, raw_w, degree, rid + _kernel_tag(angular_count))
+
+
+def _kernel_tag(angular_count: int | None) -> str:
+    return "" if angular_count is None else f",refined,angles={int(angular_count)}"
+
+
+def _unit_mass_rule(measure: WeightedMeasure, pts: np.ndarray, raw_w: np.ndarray,
+                    degree: int, rule_id: str) -> QuadratureRule:
+    """The rule with its raw weights divided, in place, by their sum."""
     total = float(np.sum(raw_w))
-    residual = abs(total - 1.0)
-    w = np.divide(raw_w, total, out=raw_w)
-    tag = "" if angular_count is None else f",refined,angles={int(angular_count)}"
-    rid = f"product:n={n},alpha={alpha:g},degree={degree},nodes={pts.shape[0]}{tag}"
     return QuadratureRule(
         measure=measure,
         points=pts,
-        weights=w,
+        weights=np.divide(raw_w, total, out=raw_w),
         exact_degree=degree,
-        rule_id=rid,
-        normalization_residual=residual,
+        rule_id=rule_id,
+        normalization_residual=abs(total - 1.0),
     )
 
 

@@ -12,7 +12,9 @@ Quadrature selection: polynomial integrands get a plain product rule with
 degree scaled to the function degree and the growth exponent; anything
 containing a kernel power is integrated on a boundary-refined rule whose
 angular resolution grows like 1/(1 - |center|), since the trapezoid error for
-the peaked angular profile decays like (r |center|)^N.
+the peaked angular profile decays like (r |center|)^N.  At n = 2 a slice
+f(z) = h(<z, zeta>) is integrated on the disc rule at alpha + 1 lifted by a
+short rule in t (measure.build_slice_rule) instead of the 4-D product rule.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ import numpy as np
 
 from .errors import DivergentNormError, DomainError
 from .growth import GrowthFunction
-from .holo import HoloFunction, gradient_sweep, max_kernel_center
+from .holo import HoloFunction, Product, gradient_sweep, max_kernel_center, slice_direction
 from .measure import (
     QuadratureRule,
     WeightedMeasure,
     _checked_node_values,
     build_rule,
+    build_slice_rule,
     sphere_directions,
 )
 
@@ -173,35 +176,52 @@ def derivative_modulars(f: HoloFunction, phi: GrowthFunction,
 def rule_for_function(f: HoloFunction, measure: WeightedMeasure,
                       phi: GrowthFunction | None = None,
                       base_degree: int = 32,
-                      refine: int = 0) -> QuadratureRule:
-    """Pick a product rule matched to f's smoothness (n <= 2 only).
+                      refine: int = 0,
+                      cofactor: HoloFunction | None = None) -> QuadratureRule:
+    """Pick a rule matched to f's smoothness (n <= 2 only).
 
     Polynomials get degree >= q * deg(f) + margin with q the growth exponent
     (so power-function modulars are exact); kernel powers get a kernel rule
-    (build_rule with angular_count) whose angular count scales like
-    1/(1 - |center|), floored at 512 (n = 1) or 48 (n = 2).
-    refine doubles the degree that many times, for stability sweeps.
+    (angular_count set) whose angular count scales like 1/(1 - |center|),
+    floored at 512 on the disc.  refine doubles the degree that many times,
+    for stability sweeps.
+
+    At n = 1 this is a product rule.  At n = 2 a slice f(z) = h(<z, zeta>)
+    (holo.slice_direction) gets build_slice_rule: the n = 1 rule at
+    alpha + 1, with the n = 1 degree and angle formulas, crossed with
+    base_degree * 2^refine // 4 + 1 nodes in t; its rule_id starts with
+    "slice:".  Every other n = 2 function gets the n = 2 product rule, with
+    angles floored at 48.  When the integrand also multiplies by cofactor
+    (the Cesaro upper bound integrates f Rg), the slice rule is used only if
+    cofactor lies on f's line; the degree is always read off f.
     """
     sharp = max_kernel_center(f)
     q = 2.0
     if phi is not None and phi.kind == "upper":
         q = max(q, float(phi.type_exponent))
+    zeta = None
+    if measure.n == 2:
+        zeta = slice_direction(f if cofactor is None else Product(f, cofactor))
+    on_disc = measure.n == 1 or zeta is not None
     if sharp is None:
         d = f.degree() or 0
-        degree = max(base_degree, int(math.ceil(q * d)) + 8)
-        degree *= 2**refine
-        return build_rule(measure, degree=degree)
-    # Gauss nodes cluster quadratically at the endpoints, so resolving a
-    # boundary layer of width 1 - sharp needs degree ~ (1 - sharp)^(-1/2).
-    gap = max(1e-4, 1.0 - sharp)
-    degree = max(base_degree, 64, int(math.ceil(8.0 / math.sqrt(gap))))
-    if measure.n == 1:
-        degree = min(degree, 512) * 2**refine
-        ang = int(min(8192 * 2**refine, max(512, math.ceil(24.0 / gap))))
+        degree = max(base_degree, int(math.ceil(q * d)) + 8) * 2**refine
+        ang = None
     else:
-        degree = min(degree, 128) * 2**refine
-        ang = int(min(96 * 2**refine, max(48, math.ceil(8.0 / max(1e-2, 1.0 - sharp)))))
-    return build_rule(measure, degree=degree, angular_count=ang)
+        # Gauss nodes cluster quadratically at the endpoints, so resolving a
+        # boundary layer of width 1 - sharp needs degree ~ (1 - sharp)^(-1/2).
+        gap = max(1e-4, 1.0 - sharp)
+        degree = max(base_degree, 64, int(math.ceil(8.0 / math.sqrt(gap))))
+        if on_disc:
+            degree = min(degree, 512) * 2**refine
+            ang = int(min(8192 * 2**refine, max(512, math.ceil(24.0 / gap))))
+        else:
+            degree = min(degree, 128) * 2**refine
+            ang = int(min(96 * 2**refine, max(48, math.ceil(8.0 / max(1e-2, 1.0 - sharp)))))
+    if zeta is None:
+        return build_rule(measure, degree=degree, angular_count=ang)
+    t_count = base_degree * 2**refine // 4 + 1
+    return build_slice_rule(measure, zeta, degree, t_count, angular_count=ang)
 
 
 # ---------------------------------------------------------------------------

@@ -316,7 +316,9 @@ def cesaro_upper_bound_check(symbol: CesaroSymbol, phi: GrowthFunction,
     R T_g f is expanded through the operator identity as f Rg, so the check
     needs no truncation of the symbol.  Pointwise (1-|z|^2)|Rg| <= M makes the
     integrand dominated by Phi(|f| / ||f||), whose integral is 1 by the norm
-    definition; the test confirms that chain survives quadrature.
+    definition; the test confirms that chain survives quadrature.  The norm
+    and the integrand share one rule, f's slice rule at n = 2 only when Rg
+    lies on f's line, so that domination carries over node by node.
     """
     m_val = bloch_seminorm(symbol).M if bloch_m is None else float(bloch_m)
     if m_val <= 0.0:
@@ -324,7 +326,7 @@ def cesaro_upper_bound_check(symbol: CesaroSymbol, phi: GrowthFunction,
     rg = symbol.rg
     modulars = []
     for f in family:
-        r = rule_for_function(f, measure, phi)
+        r = rule_for_function(f, measure, phi, cofactor=rg)
         norm = luxemburg_norm(f, phi, r).lambda_star
         if norm <= 0.0:
             raise DomainError("upper-bound family must contain nonzero functions")

@@ -106,6 +106,17 @@ def test_out_of_range_dimension_is_data_error(capsys, n):
     assert "[1, 2]" in err
 
 
+def test_n2_verify_runs_on_slice_rules(capsys, tmp_path):
+    # Both suites integrate z1-slices of degree up to 49 only; on the 4-D
+    # product rule their power tables alone needed about 6 GB.
+    code, out, _ = run(capsys, ["verify", "--config", '{"n":2}', "--out", str(tmp_path),
+                                "--suite", "cesaro_compactness,interpolation_power"])
+    assert code == 0
+    assert out.split() == ["cesaro_compactness:", "pass", "interpolation_power:", "pass"]
+    doc = json.loads((tmp_path / "cesaro_compactness.json").read_text())
+    assert doc["config"]["n"] == 2
+
+
 def test_zero_symbol_rejected_by_boundedness(capsys):
     cfg = json.dumps({"symbols": [json.loads(ZERO)], "suites": ["cesaro_boundedness"],
                       "growth": "power:p=2"})

@@ -5,6 +5,7 @@ int |z^m|^2 dnu_alpha = m! Gamma(n+alpha+1) / Gamma(n+|m|+alpha+1).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +15,13 @@ from hypothesis import strategies as st
 from bergman_orlicz.errors import DomainError, UnsupportedRuleError
 from bergman_orlicz.growth import power_growth
 from bergman_orlicz.holo import test_function as kernel_test_function
-from bergman_orlicz.holo import to_series
+from bergman_orlicz.holo import Series, to_series
 from bergman_orlicz.measure import (
     WeightedMeasure,
     _normalizing_constant,
     _radial_jacobi,
     build_rule,
+    build_slice_rule,
     integrate,
     kernel_factor,
     make_measure,
@@ -190,15 +192,56 @@ def test_n2_rule_matches_meshgrid_reference(alpha, degree, refined, angles):
     assert rule.rule_id == f"product:n=2,alpha={alpha:g},degree={degree},nodes={len(w)}{tag}"
 
 
+def _peak_bytes(fn):
+    """Peak traced allocation while fn runs (numpy reports to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
 def test_oversized_rule_is_refused_before_allocation():
-    # The truncated kernel test function of the default n = 2 family has
-    # degree 48; its refined polynomial rule would have 53 * 53 * 209^2 =
+    # A degree-48 series in both variables is no slice, so its refined rule
+    # is the product rule of degree 2 * (2 * 48 + 8) = 208: 53 * 53 * 209^2 =
     # 122.7M nodes (4.9 GB of nodes and weights).
     phi = power_growth(2.0)
     measure = make_measure(2, 0.0)
+    f = Series(2, {(48, 0): 1.0, (0, 1): 1.0})
+
+    def refused():
+        with pytest.raises(UnsupportedRuleError, match=r"122,699,929 nodes.*16,777,216"):
+            rule_for_function(f, measure, phi, refine=1)
+
+    assert _peak_bytes(refused) < 2**20
+
+
+def test_degree_48_slice_gets_a_slice_rule_under_the_ceiling():
+    # The truncated kernel test function of the default n = 2 family is a
+    # series in z1 alone: its refined rule lifts the degree-208 disc rule.
+    phi = power_growth(2.0)
+    measure = make_measure(2, 0.0)
     f = to_series(kernel_test_function(phi, np.array([0.9, 0.0]), 0.0), 48)
-    with pytest.raises(UnsupportedRuleError, match=r"122,699,929 nodes.*16,777,216"):
-        rule_for_function(f, measure, phi, refine=1)
+    rule = rule_for_function(f, measure, phi, refine=1)
+    assert rule.rule_id.startswith("slice:n=2,alpha=0,zeta=(1+0j,0+0j),degree=208,t=17,")
+    assert rule.node_count == 53 * 209 * 17 < 2**24
+
+
+def test_oversized_slice_rule_is_refused_before_allocation():
+    # A kernel disc rule of degree 253 with 8192 angles has 127 * 8192 =
+    # 1,040,384 nodes; lifted by 17 t nodes it is 17.7M, over the ceiling.
+    measure = make_measure(2, 0.0)
+
+    def refused():
+        with pytest.raises(UnsupportedRuleError,
+                           match=r"slice rule with 17,686,528 nodes.*16,777,216"):
+            build_slice_rule(measure, np.array([1.0, 0.0]), 253, 17, angular_count=8192)
+
+    assert _peak_bytes(refused) < 2**20
+    rule = build_slice_rule(measure, np.array([1.0, 0.0]), 253, 1, angular_count=8192)
+    assert rule.node_count == 1_040_384
 
 
 @pytest.mark.parametrize("n", [1, 2])
