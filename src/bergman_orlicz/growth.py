@@ -78,7 +78,8 @@ def _log_grid(lo: float, hi: float, count: int) -> np.ndarray:
 
 def _as_nonnegative(t) -> np.ndarray:
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
+    # Written so that NaN, which compares False both ways, is refused too.
+    if not np.all(arr >= 0.0):
         raise DomainError("growth functions are defined on [0, inf) only")
     return arr
 

@@ -12,8 +12,11 @@ derivatives on a batch of points, and how to produce its radial derivative
 R f = sum_j z_j d f / d z_j as another representation in closed form.  The
 radial derivative of a kernel power is s <z, a> (1 - <z, a>)^(-s-1), which is
 a Product of a linear Series and another KernelPower, so the class is closed
-under R.  to_series() expands any representation into a truncated Series for
-the coefficient-level Cesaro path.
+under R.  A Series call walks the points in blocks of _SERIES_BLOCK, builds
+one power table per coordinate for each block and reads its value or all n
+partials from it, so its scratch memory does not grow with the number of
+terms times the number of points.  to_series() expands any representation
+into a truncated Series for the coefficient-level Cesaro path.
 
 The invariant gradient is (grad f)(z) composed with the Jacobian at 0 of the
 ball automorphism phi_z; chain_inequality_check verifies the pointwise chain
@@ -21,8 +24,10 @@ ball automorphism phi_z; chain_inequality_check verifies the pointwise chain
     (1-|z|^2) |R f| <= (1-|z|^2) |grad f| <= |invariant grad f|
 
 which holds exactly for these formulas.  gradient_sweep computes every
-quantity in that chain from one gradient evaluation; the chain check, the
-invariant gradient and the derivative modulars in norms.py all call it.
+quantity in that chain from one gradient evaluation, the last through the
+closed form |invariant grad f|^2 = (1-|z|^2)(|grad f|^2 - |Rf|^2) with no
+Jacobian; the chain check and the derivative modulars in norms.py call it.
+invariant_gradient keeps the vector form, through mobius_jacobian0_batch.
 """
 
 from __future__ import annotations
@@ -54,6 +59,23 @@ __all__ = [
     "function_from_spec",
     "function_to_spec",
 ]
+
+# Points per block of a Series evaluation: each power a block keeps is
+# _SERIES_BLOCK complex numbers (256 KiB).
+_SERIES_BLOCK = 16384
+
+
+def _blocks(count: int):
+    """(start, stop) of the point blocks a Series call walks, in order.
+
+    A last block of one point joins the block before it: numpy rounds an
+    in-place complex product differently for a single point, so a lone
+    point would change bits that the same point keeps inside a batch.
+    """
+    starts = list(range(0, count, _SERIES_BLOCK))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [count])
 
 
 class HoloFunction:
@@ -113,40 +135,60 @@ class Series(HoloFunction):
     def degree(self) -> int | None:
         return max((sum(m) for m in self.terms), default=0)
 
-    def _power_table(self, pts: np.ndarray) -> list[np.ndarray]:
+    def _power_table(self, pts: np.ndarray, exponents) -> list[dict]:
+        """Per coordinate j, {d: z_j^d} for the d in exponents[j].
+
+        z_j^d is the running product of d factors z_j, each written into a
+        buffer of its own: numpy rounds a complex product written over its
+        own factor differently for a single point.  Only the powers that are
+        read keep their buffer; the others are reused.
+        """
         tables = []
         for j in range(self.n):
-            dmax = max((m[j] for m in self.terms), default=0)
-            tab = np.empty((dmax + 1, pts.shape[0]), dtype=complex)
-            tab[0] = 1.0
-            for d in range(1, dmax + 1):
-                tab[d] = tab[d - 1] * pts[:, j]
-            tables.append(tab)
+            col = np.ascontiguousarray(pts[:, j])
+            power = np.ones(pts.shape[0], dtype=complex)
+            spare = None
+            rows = {}
+            for d in range(max(exponents[j], default=0) + 1):
+                if d:
+                    nxt = np.multiply(power, col, out=spare)
+                    spare = None if d - 1 in rows else power
+                    power = nxt
+                if d in exponents[j]:
+                    rows[d] = power
+            tables.append(rows)
         return tables
 
-    def _eval(self, pts):
-        out = np.zeros(pts.shape[0], dtype=complex)
-        if not self.terms:
-            return out
-        tab = self._power_table(pts)
-        for m in sorted(self.terms):
+    def _monomial_sum(self, tab: list[dict], terms, count: int) -> np.ndarray:
+        """sum c z^m over the (m, c) pairs of terms, in their order, read off tab."""
+        out = np.zeros(count, dtype=complex)
+        for m, c in terms:
             mono = tab[0][m[0]].copy()
             for j in range(1, self.n):
                 mono *= tab[j][m[j]]
-            out += self.terms[m] * mono
+            out += c * mono
+        return out
+
+    def _eval(self, pts):
+        terms = [(m, self.terms[m]) for m in sorted(self.terms)]
+        exponents = [{m[k] for m, _ in terms} for k in range(self.n)]
+        out = np.zeros(pts.shape[0], dtype=complex)
+        for lo, hi in _blocks(pts.shape[0]):
+            tab = self._power_table(pts[lo:hi], exponents)
+            out[lo:hi] = self._monomial_sum(tab, terms, hi - lo)
         return out
 
     def _partials(self, pts):
+        # d_j z^m = m_j z^(m - e_j): all n partials read one table of powers.
+        shifted = [[(m[:j] + (m[j] - 1,) + m[j + 1:], self.terms[m] * m[j])
+                    for m in sorted(self.terms) if m[j] > 0] for j in range(self.n)]
+        exponents = [{mm[k] for terms in shifted for mm, _ in terms} for k in range(self.n)]
         out = np.zeros((pts.shape[0], self.n), dtype=complex)
-        for j in range(self.n):
-            shifted = {}
-            for m, c in self.terms.items():
-                if m[j] > 0:
-                    mm = list(m)
-                    mm[j] -= 1
-                    shifted[tuple(mm)] = shifted.get(tuple(mm), 0.0) + c * m[j]
-            if shifted:
-                out[:, j] = Series(self.n, shifted)._eval(pts)
+        for lo, hi in _blocks(pts.shape[0]):
+            tab = self._power_table(pts[lo:hi], exponents)
+            for j, terms in enumerate(shifted):
+                if terms:
+                    out[lo:hi, j] = self._monomial_sum(tab, terms, hi - lo)
         return out
 
     def radial_derivative(self) -> "Series":
@@ -406,22 +448,36 @@ def slice_direction(f: HoloFunction) -> np.ndarray | None:
 def gradient_sweep(f: HoloFunction, pts: np.ndarray):
     """The four derivative quantities of f at the rows of pts, from one gradient.
 
-    Returns (1-|z|^2, |Rf(z)|, |grad f(z)|, invariant gradient), the last as
-    (N, n) vectors: row z gets grad(f o phi_z)(0)_j = sum_k d_k f(z) J_kj
-    with J the Jacobian of phi_z at 0.  Rf(z) = sum_j z_j d_j f(z).
+    Returns the (N,) arrays (1-|z|^2, |Rf(z)|, |grad f(z)|, |invariant grad
+    f(z)|), with Rf(z) = sum_j z_j d_j f(z).  The invariant gradient's norm
+    comes in closed form (Zhu, Spaces of Holomorphic Functions in the Unit
+    Ball, ch. 2): |inv grad f|^2 = (1-|z|^2)(|grad f|^2 - |Rf|^2), written
+    without the cancellation through Lagrange's identity as
+
+        (1-|z|^2) [(1-|z|^2)|grad f|^2 + sum_{i<j} |conj(z_i) d_j f - conj(z_j) d_i f|^2].
+
+    invariant_gradient keeps the vector form, through the Jacobian of phi_z.
     """
     grad = f._partials(pts)
     one_minus = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
     radial = np.abs(np.einsum("nj,nj->n", pts, grad))
     grad_norm = np.linalg.norm(grad, axis=1)
-    invariant = np.einsum("nk,nkj->nj", grad, mobius_jacobian0_batch(pts))
-    return one_minus, radial, grad_norm, invariant
+    inside = np.maximum(one_minus, 0.0)
+    acc = inside * grad_norm**2
+    for i in range(f.n):
+        for j in range(i + 1, f.n):
+            acc += np.abs(np.conj(pts[:, i]) * grad[:, j] - np.conj(pts[:, j]) * grad[:, i]) ** 2
+    return one_minus, radial, grad_norm, np.sqrt(inside * acc)
 
 
 def invariant_gradient(f: HoloFunction, points):
-    """Gradient of f composed with phi_z, taken at the origin; batch-aware."""
+    """Gradient of f composed with phi_z, taken at the origin; batch-aware.
+
+    Row z gets grad(f o phi_z)(0)_j = sum_k d_k f(z) J_kj with J the Jacobian
+    of phi_z at 0; its norm is gradient_sweep's closed form.
+    """
     pts, squeeze = _points_2d(points, f.n)
-    out = gradient_sweep(f, pts)[3]
+    out = np.einsum("nk,nkj->nj", f._partials(pts), mobius_jacobian0_batch(pts))
     return out[0] if squeeze else out
 
 
@@ -437,13 +493,15 @@ def chain_inequality_check(f: HoloFunction, points, tol: float = 1e-10) -> Chain
     """Verify (1-|z|^2)|Rf| <= (1-|z|^2)|grad f| <= |inv grad f| on the batch.
 
     worst_margin is the largest relative violation found (negative when the
-    chain holds strictly everywhere).
+    chain holds strictly everywhere).  The second leg is a sum-of-squares
+    identity: gradient_sweep's closed form is (1-|z|^2)^2 |grad f|^2 plus
+    (1-|z|^2) times a sum of squares, so only rounding can break it; the
+    first leg is Cauchy-Schwarz with |z| < 1.
     """
     pts, _ = _points_2d(points, f.n)
-    one_minus, radial, grad_norm, invariant = gradient_sweep(f, pts)
+    one_minus, radial, grad_norm, c = gradient_sweep(f, pts)
     a = one_minus * radial
     b = one_minus * grad_norm
-    c = np.linalg.norm(invariant, axis=1)
     floor = 1e-300
     margin_ab = (a - b) / np.maximum(b, floor)
     margin_bc = (b - c) / np.maximum(c, floor)

@@ -158,7 +158,7 @@ def derivative_modulars(f: HoloFunction, phi: GrowthFunction,
     one_minus, radial, grad_norm, invariant = gradient_sweep(f, pts)
     quantities = {
         "function": fvals,
-        "invariant_gradient": np.linalg.norm(invariant, axis=1),
+        "invariant_gradient": invariant,
         "weighted_gradient": one_minus * grad_norm,
         "weighted_radial": one_minus * radial,
     }

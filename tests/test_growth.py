@@ -106,6 +106,17 @@ def test_resolve_growth_rejects_unknown():
         resolve_growth("mystery:p=2")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: resolve_growth("power:p=2")(math.nan),
+    lambda: resolve_growth("power:p=2").derivative(np.array([1.0, math.nan])),
+    lambda: resolve_growth("powerlog:p=2,a=1").inverse(math.nan),
+], ids=["phi", "derivative", "inverse"])
+def test_growth_functions_refuse_nan(call):
+    # NaN compares False against 0, so a check for negatives alone lets it by.
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_power_growth_rejects_nonpositive_exponent():
     with pytest.raises(DomainError):
         power_growth(0.0)
