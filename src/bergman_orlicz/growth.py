@@ -14,8 +14,9 @@ harness suites consume:
   Phi^{-1} = Phi_0^{-1} . rho(Phi_1^{-1} / Phi_0^{-1}).
 
 All evaluators are vectorized over numpy arrays.  Where no closed form is
-available, inverses fall back to a monotone bisection with geometric bracket
-expansion.  Maximizations use golden_section_max, a vectorized golden
+available, inverses fall back to one safeguarded root-finder on the log axis:
+a geometric bracket from t = 1, then Illinois (regula falsi) steps with a
+bisection fallback.  Maximizations use golden_section_max, a vectorized golden
 section that the conjugate runs on a log axis and the Bloch seminorm in
 operators.py runs along radii and angles.
 """
@@ -63,8 +64,7 @@ __all__ = [
     "shipped_growth_ids",
 ]
 
-_BRACKET_HI_CAP = 1e280
-_BRACKET_LO_CAP = 1e-280
+_BRACKET_CAP = 1e280
 _CONJUGATE_T_CAP = 1e30
 _DELTA2_CAP = 1e12
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -157,8 +157,19 @@ class PseudoConcaveFunction:
 def _monotone_inverse(fn, targets: np.ndarray, label: str = "") -> np.ndarray:
     """Solve fn(t) = s elementwise for non-decreasing fn with fn(0) = 0.
 
-    Geometric bracket expansion from t = 1 followed by bisection on the log
-    axis.  Targets equal to 0 map to 0.
+    Solves g(u) = log fn(e^u) - log s on the log axis u = log t.  Each bracket
+    grows from u = 0 with a step that starts at log 4 and doubles, clamped at
+    u = +-log _BRACKET_CAP.  A root above the upper cap raises
+    UnboundedInverseError; one below the lower cap is pinned there, since
+    fn(0) = 0 puts tiny targets near t = 0.  Illinois (regula falsi) steps
+    (Dowell and Jarratt, BIT 11, 1971) then close the brackets: a secant
+    point that is not finite or leaves the bracket is replaced by the
+    midpoint, and one within half a tolerance of an end is moved that far
+    inside.  They stop once every bracket is narrower than _INVERSE_REL_TOL
+    or g is exactly 0.  Returns exp of the bracket midpoints; targets equal
+    to 0 map to 0.  A NaN from fn raises DomainError and a bracket still
+    open after _INVERSE_MAX_ITER steps raises UnboundedInverseError, both
+    naming the label.
     """
     s = np.asarray(targets, dtype=float)
     flat = s.reshape(-1)
@@ -166,48 +177,73 @@ def _monotone_inverse(fn, targets: np.ndarray, label: str = "") -> np.ndarray:
     live = flat > 0.0
     if not np.any(live):
         return out.reshape(s.shape)
+    name = label or "growth function"
+    log_s = np.log(flat[live])
 
-    tgt = flat[live]
-    lo = np.ones_like(tgt)
-    hi = np.ones_like(tgt)
+    def g(u, rows):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            val = np.log(fn(np.exp(u))) - log_s[rows]
+        nan = np.isnan(val)
+        if np.any(nan):
+            raise DomainError(f"{name} is NaN at t = {math.exp(u[nan][0]):g}; cannot invert it")
+        return val
 
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        need_up = fn(hi) < tgt
-        guard = 0
-        while np.any(need_up):
-            hi = np.where(need_up, 4.0 * hi, hi)
-            if np.any(hi[need_up] > _BRACKET_HI_CAP):
+    lo, hi = np.zeros_like(log_s), np.zeros_like(log_s)
+    glo = g(lo, np.arange(log_s.size))
+    ghi = glo.copy()
+    cap = math.log(_BRACKET_CAP)
+    u, step = 0.0, math.log(4.0)
+    while True:
+        up, down = ghi < 0.0, glo > 0.0
+        rows = np.flatnonzero(up | down)
+        if rows.size == 0:
+            break
+        if u == cap:
+            if np.any(up):
                 raise UnboundedInverseError(
-                    f"inverse bracket for {label or 'growth function'} exceeded"
-                    f" {_BRACKET_HI_CAP:g}"
-                )
-            need_up = fn(hi) < tgt
-            guard += 1
-            if guard > 600:
-                raise UnboundedInverseError(f"inverse bracket expansion stalled for {label}")
+                    f"inverse bracket for {name} exceeded {_BRACKET_CAP:g}")
+            lo[rows] = hi[rows] = -cap
+            break
+        u, step = min(u + step, cap), 2.0 * step
+        rising = up[rows]
+        val = g(np.where(rising, u, -u), rows)
+        r, v = rows[rising], val[rising]
+        lo[r], glo[r], hi[r], ghi[r] = hi[r], ghi[r], u, v
+        r, v = rows[~rising], val[~rising]
+        hi[r], ghi[r], lo[r], glo[r] = lo[r], glo[r], -u, v
 
-        need_down = fn(lo) > tgt
-        guard = 0
-        while np.any(need_down):
-            lo = np.where(need_down, 0.25 * lo, lo)
-            if np.any(lo < _BRACKET_LO_CAP):
-                # fn is continuous with fn(0)=0 so tiny targets pin t ~ 0.
-                lo = np.maximum(lo, _BRACKET_LO_CAP)
-                break
-            need_down = fn(lo) > tgt
-            guard += 1
-            if guard > 600:
-                break
+    def still_open():
+        # Far out on the axis adjacent doubles lie more than _INVERSE_REL_TOL apart.
+        return (hi - lo >= _INVERSE_REL_TOL) & (np.nextafter(lo, hi) < hi)
 
-        llo, lhi = np.log(lo), np.log(hi)
-        for _ in range(_INVERSE_MAX_ITER):
-            mid = 0.5 * (llo + lhi)
-            below = fn(np.exp(mid)) < tgt
-            llo = np.where(below, mid, llo)
-            lhi = np.where(below, lhi, mid)
-            if np.all(lhi - llo < _INVERSE_REL_TOL):
-                break
-    out[live] = np.exp(0.5 * (llo + lhi))
+    half = 0.5 * _INVERSE_REL_TOL
+    # Which end the last step moved: -1 the lower, +1 the upper.
+    moved = np.zeros(log_s.size, dtype=np.int8)
+    for _ in range(_INVERSE_MAX_ITER):
+        rows = np.flatnonzero(still_open())
+        if rows.size == 0:
+            break
+        a, b, ga, gb = lo[rows], hi[rows], glo[rows], ghi[rows]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            c = b - gb * (b - a) / (gb - ga)
+        # Once one end sits on the root at rounding level the secant point
+        # lands on it and plain regula falsi falls back to bisection; half a
+        # tolerance inside, the next step closes the bracket instead.
+        mid = 0.5 * (a + b)
+        nudged = np.clip(c, a + half, b - half)
+        c = np.where((a <= c) & (c <= b) & (a < nudged) & (nudged < b), nudged, mid)
+        gc = g(c, rows)
+        below, above = gc < 0.0, gc > 0.0
+        # Illinois: an end kept twice running has its value halved.
+        kept_a = np.where(moved[rows] > 0, 0.5 * ga, ga)
+        kept_b = np.where(moved[rows] < 0, 0.5 * gb, gb)
+        lo[rows], glo[rows] = np.where(above, a, c), np.where(above, kept_a, gc)
+        hi[rows], ghi[rows] = np.where(below, b, c), np.where(below, kept_b, gc)
+        moved[rows] = np.where(below, -1, 1)
+    if np.any(still_open()):
+        raise UnboundedInverseError(
+            f"inverse of {name} did not converge in {_INVERSE_MAX_ITER} steps")
+    out[live] = np.exp(0.5 * (lo + hi))
     return out.reshape(s.shape)
 
 
@@ -546,10 +582,11 @@ def interpolate_growth(phi0: GrowthFunction, phi1: GrowthFunction,
                        rho: PseudoConcaveFunction) -> GrowthFunction:
     """Growth function defined through Phi^{-1} = Phi0^{-1} rho(Phi1^{-1}/Phi0^{-1}).
 
-    The forward evaluator inverts that monotone expression by bisection.  The
-    combination is rejected with DomainError when rho fails
-    pseudo_concave_check, a hypothesis of the interpolation theorem, or when
-    the assembled inverse fails to be increasing on a probe grid.
+    The forward evaluator inverts that monotone expression with the
+    safeguarded log-axis root-finder of _monotone_inverse.  The combination
+    is rejected with DomainError when rho fails pseudo_concave_check, a
+    hypothesis of the interpolation theorem, or when the assembled inverse
+    fails to be increasing on a probe grid.
     """
     concave = pseudo_concave_check(rho)
     if not concave.ok:

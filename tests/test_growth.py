@@ -1,5 +1,6 @@
 """Growth-function calculus against closed-form oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergman_orlicz.errors import DomainError, FunctionSpecError
+from bergman_orlicz import growth as growth_module
+from bergman_orlicz.errors import DomainError, FunctionSpecError, UnboundedInverseError
 from bergman_orlicz.growth import (
+    _monotone_inverse,
     complementary,
     delta2_constant,
     equivalence_constants,
@@ -24,6 +27,9 @@ from bergman_orlicz.growth import (
     rho_power_log,
     shipped_growth_ids,
 )
+from bergman_orlicz.holo import Series
+from bergman_orlicz.measure import make_measure
+from bergman_orlicz.norms import luxemburg_norm, rule_for_function
 
 GRID = np.logspace(-6, 6, 600)
 
@@ -130,6 +136,86 @@ def test_inverse_is_right_inverse(p, t):
     y = float(phi(np.array([t]))[0])
     back = float(phi.inverse(np.array([y]))[0])
     assert back == pytest.approx(t, rel=1e-10)
+    # These have no closed-form Phi (interp) or Phi^{-1} (the rest), so the
+    # log-axis root-finder supplies one side of each round trip.
+    for gid in ("powerlog:p=2,a=1", "powerlog:p=1/2,a=1", "powerinvlog:p=2",
+                "interp:phi0=power:p=2,phi1=power:p=4,rho=power:theta=0.5"):
+        phi = resolve_growth(gid)
+        s = float(phi(np.array([t]))[0])
+        assert float(phi(phi.inverse(np.array([s])))[0]) == pytest.approx(s, rel=1e-12), gid
+
+
+def test_interpolated_power_growth_matches_its_closed_form():
+    # Phi^{-1} = s^{1/2} (s^{1/4} / s^{1/2})^{1/2} = s^{3/8}, so Phi(t) = t^{8/3}.
+    phi = interpolate_growth(power_growth(2), power_growth(4), rho_power(0.5))
+    t = np.logspace(-12, 12, 2001)
+    assert np.max(np.abs(phi(t) / t ** (8.0 / 3.0) - 1.0)) <= 1e-12
+
+
+def test_inverse_refuses_nan_from_the_function():
+    # NaN compares False both ways; a bracket built on it would close on t = 2.
+    with pytest.raises(DomainError, match="spiky"):
+        _monotone_inverse(lambda t: np.where(t > 2.0, math.nan, t * t),
+                          np.array([9.0]), label="spiky")
+
+
+def test_inverse_refuses_to_stop_at_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(growth_module, "_INVERSE_MAX_ITER", 2)
+    phi = resolve_growth("powerlog:p=2,a=1")
+    with pytest.raises(UnboundedInverseError, match=r"powerlog:p=2,a=1 did not converge"):
+        phi.inverse(np.array([0.3, 7.0]))
+
+
+def test_inverse_refuses_a_root_past_the_upper_cap():
+    with pytest.raises(UnboundedInverseError, match=r"for slow exceeded 1e\+280"):
+        _monotone_inverse(np.log1p, np.array([2.0, 1e4]), label="slow")
+
+
+def test_inverse_closes_brackets_where_adjacent_doubles_are_far_apart():
+    # Roots up to t ~ 1e274 (log t ~ 632), where one step of a double on the
+    # log axis exceeds the 1e-13 tolerance.
+    phi = resolve_growth("powerlog:p=1/2,a=1")
+    s = np.logspace(100, 140, 401)
+    assert np.max(np.abs(phi(phi.inverse(s)) / s - 1.0)) <= 1e-12
+
+
+def test_inverse_pins_roots_below_the_lower_cap():
+    # t^{1/10} = 1e-100 at t = 1e-1000; with fn(0) = 0 the answer is t ~ 0.
+    got = _monotone_inverse(lambda t: t ** 0.1, np.array([1e-100, 1e-10]))
+    assert got == pytest.approx([1e-280, 1e-100], rel=1e-12)
+
+
+def test_interpolated_phi_needs_few_inverse_evaluations():
+    # interpolation_power feeds Phi the node values of z^k / lambda at every
+    # step of each Luxembourg solve; count Phi0^{-1} calls per Phi call there.
+    # Bisection on the log axis took 53-68.
+    calls = {"inverse": 0, "phi": 0}
+    square = power_growth(2)
+
+    def counted_inverse(s):
+        calls["inverse"] += 1
+        return square.inv(s)
+
+    phi = interpolate_growth(dataclasses.replace(square, inv=counted_inverse),
+                             power_growth(4), rho_power(0.5))
+    forward = phi.fn
+
+    def counted_phi(t):
+        calls["phi"] += 1
+        return forward(t)
+
+    phi = dataclasses.replace(phi, fn=counted_phi)
+    target = power_growth(8.0 / 3.0)
+    per_call = []
+    for alpha in (0.0, 1.0):
+        for k in range(1, 5):
+            f = Series(1, {(k,): 1.0})
+            rule = rule_for_function(f, make_measure(1, alpha), target)
+            assert rule.points.shape[0] == 297
+            calls.update(inverse=0, phi=0)
+            luxemburg_norm(f, phi, rule)
+            per_call.append(calls["inverse"] / calls["phi"])
+    assert np.mean(per_call) <= 20.0, per_call
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3),
