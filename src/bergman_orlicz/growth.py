@@ -166,10 +166,12 @@ def _monotone_inverse(fn, targets: np.ndarray, label: str = "") -> np.ndarray:
     point that is not finite or leaves the bracket is replaced by the
     midpoint, and one within half a tolerance of an end is moved that far
     inside.  They stop once every bracket is narrower than _INVERSE_REL_TOL
-    or g is exactly 0.  Returns exp of the bracket midpoints; targets equal
-    to 0 map to 0.  A NaN from fn raises DomainError and a bracket still
-    open after _INVERSE_MAX_ITER steps raises UnboundedInverseError, both
-    naming the label.
+    or g is exactly 0.  An end where fn under- or overflows (g infinite)
+    makes the step a midpoint.  Returns exp of the bracket midpoints; targets
+    equal to 0 map to 0.  An infinite target raises UnboundedInverseError as
+    a root past the upper cap does.  A NaN from fn raises DomainError and a
+    bracket still open after _INVERSE_MAX_ITER steps raises
+    UnboundedInverseError, both naming the label.
     """
     s = np.asarray(targets, dtype=float)
     flat = s.reshape(-1)
@@ -178,6 +180,8 @@ def _monotone_inverse(fn, targets: np.ndarray, label: str = "") -> np.ndarray:
     if not np.any(live):
         return out.reshape(s.shape)
     name = label or "growth function"
+    if not np.all(np.isfinite(flat[live])):
+        raise UnboundedInverseError(f"inverse bracket for {name} exceeded {_BRACKET_CAP:g}")
     log_s = np.log(flat[live])
 
     def g(u, rows):
@@ -228,10 +232,14 @@ def _monotone_inverse(fn, targets: np.ndarray, label: str = "") -> np.ndarray:
             c = b - gb * (b - a) / (gb - ga)
         # Once one end sits on the root at rounding level the secant point
         # lands on it and plain regula falsi falls back to bisection; half a
-        # tolerance inside, the next step closes the bracket instead.
+        # tolerance inside, the next step closes the bracket instead.  An end
+        # where fn under- or overflows has g = -inf or +inf, which pins the
+        # secant point to the other end, so such brackets are bisected.
         mid = 0.5 * (a + b)
         nudged = np.clip(c, a + half, b - half)
-        c = np.where((a <= c) & (c <= b) & (a < nudged) & (nudged < b), nudged, mid)
+        secant = (np.isfinite(ga) & np.isfinite(gb) & (a <= c) & (c <= b)
+                  & (a < nudged) & (nudged < b))
+        c = np.where(secant, nudged, mid)
         gc = g(c, rows)
         below, above = gc < 0.0, gc > 0.0
         # Illinois: an end kept twice running has its value halved.

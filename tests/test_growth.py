@@ -185,6 +185,23 @@ def test_inverse_pins_roots_below_the_lower_cap():
     assert got == pytest.approx([1e-280, 1e-100], rel=1e-12)
 
 
+def test_inverse_bisects_where_the_function_underflows():
+    # t^3 log(e + t) = 1e-300 at t ~ 1e-100; the first bracket reaches down to
+    # t ~ e^-353, where fn underflows to 0 and g = -inf pins the secant point.
+    phi = resolve_growth("powerlog:p=3")
+    s = np.array([1e-250, 1e-300])
+    assert np.max(np.abs(phi(phi.inverse(s)) / s - 1.0)) <= 1e-12
+    # The interpolated Phi asks Phi0^{-1} for such targets at t ~ 1e-60.
+    interp = resolve_growth("interp:phi0=powerlog:p=3,phi1=power:p=4,rho=power:theta=0.5")
+    t = np.array([1e-45, 1e-60])
+    assert np.max(np.abs(interp.inverse(interp(t)) / t - 1.0)) <= 1e-12
+
+
+def test_inverse_refuses_an_infinite_target():
+    with pytest.raises(UnboundedInverseError, match=r"powerlog:p=2,a=1 exceeded 1e\+280"):
+        resolve_growth("powerlog:p=2").inverse(np.inf)
+
+
 def test_interpolated_phi_needs_few_inverse_evaluations():
     # interpolation_power feeds Phi the node values of z^k / lambda at every
     # step of each Luxembourg solve; count Phi0^{-1} calls per Phi call there.
