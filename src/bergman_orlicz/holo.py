@@ -39,7 +39,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, FunctionSpecError
-from .measure import _as_point, _points_2d, kernel_factor, mobius_jacobian0_batch
+from .measure import (
+    _as_point,
+    _points_2d,
+    kernel_factor,
+    kernel_modulus,
+    mobius_jacobian0_batch,
+)
 
 __all__ = [
     "HoloFunction",
@@ -105,6 +111,10 @@ class HoloFunction:
 
     def _partials(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _abs_eval(self, pts: np.ndarray) -> np.ndarray:
+        """|f| on a batch of points, the node values of modulars and norms."""
+        return np.abs(self._eval(pts))
 
 
 def _validate_index(m, n: int) -> tuple:
@@ -246,6 +256,12 @@ class KernelPower(HoloFunction):
 
     def _eval(self, pts):
         return self.scale * kernel_factor(pts, self.center, self.exponent)
+
+    def _abs_eval(self, pts):
+        # |scale| |1 - <z, center>|^(-exponent), with no complex log or exp.
+        mod = kernel_modulus(pts, self.center, self.exponent)
+        mod *= abs(self.scale)
+        return mod
 
     def _partials(self, pts):
         base = self.scale * self.exponent * kernel_factor(pts, self.center, self.exponent + 1.0)

@@ -24,7 +24,8 @@ rule's ",refined,angles=M" appended when angular_count is set.
 A rule holds 24 bytes per node at n = 1 and 40 at n = 2 (complex nodes plus
 real weights).  The n = 2 nodes are written from their 1-D factors straight
 into the result, with no node-sized temporaries, and kernel_factor evaluates
-its power in the one buffer of inner products.  Rules above
+its power in the one buffer of inner products; kernel_modulus, the modulus
+that norms need, works in that buffer plus one real array.  Rules above
 _MAX_RULE_NODES = 2^24 nodes (0.67 GB at n = 2), product or lifted, are
 refused with UnsupportedRuleError before any allocation.
 
@@ -63,6 +64,7 @@ __all__ = [
     "integrate",
     "mobius_apply",
     "kernel_factor",
+    "kernel_modulus",
 ]
 
 # Largest product rule build_rule constructs.  At n = 2 its nodes and weights
@@ -403,21 +405,40 @@ def mobius_jacobian0_batch(points: np.ndarray) -> np.ndarray:
     return -s[:, None, None] * eye[None, :, :] + (s / (1.0 + s))[:, None, None] * outer
 
 
+def _kernel_inner_products(z, w) -> tuple[np.ndarray, bool]:
+    """<z, w> for a batch z and one point w, refused unless |<z, w>| < 1."""
+    w = _as_point(w)
+    zz, squeeze = _points_2d(z, w.shape[0])
+    ip = zz @ np.conj(w)
+    if np.any(np.abs(ip) >= 1.0):
+        raise DomainError("kernel power needs |<z, w>| < 1")
+    return ip, squeeze
+
+
 def kernel_factor(z, w, exponent: float) -> np.ndarray:
     """Principal-branch kernel power (1 - <z, w>)^(-exponent).
 
     z may be a batch; w is a single point.  Requires |<z, w>| < 1, which holds
     whenever one argument is interior to the ball.
     """
-    w = _as_point(w)
-    n = w.shape[0]
-    zz, squeeze = _points_2d(z, n)
-    ip = zz @ np.conj(w)
-    if np.any(np.abs(ip) >= 1.0):
-        raise DomainError("kernel power needs |<z, w>| < 1")
+    ip, squeeze = _kernel_inner_products(z, w)
     # exp(-exponent * log(1 - ip)), evaluated in the one buffer ip owns.
     np.subtract(1.0, ip, out=ip)
     np.log(ip, out=ip)
     np.multiply(-exponent, ip, out=ip)
     np.exp(ip, out=ip)
     return ip[0] if squeeze else ip
+
+
+def kernel_modulus(z, w, exponent: float) -> np.ndarray:
+    """|1 - <z, w>|^(-exponent), the modulus of kernel_factor, in real arithmetic.
+
+    Same arguments and DomainError as kernel_factor.  1 - <z, w> is formed in
+    the buffer of the inner products and only its modulus is raised to the
+    power, in place, so no complex log or exp runs.
+    """
+    ip, squeeze = _kernel_inner_products(z, w)
+    np.subtract(1.0, ip, out=ip)
+    mod = np.abs(ip)
+    np.power(mod, -exponent, out=mod)
+    return mod[0] if squeeze else mod

@@ -6,7 +6,11 @@ modular(F / lambda) <= 1; for continuous unbounded Phi the map
 lambda -> modular(F / lambda) is monotone and continuous, so bisection with a
 doubling bracket always converges.  Node values of |F| are computed once per
 function and reused across the bisection, which keeps kernel-heavy norms
-affordable.
+affordable; a kernel power's come from measure.kernel_modulus, in real
+arithmetic.  They are checked once, where they are produced
+(measure._checked_node_values: one finite value per node), so a bisection
+step, modular_of_values, only evaluates Phi.fn, weights in place and sums.
+A NaN anywhere in Phi's output makes that sum NaN, which raises DomainError.
 
 Quadrature selection: polynomial integrands get a plain product rule with
 degree scaled to the function degree and the growth exponent; anything
@@ -72,15 +76,32 @@ class LuxNorm:
 
 def _node_values(f, rule: QuadratureRule) -> np.ndarray:
     """|f| at the rule nodes, for a HoloFunction or a vectorized callable."""
-    vals = f._eval(rule.points) if isinstance(f, HoloFunction) else f(rule.points)
-    return _checked_node_values(rule, np.abs(np.asarray(vals)))
+    if isinstance(f, HoloFunction):
+        vals = f._abs_eval(rule.points)
+    else:
+        vals = np.abs(np.asarray(f(rule.points)))
+    return _checked_node_values(rule, vals)
 
 
 def modular_of_values(values: np.ndarray, weights: np.ndarray,
                       phi: GrowthFunction, scale: float = 1.0) -> float:
-    """sum_i w_i Phi(values_i / scale); the workhorse behind modular and norms."""
+    """sum_i w_i Phi(values_i / scale); the workhorse behind modular and norms.
+
+    values must be moduli (non-negative), one finite value per weight, as
+    measure._checked_node_values checks where they are produced; they are
+    not checked again here, since a Luxembourg norm calls this once per step
+    on the same values.  Phi.fn runs without GrowthFunction's argument
+    check and the weights multiply its output in place.  A NaN sum raises
+    DomainError.
+    """
     with np.errstate(over="ignore"):
-        return float(np.sum(weights * phi(values / scale)))
+        y = phi.fn(values / scale)
+        y *= weights
+        total = float(y.sum())
+    if math.isnan(total):
+        raise DomainError(f"modular of {phi.name} is NaN; node values must be "
+                          "non-negative and finite")
+    return total
 
 
 def modular(f, phi: GrowthFunction, rule: QuadratureRule) -> ModularResult:
@@ -163,8 +184,9 @@ def derivative_modulars(f: HoloFunction, phi: GrowthFunction,
         "weighted_radial": one_minus * radial,
     }
     return {
-        kind: ModularResult(value=modular_of_values(vals, rule.weights, phi),
-                            rule_id=rule.rule_id)
+        kind: ModularResult(
+            value=modular_of_values(_checked_node_values(rule, vals), rule.weights, phi),
+            rule_id=rule.rule_id)
         for kind, vals in quantities.items()
     }
 

@@ -25,7 +25,7 @@ from scipy.special import roots_legendre
 from .errors import DomainError, SymbolInvariantError
 from .growth import GrowthFunction, golden_section_max
 from .holo import DEFAULT_TRUNCATION_DEGREE, HoloFunction, Series, to_series
-from .measure import WeightedMeasure, _points_2d, sphere_directions
+from .measure import WeightedMeasure, _checked_node_values, _points_2d, sphere_directions
 from .norms import luxemburg_norm, modular_of_values, rule_for_function
 
 __all__ = [
@@ -332,7 +332,7 @@ def cesaro_upper_bound_check(symbol: CesaroSymbol, phi: GrowthFunction,
             raise DomainError("upper-bound family must contain nonzero functions")
         pts = r.points
         one_minus = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
-        vals = one_minus * np.abs(f._eval(pts) * rg._eval(pts))
+        vals = _checked_node_values(r, one_minus * np.abs(f._eval(pts) * rg._eval(pts)))
         modulars.append(modular_of_values(vals, r.weights, phi, m_val * norm))
     worst = max(modulars) if modulars else 0.0
     return UpperBoundReport(worst_modular=worst, modulars=tuple(modulars),

@@ -3,8 +3,8 @@
 Each test pins the tolerance and the runtime cap it must meet and prints a
 single PASS line (visible under pytest -s; under plain pytest -v the test
 name itself is the per-criterion line).  Expected values come from closed
-forms or from the frozen calibration constants in bergman_orlicz.brackets,
-never from the code under test.
+forms or from the frozen calibration constant
+harness.CESARO_LOWER_OVER_M_MIN, never from the code under test.
 """
 
 import json
@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from bergman_orlicz import brackets, cli
+from bergman_orlicz import cli
 from bergman_orlicz.growth import (
     complementary,
     equivalence_constants,
@@ -28,6 +28,7 @@ from bergman_orlicz.growth import (
     shipped_growth_ids,
 )
 from bergman_orlicz.harness import (
+    CESARO_LOWER_OVER_M_MIN,
     verify_cesaro_boundedness,
     verify_cesaro_compactness,
     verify_derivative_equivalence,
@@ -171,7 +172,7 @@ def test_criterion_06_bloch_values():
 
 def test_criterion_07_boundedness_suite():
     t0 = time.monotonic()
-    c_min = brackets.CESARO_LOWER_OVER_M_MIN
+    c_min = CESARO_LOWER_OVER_M_MIN
     assert c_min > 0.1
     for p in (0.5, 2.0):
         for alpha in (0.0, 1.0):

@@ -159,6 +159,23 @@ def test_inverse_refuses_nan_from_the_function():
                           np.array([9.0]), label="spiky")
 
 
+def test_inverse_refuses_nan_targets():
+    # The root-finder maps targets <= 0 to 0; NaN compares False, so without
+    # its own check the interpolated Phi.fn read a NaN argument as 0.
+    with pytest.raises(DomainError, match="spiky"):
+        _monotone_inverse(lambda t: t * t, np.array([4.0, math.nan]), label="spiky")
+    phi = resolve_growth("interp:phi0=power:p=2,phi1=power:p=4,rho=power:theta=0.5")
+    with pytest.raises(DomainError):
+        phi.fn(np.array([0.5, math.nan]))
+
+
+def test_square_root_growth_is_the_half_power_bit_for_bit():
+    phi = resolve_growth("power:p=1/2")
+    assert phi.fn is np.sqrt
+    t = np.logspace(-300, 300, 60001)
+    assert phi.fn(t).tobytes() == np.power(t, 0.5).tobytes()
+
+
 def test_inverse_refuses_to_stop_at_the_iteration_cap(monkeypatch):
     monkeypatch.setattr(growth_module, "_INVERSE_MAX_ITER", 2)
     phi = resolve_growth("powerlog:p=2,a=1")

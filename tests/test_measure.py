@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from bergman_orlicz.errors import DomainError, UnsupportedRuleError
 from bergman_orlicz.growth import power_growth
 from bergman_orlicz.holo import test_function as kernel_test_function
-from bergman_orlicz.holo import Series, to_series
+from bergman_orlicz.holo import KernelPower, Series, to_series
 from bergman_orlicz.measure import (
     WeightedMeasure,
     _normalizing_constant,
@@ -24,6 +24,7 @@ from bergman_orlicz.measure import (
     build_slice_rule,
     integrate,
     kernel_factor,
+    kernel_modulus,
     make_measure,
     mobius_apply,
     mobius_jacobian0_batch,
@@ -262,3 +263,44 @@ def test_kernel_factor_refuses_boundary_inner_products():
         kernel_factor(np.array([[0.5, 0.0], [1.0, 0.0]]), w, 2.0)
     with pytest.raises(DomainError):
         kernel_factor(np.array([1.0j]), np.array([-1.0j]), 2.0)
+
+
+def _kernel_probe_rules(n, direction):
+    """Small rules of every kind a kernel norm runs on, with nodes near the sphere."""
+    if n == 1:
+        return [build_rule(make_measure(1, 0.0), degree=64, angular_count=4096)]
+    measure = make_measure(2, 0.0)
+    return [build_slice_rule(measure, direction, 64, 3, angular_count=2048),
+            build_rule(measure, degree=16, angular_count=96)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("radius", [0.5, 0.9, 0.99, 0.999, 0.9999])
+def test_kernel_modulus_matches_the_complex_kernel(n, radius):
+    direction = np.array([np.exp(0.3j), 0.0]) if n == 1 else np.array([0.6, 0.8j])
+    direction = direction[:n]
+    center = radius * direction
+    # Points on the ray through the centre, where the kernel peaks.
+    ray = (1.0 - np.logspace(-1, -12, 12))[:, None] * direction[None, :]
+    for rule in _kernel_probe_rules(n, direction):
+        pts = np.concatenate([rule.points, ray])
+        for exponent in (4.0, 9.0):
+            expected = np.abs(kernel_factor(pts, center, exponent))
+            got = kernel_modulus(pts, center, exponent)
+            assert np.max(np.abs(got / expected - 1.0)) <= 1e-13, rule.rule_id
+            f = KernelPower(center, exponent, scale=-2.5j)
+            node = f._abs_eval(pts)
+            assert np.max(np.abs(node / np.abs(f._eval(pts)) - 1.0)) <= 1e-13
+    assert kernel_modulus(pts[3], center, 4.0) == kernel_modulus(pts[3:4], center, 4.0)[0]
+
+
+@pytest.mark.parametrize("pts, w", [
+    (np.array([[0.5, 0.0], [1.0, 0.0]]), np.array([1.0 + 0.0j, 0.0j])),
+    (np.array([1.0j]), np.array([-1.0j])),
+])
+def test_kernel_modulus_refuses_what_kernel_factor_refuses(pts, w):
+    with pytest.raises(DomainError) as factor_err:
+        kernel_factor(pts, w, 2.0)
+    with pytest.raises(DomainError) as modulus_err:
+        kernel_modulus(pts, w, 2.0)
+    assert str(modulus_err.value) == str(factor_err.value)

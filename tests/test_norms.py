@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergman_orlicz.errors import NonFiniteIntegrandError
-from bergman_orlicz.growth import power_growth, power_log_growth, resolve_growth
+from bergman_orlicz import norms as norms_module
+from bergman_orlicz.errors import DomainError, NonFiniteIntegrandError
+from bergman_orlicz.growth import (
+    power_growth,
+    power_log_growth,
+    resolve_growth,
+    shipped_growth_ids,
+)
 from bergman_orlicz.holo import Series
 from bergman_orlicz.measure import build_rule, make_measure
 from bergman_orlicz.norms import (
@@ -16,6 +22,7 @@ from bergman_orlicz.norms import (
     derivative_pointwise_constant,
     luxemburg_norm,
     modular,
+    modular_of_values,
     pointwise_bound_constant,
     rule_for_function,
     small_type_estimate_check,
@@ -91,6 +98,73 @@ def test_modular_overflow_is_reported_with_node():
     with np.errstate(over="ignore"), pytest.raises(NonFiniteIntegrandError) as err:
         luxemburg_norm(f, power_growth(2), rule)
     assert err.value.node_index is not None
+
+
+@pytest.mark.parametrize("gid", shipped_growth_ids())
+def test_modular_of_values_is_the_checked_formula_bit_for_bit(gid):
+    # The step skips GrowthFunction's argument check and weights in place;
+    # on checked node values it must give exactly what the checked call gave.
+    phi = resolve_growth(gid)
+    values = np.array([0.0, 1e-300, 1e-8, 0.25, 1.0, 3.5, 1e6, 0.0])
+    if not gid.startswith("interp"):
+        # Phi overflows to inf here for every exponent >= 2 (the interpolated
+        # Phi refuses roots past 1e280 on both paths instead).
+        values = np.concatenate([values, [1e200, 1e300]])
+    weights = np.random.default_rng(7).random(values.size)
+    weights /= weights.sum()
+    for scale in (1.0, 0.37, 1e-3):
+        with np.errstate(over="ignore"):
+            old = float(np.sum(weights * phi(values / scale)))
+        assert modular_of_values(values, weights, phi, scale) == old
+    if gid == "power:p=2":
+        assert old == math.inf
+
+
+@pytest.mark.parametrize("gid", ["power:p=2", "power:p=1/2", "powerlog:p=2",
+                                 "interp:phi0=power:p=2,phi1=power:p=4,rho=power:theta=0.5"])
+def test_modular_of_values_refuses_nan(gid):
+    values = np.array([0.5, math.nan, 1.0])
+    with pytest.raises(DomainError):
+        modular_of_values(values, np.full(3, 1.0 / 3.0), resolve_growth(gid))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_derivative_modulars_refuse_nonfinite_node_values(monkeypatch, bad):
+    # The four arrays skip _node_values, so each is checked once where it is
+    # built: a non-finite gradient names its node instead of reaching Phi.
+    measure = make_measure(1, 0.0)
+    phi = power_growth(2)
+    f = Series(1, {(1,): 1.0, (3,): 0.5})
+    rule = rule_for_function(f, measure, phi)
+    monkeypatch.setattr(Series, "_partials",
+                        lambda self, pts: np.full((pts.shape[0], self.n), complex(bad)))
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIntegrandError) as err:
+        derivative_modulars(f, phi, rule)
+    assert err.value.node_index == 0
+
+
+# Luxembourg steps of t^2, alpha = 0, n = 1 at the test_functions radii; the
+# benchmark's traced count check rests on these.
+_TEST_FUNCTION_STEPS = {0.0: 34, 0.5: 39, 0.9: 45, 0.99: 51, 0.999: 58}
+
+
+@pytest.mark.parametrize("radius", sorted(_TEST_FUNCTION_STEPS))
+def test_luxemburg_step_counts_are_pinned(monkeypatch, radius):
+    calls = []
+    real = norms_module.modular_of_values
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(norms_module, "modular_of_values", counted)
+    phi = power_growth(2)
+    f = kernel_test_function(phi, np.array([radius + 0j]), 0.0)
+    rule = rule_for_function(f, make_measure(1, 0.0), phi)
+    res = luxemburg_norm(f, phi, rule)
+    assert res.iterations == _TEST_FUNCTION_STEPS[radius]
+    # one seed evaluation, one per step, one for the residual
+    assert len(calls) == res.iterations + 2
 
 
 def test_derivative_modulars_are_ordered_and_share_rule():

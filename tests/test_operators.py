@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bergman_orlicz.errors import SymbolInvariantError
+from bergman_orlicz.errors import NonFiniteIntegrandError, SymbolInvariantError
 from bergman_orlicz.growth import power_growth
 from bergman_orlicz.holo import KernelPower, Series
 from bergman_orlicz.holo import test_function as kernel_test_function
@@ -156,3 +156,14 @@ def test_identity_check_survives_fraction_round_trip():
     g = Series(1, {(1,): Fraction(3, 7)})
     rep = radial_derivative_identity_check(CesaroSymbol(g), f, ball_points(1, 4))
     assert rep.coefficient_deviation == 0.0
+
+
+def test_upper_bound_check_refuses_nonfinite_integrand(monkeypatch):
+    # The norm reads |f| through kernel_modulus; the integrand f Rg is built
+    # from f._eval, so a NaN there must name its node, not reach Phi.
+    f = KernelPower(np.array([0.5 + 0j]), 4.0)
+    monkeypatch.setattr(KernelPower, "_eval",
+                        lambda self, pts: np.full(pts.shape[0], complex(math.nan)))
+    sym = CesaroSymbol(Series(1, {(1,): 1.0}))
+    with pytest.raises(NonFiniteIntegrandError):
+        cesaro_upper_bound_check(sym, power_growth(2), make_measure(1, 0.0), [f], bloch_m=0.5)
