@@ -50,12 +50,6 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_INTERNAL = 70
 
-_CONFIG_KEYS = {
-    "schema", "n", "alpha", "growth", "seed", "degree", "suites",
-    "symbols", "interpolation", "small_type_p", "tolerances",
-}
-
-
 def canonical_json(doc) -> str:
     """The one serialization used everywhere; reparse + redump is a fixpoint."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -171,6 +165,39 @@ def cmd_cesaro(args) -> int:
 # verify
 
 
+def _converts(value, kind=float) -> bool:
+    """Whether kind(value) succeeds, as it must where the config is read."""
+    try:
+        kind(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
+
+
+def _numbers(table, keys: set, every: bool) -> bool:
+    """Whether table is an object of numbers keyed from keys, by every key if every."""
+    return (isinstance(table, dict) and set(table) <= keys
+            and (not every or set(table) == keys)
+            and all(_converts(v) for v in table.values()))
+
+
+# What each checked config value must be, and its check.
+_CONFIG_CHECKS = {
+    "n": ("an integer", lambda v: _converts(v, int)),
+    "alpha": ("a number", _converts),
+    "seed": ("an integer", lambda v: _converts(v, int)),
+    "degree": ("an integer", lambda v: _converts(v, int)),
+    "suites": ("a list of known suite names", lambda v: isinstance(v, list) and all(
+        isinstance(x, str) and x in SUITES for x in v)),
+    "symbols": ("null or a list of function specs", lambda v: v is None or isinstance(v, list)),
+    "interpolation": ("an object of the numbers p0, p1 and theta",
+                      lambda v: _numbers(v, {"p0", "p1", "theta"}, every=True)),
+    "small_type_p": ("a number", _converts),
+    "tolerances": ("an object of numbers with keys from ['cesaro_upper']",
+                   lambda v: _numbers(v, {"cesaro_upper"}, every=False)),
+}
+
+
 def _effective_config(args) -> dict:
     doc = {}
     if args.config:
@@ -181,9 +208,13 @@ def _effective_config(args) -> dict:
             raise FunctionSpecError(
                 f"unsupported config schema {doc.get('schema')!r};"
                 f" expected {CONFIG_SCHEMA!r}")
-        unknown = set(doc) - _CONFIG_KEYS
+        unknown = set(doc) - {"schema", "growth"} - set(_CONFIG_CHECKS)
         if unknown:
             raise FunctionSpecError(f"unknown config keys: {sorted(unknown)}")
+        for key, (expected, ok) in _CONFIG_CHECKS.items():
+            if key in doc and not ok(doc[key]):
+                raise FunctionSpecError(
+                    f"config key {key!r} must be {expected}, got {doc[key]!r}")
     cfg = {
         "schema": CONFIG_SCHEMA,
         "n": int(doc.get("n", 1)),

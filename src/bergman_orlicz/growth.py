@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 _BRACKET_CAP = 1e280
+_FLOAT_MAX = np.finfo(float).max
 _CONJUGATE_T_CAP = 1e30
 _DELTA2_CAP = 1e12
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -316,7 +317,8 @@ def power_inv_log_growth(p=2.0, a=1.0) -> GrowthFunction:
         raise DomainError("power_inv_log_growth needs p > 1 + 0.35 a")
 
     def fn(t):
-        return np.power(t, p) / np.log(np.e + t) ** a
+        # The log reads t capped at the largest float: Phi(inf) = inf, not inf / inf.
+        return np.power(t, p) / np.log(np.e + np.minimum(t, _FLOAT_MAX)) ** a
 
     def deriv(t):
         lg = np.log(np.e + t)

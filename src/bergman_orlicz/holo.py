@@ -32,8 +32,10 @@ invariant_gradient keeps the vector form, through mobius_jacobian0_batch.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -126,10 +128,10 @@ def _validate_index(m, n: int) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class Series(HoloFunction):
-    """Finite power series sum_m c_m z^m over multi-indices of length n."""
+    """Power series sum_m c_m z^m; Fraction coefficients stay exact, any other is complex."""
 
     n: int
-    terms: Mapping[tuple, complex] = field(repr=False)
+    terms: Mapping[tuple, complex | Fraction] = field(repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -137,9 +139,9 @@ class Series(HoloFunction):
         clean = {}
         for m, c in self.terms.items():
             idx = _validate_index(m, self.n)
-            c = complex(c)
-            if c != 0.0:
-                clean[idx] = clean.get(idx, 0.0) + c
+            c = c if isinstance(c, Fraction) else complex(c)
+            if c != 0:
+                clean[idx] = clean.get(idx, 0) + c
         object.__setattr__(self, "terms", clean)
 
     def degree(self) -> int | None:
@@ -176,7 +178,7 @@ class Series(HoloFunction):
             mono = tab[0][m[0]].copy()
             for j in range(1, self.n):
                 mono *= tab[j][m[j]]
-            out += c * mono
+            out += complex(c) * mono
         return out
 
     def _eval(self, pts):
@@ -207,18 +209,10 @@ class Series(HoloFunction):
     def scaled(self, c: complex) -> "Series":
         return Series(self.n, {m: v * complex(c) for m, v in self.terms.items()})
 
-    def plus(self, other: "Series") -> "Series":
-        if other.n != self.n:
-            raise DomainError("dimension mismatch in series addition")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0.0) + c
-        return Series(self.n, terms)
-
     def times(self, other: "Series", max_degree: int | None = None) -> "Series":
         if other.n != self.n:
             raise DomainError("dimension mismatch in series product")
-        terms: dict[tuple, complex] = {}
+        terms = {}
         for ma in sorted(self.terms):
             ca = self.terms[ma]
             da = sum(ma)
@@ -226,7 +220,7 @@ class Series(HoloFunction):
                 if max_degree is not None and da + sum(mb) > max_degree:
                     continue
                 key = tuple(x + y for x, y in zip(ma, mb))
-                terms[key] = terms.get(key, 0.0) + ca * other.terms[mb]
+                terms[key] = terms.get(key, 0) + ca * other.terms[mb]
         return Series(self.n, terms)
 
 
@@ -346,21 +340,20 @@ DEFAULT_TRUNCATION_DEGREE = 48
 
 
 def _kernel_to_series(kp: KernelPower, degree: int) -> Series:
-    """Binomial expansion of (1 - w)^(-s), w = <z, center>, to total degree."""
-    n = kp.n
-    linear = Series(n, {tuple(int(i == j) for i in range(n)): np.conj(kp.center[j])
-                        for j in range(n)})
-    acc = Series(n, {(0,) * n: kp.scale})
-    out = acc
-    coeff = 1.0
-    power = Series(n, {(0,) * n: 1.0})
-    for k in range(1, degree + 1):
-        coeff = coeff * (kp.exponent + k - 1.0) / k
-        power = power.times(linear, max_degree=degree)
-        if not power.terms:
-            break
-        out = out.plus(power.scaled(kp.scale * coeff))
-    return out
+    """Taylor expansion of c (1 - <z, a>)^(-s) to total degree: z^m gets
+    conj(a)^m c [(s)_k / k!] [k! / m!], k = |m|, from running products."""
+    rising = list(itertools.accumulate(range(1, degree + 1), initial=1.0,
+                                       func=lambda c, k: c * (kp.exponent + k - 1.0) / k))
+    powers = [list(itertools.accumulate([complex(w)] * degree, lambda x, y: x * y,
+                                        initial=1.0 + 0.0j)) for w in np.conj(kp.center)]
+    terms = {}
+    for m in itertools.product(range(degree + 1), repeat=kp.n):
+        k = sum(m)
+        if k <= degree:
+            multinomial = math.factorial(k) // math.prod(map(math.factorial, m))
+            mono = math.prod(p[d] for p, d in zip(powers, m))
+            terms[m] = mono * (kp.scale * (rising[k] * multinomial))
+    return Series(kp.n, terms)
 
 
 def to_series(f: HoloFunction, degree: int = DEFAULT_TRUNCATION_DEGREE) -> Series:
@@ -370,10 +363,11 @@ def to_series(f: HoloFunction, degree: int = DEFAULT_TRUNCATION_DEGREE) -> Serie
     if isinstance(f, KernelPower):
         return _kernel_to_series(f, degree)
     if isinstance(f, Sum):
-        out = to_series(f.parts[0], degree)
-        for p in f.parts[1:]:
-            out = out.plus(to_series(p, degree))
-        return out
+        terms = {}
+        for p in f.parts:
+            for m, c in to_series(p, degree).terms.items():
+                terms[m] = terms.get(m, 0) + c
+        return Series(f.n, terms)
     if isinstance(f, Product):
         return to_series(f.left, degree).times(to_series(f.right, degree), max_degree=degree)
     raise DomainError(f"cannot expand {type(f).__name__} into a series")
@@ -641,7 +635,8 @@ def function_to_spec(f: HoloFunction) -> dict:
         return {
             "kind": "series",
             "n": f.n,
-            "terms": [[list(m), f.terms[m].real, f.terms[m].imag] for m in sorted(f.terms)],
+            "terms": [[list(m), complex(c).real, complex(c).imag]
+                      for m, c in sorted(f.terms.items())],
         }
     if isinstance(f, KernelPower):
         return {

@@ -5,9 +5,9 @@ coefficient algebra: with f = sum a_m z^m and Rg = sum b_k z^k (no constant
 term), every output monomial z^(m+k) picks up the factor 1/(|m|+|k|).  Since
 |m+k| = |m|+|k|, applying R to the output multiplies each coefficient right
 back, which is the operator identity R(T_g f) = f Rg driving the boundedness
-and compactness arguments.  The identity check below re-runs that divide-
-multiply pipeline in exact rational arithmetic, where the deviation is
-literally zero, and separately samples the floating-point path.
+and compactness arguments.  The identity check below runs that production
+path, cesaro_apply_exact, on exact Fraction series, where both sides must
+agree to the last bit, and separately samples the floating-point path.
 
 The symbol size that controls everything is the Bloch seminorm
 M = sup (1-|z|^2)|Rg(z)|, estimated by a radius/direction grid with
@@ -65,37 +65,24 @@ class CesaroSymbol:
         return self.g.n
 
 
-def _series_pair(symbol: CesaroSymbol, f: HoloFunction,
-                 truncation_degree: int) -> tuple[Series, Series]:
-    """Truncate symbol and argument to Series; Rg recomputed post-truncation."""
-    if isinstance(symbol.g, Series):
-        rg = symbol.rg if isinstance(symbol.rg, Series) else to_series(symbol.rg,
-                                                                       truncation_degree)
-    else:
-        rg = to_series(symbol.g, truncation_degree).radial_derivative()
-    fs = f if isinstance(f, Series) else to_series(f, truncation_degree)
-    zero = (0,) * rg.n
-    if zero in rg.terms:
-        raise SymbolInvariantError("radial derivative of the symbol has a constant term")
-    return fs, rg
-
-
 def cesaro_apply_exact(symbol: CesaroSymbol, f: HoloFunction,
                        truncation_degree: int = DEFAULT_TRUNCATION_DEGREE) -> Series:
     """T_g f by the coefficient formula: z^(m+k) gets a_m b_k / (|m|+|k|).
 
-    Non-Series inputs are truncated to Series at truncation_degree first.
+    Non-Series inputs (a symbol before its Rg) are truncated at truncation_degree.
     """
-    fs, rg = _series_pair(symbol, f, truncation_degree)
+    rg = symbol.rg if isinstance(symbol.g, Series) else to_series(
+        symbol.g, truncation_degree).radial_derivative()
+    fs = f if isinstance(f, Series) else to_series(f, truncation_degree)
     if fs.n != rg.n:
         raise DomainError("symbol and argument live on different balls")
-    out: dict[tuple, complex] = {}
+    out = {}
     for m in sorted(fs.terms):
         am = fs.terms[m]
         dm = sum(m)
         for k in sorted(rg.terms):
             j = tuple(x + y for x, y in zip(m, k))
-            out[j] = out.get(j, 0.0) + am * rg.terms[k] / (dm + sum(k))
+            out[j] = out.get(j, 0) + am * rg.terms[k] / (dm + sum(k))
     return Series(fs.n, out)
 
 
@@ -121,16 +108,10 @@ def cesaro_apply_numeric(symbol: CesaroSymbol, f: HoloFunction, z):
 # The operator identity R(T_g f) = f Rg
 
 
-def _frac(c: complex) -> tuple[Fraction, Fraction]:
-    return (Fraction(c.real), Fraction(c.imag))
-
-
-def _frac_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _frac_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
+def _fraction_parts(s: Series) -> tuple[Series, Series]:
+    """x and y with s = x + i y, as Series of exact Fractions (floats embed exactly)."""
+    return (Series(s.n, {m: Fraction(c.real) for m, c in s.terms.items()}),
+            Series(s.n, {m: Fraction(c.imag) for m, c in s.terms.items()}))
 
 
 @dataclass(frozen=True)
@@ -145,42 +126,31 @@ def radial_derivative_identity_check(symbol: CesaroSymbol, f: Series,
                                      samples) -> IdentityReport:
     """Verify R(T_g f) = f Rg, exactly on coefficients and on sample points.
 
-    The coefficient pass redoes the divide-by-degree / multiply-by-degree
-    pipeline in rational arithmetic (floats embed exactly into Fraction), so
-    any nonzero deviation would expose a real algebraic defect, not rounding.
-    The sample pass evaluates both sides of the identity with ordinary float
-    series and reports the worst absolute gap.
+    The coefficient pass compares R of cesaro_apply_exact with Series.times
+    exactly, on the Fraction real and imaginary parts of f and g; T_g f is
+    real-bilinear in (f, Rg), so the four pairs of parts cover the identity.
+    The sample pass evaluates both sides with the complex series and reports
+    the worst absolute gap.
     """
     if not isinstance(f, Series) or not isinstance(symbol.g, Series):
         raise DomainError("the identity check takes Series symbol and argument")
-    rg = symbol.rg
-    zero = (0,) * f.n
-    if zero in rg.terms:
-        raise SymbolInvariantError("radial derivative of the symbol has a constant term")
-
-    conv: dict[tuple, tuple[Fraction, Fraction]] = {}
-    for m, am in f.terms.items():
-        fa = _frac(am)
-        for k, bk in rg.terms.items():
-            j = tuple(x + y for x, y in zip(m, k))
-            prod = _frac_mul(fa, _frac(bk))
-            conv[j] = _frac_add(conv[j], prod) if j in conv else prod
     worst = Fraction(0)
-    for j, c in conv.items():
-        d = sum(j)
-        t_coeff = (c[0] / d, c[1] / d)
-        rt_coeff = (t_coeff[0] * d, t_coeff[1] * d)
-        gap = max(abs(rt_coeff[0] - c[0]), abs(rt_coeff[1] - c[1]))
-        worst = max(worst, gap)
+    parts = [CesaroSymbol(gp) for gp in _fraction_parts(symbol.g)]
+    for fp in _fraction_parts(f):
+        for part in parts:
+            lhs = cesaro_apply_exact(part, fp).radial_derivative()
+            rhs = fp.times(part.rg)
+            for j in lhs.terms.keys() | rhs.terms.keys():
+                worst = max(worst, abs(lhs.terms.get(j, 0) - rhs.terms.get(j, 0)))
 
     tf = cesaro_apply_exact(symbol, f)
     lhs = tf.radial_derivative()
     pts, _ = _points_2d(samples, f.n)
-    gap_f = np.abs(lhs._eval(pts) - f._eval(pts) * rg._eval(pts))
+    gap_f = np.abs(lhs._eval(pts) - f._eval(pts) * symbol.rg._eval(pts))
     return IdentityReport(
         coefficient_deviation=float(worst),
         sample_deviation=float(np.max(gap_f)) if gap_f.size else 0.0,
-        output_terms=len(conv),
+        output_terms=len(tf.terms),
         sample_points=pts.shape[0],
     )
 

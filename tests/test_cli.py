@@ -99,6 +99,20 @@ def test_unknown_config_key_is_data_error(capsys):
         assert key in err
 
 
+@pytest.mark.parametrize("config, key", [
+    ('{"interpolation":{"p0":2}}', "interpolation"),
+    ('{"n":"x"}', "'n'"),
+    ('{"suites":"small_type"}', "suites"),
+    ('{"suites":["smal_type"]}', "smal_type"),
+    ('{"tolerances":{"cesaro_uper":0.5}}', "cesaro_uper"),
+])
+def test_malformed_config_value_is_data_error(capsys, config, key):
+    code, out, err = run(capsys, ["verify", "--config", config])
+    assert code == 65
+    assert out == ""
+    assert key in err
+
+
 @pytest.mark.parametrize("n", [3, 9])
 def test_out_of_range_dimension_is_data_error(capsys, n):
     code, _, err = run(capsys, ["verify", "--config", json.dumps({"n": n})])

@@ -267,3 +267,14 @@ def test_inv_log_growth_is_small_near_zero_large_far_out():
     # t^2 / log(e + t): at t=1 the denominator is log(e+1) > 1.
     val = float(phi(np.array([1.0]))[0])
     assert val == pytest.approx(1.0 / math.log(math.e + 1.0), rel=1e-12)
+
+
+def test_closed_form_families_are_infinite_at_infinity():
+    # interp ids are left out: their inverse refuses an infinite target.
+    ids = [gid for gid in shipped_growth_ids() if gid.split(":")[0] in
+           ("power", "powerlog", "powerinvlog")]
+    assert any(gid.startswith("powerinvlog:") for gid in ids)
+    for gid in ids:
+        phi = resolve_growth(gid)
+        assert phi(np.array([np.inf])).tolist() == [math.inf], gid
+        assert phi(math.inf) == math.inf, gid

@@ -235,3 +235,13 @@ def test_truncation_drops_high_degrees():
     f = Series(1, {(k,): 1.0 for k in range(10)})
     g = to_series(f, degree=4)
     assert max(sum(m) for m in g.terms) == 4
+
+
+def test_off_axis_kernel_series_matches_closed_form():
+    # An n = 2 centre off both coordinate axes uses every multinomial k!/m!.
+    v = np.array([0.3 + 0.2j, -0.1 + 0.4j])
+    kp = KernelPower(center=0.5 * v / np.linalg.norm(v), exponent=3.0, scale=2.0 - 1j)
+    poly = to_series(kp)
+    pts = random_points(2, 40, radius=0.5)
+    gap = np.abs(kp.eval(pts) - poly.eval(pts))
+    assert np.max(gap) < 1e-13

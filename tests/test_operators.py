@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bergman_orlicz import operators
 from bergman_orlicz.errors import NonFiniteIntegrandError, SymbolInvariantError
 from bergman_orlicz.growth import power_growth
 from bergman_orlicz.holo import KernelPower, Series
@@ -167,3 +168,38 @@ def test_upper_bound_check_refuses_nonfinite_integrand(monkeypatch):
     sym = CesaroSymbol(Series(1, {(1,): 1.0}))
     with pytest.raises(NonFiniteIntegrandError):
         cesaro_upper_bound_check(sym, power_growth(2), make_measure(1, 0.0), [f], bloch_m=0.5)
+
+
+def test_fraction_coefficients_stay_exact():
+    f = Series(1, {(1,): Fraction(1, 3)})
+    prod = f.times(Series(1, {(0,): Fraction(2, 5), (2,): Fraction(1, 7)}))
+    assert prod.terms == {(1,): Fraction(2, 15), (3,): Fraction(1, 21)}
+    assert all(type(c) is Fraction for c in prod.terms.values())
+    out = cesaro_apply_exact(CesaroSymbol(Series(1, {(2,): Fraction(1, 7)})), f)
+    # T_g f for g = z^2/7, f = z/3: z^3 gets (1/3)(2/7) / 3.
+    assert out.terms == {(3,): Fraction(2, 63)}
+    assert all(type(c) is Fraction for c in out.terms.values())
+
+
+def _doubled(symbol, f, truncation_degree=None):
+    return Series(f.n, {m: 2 * c for m, c in cesaro_apply_exact(symbol, f).terms.items()})
+
+
+def _shifted_divisor(symbol, f, truncation_degree=None):
+    out = {}
+    for m, a in f.terms.items():
+        for k, b in symbol.rg.terms.items():
+            j = tuple(x + y for x, y in zip(m, k))
+            out[j] = out.get(j, 0) + a * b / (sum(m) + sum(k) + 1)
+    return Series(f.n, out)
+
+
+@pytest.mark.parametrize("wrong", [_doubled, _shifted_divisor])
+def test_identity_check_catches_a_wrong_operator(monkeypatch, wrong):
+    # The coefficient pass runs the production operator, so a defect there
+    # shows as a nonzero exact deviation.
+    monkeypatch.setattr(operators, "cesaro_apply_exact", wrong)
+    g = Series(1, {(1,): 1.0 + 0.5j, (2,): -0.25})
+    f = Series(1, {(0,): 1.0, (1,): 0.5j})
+    rep = radial_derivative_identity_check(CesaroSymbol(g), f, ball_points(1, 4))
+    assert rep.coefficient_deviation > 0.0
