@@ -21,6 +21,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -165,89 +166,6 @@ def cmd_cesaro(args) -> int:
 # verify
 
 
-def _converts(value, kind=float) -> bool:
-    """Whether kind(value) succeeds, as it must where the config is read."""
-    try:
-        kind(value)
-    except (TypeError, ValueError, OverflowError):
-        return False
-    return True
-
-
-def _numbers(table, keys: set, every: bool) -> bool:
-    """Whether table is an object of numbers keyed from keys, by every key if every."""
-    return (isinstance(table, dict) and set(table) <= keys
-            and (not every or set(table) == keys)
-            and all(_converts(v) for v in table.values()))
-
-
-# What each checked config value must be, and its check.
-_CONFIG_CHECKS = {
-    "n": ("an integer", lambda v: _converts(v, int)),
-    "alpha": ("a number", _converts),
-    "seed": ("an integer", lambda v: _converts(v, int)),
-    "degree": ("an integer", lambda v: _converts(v, int)),
-    "suites": ("a list of known suite names", lambda v: isinstance(v, list) and all(
-        isinstance(x, str) and x in SUITES for x in v)),
-    "symbols": ("null or a list of function specs", lambda v: v is None or isinstance(v, list)),
-    "interpolation": ("an object of the numbers p0, p1 and theta",
-                      lambda v: _numbers(v, {"p0", "p1", "theta"}, every=True)),
-    "small_type_p": ("a number", _converts),
-    "tolerances": ("an object of numbers with keys from ['cesaro_upper']",
-                   lambda v: _numbers(v, {"cesaro_upper"}, every=False)),
-}
-
-
-def _effective_config(args) -> dict:
-    doc = {}
-    if args.config:
-        doc = _load_json_arg(args.config)
-        if not isinstance(doc, dict):
-            raise FunctionSpecError("config must be a JSON object")
-        if doc.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
-            raise FunctionSpecError(
-                f"unsupported config schema {doc.get('schema')!r};"
-                f" expected {CONFIG_SCHEMA!r}")
-        unknown = set(doc) - {"schema", "growth"} - set(_CONFIG_CHECKS)
-        if unknown:
-            raise FunctionSpecError(f"unknown config keys: {sorted(unknown)}")
-        for key, (expected, ok) in _CONFIG_CHECKS.items():
-            if key in doc and not ok(doc[key]):
-                raise FunctionSpecError(
-                    f"config key {key!r} must be {expected}, got {doc[key]!r}")
-    cfg = {
-        "schema": CONFIG_SCHEMA,
-        "n": int(doc.get("n", 1)),
-        "alpha": float(doc.get("alpha", 0.0)),
-        "growth": str(doc.get("growth", "power:p=2")),
-        "seed": int(doc.get("seed", 0)),
-        "degree": int(doc.get("degree", 32)),
-        "suites": list(doc.get("suites", SUITES)),
-        "symbols": doc.get("symbols"),
-        "interpolation": dict(doc.get("interpolation",
-                                      {"p0": 2.0, "p1": 4.0, "theta": 0.5})),
-        "small_type_p": float(doc.get("small_type_p", 0.7)),
-        "tolerances": dict(doc.get("tolerances", {})),
-    }
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.suite:
-        cfg["suites"] = [s.strip() for s in args.suite.split(",") if s.strip()]
-    if args.refine:
-        cfg["degree"] *= 2
-    if not (1 <= cfg["n"] <= 2):
-        raise FunctionSpecError(
-            f"n must lie in [1, 2], where product quadrature rules exist; got {cfg['n']}")
-    if not cfg["alpha"] > -1.0:
-        raise FunctionSpecError(f"alpha must exceed -1, got {cfg['alpha']}")
-    for name in cfg["suites"]:
-        if name not in SUITES:
-            raise _UsageError(
-                f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-    resolve_growth(cfg["growth"])
-    return cfg
-
-
 def _config_symbols(cfg: dict):
     if cfg["symbols"] is None:
         return None
@@ -277,6 +195,95 @@ SUITES = {
     "small_type": lambda phi, c, jobs: harness.verify_small_type(
         c["small_type_p"], c["alpha"], c["n"], seed=c["seed"], jobs=jobs),
 }
+
+
+def _finite(value) -> bool:
+    """Whether value is a number, not a bool, whose float is finite."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(float(value))
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _checked(ok, convert=lambda v: v):
+    """A reader that refuses (ValueError) a value failing ok and converts the rest."""
+    def read(value):
+        if not ok(value):
+            raise ValueError(value)
+        return convert(value)
+    return read
+
+
+_number = _checked(_finite, float)
+_integer = _checked(lambda v: _finite(v) and float(v).is_integer(), int)
+
+
+def _numbers(keys: set, every: bool):
+    # An object of finite numbers keyed from keys (by every key if every), kept
+    # as written so that the config hash still tells 2 from 2.0.
+    return _checked(lambda t: isinstance(t, dict) and all(map(_finite, t.values()))
+                    and (set(t) == keys if every else set(t) <= keys), dict)
+
+
+# Each config key: what its value must be, the reader that checks and converts
+# it in one step, and its default, which the reader copies.
+_CONFIG_KEYS = {
+    "n": ("an integer", _integer, 1),
+    "alpha": ("a finite number", _number, 0.0),
+    "growth": ("a growth id", str, "power:p=2"),
+    "seed": ("an integer", _integer, 0),
+    "degree": ("an integer", _integer, 32),
+    "suites": ("a list of known suite names", _checked(lambda v: isinstance(v, list) and all(
+        isinstance(x, str) and x in SUITES for x in v), list), list(SUITES)),
+    "symbols": ("null or a list of function specs",
+                _checked(lambda v: v is None or isinstance(v, list)), None),
+    "interpolation": ("an object of the finite numbers p0, p1 and theta",
+                      _numbers({"p0", "p1", "theta"}, every=True),
+                      {"p0": 2.0, "p1": 4.0, "theta": 0.5}),
+    "small_type_p": ("a finite number", _number, 0.7),
+    "tolerances": ("an object of finite numbers with keys from ['cesaro_upper']",
+                   _numbers({"cesaro_upper"}, every=False), {}),
+}
+
+
+def _effective_config(args) -> dict:
+    doc = {}
+    if args.config:
+        doc = _load_json_arg(args.config)
+        if not isinstance(doc, dict):
+            raise FunctionSpecError("config must be a JSON object")
+        if doc.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
+            raise FunctionSpecError(
+                f"unsupported config schema {doc.get('schema')!r};"
+                f" expected {CONFIG_SCHEMA!r}")
+        unknown = set(doc) - {"schema"} - set(_CONFIG_KEYS)
+        if unknown:
+            raise FunctionSpecError(f"unknown config keys: {sorted(unknown)}")
+    cfg = {"schema": CONFIG_SCHEMA}
+    for key, (expected, read, default) in _CONFIG_KEYS.items():
+        value = doc.get(key, default)
+        try:
+            cfg[key] = read(value)
+        except ValueError:
+            raise FunctionSpecError(
+                f"config key {key!r} must be {expected}, got {value!r}") from None
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    if args.suite:
+        cfg["suites"] = [s.strip() for s in args.suite.split(",") if s.strip()]
+    if args.refine:
+        cfg["degree"] *= 2
+    if not (1 <= cfg["n"] <= 2):
+        raise FunctionSpecError(
+            f"n must lie in [1, 2], where quadrature rules exist; got {cfg['n']}")
+    if not cfg["alpha"] > -1.0:
+        raise FunctionSpecError(f"alpha must exceed -1, got {cfg['alpha']}")
+    for name in cfg["suites"]:
+        if name not in SUITES:
+            raise _UsageError(
+                f"unknown suite {name!r}; known: {', '.join(SUITES)}")
+    resolve_growth(cfg["growth"])
+    return cfg
 
 
 def _csv_rows(report: harness.VerificationReport):

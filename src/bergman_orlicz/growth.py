@@ -17,8 +17,8 @@ All evaluators are vectorized over numpy arrays.  Where no closed form is
 available, inverses fall back to one safeguarded root-finder on the log axis:
 a geometric bracket from t = 1, then Illinois (regula falsi) steps with a
 bisection fallback.  Maximizations use golden_section_max, a vectorized golden
-section that the conjugate runs on a log axis and the Bloch seminorm in
-operators.py runs along radii and angles.
+section that the indices and the conjugate run on a log axis and the Bloch
+seminorm in operators.py runs along radii and angles.
 """
 
 from __future__ import annotations
@@ -376,29 +376,11 @@ class IndicesReport:
     t_at_max: float
 
 
-def _parabolic_refine(logt: np.ndarray, vals: np.ndarray, i: int, sign: float, phi_ratio):
-    """One quadratic refinement around grid extremum i; returns (t, value)."""
-    if i == 0 or i == len(logt) - 1:
-        return math.exp(logt[i]), vals[i]
-    y0, y1, y2 = vals[i - 1], vals[i], vals[i + 1]
-    h = logt[i] - logt[i - 1]
-    denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0:
-        return math.exp(logt[i]), vals[i]
-    delta = 0.5 * h * (y0 - y2) / denom
-    delta = float(np.clip(delta, -h, h))
-    t_ref = math.exp(logt[i] + delta)
-    v_ref = float(phi_ratio(np.array([t_ref]))[0])
-    if sign * v_ref > sign * vals[i]:
-        return t_ref, v_ref
-    return math.exp(logt[i]), vals[i]
-
-
 def indices(phi: GrowthFunction) -> IndicesReport:
     """Index pair (a_Phi, b_Phi) = (inf, sup) of t Phi'(t) / Phi(t).
 
-    Grid extrema on 2048 log-spaced points of [1e-8, 1e8] with one local
-    quadratic refinement pass at each extremum.
+    Grid extrema on 2048 log-spaced points of [1e-8, 1e8], each polished by
+    golden_section_max on log t between its grid neighbours.
     """
     t = _log_grid(1e-8, 1e8, 2048)
 
@@ -412,11 +394,13 @@ def indices(phi: GrowthFunction) -> IndicesReport:
     if not np.all(np.isfinite(r)):
         raise DegenerateFunctionError(f"{phi.name}: non-finite index ratio on grid")
     logt = np.log(t)
-    i_min, i_max = int(np.argmin(r)), int(np.argmax(r))
-    t_lo, a_phi = _parabolic_refine(logt, r, i_min, -1.0, ratio)
-    t_hi, b_phi = _parabolic_refine(logt, r, i_max, +1.0, ratio)
-    return IndicesReport(a_phi=float(a_phi), b_phi=float(b_phi),
-                         t_at_min=float(t_lo), t_at_max=float(t_hi))
+    # The minimum is the maximum of -ratio; both are polished in one call.
+    at = np.array([np.argmin(r), np.argmax(r)])
+    sign = np.array([-1.0, 1.0])
+    x, v = golden_section_max(lambda x: sign * ratio(np.exp(x)),
+                              logt[np.maximum(at - 1, 0)], logt[np.minimum(at + 1, t.size - 1)])
+    return IndicesReport(a_phi=float(-v[0]), b_phi=float(v[1]),
+                         t_at_min=float(np.exp(x[0])), t_at_max=float(np.exp(x[1])))
 
 
 # ---------------------------------------------------------------------------

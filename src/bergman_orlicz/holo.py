@@ -528,8 +528,9 @@ def test_function(phi, a, alpha: float, k: float | None = None) -> KernelPower:
     f_a(z) = Phi^{-1}((1-|a|)^{-(n+1+alpha)}) ((1-|a|^2) / (1-<z,a>))^{k(n+1+alpha)}
 
     with k > 1, and k > 1/p additionally when Phi has declared lower type p.
-    The default k is the smallest convenient integer-ish choice satisfying
-    both constraints.  The family has uniformly bounded Luxembourg norm.
+    The default k is the smallest convenient integer-ish choice satisfying both
+    constraints.  The family has uniformly bounded Luxembourg norm.  A level
+    (1-|a|)^-(n+1+alpha) beyond the largest float raises DomainError.
     """
     a = _as_point(a)
     n = a.shape[0]
@@ -545,7 +546,11 @@ def test_function(phi, a, alpha: float, k: float | None = None) -> KernelPower:
     if k * p <= 1.0:
         raise DomainError(f"test function needs k > 1/p = {1.0 / p:g}, got {k}")
     m = n + 1.0 + alpha
-    scale = float(phi.inverse((1.0 - norm_a) ** (-m))) * (1.0 - norm_a**2) ** (k * m)
+    try:
+        level = (1.0 - norm_a) ** (-m)
+    except OverflowError:
+        raise DomainError(f"(1-|a|)^-{m:g} overflows a float at |a|={norm_a:g}") from None
+    scale = float(phi.inverse(level)) * (1.0 - norm_a**2) ** (k * m)
     return KernelPower(center=a, exponent=k * m, scale=scale)
 
 

@@ -4,30 +4,29 @@ The normalized measure on the unit ball B^n of C^n is
 
     d nu_alpha(z) = c_alpha (1 - |z|^2)^alpha d nu(z),   alpha > -1,
 
-with nu the Lebesgue volume and c_alpha chosen so nu_alpha(B^n) = 1.  Writing
-u = |z|^2 and splitting off the sphere direction, the radial factor carries the
-weight u^(n-1) (1-u)^alpha on (0,1), which is exactly a Jacobi weight; product
-rules below combine Gauss-Jacobi radial nodes with uniform angular grids, so a
-monomial z^m conj(z)^m' integrates exactly once |m| + |m'| stays at or below
-the advertised degree.  Product rules exist for n = 1 and 2 only.  The one
-knob beyond the degree is angular_count, which turns a rule into a kernel
-rule (doubled radial degree, at least angular_count angles per circle) for
-integrands that peak near the sphere.
-
-At n = 2, build_slice_rule serves slices f(z) = h(<z, zeta>): nu_alpha
-pushes forward to nu_{alpha+1} on the disc, so the n = 1 product rule at
-alpha + 1, lifted by a few Gauss-Jacobi nodes in the radial variable
-transverse to zeta, integrates them with disc-sized work.  Its rule_id is
-"slice:n=2,alpha=A,zeta=(Z1,Z2),degree=D,t=T,nodes=N", with the kernel
-rule's ",refined,angles=M" appended when angular_count is set.
+with nu the Lebesgue volume and c_alpha chosen so nu_alpha(B^n) = 1.  Rules
+exist for n = 1 and 2 only.  The disc's product rule crosses Gauss-Jacobi
+nodes in u = |z|^2, weight (1-u)^alpha, with a uniform angular grid.  On B^2
+write z = w zeta + sqrt(t (1 - |w|^2)) e^{i psi} zeta_perp, |zeta| = 1: then
+nu_alpha is nu_{alpha+1} in w = <z, zeta>, times (alpha+1)(1-t)^alpha dt,
+times a uniform phase psi (Rudin, Function Theory in the Unit Ball of C^n,
+1.4).  So one lift of the disc rule at alpha + 1, by Gauss-Jacobi nodes in t
+and equispaced phases, builds every n = 2 rule.  build_rule lifts along e_1
+with as many phases as the disc has angles, so a monomial z^m conj(z)^m'
+integrates exactly once |m| + |m'| stays at or below the advertised degree.
+build_slice_rule serves slices f(z) = h(<z, zeta>), whose integrands depend
+on (<z, zeta>, |z|^2) alone: it lifts along zeta with the one phase psi = 0.
+The one knob beyond the degree is angular_count, which turns a rule into a
+kernel rule (doubled radial degree, at least angular_count angles per
+circle) for integrands that peak near the sphere.
 
 A rule holds 24 bytes per node at n = 1 and 40 at n = 2 (complex nodes plus
-real weights).  The n = 2 nodes are written from their 1-D factors straight
-into the result, with no node-sized temporaries, and kernel_factor evaluates
-its power in the one buffer of inner products; kernel_modulus, the modulus
-that norms need, works in that buffer plus one real array.  Rules above
-_MAX_RULE_NODES = 2^24 nodes (0.67 GB at n = 2), product or lifted, are
-refused with UnsupportedRuleError before any allocation.
+real weights).  The n = 2 nodes are written from their factors straight
+into the result, with no node-sized temporaries, and kernel_factor
+evaluates its power in the one buffer of inner products; kernel_modulus,
+the modulus that norms need, works in that buffer plus one real array.
+Rules above _MAX_RULE_NODES = 2^24 nodes (0.67 GB at n = 2) are refused
+with UnsupportedRuleError before any allocation.
 
 sphere_directions supplies the unit vectors that the pointwise and Bloch
 sweeps probe along: the equispaced circle for n = 1 and seed-deterministic
@@ -67,10 +66,10 @@ __all__ = [
     "kernel_modulus",
 ]
 
-# Largest product rule build_rule constructs.  At n = 2 its nodes and weights
-# take 0.67 GB, and a Luxembourg norm of a kernel power on a 16.6M-node rule
-# peaks at 1.09 GB, inside a 1.5 GiB address-space cap; on a 22.4M-node rule
-# the same norm runs out of address space.
+# Largest rule build_rule or build_slice_rule constructs.  At n = 2 its nodes
+# and weights take 0.67 GB, and a Luxembourg norm of a kernel power on a
+# 16.6M-node rule peaks at 1.09 GB, inside a 1.5 GiB address-space cap; on a
+# 22.4M-node rule the same norm runs out of address space.
 _MAX_RULE_NODES = 2**24
 
 
@@ -84,8 +83,8 @@ class WeightedMeasure:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"dimension must be >= 1, got n={self.n}")
-        if self.alpha <= -1.0:
-            raise DomainError(f"weight exponent must exceed -1, got alpha={self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > -1.0):
+            raise DomainError(f"weight exponent must be finite and > -1, got alpha={self.alpha}")
 
 
 def _normalizing_constant(n: int, alpha: float) -> float:
@@ -97,13 +96,13 @@ def _normalizing_constant(n: int, alpha: float) -> float:
 def make_measure(n: int, alpha: float) -> WeightedMeasure:
     """Build nu_alpha, cross-checking its closed-form constant by quadrature.
 
-    The mass of the raw (un-normalized) degree-8 product rule must be 1 to
-    within 1e-10, or DomainError is raised.  Product rules exist for n = 1
-    and 2 only, so any other n raises UnsupportedRuleError.
+    The raw mass of build_rule's degree-8 rule (at n = 2, the lifted disc
+    rule) must be 1 to within 1e-10, and not NaN, or DomainError is raised;
+    any n but 1 and 2 raises UnsupportedRuleError.
     """
     measure = WeightedMeasure(n, alpha)
-    residual = abs(float(np.sum(_product_rule_raw(n, alpha, degree=8)[1])) - 1.0)
-    if residual > 1e-10:
+    residual = abs(float(np.sum(_rule_raw(n, alpha, degree=8)[1])) - 1.0)
+    if not residual <= 1e-10:
         raise DomainError(
             f"normalizing constant failed its quadrature cross-check: "
             f"residual={residual:.3e} for n={n}, alpha={alpha}"
@@ -132,19 +131,19 @@ class QuadratureRule:
         return self.points.shape[0]
 
 
-def _radial_jacobi(n: int, alpha: float, n_nodes: int):
-    """Nodes/weights for integral_0^1 u^(n-1) (1-u)^alpha h(u) du."""
-    x, w = roots_jacobi(n_nodes, alpha, float(n - 1))
+def _radial_jacobi(alpha: float, n_nodes: int):
+    """Nodes/weights for integral_0^1 (1-u)^alpha h(u) du."""
+    x, w = roots_jacobi(n_nodes, alpha, 0.0)
     u = 0.5 * (x + 1.0)
-    w = w * 2.0 ** (-(n + alpha))
+    w = w * 2.0 ** (-(1 + alpha))
     return u, w
 
 
-def _product_sizes(degree: int, angular_count: int | None) -> tuple[int, int, int]:
-    """(radial, slice, angular) node counts of the product rule of a degree."""
+def _disc_sizes(degree: int, angular_count: int | None) -> tuple[int, int]:
+    """(radial, angular) node counts of the disc rule of a degree."""
     if angular_count is None:
-        return degree // 4 + 1, degree // 4 + 1, degree + 1
-    return (2 * degree) // 4 + 1, degree // 4 + 1, max(2 * degree + 1, int(angular_count))
+        return degree // 4 + 1, degree + 1
+    return (2 * degree) // 4 + 1, max(2 * degree + 1, int(angular_count))
 
 
 def _check_ceiling(what: str, node_count: int, detail: str) -> None:
@@ -155,54 +154,74 @@ def _check_ceiling(what: str, node_count: int, detail: str) -> None:
         )
 
 
-def _product_rule_raw(n: int, alpha: float, degree: int, angular_count: int | None = None):
-    """Raw product nodes/weights before unit-mass normalization (n = 1 or 2)."""
-    if n > 2:
-        raise UnsupportedRuleError(f"product rules stop at n=2, got n={n}")
-    c_alpha = _normalizing_constant(n, alpha)
-    n_rad, n_slice, n_ang = _product_sizes(degree, angular_count)
-    node_count = n_rad * n_ang if n == 1 else n_rad * n_slice * n_ang * n_ang
-    _check_ceiling("a product rule", node_count, f"n={n}, degree={degree}")
+def _product_rule_raw(alpha: float, degree: int, angular_count: int | None = None):
+    """Raw nodes/weights of the disc's product rule before unit-mass normalization."""
+    c_alpha = _normalizing_constant(1, alpha)
+    n_rad, n_ang = _disc_sizes(degree, angular_count)
+    _check_ceiling("a product rule", n_rad * n_ang, f"n=1, degree={degree}")
+    u, wu = _radial_jacobi(alpha, n_rad)
+    theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
+    zz = np.sqrt(u)[:, None] * np.exp(1j * theta)[None, :]
+    pts = zz.reshape(-1, 1)
+    w = np.broadcast_to((c_alpha * np.pi / n_ang) * wu[:, None], zz.shape).reshape(-1)
+    return pts, w.copy()
 
+
+def _lifted_rule_raw(what: str, alpha: float, degree: int, angular_count: int | None,
+                     zeta: np.ndarray, t_count: int, transverse: np.ndarray):
+    """Raw nodes/weights of nu_alpha on B^2 lifted from the disc rule at alpha + 1.
+
+    The disc rule (degree and angular_count as in build_rule) is crossed, in
+    the C order of (disc, t, phase), with t_count Gauss-Jacobi nodes in t
+    and the P rows of transverse, the vectors e^{i psi} zeta_perp of the
+    phases kept; the raw weights are w_disc (alpha+1) w_t / P.  The ceiling
+    is checked before anything node-sized is allocated.
+    """
+    n_rad, n_ang = _disc_sizes(degree, angular_count)
+    n_phase = transverse.shape[0]
+    _check_ceiling(what, n_rad * n_ang * t_count * n_phase,
+                   f"{n_rad * n_ang:,} disc nodes, {t_count} t nodes and {n_phase} "
+                   f"phases, degree={degree}")
+    disc, w_disc = _product_rule_raw(alpha + 1.0, degree, angular_count)
+    t, w_t = _radial_jacobi(alpha, t_count)
+    w = disc[:, 0]
+    v = np.sqrt(t[None, :] * np.maximum(0.0, 1.0 - np.abs(w) ** 2)[:, None])
+    pts = np.empty(v.shape + (n_phase, 2), dtype=complex)
+    np.multiply(v[:, :, None, None], transverse[None, None, :, :], out=pts)
+    pts += (w[:, None] * zeta[None, :])[:, None, None, :]
+    # int_0^1 (1-t)^alpha dt = 1 / (alpha + 1)
+    raw_w = np.empty(pts.shape[:3])
+    raw_w[...] = (w_disc[:, None] * ((alpha + 1.0) * w_t / n_phase)[None, :])[:, :, None]
+    return pts.reshape(-1, 2), raw_w.reshape(-1)
+
+
+def _rule_raw(n: int, alpha: float, degree: int, angular_count: int | None = None):
+    """Raw nodes/weights of build_rule's rule; at n = 2 the lift along e_1."""
     if n == 1:
-        u, wu = _radial_jacobi(1, alpha, n_rad)
-        theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
-        r = np.sqrt(u)
-        zz = r[:, None] * np.exp(1j * theta)[None, :]
-        pts = zz.reshape(-1, 1)
-        w = np.broadcast_to((c_alpha * np.pi / n_ang) * wu[:, None], zz.shape).reshape(-1)
-        return pts, w.copy()
-
-    # z = (sqrt(s v) e^{i t1}, sqrt(s (1 - v)) e^{i t2}); each factor is
-    # computed on its 1-D grid and the products are written straight into
-    # the node array, in the C order of (s, v, t1, t2).
-    s, ws = _radial_jacobi(2, alpha, n_rad)
-    v, wv = _radial_jacobi(1, 0.0, n_slice)  # Legendre on (0,1)
-    t = 2.0 * np.pi * np.arange(n_ang) / n_ang
-    e = np.exp(1j * t)
-    shape = (n_rad, n_slice, n_ang, n_ang)
-    pts = np.empty(shape + (2,), dtype=complex)
-    r1 = np.sqrt(s[:, None] * v[None, :])
-    r2 = np.sqrt(s[:, None] * (1.0 - v)[None, :])
-    np.multiply(r1[:, :, None, None], e[None, None, :, None], out=pts[..., 0])
-    np.multiply(r2[:, :, None, None], e[None, None, None, :], out=pts[..., 1])
-    w_rad = (ws[:, None] * wv[None, :])[:, :, None, None]
-    w = np.empty(shape)
-    w[...] = c_alpha * (2.0 * np.pi / n_ang) ** 2 * 0.25 * w_rad
-    return pts.reshape(-1, 2), w.reshape(-1)
+        return _product_rule_raw(alpha, degree, angular_count)
+    if n > 2:
+        raise UnsupportedRuleError(f"rules stop at n=2, got n={n}")
+    n_ang = _disc_sizes(degree, angular_count)[1]
+    e = np.exp(1j * (2.0 * np.pi * np.arange(n_ang) / n_ang))
+    return _lifted_rule_raw("a product rule", alpha, degree, angular_count,
+                            np.array([1.0, 0.0], dtype=complex), degree // 4 + 1,
+                            np.column_stack([np.zeros(n_ang), e]))
 
 
 def build_rule(measure: WeightedMeasure, degree: int,
                angular_count: int | None = None) -> QuadratureRule:
-    """Construct the product quadrature rule of the given degree for nu_alpha.
+    """Construct the quadrature rule of the given degree for nu_alpha.
 
-    Product rules exist for n = 1 and 2; other dimensions raise
-    UnsupportedRuleError.  Passing angular_count makes a kernel rule, for
-    integrands that concentrate near the sphere such as powers of the
-    reproducing kernel: the radial degree is doubled and every circle gets
-    max(2 degree + 1, angular_count) angular nodes, since sharply peaked
-    kernels (center norm close to 1) need far more angles than the degree
-    alone asks for.  Its rule_id ends in ",refined,angles=N".
+    At n = 1 it crosses degree // 4 + 1 Gauss-Jacobi nodes in |z|^2 with
+    degree + 1 angles.  At n = 2 it lifts that disc rule at alpha + 1 along
+    e_1 with degree // 4 + 1 nodes in t and as many phases as angles; for
+    |m| + |m'| <= degree, z^m conj(z)^m' has degree at most degree / 2 in
+    |w|^2 and in t and phase frequencies at most degree, so it integrates
+    exactly.  Other dimensions raise UnsupportedRuleError.  Passing
+    angular_count makes a kernel rule, for integrands that concentrate near
+    the sphere such as kernel powers: the radial degree is doubled and every
+    circle gets max(2 degree + 1, angular_count) angles (and as many phases).
+    Its rule_id ends in ",refined,angles=N".
 
     The rule costs 24 bytes per node at n = 1 and 40 at n = 2; a rule of
     more than _MAX_RULE_NODES (2^24) nodes raises UnsupportedRuleError
@@ -211,7 +230,7 @@ def build_rule(measure: WeightedMeasure, degree: int,
     if degree < 0:
         raise DomainError(f"degree must be >= 0, got {degree}")
     n, alpha = measure.n, measure.alpha
-    pts, raw_w = _product_rule_raw(n, alpha, degree, angular_count)
+    pts, raw_w = _rule_raw(n, alpha, degree, angular_count)
     rid = f"product:n={n},alpha={alpha:g},degree={degree},nodes={pts.shape[0]}"
     return _unit_mass_rule(measure, pts, raw_w, degree, rid + _kernel_tag(angular_count))
 
@@ -220,21 +239,13 @@ def build_slice_rule(measure: WeightedMeasure, direction, degree: int, t_count: 
                      angular_count: int | None = None) -> QuadratureRule:
     """The n = 2 rule for integrands of a slice f(z) = h(<z, zeta>), |zeta| = 1.
 
-    Write z = w zeta + v zeta_perp with w = <z, zeta> and |v|^2 = t (1 - |w|^2).
-    Then nu_alpha on B^2 is nu_{alpha+1} in w on the disc times the law
-    (alpha+1)(1-t)^alpha dt on (0, 1) times a uniform phase of v (Rudin,
-    Function Theory in the Unit Ball of C^n, 1.4).  Every integrand built
-    from a slice, |f|, (1-|z|^2)|Rf|, (1-|z|^2)|grad f|, the invariant
-    gradient and (1-|z|^2)^w |f|, depends on (w, |z|^2) alone, so the phase
-    is dropped: the rule lifts the n = 1 product rule at alpha + 1 (degree
-    and angular_count as in build_rule) with t_count Gauss-Jacobi nodes in t
-    to the nodes w zeta + sqrt(t (1 - |w|^2)) zeta_perp, with weights
-    w_disc w_t.  Its rule_id reads
+    Every integrand built from a slice, |f|, (1-|z|^2)|Rf|,
+    (1-|z|^2)|grad f|, the invariant gradient and (1-|z|^2)^w |f|, depends
+    on (<z, zeta>, |z|^2) alone, so the phase is dropped: this is
+    build_rule's lift along zeta with t_count nodes in t and the one
+    transverse vector zeta_perp.  Its rule_id reads
     "slice:n=2,alpha=A,zeta=(Z1,Z2),degree=D,t=T,nodes=N", with
     ",refined,angles=M" appended for a kernel rule.
-
-    The ceiling counts disc nodes times t_count before anything node-sized
-    is allocated; a larger rule raises UnsupportedRuleError.
     """
     if measure.n != 2:
         raise UnsupportedRuleError(f"slice rules lift the disc to n=2, got n={measure.n}")
@@ -243,25 +254,11 @@ def build_slice_rule(measure: WeightedMeasure, direction, degree: int, t_count: 
     zeta = _as_point(direction)
     if zeta.shape != (2,) or abs(math.hypot(*np.abs(zeta)) - 1.0) > 1e-12:
         raise DomainError(f"a slice direction must be a unit vector of C^2, got {zeta}")
-    alpha = measure.alpha
-    n_rad, _, n_ang = _product_sizes(degree, angular_count)
-    _check_ceiling("a slice rule", n_rad * n_ang * t_count,
-                   f"{n_rad * n_ang:,} disc nodes times {t_count} t nodes, degree={degree}")
-
-    disc, w_disc = _product_rule_raw(1, alpha + 1.0, degree, angular_count)
-    t, w_t = _radial_jacobi(1, alpha, t_count)
-    w = disc[:, 0]
-    v = np.sqrt(t[None, :] * np.maximum(0.0, 1.0 - np.abs(w) ** 2)[:, None])
-    perp = np.array([-np.conj(zeta[1]), np.conj(zeta[0])])
-    pts = np.empty(v.shape + (2,), dtype=complex)
-    for j in range(2):
-        np.multiply(v, perp[j], out=pts[..., j])
-        pts[..., j] += (w * zeta[j])[:, None]
-    # int_0^1 (1-t)^alpha dt = 1 / (alpha + 1)
-    raw_w = (w_disc[:, None] * ((alpha + 1.0) * w_t)[None, :]).reshape(-1)
-    pts = pts.reshape(-1, 2)
+    perp = np.array([[-np.conj(zeta[1]), np.conj(zeta[0])]])
+    pts, raw_w = _lifted_rule_raw("a slice rule", measure.alpha, degree, angular_count,
+                                  zeta, t_count, perp)
     z1, z2 = (f"{c.real:.6g}{c.imag:+.6g}j" for c in zeta)
-    rid = (f"slice:n=2,alpha={alpha:g},zeta=({z1},{z2}),degree={degree},"
+    rid = (f"slice:n=2,alpha={measure.alpha:g},zeta=({z1},{z2}),degree={degree},"
            f"t={t_count},nodes={pts.shape[0]}")
     return _unit_mass_rule(measure, pts, raw_w, degree, rid + _kernel_tag(angular_count))
 

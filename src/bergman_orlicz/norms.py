@@ -16,9 +16,9 @@ Quadrature selection: polynomial integrands get a plain product rule with
 degree scaled to the function degree and the growth exponent; anything
 containing a kernel power is integrated on a boundary-refined rule whose
 angular resolution grows like 1/(1 - |center|), since the trapezoid error for
-the peaked angular profile decays like (r |center|)^N.  At n = 2 a slice
-f(z) = h(<z, zeta>) is integrated on the disc rule at alpha + 1 lifted by a
-short rule in t (measure.build_slice_rule) instead of the 4-D product rule.
+the peaked angular profile decays like (r |center|)^N.  At n = 2 every rule
+lifts the disc rule at alpha + 1; a slice f(z) = h(<z, zeta>) gets the lift
+with one phase and a short rule in t (measure.build_slice_rule).
 """
 
 from __future__ import annotations
@@ -208,14 +208,14 @@ def rule_for_function(f: HoloFunction, measure: WeightedMeasure,
     floored at 512 on the disc.  refine doubles the degree that many times,
     for stability sweeps.
 
-    At n = 1 this is a product rule.  At n = 2 a slice f(z) = h(<z, zeta>)
-    (holo.slice_direction) gets build_slice_rule: the n = 1 rule at
-    alpha + 1, with the n = 1 degree and angle formulas, crossed with
+    At n = 2 a slice f(z) = h(<z, zeta>) (holo.slice_direction) gets
+    build_slice_rule, with the n = 1 degree and angle formulas and
     base_degree * 2^refine // 4 + 1 nodes in t; its rule_id starts with
-    "slice:".  Every other n = 2 function gets the n = 2 product rule, with
-    angles floored at 48.  When the integrand also multiplies by cofactor
-    (the Cesaro upper bound integrates f Rg), the slice rule is used only if
-    cofactor lies on f's line; the degree is always read off f.
+    "slice:".  Every other n = 2 function gets build_rule's lift with
+    phases, whose kernel rules have angles floored at 48.  When the
+    integrand also multiplies by cofactor (the Cesaro upper bound integrates
+    f Rg), the slice rule is used only if cofactor lies on f's line; the
+    degree is always read off f.
     """
     sharp = max_kernel_center(f)
     q = 2.0

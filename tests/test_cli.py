@@ -1,5 +1,6 @@
 """Command-line behavior: output documents, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -111,6 +112,50 @@ def test_malformed_config_value_is_data_error(capsys, config, key):
     assert code == 65
     assert out == ""
     assert key in err
+
+
+@pytest.mark.parametrize("config, key", [
+    ('{"alpha": Infinity}', "'alpha'"),
+    ('{"small_type_p": NaN}', "'small_type_p'"),
+    ('{"tolerances": {"cesaro_upper": NaN}}', "'tolerances'"),
+    ('{"interpolation": {"p0": 2, "p1": Infinity, "theta": 0.5}}', "'interpolation'"),
+    ('{"n": 1.5}', "'n'"),
+    ('{"n": true}', "'n'"),
+    ('{"seed": 2.7}', "'seed'"),
+    ('{"degree": 1.9}', "'degree'"),
+])
+def test_non_finite_or_non_integral_config_value_is_data_error(capsys, config, key):
+    code, out, err = run(capsys, ["verify", "--config", config, "--suite",
+                                  "interpolation_power"])
+    assert code == 65
+    assert out == ""
+    assert key in err
+
+
+@pytest.mark.parametrize("config, digest", [
+    ('{}', "f77982744211bbb9"),
+    ('{"n": 2.0, "seed": 3.0, "degree": 16}', "ad28fb632b1c516c"),
+    ('{"n": 2, "seed": 3, "degree": 16}', "ad28fb632b1c516c"),
+    ('{"alpha": 1, "small_type_p": 0.5}', "972d1024c3eb4a3c"),
+    ('{"interpolation": {"p0": 2, "p1": 4.0, "theta": 0.5},'
+     ' "tolerances": {"cesaro_upper": 1e-5}}', "bc88dd7af1b5065a"),
+    ('{"n": "2", "alpha": "1.5", "growth": "power:p=1/2", "suites": ["small_type"],'
+     ' "symbols": null}', "0006132c1421a12a"),
+])
+def test_config_hash_is_pinned(config, digest):
+    # The digests are those of the config as read before each value was
+    # checked and converted in one step; an accepted config keeps its hash.
+    args = cli._build_parser().parse_args(["verify", "--config", config])
+    cfg = cli._effective_config(args)
+    assert hashlib.sha256(cli.canonical_json(cfg).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_norm_refuses_a_non_finite_alpha(capsys, alpha):
+    code, out, err = run(capsys, ["norm", "--function", Z, "--alpha", alpha])
+    assert code == 65
+    assert out == ""
+    assert "alpha" in err
 
 
 @pytest.mark.parametrize("n", [3, 9])

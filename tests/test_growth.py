@@ -49,6 +49,22 @@ def test_powerlog_indices_straddle_p():
     assert 2.31 < rep.b_phi < 2.32
 
 
+def test_indices_are_polished_to_the_extremum():
+    # Each grid extremum is polished by golden section between its grid
+    # neighbours.  The upper index of t^2 log(e+t) is 2 plus the maximum of
+    # t/((e+t) log(e+t)), located here by mpmath; the interpolated Phi is
+    # t^(8/3), whose indices are 8/3 up to the accuracy of its numerical inverse.
+    import mpmath as mp
+
+    with mp.workdps(30):
+        extra = lambda t: t / ((mp.e + t) * mp.log(mp.e + t))  # noqa: E731
+        peak = 2.0 + float(extra(mp.findroot(lambda t: mp.diff(extra, t), 6.0)))
+    assert indices(power_log_growth(2, a=1)).b_phi == pytest.approx(peak, rel=1e-14, abs=0)
+    rep = indices(interpolate_growth(power_growth(2), power_growth(4), rho_power(0.5)))
+    assert abs(rep.a_phi - 8.0 / 3.0) < 1e-9
+    assert abs(rep.b_phi - 8.0 / 3.0) < 1e-9
+
+
 def test_conjugate_of_square_is_quarter_square():
     psi = complementary(power_growth(2))
     s = GRID

@@ -179,6 +179,12 @@ def test_test_function_requires_integrable_power():
         kernel_test_function(power_growth(2), np.array([0.5 + 0j]), 0.0, k=0.4)
 
 
+def test_test_function_refuses_a_level_beyond_the_largest_float():
+    # (1 - 0.999)^-(1 + 1 + 150) is about 1e456; the refusal names the level.
+    with pytest.raises(DomainError, match="overflows a float"):
+        kernel_test_function(power_growth(2), np.array([0.999 + 0j]), 150.0)
+
+
 def test_kernel_center_must_be_interior():
     with pytest.raises(DomainError):
         KernelPower(np.array([1.0 + 0j]), 3.0, 1.0)

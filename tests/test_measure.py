@@ -18,7 +18,7 @@ from bergman_orlicz.holo import test_function as kernel_test_function
 from bergman_orlicz.holo import KernelPower, Series, to_series
 from bergman_orlicz.measure import (
     WeightedMeasure,
-    _normalizing_constant,
+    _product_rule_raw,
     _radial_jacobi,
     build_rule,
     build_slice_rule,
@@ -106,6 +106,21 @@ def test_rule_argument_validation():
         make_measure(0, 0.0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_measure_refuses_a_non_finite_alpha(alpha):
+    with pytest.raises(DomainError, match="finite"):
+        WeightedMeasure(1, alpha)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2])
+def test_make_measure_refuses_a_nan_mass(n):
+    # At alpha = 1e5 the Gauss-Jacobi weights overflow to NaN, so the mass
+    # residual is NaN, which no comparison with 1e-10 lets through.
+    with pytest.raises(DomainError, match="residual=nan"):
+        make_measure(n, 1e5)
+
+
 def test_mobius_swaps_zero_and_center():
     a = np.array([0.3 + 0.2j, -0.1j])
     at_zero = mobius_apply(a, np.zeros(2, dtype=complex))
@@ -147,50 +162,77 @@ def test_kernel_factor_value():
     assert complex(got[0]) == pytest.approx((1.0 - 0.25) ** -4.0)
 
 
-def meshgrid_rule_n2(alpha, degree, boundary_refined=False, angular_count=None):
-    """The n = 2 product rule as first written: full-size 4-D meshgrids.
-
-    Reference for the factored builder, which must give the same bytes.
-    """
-    c_alpha = _normalizing_constant(2, alpha)
-    radial_degree = 2 * degree if boundary_refined else degree
-    n_rad = radial_degree // 4 + 1
-    n_ang = degree + 1
-    if boundary_refined:
-        n_ang = max(2 * degree + 1, 48)
-    if angular_count is not None:
-        n_ang = max(n_ang, int(angular_count))
-    s, ws = _radial_jacobi(2, alpha, n_rad)
-    v, wv = _radial_jacobi(1, 0.0, degree // 4 + 1)
-    t1 = 2.0 * np.pi * np.arange(n_ang) / n_ang
-    t2 = 2.0 * np.pi * np.arange(n_ang) / n_ang
-    S, V, T1, T2 = np.meshgrid(s, v, t1, t2, indexing="ij")
-    z1 = np.sqrt(S * V) * np.exp(1j * T1)
-    z2 = np.sqrt(S * (1.0 - V)) * np.exp(1j * T2)
-    pts = np.stack([z1.reshape(-1), z2.reshape(-1)], axis=1)
-    WS, WV = np.meshgrid(ws, wv, indexing="ij")
-    w_rad = (WS * WV)[:, :, None, None]
-    w = np.broadcast_to(
-        c_alpha * (2.0 * np.pi / n_ang) ** 2 * 0.25 * w_rad, S.shape
-    ).reshape(-1).copy()
-    total = float(np.sum(w))
-    return pts, w / total, abs(total - 1.0)
+def _monomial_moments(rule, degree):
+    """int z^m conj(z)^m' d nu over the rule, keyed (m, m'), for |m| + |m'| <= degree."""
+    z1, z2 = rule.points[:, 0], rule.points[:, 1]
+    p1 = [np.ones_like(z1)]
+    p2 = [np.ones_like(z2)]
+    for _ in range(degree):
+        p1.append(p1[-1] * z1)
+        p2.append(p2[-1] * z2)
+    out = {}
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            left = rule.weights * p1[a] * p2[b]
+            for c in range(degree + 1 - a - b):
+                for d in range(degree + 1 - a - b - c):
+                    out[(a, b), (c, d)] = complex(np.sum(left * np.conj(p1[c] * p2[d])))
+    return out
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.5])
-@pytest.mark.parametrize("degree,refined,angles", [(8, False, None), (12, True, None),
-                                                   (12, True, 64)])
-def test_n2_rule_matches_meshgrid_reference(alpha, degree, refined, angles):
-    # The reference's refined rule without an angle count has its n = 2 floor
-    # of 48 angles, the kernel rule that angular_count=48 asks for.
-    angular_count = (angles or 48) if refined else None
+@pytest.mark.parametrize("degree, angular_count", [(8, None), (12, None), (12, 32)])
+def test_n2_rule_is_exact_to_its_degree(alpha, degree, angular_count):
+    # The lifted rule integrates z^m conj(z)^m' exactly for |m| + |m'| <= degree:
+    # the off-diagonal moments vanish and the diagonal ones are m! Beta moments.
     rule = build_rule(make_measure(2, alpha), degree=degree, angular_count=angular_count)
-    pts, w, residual = meshgrid_rule_n2(alpha, degree, refined, angles)
+    n_rad = (degree if angular_count is None else 2 * degree) // 4 + 1
+    n_ang = degree + 1 if angular_count is None else max(2 * degree + 1, angular_count)
+    assert rule.node_count == n_rad * (degree // 4 + 1) * n_ang**2
+    assert rule.exact_degree == degree
+    tag = "" if angular_count is None else f",refined,angles={angular_count}"
+    nodes = rule.node_count
+    assert rule.rule_id == f"product:n=2,alpha={alpha:g},degree={degree},nodes={nodes}{tag}"
+    for (m, mp), value in _monomial_moments(rule, degree).items():
+        expected = moment_oracle(2, alpha, m) if m == mp else 0.0
+        assert abs(value - expected) <= 1e-13 + 1e-12 * expected, (m, mp)
+
+
+def _slice_rule_as_first_written(measure, zeta, degree, t_count, angular_count):
+    """The slice rule's own construction, before it became a lift with one phase.
+
+    Reference for build_slice_rule, which must give the same bytes.
+    """
+    alpha = measure.alpha
+    disc, w_disc = _product_rule_raw(alpha + 1.0, degree, angular_count)
+    t, w_t = _radial_jacobi(alpha, t_count)
+    w = disc[:, 0]
+    v = np.sqrt(t[None, :] * np.maximum(0.0, 1.0 - np.abs(w) ** 2)[:, None])
+    perp = np.array([-np.conj(zeta[1]), np.conj(zeta[0])])
+    pts = np.empty(v.shape + (2,), dtype=complex)
+    for j in range(2):
+        np.multiply(v, perp[j], out=pts[..., j])
+        pts[..., j] += (w * zeta[j])[:, None]
+    raw_w = (w_disc[:, None] * ((alpha + 1.0) * w_t)[None, :]).reshape(-1)
+    total = float(np.sum(raw_w))
+    return pts.reshape(-1, 2), raw_w / total, abs(total - 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+@pytest.mark.parametrize("zeta", [(1.0, 0.0), (-1.0, 0.0), (0.6, 0.8j), (0.0, -1.0j),
+                                  (0.3 + 0.2j, -0.1 + 0.3j)])
+@pytest.mark.parametrize("degree, t_count, angular_count", [(12, 1, None), (32, 9, None),
+                                                            (64, 3, 2048)])
+def test_slice_rule_keeps_its_bytes(alpha, zeta, degree, t_count, angular_count):
+    measure = make_measure(2, alpha)
+    zeta = np.array(zeta, dtype=complex)
+    zeta /= math.hypot(*np.abs(zeta))
+    rule = build_slice_rule(measure, zeta, degree, t_count, angular_count=angular_count)
+    pts, w, residual = _slice_rule_as_first_written(measure, zeta, degree, t_count,
+                                                    angular_count)
     assert rule.points.tobytes() == pts.tobytes()
     assert rule.weights.tobytes() == w.tobytes()
     assert rule.normalization_residual == residual
-    tag = f",refined,angles={angular_count}" if refined else ""
-    assert rule.rule_id == f"product:n=2,alpha={alpha:g},degree={degree},nodes={len(w)}{tag}"
 
 
 def _peak_bytes(fn):
