@@ -271,8 +271,6 @@ def _effective_config(args) -> dict:
         cfg["seed"] = args.seed
     if args.suite:
         cfg["suites"] = [s.strip() for s in args.suite.split(",") if s.strip()]
-    if args.refine:
-        cfg["degree"] *= 2
     if not (1 <= cfg["n"] <= 2):
         raise FunctionSpecError(
             f"n must lie in [1, 2], where quadrature rules exist; got {cfg['n']}")
@@ -366,9 +364,6 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("--out", help="directory for report JSON files")
     p_ver.add_argument("--csv", action="store_true",
                        help="also write per-case CSV next to each report")
-    p_ver.add_argument("--refine", action="store_true",
-                       help="double the base quadrature degree of "
-                            "derivative_equivalence")
     p_ver.add_argument("--jobs", type=int, default=1,
                        help="worker threads per suite (output is identical "
                             "for any value)")

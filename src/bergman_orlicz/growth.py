@@ -372,8 +372,6 @@ def _fmt(x: float) -> str:
 class IndicesReport:
     a_phi: float
     b_phi: float
-    t_at_min: float
-    t_at_max: float
 
 
 def indices(phi: GrowthFunction) -> IndicesReport:
@@ -397,10 +395,9 @@ def indices(phi: GrowthFunction) -> IndicesReport:
     # The minimum is the maximum of -ratio; both are polished in one call.
     at = np.array([np.argmin(r), np.argmax(r)])
     sign = np.array([-1.0, 1.0])
-    x, v = golden_section_max(lambda x: sign * ratio(np.exp(x)),
+    _, v = golden_section_max(lambda x: sign * ratio(np.exp(x)),
                               logt[np.maximum(at - 1, 0)], logt[np.minimum(at + 1, t.size - 1)])
-    return IndicesReport(a_phi=float(-v[0]), b_phi=float(v[1]),
-                         t_at_min=float(np.exp(x[0])), t_at_max=float(np.exp(x[1])))
+    return IndicesReport(a_phi=float(-v[0]), b_phi=float(v[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +485,6 @@ def complementary(phi: GrowthFunction) -> GrowthFunction:
 class DeltaTwoReport:
     constant: float
     certified: bool
-    cap: float
-    worst_t: float
 
 
 def delta2_constant(phi: GrowthFunction) -> DeltaTwoReport:
@@ -501,20 +496,14 @@ def delta2_constant(phi: GrowthFunction) -> DeltaTwoReport:
     lo = phi(t)
     if np.any(lo <= 0.0):
         raise DegenerateFunctionError(f"{phi.name} vanishes on the Delta_2 grid")
-    ratios = phi(2.0 * t) / lo
-    i = int(np.argmax(ratios))
-    c = float(ratios[i])
-    return DeltaTwoReport(constant=c, certified=bool(np.isfinite(c) and c <= _DELTA2_CAP),
-                          cap=_DELTA2_CAP, worst_t=float(t[i]))
+    c = float(np.max(phi(2.0 * t) / lo))
+    return DeltaTwoReport(constant=c, certified=bool(np.isfinite(c) and c <= _DELTA2_CAP))
 
 
 @dataclass(frozen=True)
 class Nabla2Report:
     verdict: bool
     a_phi: float
-    k_phi: float
-    k_psi: float
-    index_criterion: bool
     agrees: bool
 
 
@@ -526,27 +515,15 @@ def nabla2_check(phi: GrowthFunction) -> Nabla2Report:
     as failing Delta_2; that is exactly the regime a_Phi <= 1 predicts.
     """
     idx = indices(phi)
-    d_phi = delta2_constant(phi)
-    k_phi = d_phi.constant
-    psi = complementary(phi)
+    phi_ok = delta2_constant(phi).certified
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            d_psi = delta2_constant(psi)
-        k_psi = d_psi.constant
-        psi_ok = d_psi.certified
+            psi_ok = delta2_constant(complementary(phi)).certified
     except (ConjugateInfiniteError, DegenerateFunctionError):
-        k_psi = float("inf")
         psi_ok = False
-    verdict = bool(d_phi.certified and psi_ok)
-    criterion = bool(idx.a_phi > 1.0 + 1e-6)
-    return Nabla2Report(
-        verdict=verdict,
-        a_phi=idx.a_phi,
-        k_phi=k_phi,
-        k_psi=k_psi,
-        index_criterion=criterion,
-        agrees=bool(verdict == criterion),
-    )
+    verdict = bool(phi_ok and psi_ok)
+    return Nabla2Report(verdict=verdict, a_phi=idx.a_phi,
+                        agrees=bool(verdict == (idx.a_phi > 1.0 + 1e-6)))
 
 
 # ---------------------------------------------------------------------------
@@ -625,20 +602,16 @@ def interpolate_growth(phi0: GrowthFunction, phi1: GrowthFunction,
 class EquivalenceReport:
     c_lower: float
     c_upper: float
-    t_min: float
-    t_max: float
 
 
-def equivalence_constants(phi: GrowthFunction, psi: GrowthFunction,
-                          t_min: float = 1e-6, t_max: float = 1e6) -> EquivalenceReport:
-    """Two-sided constants c_lower <= psi/phi <= c_upper on a shared log grid."""
-    t = _log_grid(t_min, t_max, 2048)
+def equivalence_constants(phi: GrowthFunction, psi: GrowthFunction) -> EquivalenceReport:
+    """Two-sided constants c_lower <= psi/phi <= c_upper on a log grid of [1e-6, 1e6]."""
+    t = _log_grid(1e-6, 1e6, 2048)
     num, den = psi(t), phi(t)
     if np.any(den <= 0.0) or np.any(num <= 0.0):
         raise DegenerateFunctionError("equivalence needs strictly positive values on the grid")
     ratios = num / den
-    return EquivalenceReport(c_lower=float(np.min(ratios)), c_upper=float(np.max(ratios)),
-                             t_min=t_min, t_max=t_max)
+    return EquivalenceReport(c_lower=float(np.min(ratios)), c_upper=float(np.max(ratios)))
 
 
 # ---------------------------------------------------------------------------
@@ -666,14 +639,17 @@ def _split_top_level(text: str) -> list[str]:
 
 
 def _parse_number(text: str) -> float:
+    """A finite float from a decimal or an integer ratio; anything else is a
+    FunctionSpecError, since ids come from outside the program."""
     text = text.strip()
     m = re.fullmatch(r"(-?\d+)\s*/\s*(\d+)", text)
-    if m:
-        return float(m.group(1)) / float(m.group(2))
     try:
-        return float(text)
-    except ValueError as exc:
+        value = float(m.group(1)) / float(m.group(2)) if m else float(text)
+    except (ValueError, ZeroDivisionError) as exc:
         raise FunctionSpecError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise FunctionSpecError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_kv(spec: str):

@@ -16,7 +16,9 @@ under R.  A Series call walks the points in blocks of _SERIES_BLOCK, builds
 one power table per coordinate for each block and reads its value or all n
 partials from it, so its scratch memory does not grow with the number of
 terms times the number of points.  to_series() expands any representation
-into a truncated Series for the coefficient-level Cesaro path.
+into a truncated Series for the coefficient-level Cesaro path, and _shape
+reads off, in one walk, what quadrature selection needs: the polynomial
+degree, the largest kernel |center| and the complex line of a slice.
 
 The invariant gradient is (grad f)(z) composed with the Jacobian at 0 of the
 ball automorphism phi_z; chain_inequality_check verifies the pointwise chain
@@ -32,6 +34,7 @@ invariant_gradient keeps the vector form, through mobius_jacobian0_batch.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -56,7 +59,6 @@ __all__ = [
     "Sum",
     "Product",
     "to_series",
-    "max_kernel_center",
     "slice_direction",
     "gradient_sweep",
     "invariant_gradient",
@@ -104,10 +106,6 @@ class HoloFunction:
     def radial_derivative(self) -> "HoloFunction":
         raise NotImplementedError
 
-    def degree(self) -> int | None:
-        """Total polynomial degree, or None when the representation is not polynomial."""
-        raise NotImplementedError
-
     def _eval(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -143,9 +141,6 @@ class Series(HoloFunction):
             if c != 0:
                 clean[idx] = clean.get(idx, 0) + c
         object.__setattr__(self, "terms", clean)
-
-    def degree(self) -> int | None:
-        return max((sum(m) for m in self.terms), default=0)
 
     def _power_table(self, pts: np.ndarray, exponents) -> list[dict]:
         """Per coordinate j, {d: z_j^d} for the d in exponents[j].
@@ -245,9 +240,6 @@ class KernelPower(HoloFunction):
     def n(self) -> int:
         return self.center.shape[0]
 
-    def degree(self) -> int | None:
-        return None
-
     def _eval(self, pts):
         return self.scale * kernel_factor(pts, self.center, self.exponent)
 
@@ -284,10 +276,6 @@ class Sum(HoloFunction):
     def n(self) -> int:
         return self.parts[0].n
 
-    def degree(self) -> int | None:
-        degs = [p.degree() for p in self.parts]
-        return None if any(d is None for d in degs) else max(degs)
-
     def _eval(self, pts):
         out = self.parts[0]._eval(pts)
         for p in self.parts[1:]:
@@ -316,10 +304,6 @@ class Product(HoloFunction):
     @property
     def n(self) -> int:
         return self.left.n
-
-    def degree(self) -> int | None:
-        dl, dr = self.left.degree(), self.right.degree()
-        return None if dl is None or dr is None else dl + dr
 
     def _eval(self, pts):
         return self.left._eval(pts) * self.right._eval(pts)
@@ -373,82 +357,68 @@ def to_series(f: HoloFunction, degree: int = DEFAULT_TRUNCATION_DEGREE) -> Serie
     raise DomainError(f"cannot expand {type(f).__name__} into a series")
 
 
-def max_kernel_center(f: HoloFunction) -> float | None:
-    """Largest |center| over the kernel powers inside f, or None if none.
-
-    Integrands built from f concentrate near the sphere on the scale
-    1 - max |center|; quadrature selection keys off this number.
-    """
-    if isinstance(f, KernelPower):
-        return float(np.linalg.norm(f.center))
-    if isinstance(f, Sum):
-        vals = [max_kernel_center(p) for p in f.parts]
-        vals = [v for v in vals if v is not None]
-        return max(vals) if vals else None
-    if isinstance(f, Product):
-        vals = [v for v in (max_kernel_center(f.left), max_kernel_center(f.right))
-                if v is not None]
-        return max(vals) if vals else None
-    return None
-
-
 # Sentinel for "a slice along every line": a constant.
 _ANY_LINE = "any"
 # Largest distance between two unit vectors read as one complex line.
 _LINE_TOL = 1e-12
 
 
-def _slice_line(f: HoloFunction):
-    """f's complex line as a unit vector, _ANY_LINE for a constant, or None."""
+def _join_lines(line, other):
+    """The line two factors or terms share: _ANY_LINE defers to the other,
+    None (no line) wins, and two lines must agree up to a phase."""
+    if line is None or other is _ANY_LINE:
+        return line
+    if other is None or line is _ANY_LINE:
+        return other
+    if np.linalg.norm(other - np.vdot(line, other) * line) > _LINE_TOL:
+        return None
+    return line
+
+
+def _shape(f: HoloFunction):
+    """(degree, sharp, line) of f, read off its representation in one walk.
+
+    degree is the total polynomial degree, None when f holds a kernel power.
+    sharp is the largest |center| over f's kernel powers, None when it has
+    none: integrands built from f concentrate near the sphere on the scale
+    1 - sharp.  line is f's complex line as a unit vector, _ANY_LINE for a
+    constant, or None.  A KernelPower lies on the line of its center, a
+    Series whose terms use the one coordinate j on the line of e_j, and a Sum
+    or Product on a line when every part lies on it up to a phase (the first
+    part's vector is kept).
+    """
     if isinstance(f, Series):
         used = {j for m in f.terms for j, d in enumerate(m) if d > 0}
-        if not used:
-            return _ANY_LINE
-        if len(used) > 1:
-            return None
-        e = np.zeros(f.n, dtype=complex)
-        e[used.pop()] = 1.0
-        return e
+        line = _ANY_LINE if not used else None
+        if len(used) == 1:
+            line = np.zeros(f.n, dtype=complex)
+            line[used.pop()] = 1.0
+        return max((sum(m) for m in f.terms), default=0), None, line
     if isinstance(f, KernelPower):
         r = float(np.linalg.norm(f.center))
-        return _ANY_LINE if r == 0.0 else f.center / r
-    if isinstance(f, Sum):
-        parts = f.parts
-    elif isinstance(f, Product):
-        parts = (f.left, f.right)
-    else:
-        return None
-    line = _ANY_LINE
-    for p in parts:
-        other = _slice_line(p)
-        if other is None:
-            return None
-        if other is _ANY_LINE:
-            continue
-        if line is _ANY_LINE:
-            line = other
-        elif np.linalg.norm(other - np.vdot(line, other) * line) > _LINE_TOL:
-            return None
+        return None, r, _ANY_LINE if r == 0.0 else f.center / r
+    parts = f.parts if isinstance(f, Sum) else (f.left, f.right)
+    degrees, sharps, lines = zip(*map(_shape, parts))
+    degree = None if None in degrees else (max if isinstance(f, Sum) else sum)(degrees)
+    sharp = max((r for r in sharps if r is not None), default=None)
+    return degree, sharp, functools.reduce(_join_lines, lines, _ANY_LINE)
+
+
+def _direction(line, n: int) -> np.ndarray | None:
+    """The unit vector of a line from _shape: e_1 for _ANY_LINE, None for None."""
+    if line is _ANY_LINE:
+        line = np.zeros(n, dtype=complex)
+        line[0] = 1.0
     return line
 
 
 def slice_direction(f: HoloFunction) -> np.ndarray | None:
     """A unit vector zeta with f(z) = h(<z, zeta>) for some h on the disc, or None.
 
-    Read off the representation, walking the tree max_kernel_center walks: a
-    KernelPower lies on the line of its center, a Series whose terms use the
-    one coordinate j on the line of e_j, and a Sum or Product on a line when
-    every part lies on it up to a phase (the first part's zeta is returned).
-    A constant is a slice along every line and gets e_1.  None means f was
-    not recognised as a slice.
+    The line comes from _shape.  A constant is a slice along every line and
+    gets e_1.  None means f was not recognised as a slice.
     """
-    line = _slice_line(f)
-    if line is None:
-        return None
-    if line is _ANY_LINE:
-        line = np.zeros(f.n, dtype=complex)
-        line[0] = 1.0
-    return line
+    return _direction(_shape(f)[2], f.n)
 
 
 # ---------------------------------------------------------------------------
@@ -491,22 +461,24 @@ def invariant_gradient(f: HoloFunction, points):
     return out[0] if squeeze else out
 
 
+# Largest relative violation of the derivative chain that still counts as holding.
+CHAIN_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class ChainReport:
     ok: bool
     worst_margin: float
-    node_index: int
-    count: int
 
 
-def chain_inequality_check(f: HoloFunction, points, tol: float = 1e-10) -> ChainReport:
+def chain_inequality_check(f: HoloFunction, points) -> ChainReport:
     """Verify (1-|z|^2)|Rf| <= (1-|z|^2)|grad f| <= |inv grad f| on the batch.
 
     worst_margin is the largest relative violation found (negative when the
-    chain holds strictly everywhere).  The second leg is a sum-of-squares
-    identity: gradient_sweep's closed form is (1-|z|^2)^2 |grad f|^2 plus
-    (1-|z|^2) times a sum of squares, so only rounding can break it; the
-    first leg is Cauchy-Schwarz with |z| < 1.
+    chain holds strictly everywhere); ok is worst_margin <= CHAIN_TOL.  The
+    second leg is a sum-of-squares identity: gradient_sweep's closed form is
+    (1-|z|^2)^2 |grad f|^2 plus (1-|z|^2) times a sum of squares, so only
+    rounding can break it; the first leg is Cauchy-Schwarz with |z| < 1.
     """
     pts, _ = _points_2d(points, f.n)
     one_minus, radial, grad_norm, c = gradient_sweep(f, pts)
@@ -515,11 +487,8 @@ def chain_inequality_check(f: HoloFunction, points, tol: float = 1e-10) -> Chain
     floor = 1e-300
     margin_ab = (a - b) / np.maximum(b, floor)
     margin_bc = (b - c) / np.maximum(c, floor)
-    margins = np.maximum(margin_ab, margin_bc)
-    i = int(np.argmax(margins))
-    worst = float(margins[i])
-    return ChainReport(ok=bool(worst <= tol), worst_margin=worst, node_index=i,
-                       count=pts.shape[0])
+    worst = float(np.max(np.maximum(margin_ab, margin_bc)))
+    return ChainReport(ok=bool(worst <= CHAIN_TOL), worst_margin=worst)
 
 
 def test_function(phi, a, alpha: float, k: float | None = None) -> KernelPower:

@@ -18,7 +18,9 @@ containing a kernel power is integrated on a boundary-refined rule whose
 angular resolution grows like 1/(1 - |center|), since the trapezoid error for
 the peaked angular profile decays like (r |center|)^N.  At n = 2 every rule
 lifts the disc rule at alpha + 1; a slice f(z) = h(<z, zeta>) gets the lift
-with one phase and a short rule in t (measure.build_slice_rule).
+with one phase and a short rule in t (measure.build_slice_rule).  The
+degree, the largest |center| and the line come from one walk over f
+(holo._shape).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import DivergentNormError, DomainError
 from .growth import GrowthFunction
-from .holo import HoloFunction, Product, gradient_sweep, max_kernel_center, slice_direction
+from .holo import HoloFunction, _direction, _join_lines, _shape, gradient_sweep
 from .measure import (
     QuadratureRule,
     WeightedMeasure,
@@ -74,13 +76,9 @@ class LuxNorm:
     rule_id: str
 
 
-def _node_values(f, rule: QuadratureRule) -> np.ndarray:
-    """|f| at the rule nodes, for a HoloFunction or a vectorized callable."""
-    if isinstance(f, HoloFunction):
-        vals = f._abs_eval(rule.points)
-    else:
-        vals = np.abs(np.asarray(f(rule.points)))
-    return _checked_node_values(rule, vals)
+def _node_values(f: HoloFunction, rule: QuadratureRule) -> np.ndarray:
+    """|f| at the rule nodes, checked once where they are produced."""
+    return _checked_node_values(rule, f._abs_eval(rule.points))
 
 
 def modular_of_values(values: np.ndarray, weights: np.ndarray,
@@ -104,13 +102,13 @@ def modular_of_values(values: np.ndarray, weights: np.ndarray,
     return total
 
 
-def modular(f, phi: GrowthFunction, rule: QuadratureRule) -> ModularResult:
+def modular(f: HoloFunction, phi: GrowthFunction, rule: QuadratureRule) -> ModularResult:
     """int Phi(|f|) d nu_alpha by quadrature."""
     value = modular_of_values(_node_values(f, rule), rule.weights, phi)
     return ModularResult(value=value, rule_id=rule.rule_id)
 
 
-def luxemburg_norm(f, phi: GrowthFunction, rule: QuadratureRule) -> LuxNorm:
+def luxemburg_norm(f: HoloFunction, phi: GrowthFunction, rule: QuadratureRule) -> LuxNorm:
     """inf{lambda > 0 : modular(f / lambda) <= 1} by bracketed bisection.
 
     The seed bracket starts at max |f| over the nodes and is doubled or halved
@@ -153,7 +151,8 @@ def luxemburg_norm(f, phi: GrowthFunction, rule: QuadratureRule) -> LuxNorm:
 
     # invariant: modular(lo) > 1 >= modular(hi)
     while iterations < _BISECT_MAX_ITER and (hi - lo) > _BISECT_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
+        # Halving each end is exact and cannot overflow near the largest float.
+        mid = 0.5 * lo + 0.5 * hi
         iterations += 1
         if modular_of_values(vals, w, phi, mid) > 1.0:
             lo = mid
@@ -217,16 +216,15 @@ def rule_for_function(f: HoloFunction, measure: WeightedMeasure,
     f Rg), the slice rule is used only if cofactor lies on f's line; the
     degree is always read off f.
     """
-    sharp = max_kernel_center(f)
+    d, sharp, line = _shape(f)
     q = 2.0
     if phi is not None and phi.kind == "upper":
         q = max(q, float(phi.type_exponent))
-    zeta = None
-    if measure.n == 2:
-        zeta = slice_direction(f if cofactor is None else Product(f, cofactor))
+    if measure.n == 2 and cofactor is not None:
+        line = _join_lines(line, _shape(cofactor)[2])
+    zeta = _direction(line, 2) if measure.n == 2 else None
     on_disc = measure.n == 1 or zeta is not None
     if sharp is None:
-        d = f.degree() or 0
         degree = max(base_degree, int(math.ceil(q * d)) + 8) * 2**refine
         ang = None
     else:
@@ -296,7 +294,6 @@ def derivative_pointwise_constant(family, phi: GrowthFunction, measure: Weighted
 @dataclass(frozen=True)
 class SmallTypeReport:
     constant: float
-    p: float
     weight_exponent: float
     ratios: tuple
     rule_id: str
@@ -326,5 +323,5 @@ def small_type_estimate_check(family, p: float, measure: WeightedMeasure,
         if den == 0.0:
             raise DomainError("small-type sweep needs nonzero functions")
         ratios.append(num / den)
-    return SmallTypeReport(constant=max(ratios), p=p, weight_exponent=w_exp,
+    return SmallTypeReport(constant=max(ratios), weight_exponent=w_exp,
                            ratios=tuple(ratios), rule_id=rid or "")

@@ -11,7 +11,7 @@ agree to the last bit, and separately samples the floating-point path.
 
 The symbol size that controls everything is the Bloch seminorm
 M = sup (1-|z|^2)|Rg(z)|, estimated by a radius/direction grid with
-golden-section refinement.
+golden-section refinement; the upper-bound check takes M from its caller.
 """
 
 from __future__ import annotations
@@ -118,8 +118,6 @@ def _fraction_parts(s: Series) -> tuple[Series, Series]:
 class IdentityReport:
     coefficient_deviation: float
     sample_deviation: float
-    output_terms: int
-    sample_points: int
 
 
 def radial_derivative_identity_check(symbol: CesaroSymbol, f: Series,
@@ -143,15 +141,12 @@ def radial_derivative_identity_check(symbol: CesaroSymbol, f: Series,
             for j in lhs.terms.keys() | rhs.terms.keys():
                 worst = max(worst, abs(lhs.terms.get(j, 0) - rhs.terms.get(j, 0)))
 
-    tf = cesaro_apply_exact(symbol, f)
-    lhs = tf.radial_derivative()
+    lhs = cesaro_apply_exact(symbol, f).radial_derivative()
     pts, _ = _points_2d(samples, f.n)
     gap_f = np.abs(lhs._eval(pts) - f._eval(pts) * symbol.rg._eval(pts))
     return IdentityReport(
         coefficient_deviation=float(worst),
         sample_deviation=float(np.max(gap_f)) if gap_f.size else 0.0,
-        output_terms=len(tf.terms),
-        sample_points=pts.shape[0],
     )
 
 
@@ -163,7 +158,6 @@ def radial_derivative_identity_check(symbol: CesaroSymbol, f: Series,
 class BlochReport:
     M: float
     argmax_radius: float
-    boundary_profile: tuple
     unbounded: bool
 
 
@@ -191,15 +185,15 @@ def bloch_seminorm(g) -> BlochReport:
     direction_count = 512 if n == 1 else 2048
     dirs = sphere_directions(n, direction_count, 0)
 
-    profile = []
+    profile = []  # the grid sup at each radius
     best = (0.0, 0.0, 0)  # value, radius, direction index
     for r in _BLOCH_RADII:
         val, i = _weighted_rg_sup(rg, r, dirs)
-        profile.append((r, val))
+        profile.append(val)
         if val > best[0]:
             best = (val, r, i)
 
-    tail = [v for _, v in profile[-4:]]
+    tail = profile[-4:]
     unbounded = bool(tail[-1] > _BLOCH_CAP and all(
         tail[i] < tail[i + 1] for i in range(len(tail) - 1)
     ))
@@ -230,8 +224,7 @@ def bloch_seminorm(g) -> BlochReport:
 
     m_final = max(m_star, best[0])
     r_final = float(r_star) if m_star >= best[0] else best[1]
-    return BlochReport(M=m_final, argmax_radius=r_final,
-                       boundary_profile=tuple(profile), unbounded=unbounded)
+    return BlochReport(M=m_final, argmax_radius=r_final, unbounded=unbounded)
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +235,12 @@ def bloch_seminorm(g) -> BlochReport:
 class LowerBoundReport:
     value: float
     ratios: tuple
-    truncation_degree: int
 
 
 @dataclass(frozen=True)
 class UpperBoundReport:
     worst_modular: float
-    modulars: tuple
-    bloch_m: float
     passes: bool
-    tol: float
 
 
 def cesaro_norm_lower_bound(symbol: CesaroSymbol, phi: GrowthFunction,
@@ -273,13 +262,11 @@ def cesaro_norm_lower_bound(symbol: CesaroSymbol, phi: GrowthFunction,
         ratios.append(numer / denom)
     if not ratios:
         raise DomainError("operator-norm family is empty")
-    return LowerBoundReport(value=max(ratios), ratios=tuple(ratios),
-                            truncation_degree=DEFAULT_TRUNCATION_DEGREE)
+    return LowerBoundReport(value=max(ratios), ratios=tuple(ratios))
 
 
 def cesaro_upper_bound_check(symbol: CesaroSymbol, phi: GrowthFunction,
-                             measure: WeightedMeasure, family,
-                             bloch_m: float | None = None,
+                             measure: WeightedMeasure, family, bloch_m: float,
                              tol: float = 1e-6) -> UpperBoundReport:
     """The proof-level upper bound: modular((1-|z|^2)|R T_g f| / (M ||f||)) <= 1.
 
@@ -288,10 +275,10 @@ def cesaro_upper_bound_check(symbol: CesaroSymbol, phi: GrowthFunction,
     integrand dominated by Phi(|f| / ||f||), whose integral is 1 by the norm
     definition; the test confirms that chain survives quadrature.  The norm
     and the integrand share one rule, f's slice rule at n = 2 only when Rg
-    lies on f's line, so that domination carries over node by node.
+    lies on f's line, so that domination carries over node by node.  bloch_m
+    is M, the symbol's bloch_seminorm.
     """
-    m_val = bloch_seminorm(symbol).M if bloch_m is None else float(bloch_m)
-    if m_val <= 0.0:
+    if bloch_m <= 0.0:
         raise DomainError("upper-bound check needs a symbol with positive Bloch seminorm")
     rg = symbol.rg
     modulars = []
@@ -303,7 +290,6 @@ def cesaro_upper_bound_check(symbol: CesaroSymbol, phi: GrowthFunction,
         pts = r.points
         one_minus = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
         vals = _checked_node_values(r, one_minus * np.abs(f._eval(pts) * rg._eval(pts)))
-        modulars.append(modular_of_values(vals, r.weights, phi, m_val * norm))
-    worst = max(modulars) if modulars else 0.0
-    return UpperBoundReport(worst_modular=worst, modulars=tuple(modulars),
-                            bloch_m=m_val, passes=bool(worst <= 1.0 + tol), tol=tol)
+        modulars.append(modular_of_values(vals, r.weights, phi, bloch_m * norm))
+    worst = max(modulars, default=0.0)
+    return UpperBoundReport(worst_modular=worst, passes=bool(worst <= 1.0 + tol))

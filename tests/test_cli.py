@@ -158,6 +158,40 @@ def test_norm_refuses_a_non_finite_alpha(capsys, alpha):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("growth", ["power:p=1/0", "power:p=inf", "powerlog:p=2,a=inf"])
+def test_malformed_growth_id_is_data_error(capsys, growth):
+    code, out, err = run(capsys, ["norm", "--function", Z, "--growth", growth])
+    assert code == 65
+    assert out == ""
+    assert "number" in err
+
+
+def test_verify_has_no_refine_flag(capsys):
+    code, _, err = run(capsys, ["verify", "--refine"])
+    assert code == 64
+    assert "--refine" in err
+
+
+# sha256 of the report `bol verify --suite NAME` writes under the default
+# config (power:p=2, alpha 0, n 1, seed 0).  A change that moves a report's
+# digits on purpose updates its digest here and says so in CHANGES.md.
+_REPORT_SHA256 = {
+    "cesaro_boundedness": "9a56f7ef80bef53e838648443e953c0d6c7974cbf0affb642378487f83b852c8",
+    "cesaro_compactness": "93101101a245c2f618330078ab35be599959644d1ce3e76177e58c66eebe650f",
+    "derivative_equivalence": "80f259f44b677666bdfc502e8ccc3925eb9244aef0a1b328890ba1d477f372df",
+    "interpolation_power": "964f28af724a898af84da15e44335f9687653dcdd50803de9487e6ad69690544",
+    "small_type": "8d13588b1f3dcb26fe6ca872bc01ba1a91dc2c9328f62055ff7c5d85276fa1bd",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_REPORT_SHA256))
+def test_default_reports_keep_their_bytes(capsys, tmp_path, suite):
+    assert cli.main(["verify", "--suite", suite, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((tmp_path / f"{suite}.json").read_bytes()).hexdigest()
+    assert digest == _REPORT_SHA256[suite]
+
+
 @pytest.mark.parametrize("n", [3, 9])
 def test_out_of_range_dimension_is_data_error(capsys, n):
     code, _, err = run(capsys, ["verify", "--config", json.dumps({"n": n})])

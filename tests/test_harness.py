@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bergman_orlicz import harness
 from bergman_orlicz.growth import power_growth
 from bergman_orlicz.harness import (
     FAIL,
@@ -82,11 +83,12 @@ def test_pointwise_estimates_pass():
     assert math.isfinite(rep.empirical_constants["C_value"])
 
 
-def test_test_function_suite_passes_then_fails_on_tight_bracket():
+def test_test_function_suite_passes_then_fails_on_tight_bracket(monkeypatch):
     good = verify_test_functions(PHI2, 0.0, seed=0)
     assert good.verdict == PASS
     assert good.empirical_constants["tail_slope"] <= 0.05
-    tight = verify_test_functions(PHI2, 0.0, seed=0, bracket=1.0)
+    monkeypatch.setattr(harness, "_TEST_FUNCTION_BRACKET", 1.0)
+    tight = verify_test_functions(PHI2, 0.0, seed=0)
     assert tight.verdict == FAIL
 
 
@@ -97,8 +99,9 @@ def test_boundedness_suite_passes_stock_symbols():
     assert rep.empirical_constants["worst_upper_modular"] <= 1.0 + 1e-6
 
 
-def test_boundedness_respects_custom_floor():
-    rep = verify_cesaro_boundedness(PHI2, 0.0, seed=0, c_min=50.0)
+def test_boundedness_respects_custom_floor(monkeypatch):
+    monkeypatch.setattr(harness, "CESARO_LOWER_OVER_M_MIN", 50.0)
+    rep = verify_cesaro_boundedness(PHI2, 0.0, seed=0)
     assert rep.verdict == FAIL
 
 

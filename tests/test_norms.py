@@ -100,6 +100,18 @@ def test_modular_overflow_is_reported_with_node():
     assert err.value.node_index is not None
 
 
+def test_norm_near_the_largest_float_does_not_overflow():
+    # For f = c z on the disc under t^2, modular(f / lambda) = c^2 / (2 lambda^2),
+    # so the norm is c / sqrt(2); the sum of two bisection ends near c
+    # overflows, their halves do not.
+    measure = make_measure(1, 0.0)
+    phi = power_growth(2)
+    f = Series(1, {(1,): 1.7e308})
+    res = luxemburg_norm(f, phi, rule_for_function(f, measure, phi))
+    assert res.lambda_star == pytest.approx(1.7e308 / math.sqrt(2.0), rel=1e-9)
+    assert res.residual <= 1e-9
+
+
 @pytest.mark.parametrize("gid", shipped_growth_ids())
 def test_modular_of_values_is_the_checked_formula_bit_for_bit(gid):
     # The step skips GrowthFunction's argument check and weights in place;

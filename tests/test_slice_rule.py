@@ -6,8 +6,9 @@ on the disc, and every integrand the suites build from it depends on
 must reproduce what the 4-D product rule gives.  Three groups: agreement of
 the four derivative modulars with the product rule, the kernel test-function
 norms against mpmath's 2F1 reduction, and how slice_direction reads a
-function's line.  A fourth pins the Cesaro upper-bound check, whose integrand
-f Rg is a slice only when Rg lies on f's line.
+function's line.  A fourth pins the rule rule_for_function picks for each
+kind of representation at n = 1 and 2, and a fifth the Cesaro upper-bound
+check, whose integrand f Rg is a slice only when Rg lies on f's line.
 """
 
 import mpmath as mp
@@ -127,6 +128,51 @@ def test_slice_direction_refuses_two_variable_series():
     two_variable = Series(2, {(2, 0): 1.0, (0, 1): 1.0})
     assert rule_for_function(two_variable, make_measure(2, 0.0), PHI2).rule_id.startswith(
         "product:n=2,")
+
+
+_A = _KERNEL.center
+_Z1_CUBED = Series(2, {(3, 0): 1.0})
+_SLICE_E1 = "slice:n=2,alpha=0,zeta=(1+0j,0+0j),"
+_SLICE_A = "slice:n=2,alpha=0,zeta=(0.666667+0.444444j,-0.222222+0.555556j),"
+
+# name: (f, growth exponent, cofactor, the rule id rule_for_function picks).
+# The ids pin what the walk over f reads: its degree, its largest kernel
+# |center| and its complex line, merged with the cofactor's.
+_RULE_CASES = {
+    "n1-series": (Series(1, {(20,): 1.0, (3,): 0.5}), 3, None,
+                  "product:n=1,alpha=0,degree=68,nodes=1242"),
+    "n1-kernel": (KernelPower(np.array([0.9j]), 2.0), 2, None,
+                  "product:n=1,alpha=0,degree=64,nodes=16896,refined,angles=512"),
+    "n1-sum-with-kernels": (
+        Sum((Series(1, {(40,): 1.0}), KernelPower(np.array([0.3]), 3.0),
+             KernelPower(np.array([0.99j]), 2.0))), 3, None,
+        "product:n=1,alpha=0,degree=80,nodes=98400,refined,angles=2400"),
+    "n1-cofactor": (Series(1, {(3,): 1.0}), 2, Series(1, {(1,): 1.0}),
+                    "product:n=1,alpha=0,degree=32,nodes=297"),
+    "n2-series": (Series(2, {(3, 0): 1.0, (12, 0): 2j}), 3, None,
+                  _SLICE_E1 + "degree=44,t=9,nodes=4860"),
+    "n2-off-axis-kernel": (_KERNEL, 2, None,
+                           _SLICE_A + "degree=64,t=9,nodes=152064,refined,angles=512"),
+    "n2-phase-shifted-sum": (
+        Sum((KernelPower(_A, 2.0), KernelPower(1j * _A * 0.5, 3.0))), 2, None,
+        _SLICE_A + "degree=64,t=9,nodes=152064,refined,angles=512"),
+    "n2-product-with-constant": (
+        Product(Series(2, {(0, 14): 1.0}), Series(2, {(0, 0): 2.0})), 3, None,
+        "slice:n=2,alpha=0,zeta=(0+0j,1+0j),degree=50,t=9,nodes=5967"),
+    "n2-two-variable-series": (Series(2, {(2, 0): 1.0, (0, 1): 1.0}), 2, None,
+                               "product:n=2,alpha=0,degree=32,nodes=88209"),
+    "n2-cofactor-on-line": (_Z1_CUBED, 2, Series(2, {(1, 0): 1.0}),
+                            _SLICE_E1 + "degree=32,t=9,nodes=2673"),
+    "n2-cofactor-off-line": (_Z1_CUBED, 2, Series(2, {(0, 1): 1.0}),
+                             "product:n=2,alpha=0,degree=32,nodes=88209"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RULE_CASES))
+def test_rule_for_function_reads_degree_center_and_line(name):
+    f, p, cofactor, rule_id = _RULE_CASES[name]
+    rule = rule_for_function(f, make_measure(f.n, 0.0), power_growth(p), cofactor=cofactor)
+    assert rule.rule_id == rule_id
 
 
 def _upper_modular_on_product_rule(f, sym, measure, phi, bloch_m):
