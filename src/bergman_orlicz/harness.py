@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -106,15 +106,7 @@ class VerificationReport:
     rule_info: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "config": self.config,
-            "cases": list(self.cases),
-            "empirical_constants": self.empirical_constants,
-            "rule_info": self.rule_info,
-        }
+        return asdict(self)
 
 
 def _map_ordered(fn, items, jobs: int):

@@ -12,10 +12,10 @@ derivatives on a batch of points, and how to produce its radial derivative
 R f = sum_j z_j d f / d z_j as another representation in closed form.  The
 radial derivative of a kernel power is s <z, a> (1 - <z, a>)^(-s-1), which is
 a Product of a linear Series and another KernelPower, so the class is closed
-under R.  A Series call walks the points in blocks of _SERIES_BLOCK, builds
-one power table per coordinate for each block and reads its value or all n
-partials from it, so its scratch memory does not grow with the number of
-terms times the number of points.  to_series() expands any representation
+under R.  A Series call walks the points once (Series._sums), in blocks of
+_SERIES_BLOCK, and sums its value, or all n partials, from the powers of each
+coordinate that a term reads, kept per block, so its scratch memory does not
+grow with the terms times the points.  to_series() expands any representation
 into a truncated Series for the coefficient-level Cesaro path, and _shape
 reads off, in one walk, what quadrature selection needs: the polynomial
 degree, the largest kernel |center| and the complex line of a slice.
@@ -142,61 +142,45 @@ class Series(HoloFunction):
                 clean[idx] = clean.get(idx, 0) + c
         object.__setattr__(self, "terms", clean)
 
-    def _power_table(self, pts: np.ndarray, exponents) -> list[dict]:
-        """Per coordinate j, {d: z_j^d} for the d in exponents[j].
+    def _sums(self, pts: np.ndarray, term_lists) -> np.ndarray:
+        """Column k holds sum c z^m over the (m, c) pairs of term_lists[k], in order.
 
-        z_j^d is the running product of d factors z_j, each written into a
-        buffer of its own: numpy rounds a complex product written over its
-        own factor differently for a single point.  Only the powers that are
-        read keep their buffer; the others are reused.
+        One walk over the point blocks serves every list.  z_j^d is the
+        running product of d factors z_j, each written into a fresh buffer:
+        numpy rounds a complex product written over its own factor
+        differently for a single point.  Only the powers some list reads are
+        kept; the others are freed when the next power replaces them.
         """
-        tables = []
-        for j in range(self.n):
-            col = np.ascontiguousarray(pts[:, j])
-            power = np.ones(pts.shape[0], dtype=complex)
-            spare = None
-            rows = {}
-            for d in range(max(exponents[j], default=0) + 1):
-                if d:
-                    nxt = np.multiply(power, col, out=spare)
-                    spare = None if d - 1 in rows else power
-                    power = nxt
-                if d in exponents[j]:
-                    rows[d] = power
-            tables.append(rows)
-        return tables
-
-    def _monomial_sum(self, tab: list[dict], terms, count: int) -> np.ndarray:
-        """sum c z^m over the (m, c) pairs of terms, in their order, read off tab."""
-        out = np.zeros(count, dtype=complex)
-        for m, c in terms:
-            mono = tab[0][m[0]].copy()
-            for j in range(1, self.n):
-                mono *= tab[j][m[j]]
-            out += complex(c) * mono
+        used = [{m[j] for terms in term_lists for m, _ in terms} for j in range(self.n)]
+        out = np.zeros((pts.shape[0], len(term_lists)), dtype=complex)
+        for lo, hi in _blocks(pts.shape[0]):
+            tab = []
+            for j in range(self.n):
+                col = np.ascontiguousarray(pts[lo:hi, j])
+                rows = {}
+                for d in range(max(used[j], default=0) + 1):
+                    power = power * col if d else np.ones(hi - lo, dtype=complex)
+                    if d in used[j]:
+                        rows[d] = power
+                tab.append(rows)
+            for k, terms in enumerate(term_lists):
+                acc = np.zeros(hi - lo, dtype=complex)
+                for m, c in terms:
+                    mono = tab[0][m[0]].copy()
+                    for j in range(1, self.n):
+                        mono *= tab[j][m[j]]
+                    acc += complex(c) * mono
+                out[lo:hi, k] = acc
         return out
 
     def _eval(self, pts):
-        terms = [(m, self.terms[m]) for m in sorted(self.terms)]
-        exponents = [{m[k] for m, _ in terms} for k in range(self.n)]
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for lo, hi in _blocks(pts.shape[0]):
-            tab = self._power_table(pts[lo:hi], exponents)
-            out[lo:hi] = self._monomial_sum(tab, terms, hi - lo)
-        return out
+        return self._sums(pts, [[(m, self.terms[m]) for m in sorted(self.terms)]])[:, 0]
 
     def _partials(self, pts):
-        # d_j z^m = m_j z^(m - e_j): all n partials read one table of powers.
-        shifted = [[(m[:j] + (m[j] - 1,) + m[j + 1:], self.terms[m] * m[j])
-                    for m in sorted(self.terms) if m[j] > 0] for j in range(self.n)]
-        exponents = [{mm[k] for terms in shifted for mm, _ in terms} for k in range(self.n)]
-        out = np.zeros((pts.shape[0], self.n), dtype=complex)
-        for lo, hi in _blocks(pts.shape[0]):
-            tab = self._power_table(pts[lo:hi], exponents)
-            for j, terms in enumerate(shifted):
-                if terms:
-                    out[lo:hi, j] = self._monomial_sum(tab, terms, hi - lo)
-        return out
+        # d_j z^m = m_j z^(m - e_j): all n partials read one walk's powers.
+        return self._sums(pts, [[(m[:j] + (m[j] - 1,) + m[j + 1:], self.terms[m] * m[j])
+                                 for m in sorted(self.terms) if m[j] > 0]
+                                for j in range(self.n)])
 
     def radial_derivative(self) -> "Series":
         return Series(self.n, {m: c * sum(m) for m, c in self.terms.items() if sum(m) > 0})

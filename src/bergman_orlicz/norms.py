@@ -124,30 +124,22 @@ def luxemburg_norm(f: HoloFunction, phi: GrowthFunction, rule: QuadratureRule) -
     lam = top
     m = modular_of_values(vals, w, phi, lam)
     iterations = 0
-    if m <= 1.0:
-        hi = lam
-        while m <= 1.0:
-            lam *= 0.5
-            iterations += 1
-            if lam < _LAMBDA_FLOOR:
-                # Phi crushes every positive value; the infimum is 0 at
-                # working precision.
-                return LuxNorm(lambda_star=0.0, residual=abs(m - 1.0),
-                               iterations=iterations, rule_id=rule.rule_id)
-            m = modular_of_values(vals, w, phi, lam)
-        lo = lam
-    else:
-        lo = lam
-        while m > 1.0:
-            lam *= 2.0
-            iterations += 1
-            if lam > _LAMBDA_CEIL:
-                raise DivergentNormError(
-                    f"modular stays above 1 out to lambda={lam:.3e}; "
-                    f"no finite Luxembourg norm on rule {rule.rule_id}"
-                )
-            m = modular_of_values(vals, w, phi, lam)
-        hi = lam
+    down = m <= 1.0
+    while (m <= 1.0) == down:
+        lam *= 0.5 if down else 2.0
+        iterations += 1
+        if down and lam < _LAMBDA_FLOOR:
+            # Phi crushes every positive value; the infimum is 0 at
+            # working precision.
+            return LuxNorm(lambda_star=0.0, residual=abs(m - 1.0),
+                           iterations=iterations, rule_id=rule.rule_id)
+        if not down and lam > _LAMBDA_CEIL:
+            raise DivergentNormError(
+                f"modular stays above 1 out to lambda={lam:.3e}; "
+                f"no finite Luxembourg norm on rule {rule.rule_id}"
+            )
+        m = modular_of_values(vals, w, phi, lam)
+    lo, hi = (lam, top) if down else (top, lam)
 
     # invariant: modular(lo) > 1 >= modular(hi)
     while iterations < _BISECT_MAX_ITER and (hi - lo) > _BISECT_REL_TOL * hi:

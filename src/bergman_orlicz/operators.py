@@ -11,7 +11,10 @@ agree to the last bit, and separately samples the floating-point path.
 
 The symbol size that controls everything is the Bloch seminorm
 M = sup (1-|z|^2)|Rg(z)|, estimated by a radius/direction grid with
-golden-section refinement; the upper-bound check takes M from its caller.
+golden-section refinement: a symbol on a complex line (holo.slice_direction)
+is searched on that line's circle, so its n = 2 value is its value on the
+disc, and any other n = 2 symbol on sphere directions.  The upper-bound
+check takes M from its caller.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from scipy.special import roots_legendre
 
 from .errors import DomainError, SymbolInvariantError
 from .growth import GrowthFunction, golden_section_max
-from .holo import DEFAULT_TRUNCATION_DEGREE, HoloFunction, Series, to_series
+from .holo import DEFAULT_TRUNCATION_DEGREE, HoloFunction, Series, slice_direction, to_series
 from .measure import WeightedMeasure, _checked_node_values, _points_2d, sphere_directions
 from .norms import luxemburg_norm, modular_of_values, rule_for_function
 
@@ -161,12 +164,6 @@ class BlochReport:
     unbounded: bool
 
 
-def _weighted_rg_sup(rg: HoloFunction, r: float, dirs: np.ndarray) -> tuple[float, int]:
-    vals = (1.0 - r * r) * np.abs(rg._eval(r * dirs))
-    i = int(np.argmax(vals))
-    return float(vals[i]), i
-
-
 _BLOCH_RADII = tuple(sorted(set(
     [k / 16.0 for k in range(16)] + [1.0 - 2.0 ** (-j) for j in range(4, 19)]
 )))
@@ -176,22 +173,28 @@ def bloch_seminorm(g) -> BlochReport:
     """sup over the ball of (1-|z|^2)|Rg(z)| by grid search plus refinement.
 
     Accepts a CesaroSymbol or any HoloFunction.  The radius grid clusters
-    geometrically toward the sphere and meets 512 directions (n = 1) or 2048
-    (n = 2, seed 0); the best cell is polished with golden-section passes
-    (radius, then direction for n=1, then radius again).
+    geometrically toward the sphere and meets 512 directions e^(i theta) zeta
+    when Rg lies on the line of zeta (every symbol at n = 1), else 2048
+    sphere directions (seed 0); the best cell is polished with golden-section
+    passes (radius, then the angle theta on a line, then radius again).
     """
     rg = g.rg if isinstance(g, CesaroSymbol) else g.radial_derivative()
-    n = rg.n
-    direction_count = 512 if n == 1 else 2048
-    dirs = sphere_directions(n, direction_count, 0)
+    zeta = slice_direction(rg)
+    circle = sphere_directions(1, 512, 0)
+    dirs = sphere_directions(rg.n, 2048, 0) if zeta is None else circle * zeta
+
+    def weighted(r, d):
+        """(1-r^2)|Rg(r d)| at a direction d, or at each row of a batch d."""
+        return (1.0 - r * r) * np.abs(rg.eval(r * d))
 
     profile = []  # the grid sup at each radius
     best = (0.0, 0.0, 0)  # value, radius, direction index
     for r in _BLOCH_RADII:
-        val, i = _weighted_rg_sup(rg, r, dirs)
-        profile.append(val)
-        if val > best[0]:
-            best = (val, r, i)
+        vals = weighted(r, dirs)
+        i = int(np.argmax(vals))
+        profile.append(float(vals[i]))
+        if profile[-1] > best[0]:
+            best = (profile[-1], r, i)
 
     tail = profile[-4:]
     unbounded = bool(tail[-1] > _BLOCH_CAP and all(
@@ -204,22 +207,20 @@ def bloch_seminorm(g) -> BlochReport:
     direction = dirs[best[2]]
 
     def along(r) -> float:
-        rr = min(max(float(r), 0.0), 1.0 - 1e-12)
-        return (1.0 - rr * rr) * float(np.abs(rg.eval(rr * direction)))
+        return float(weighted(min(max(float(r), 0.0), 1.0 - 1e-12), direction))
 
     r_star, m_star = golden_section_max(along, lo, hi)
-    if n == 1:
-        theta0 = float(np.angle(direction[0]))
-        step = 2.0 * np.pi / direction_count
+    if zeta is not None:
+        theta0 = float(np.angle(circle[best[2], 0]))
+        step = 2.0 * np.pi / len(circle)
         r_fixed = float(r_star)
 
         def around(theta) -> float:
-            d = np.array([np.exp(1j * float(theta))])
-            return (1.0 - r_fixed**2) * float(np.abs(rg.eval(r_fixed * d)))
+            return float(weighted(r_fixed, np.exp(1j * float(theta)) * zeta))
 
         theta_star, m_theta = golden_section_max(around, theta0 - step, theta0 + step)
         if m_theta > m_star:
-            direction = np.array([np.exp(1j * float(theta_star))])
+            direction = np.exp(1j * float(theta_star)) * zeta
             r_star, m_star = golden_section_max(along, lo, hi)
 
     m_final = max(m_star, best[0])

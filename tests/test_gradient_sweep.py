@@ -11,6 +11,7 @@ and the two must agree bit for bit, also across the point blocks a Series
 call walks; those blocks keep its scratch memory independent of the terms.
 """
 
+import hashlib
 import sys
 import tracemalloc
 
@@ -148,6 +149,25 @@ def test_shared_power_table_is_bitwise_the_per_coordinate_path(monkeypatch, name
         pts = 0.99 * w / np.maximum(np.linalg.norm(w, axis=1, keepdims=True), 1.0)
         assert f._partials(pts).tobytes() == _reference_partials(f, pts).tobytes()
         assert f._eval(pts).tobytes() == _reference_eval(f, pts).tobytes()
+
+
+# sha256 of the n = 2, alpha = 0 rule of degree 32 (the lift along e1) and of a
+# two-variable degree-6 series and its partials on the first 16,385 nodes:
+# one _SERIES_BLOCK plus a lone last point, which joins the block before it.
+_N2_DIGESTS = {
+    "points": "3d5f2fcc115add1f7930b602fd5390e72cc314b26fad7bc9d1d27ecd7c30fee0",
+    "eval": "fb312765dfa46e31c1dfe0c17ffec731d86bdf0f3b0aaf92e2db7c36dd2e2d18",
+    "partials": "b79e9050185b3820cfec078f0d9957e96761e42f3cb4aeb52b952370a284d6df",
+}
+
+
+def test_n2_lift_and_series_walk_keep_their_bytes():
+    rule = build_rule(make_measure(2, 0.0), 32)
+    pts = rule.points[:16385]
+    f = Series(2, {(0, 0): 0.5, (6, 0): 1.0 - 0.5j, (3, 3): -0.25j, (1, 4): 0.75,
+                   (0, 6): 0.3 + 0.1j, (2, 1): -1.2, (0, 1): 2.0j})
+    got = {"points": rule.points, "eval": f.eval(pts), "partials": f.partials(pts)}
+    assert {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in got.items()} == _N2_DIGESTS
 
 
 def test_series_scratch_memory_does_not_grow_with_the_terms():
