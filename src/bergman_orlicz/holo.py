@@ -367,17 +367,25 @@ def _shape(f: HoloFunction):
     none: integrands built from f concentrate near the sphere on the scale
     1 - sharp.  line is f's complex line as a unit vector, _ANY_LINE for a
     constant, or None.  A KernelPower lies on the line of its center, a
-    Series whose terms use the one coordinate j on the line of e_j, and a Sum
-    or Product on a line when every part lies on it up to a phase (the first
-    part's vector is kept).
+    Series whose terms use the one coordinate j on the line of e_j, an affine
+    Series c + sum_j b_j z_j = c + <z, conj(b)> on the line of conj(b), and a
+    Sum or Product on a line when every part lies on it up to a phase (the
+    first part's vector is kept).
     """
     if isinstance(f, Series):
+        degree = max((sum(m) for m in f.terms), default=0)
         used = {j for m in f.terms for j, d in enumerate(m) if d > 0}
         line = _ANY_LINE if not used else None
         if len(used) == 1:
             line = np.zeros(f.n, dtype=complex)
             line[used.pop()] = 1.0
-        return max((sum(m) for m in f.terms), default=0), None, line
+        elif degree == 1:
+            b = np.zeros(f.n, dtype=complex)
+            for m, c in f.terms.items():
+                if sum(m) == 1:
+                    b[m.index(1)] += complex(c)
+            line = np.conj(b) / np.linalg.norm(b)
+        return degree, None, line
     if isinstance(f, KernelPower):
         r = float(np.linalg.norm(f.center))
         return None, r, _ANY_LINE if r == 0.0 else f.center / r

@@ -28,6 +28,12 @@ the modulus that norms need, works in that buffer plus one real array.
 Rules above _MAX_RULE_NODES = 2^24 nodes (0.67 GB at n = 2) are refused
 with UnsupportedRuleError before any allocation.
 
+A measure keeps every polynomial rule built for it: a second build_rule or
+build_slice_rule call with the same arguments returns a new QuadratureRule
+over the same read-only arrays, which live as long as the measure (each
+suite makes its own).  Kernel rules (angular_count set) serve one centre and
+are built afresh on every call, never kept.
+
 sphere_directions supplies the unit vectors that the pointwise and Bloch
 sweeps probe along: the equispaced circle for n = 1 and seed-deterministic
 scrambled Halton points for n >= 2.
@@ -79,6 +85,7 @@ class WeightedMeasure:
 
     n: int
     alpha: float
+    _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -186,8 +193,10 @@ def _lifted_rule_raw(what: str, alpha: float, degree: int, angular_count: int | 
     t, w_t = _radial_jacobi(alpha, t_count)
     w = disc[:, 0]
     v = np.sqrt(t[None, :] * np.maximum(0.0, 1.0 - np.abs(w) ** 2)[:, None])
-    pts = np.empty(v.shape + (n_phase, 2), dtype=complex)
-    np.multiply(v[:, :, None, None], transverse[None, None, :, :], out=pts)
+    # One multiply per coordinate that some phase moves; the rest stay +0.
+    pts = np.zeros(v.shape + (n_phase, 2), dtype=complex)
+    for k in np.flatnonzero(np.any(transverse != 0, axis=0)):
+        np.multiply(v[:, :, None], transverse[None, None, :, k], out=pts[..., k])
     pts += (w[:, None] * zeta[None, :])[:, None, None, :]
     # int_0^1 (1-t)^alpha dt = 1 / (alpha + 1)
     raw_w = np.empty(pts.shape[:3])
@@ -225,14 +234,21 @@ def build_rule(measure: WeightedMeasure, degree: int,
 
     The rule costs 24 bytes per node at n = 1 and 40 at n = 2; a rule of
     more than _MAX_RULE_NODES (2^24) nodes raises UnsupportedRuleError
-    before anything node-sized is allocated.
+    before anything node-sized is allocated.  Without angular_count the
+    rule is kept on the measure, keyed by (degree, angular_count): later
+    calls share its points and weights, which are read-only and live as
+    long as the measure.  A kernel rule is built afresh on every call.
     """
     if degree < 0:
         raise DomainError(f"degree must be >= 0, got {degree}")
     n, alpha = measure.n, measure.alpha
-    pts, raw_w = _rule_raw(n, alpha, degree, angular_count)
-    rid = f"product:n={n},alpha={alpha:g},degree={degree},nodes={pts.shape[0]}"
-    return _unit_mass_rule(measure, pts, raw_w, degree, rid + _kernel_tag(angular_count))
+
+    def build():
+        pts, raw_w = _rule_raw(n, alpha, degree, angular_count)
+        rid = f"product:n={n},alpha={alpha:g},degree={degree},nodes={pts.shape[0]}"
+        return _unit_mass_parts(pts, raw_w, degree, rid + _kernel_tag(angular_count))
+
+    return _kept_rule(measure, (degree, angular_count), angular_count, build)
 
 
 def build_slice_rule(measure: WeightedMeasure, direction, degree: int, t_count: int,
@@ -245,7 +261,10 @@ def build_slice_rule(measure: WeightedMeasure, direction, degree: int, t_count: 
     build_rule's lift along zeta with t_count nodes in t and the one
     transverse vector zeta_perp.  Its rule_id reads
     "slice:n=2,alpha=A,zeta=(Z1,Z2),degree=D,t=T,nodes=N", with
-    ",refined,angles=M" appended for a kernel rule.
+    ",refined,angles=M" appended for a kernel rule.  As in build_rule, a rule
+    without angular_count is kept on the measure, keyed by (zeta's bytes,
+    degree, t_count), and its read-only arrays are shared by later calls; a
+    kernel rule is never kept.
     """
     if measure.n != 2:
         raise UnsupportedRuleError(f"slice rules lift the disc to n=2, got n={measure.n}")
@@ -254,31 +273,45 @@ def build_slice_rule(measure: WeightedMeasure, direction, degree: int, t_count: 
     zeta = _as_point(direction)
     if zeta.shape != (2,) or abs(math.hypot(*np.abs(zeta)) - 1.0) > 1e-12:
         raise DomainError(f"a slice direction must be a unit vector of C^2, got {zeta}")
-    perp = np.array([[-np.conj(zeta[1]), np.conj(zeta[0])]])
-    pts, raw_w = _lifted_rule_raw("a slice rule", measure.alpha, degree, angular_count,
-                                  zeta, t_count, perp)
-    z1, z2 = (f"{c.real:.6g}{c.imag:+.6g}j" for c in zeta)
-    rid = (f"slice:n=2,alpha={measure.alpha:g},zeta=({z1},{z2}),degree={degree},"
-           f"t={t_count},nodes={pts.shape[0]}")
-    return _unit_mass_rule(measure, pts, raw_w, degree, rid + _kernel_tag(angular_count))
+
+    def build():
+        perp = np.array([[-np.conj(zeta[1]), np.conj(zeta[0])]])
+        pts, raw_w = _lifted_rule_raw("a slice rule", measure.alpha, degree, angular_count,
+                                      zeta, t_count, perp)
+        z1, z2 = (f"{c.real:.6g}{c.imag:+.6g}j" for c in zeta)
+        rid = (f"slice:n=2,alpha={measure.alpha:g},zeta=({z1},{z2}),degree={degree},"
+               f"t={t_count},nodes={pts.shape[0]}")
+        return _unit_mass_parts(pts, raw_w, degree, rid + _kernel_tag(angular_count))
+
+    return _kept_rule(measure, (zeta.tobytes(), degree, t_count), angular_count, build)
 
 
 def _kernel_tag(angular_count: int | None) -> str:
     return "" if angular_count is None else f",refined,angles={int(angular_count)}"
 
 
-def _unit_mass_rule(measure: WeightedMeasure, pts: np.ndarray, raw_w: np.ndarray,
-                    degree: int, rule_id: str) -> QuadratureRule:
-    """The rule with its raw weights divided, in place, by their sum."""
+def _unit_mass_parts(pts: np.ndarray, raw_w: np.ndarray, degree: int, rule_id: str):
+    """QuadratureRule's fields after measure, the raw weights divided in place by their sum."""
     total = float(np.sum(raw_w))
-    return QuadratureRule(
-        measure=measure,
-        points=pts,
-        weights=np.divide(raw_w, total, out=raw_w),
-        exact_degree=degree,
-        rule_id=rule_id,
-        normalization_residual=abs(total - 1.0),
-    )
+    return pts, np.divide(raw_w, total, out=raw_w), degree, rule_id, abs(total - 1.0)
+
+
+def _kept_rule(measure: WeightedMeasure, key, angular_count: int | None,
+               build) -> QuadratureRule:
+    """A fresh QuadratureRule over the parts build() returns, kept on the measure.
+
+    Only rules without angular_count are kept, under key, with their arrays
+    made read-only; the parts are kept rather than the rule, which points back
+    at the measure.  Two threads that miss at once both build and store
+    identical arrays, so no lock is taken.
+    """
+    parts = measure._rules.get(key) if angular_count is None else None
+    if parts is None:
+        parts = build()
+        if angular_count is None:
+            parts[0].flags.writeable = parts[1].flags.writeable = False
+            measure._rules[key] = parts
+    return QuadratureRule(measure, *parts)
 
 
 def sphere_directions(n: int, count: int, seed: int) -> np.ndarray:

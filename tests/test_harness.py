@@ -134,6 +134,15 @@ def test_reports_identical_across_thread_counts(jobs):
     assert base == other
 
 
+def test_n2_reports_identical_across_thread_counts():
+    # The threads share the measure's kept rules: z1 and z1^2 read one slice
+    # rule per refinement, z1 z2 the lifted product rules.
+    fam = [(f"monomial:m={m}", Series(2, {m: 1.0})) for m in ((1, 0), (2, 0), (1, 1))]
+    base = as_canonical(verify_derivative_equivalence(PHI2, 0.0, 2, family=fam, jobs=1))
+    threaded = as_canonical(verify_derivative_equivalence(PHI2, 0.0, 2, family=fam, jobs=3))
+    assert base == threaded
+
+
 def test_rerun_is_byte_identical():
     a = as_canonical(verify_small_type(0.7, 1.0, seed=6))
     b = as_canonical(verify_small_type(0.7, 1.0, seed=6))

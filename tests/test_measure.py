@@ -5,15 +5,20 @@ int |z^m|^2 dnu_alpha = m! Gamma(n+alpha+1) / Gamma(n+|m|+alpha+1).
 """
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bergman_orlicz import measure as measure_module
+from bergman_orlicz import norms
 from bergman_orlicz.errors import DomainError, UnsupportedRuleError
 from bergman_orlicz.growth import power_growth
+from bergman_orlicz.harness import verify_cesaro_boundedness
 from bergman_orlicz.holo import test_function as kernel_test_function
 from bergman_orlicz.holo import KernelPower, Series, to_series
 from bergman_orlicz.measure import (
@@ -93,6 +98,77 @@ def test_boundary_refined_and_angular_override_tags():
     for rule in (plain, forced):
         val = integrate(rule, lambda z: np.abs(z[:, 0]) ** 4)
         assert val.real == pytest.approx(moment_oracle(1, 0.0, (2,)), abs=1e-13)
+
+
+def test_polynomial_rules_are_kept_on_their_measure():
+    measure = make_measure(2, 0.5)
+    first, again = build_rule(measure, degree=16), build_rule(measure, degree=16)
+    assert first is not again
+    assert first.points is again.points and first.weights is again.weights
+    for arr in (first.points, first.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    zeta = np.array([0.6, 0.8j])
+    s1, s2 = (build_slice_rule(measure, zeta, 12, 3) for _ in range(2))
+    assert s1.points is s2.points and s1.weights is s2.weights
+    fresh = build_rule(make_measure(2, 0.5), degree=16)
+    assert fresh.points is not first.points and fresh.weights is not first.weights
+    assert fresh.points.tobytes() == first.points.tobytes()
+    assert fresh.weights.tobytes() == first.weights.tobytes()
+
+
+def test_kernel_rules_are_rebuilt_on_every_call():
+    disc, ball = make_measure(1, 0.0), make_measure(2, 0.0)
+    for build in (lambda: build_rule(disc, degree=12, angular_count=64),
+                  lambda: build_slice_rule(ball, np.array([1.0, 0.0]), 12, 3,
+                                           angular_count=64)):
+        a, b = build(), build()
+        assert a.points is not b.points and a.weights is not b.weights
+        assert a.points.flags.writeable and a.weights.flags.writeable
+    assert not disc._rules and not ball._rules
+
+
+def test_threads_that_share_a_measure_get_the_same_rule():
+    # Threads that miss at once may each build the rule; every one must get
+    # the same bytes and the measure must end up keeping one entry.
+    measure = make_measure(2, 0.0)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            rules = list(pool.map(lambda _: build_rule(measure, degree=24), range(12),
+                                  timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(measure._rules) == 1
+    for rule in rules:
+        assert rule.points.tobytes() == rules[0].points.tobytes()
+        assert rule.weights.tobytes() == rules[0].weights.tobytes()
+
+
+def test_one_suite_builds_each_polynomial_rule_once(monkeypatch):
+    # Every rule of an n = 1 suite comes through norms.build_rule; a raw
+    # build normalizes its weights once, in _unit_mass_parts.
+    calls, built = [], []
+
+    def counted_build_rule(measure, degree, angular_count=None):
+        rule = build_rule(measure, degree, angular_count)
+        calls.append((rule.rule_id, angular_count))
+        return rule
+
+    def counted_parts(pts, raw_w, degree, rule_id):
+        built.append(rule_id)
+        return unit_mass_parts(pts, raw_w, degree, rule_id)
+
+    unit_mass_parts = measure_module._unit_mass_parts
+    monkeypatch.setattr(norms, "build_rule", counted_build_rule)
+    monkeypatch.setattr(measure_module, "_unit_mass_parts", counted_parts)
+    verify_cesaro_boundedness(power_growth(2.0), 0.0, seed=0)
+    polynomial = {rid for rid, ang in calls if ang is None}
+    kernel = [rid for rid, ang in calls if ang is not None]
+    assert polynomial
+    assert sorted(built) == sorted([*polynomial, *kernel])
+    assert len(built) < len(calls)
 
 
 def test_rule_argument_validation():

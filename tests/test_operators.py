@@ -10,7 +10,7 @@ from bergman_orlicz import operators
 from bergman_orlicz.errors import NonFiniteIntegrandError, SymbolInvariantError
 from bergman_orlicz.growth import power_growth
 from bergman_orlicz.harness import default_symbols
-from bergman_orlicz.holo import KernelPower, Series
+from bergman_orlicz.holo import KernelPower, Series, Sum, slice_direction
 from bergman_orlicz.holo import test_function as kernel_test_function
 from bergman_orlicz.measure import make_measure
 from bergman_orlicz.norms import luxemburg_norm, rule_for_function
@@ -118,6 +118,22 @@ def test_n2_bloch_seminorm_of_a_symbol_on_a_line_is_its_disc_value():
     # 2048 sphere directions fell short of each maximum, by up to 2.4e-3.
     for (sid, g1), (_, g2) in zip(default_symbols(1), default_symbols(2)):
         assert bloch_seminorm(g2).M == bloch_seminorm(g1).M, sid
+
+
+def test_n2_bloch_seminorm_of_an_off_axis_kernel_is_its_disc_value():
+    # R(1 - <z, a>)^(-2) is a linear Series in both coordinates times a kernel
+    # power; both lie on the line of a, so the search runs on that line and
+    # meets the n = 1 value at |a| = 0.5 (unitary invariance).
+    def shifted(center):
+        n = len(center)
+        return CesaroSymbol(Sum((KernelPower(center, 2.0), Series(n, {(0,) * n: -1.0}))))
+
+    a = np.array([0.3, 0.4j])
+    g2, g1 = shifted(a), shifted(np.array([0.5 + 0j]))
+    assert np.allclose(slice_direction(g2.rg), a / 0.5)
+    m1 = bloch_seminorm(g1).M
+    assert m1 == pytest.approx(1.34769, abs=1e-5)
+    assert bloch_seminorm(g2).M == pytest.approx(m1, rel=1e-12)
 
 
 def test_bloch_flags_divergent_symbol():
