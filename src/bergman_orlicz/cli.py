@@ -18,6 +18,7 @@ one the node ceiling accepts (2^24 nodes) holds 0.67 GB.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import hashlib
 import json
@@ -132,6 +133,8 @@ def cmd_cesaro(args) -> int:
         raise FunctionSpecError(f"symbol has n={g.n} but function has n={f.n}")
     symbol = CesaroSymbol(g)
     out_series = cesaro_apply_exact(symbol, f, args.truncation)
+    if not all(map(cmath.isfinite, out_series.terms.values())):
+        raise FunctionSpecError("a coefficient of the Cesaro image overflows the float range")
     doc = {
         "schema": REPORT_SCHEMA,
         "command": "cesaro",
@@ -281,6 +284,7 @@ def _effective_config(args) -> dict:
             raise _UsageError(
                 f"unknown suite {name!r}; known: {', '.join(SUITES)}")
     resolve_growth(cfg["growth"])
+    _config_symbols(cfg)  # every symbol parses before the config is hashed
     return cfg
 
 

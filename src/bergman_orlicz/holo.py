@@ -546,11 +546,18 @@ def cauchy_gradient(f: HoloFunction, z) -> np.ndarray:
 # Structured function specs
 
 
+def _finite_float(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {value!r}")
+    return x
+
+
 def _complex_from_pair(pair) -> complex:
     if isinstance(pair, (int, float)):
-        return complex(pair)
+        pair = (pair, 0.0)
     if isinstance(pair, Sequence) and len(pair) == 2:
-        return complex(float(pair[0]), float(pair[1]))
+        return complex(_finite_float(pair[0]), _finite_float(pair[1]))
     raise FunctionSpecError(f"expected number or [re, im] pair, got {pair!r}")
 
 
@@ -558,7 +565,8 @@ def function_from_spec(spec: Mapping) -> HoloFunction:
     """Build a holomorphic function from its structured (JSON-style) spec.
 
     Kinds: series (terms as [multi_index, re, im]), kernel_power, sum,
-    product, test_function (growth id resolved on the fly).
+    product, test_function (growth id resolved on the fly).  A number that
+    is not finite raises FunctionSpecError naming the kind.
     """
     if not isinstance(spec, Mapping) or "kind" not in spec:
         raise FunctionSpecError("function spec must be a mapping with a 'kind'")
@@ -569,11 +577,11 @@ def function_from_spec(spec: Mapping) -> HoloFunction:
             terms = {}
             for entry in spec["terms"]:
                 m, re_part, im_part = entry
-                terms[_validate_index(m, n)] = complex(float(re_part), float(im_part))
+                terms[_validate_index(m, n)] = _complex_from_pair((re_part, im_part))
             return Series(n, terms)
         if kind == "kernel_power":
             center = [_complex_from_pair(c) for c in spec["center"]]
-            return KernelPower(np.array(center), float(spec["exponent"]),
+            return KernelPower(np.array(center), _finite_float(spec["exponent"]),
                                _complex_from_pair(spec.get("scale", 1.0)))
         if kind == "sum":
             return Sum(tuple(function_from_spec(p) for p in spec["parts"]))
@@ -586,9 +594,10 @@ def function_from_spec(spec: Mapping) -> HoloFunction:
             from .growth import resolve_growth
 
             center = [_complex_from_pair(c) for c in spec["center"]]
+            k = spec.get("k")
             return test_function(resolve_growth(spec["growth"]), np.array(center),
-                                 float(spec["alpha"]), spec.get("k"))
-    except (KeyError, TypeError, ValueError) as exc:
+                                 _finite_float(spec["alpha"]), k and _finite_float(k))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, FunctionSpecError):
             raise
         raise FunctionSpecError(f"malformed {kind!r} spec: {exc}") from exc

@@ -11,13 +11,13 @@ write z = w zeta + sqrt(t (1 - |w|^2)) e^{i psi} zeta_perp, |zeta| = 1: then
 nu_alpha is nu_{alpha+1} in w = <z, zeta>, times (alpha+1)(1-t)^alpha dt,
 times a uniform phase psi (Rudin, Function Theory in the Unit Ball of C^n,
 1.4).  So one lift of the disc rule at alpha + 1, by Gauss-Jacobi nodes in t
-and equispaced phases, builds every n = 2 rule.  build_rule lifts along e_1
-with as many phases as the disc has angles, so a monomial z^m conj(z)^m'
-integrates exactly once |m| + |m'| stays at or below the advertised degree.
-build_slice_rule serves slices f(z) = h(<z, zeta>), whose integrands depend
-on (<z, zeta>, |z|^2) alone: it lifts along zeta with the one phase psi = 0.
-The one knob beyond the degree is angular_count, which turns a rule into a
-kernel rule (doubled radial degree, at least angular_count angles per
+and equispaced phases, builds every n = 2 rule, and build_rule builds them
+all.  Without a line it lifts along e_1 with as many phases as the disc has
+angles, so z^m conj(z)^m' integrates exactly for |m| + |m'| up to the degree.
+Given a unit vector line zeta, it serves slices f(z) = h(<z, zeta>), whose
+integrands depend on (<z, zeta>, |z|^2) alone: the lift along zeta with
+t_count nodes in t and the one phase psi = 0.  angular_count makes any rule
+a kernel rule (doubled radial degree, at least angular_count angles per
 circle) for integrands that peak near the sphere.
 
 A rule holds 24 bytes per node at n = 1 and 40 at n = 2 (complex nodes plus
@@ -28,11 +28,10 @@ the modulus that norms need, works in that buffer plus one real array.
 Rules above _MAX_RULE_NODES = 2^24 nodes (0.67 GB at n = 2) are refused
 with UnsupportedRuleError before any allocation.
 
-A measure keeps every polynomial rule built for it: a second build_rule or
-build_slice_rule call with the same arguments returns a new QuadratureRule
-over the same read-only arrays, which live as long as the measure (each
-suite makes its own).  Kernel rules (angular_count set) serve one centre and
-are built afresh on every call, never kept.
+A measure keeps every polynomial rule built for it: a second build_rule
+call with the same arguments returns the same QuadratureRule, whose arrays
+are read-only and live as long as the measure (each suite makes its own).
+Kernel rules serve one centre and are built afresh on every call.
 
 sphere_directions supplies the unit vectors that the pointwise and Bloch
 sweeps probe along: the equispaced circle for n = 1 and seed-deterministic
@@ -64,7 +63,6 @@ __all__ = [
     "QuadratureRule",
     "make_measure",
     "build_rule",
-    "build_slice_rule",
     "sphere_directions",
     "integrate",
     "mobius_apply",
@@ -72,7 +70,7 @@ __all__ = [
     "kernel_modulus",
 ]
 
-# Largest rule build_rule or build_slice_rule constructs.  At n = 2 its nodes
+# Largest rule build_rule constructs.  At n = 2 its nodes
 # and weights take 0.67 GB, and a Luxembourg norm of a kernel power on a
 # 16.6M-node rule peaks at 1.09 GB, inside a 1.5 GiB address-space cap; on a
 # 22.4M-node rule the same norm runs out of address space.
@@ -126,7 +124,6 @@ class QuadratureRule:
     integrates exactly.
     """
 
-    measure: WeightedMeasure
     points: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     exact_degree: int
@@ -217,101 +214,72 @@ def _rule_raw(n: int, alpha: float, degree: int, angular_count: int | None = Non
                             np.column_stack([np.zeros(n_ang), e]))
 
 
-def build_rule(measure: WeightedMeasure, degree: int,
-               angular_count: int | None = None) -> QuadratureRule:
-    """Construct the quadrature rule of the given degree for nu_alpha.
+def build_rule(measure: WeightedMeasure, degree: int, angular_count: int | None = None,
+               line=None, t_count: int | None = None) -> QuadratureRule:
+    """The quadrature rule of the given degree for nu_alpha; the one builder.
 
     At n = 1 it crosses degree // 4 + 1 Gauss-Jacobi nodes in |z|^2 with
-    degree + 1 angles.  At n = 2 it lifts that disc rule at alpha + 1 along
-    e_1 with degree // 4 + 1 nodes in t and as many phases as angles; for
-    |m| + |m'| <= degree, z^m conj(z)^m' has degree at most degree / 2 in
-    |w|^2 and in t and phase frequencies at most degree, so it integrates
-    exactly.  Other dimensions raise UnsupportedRuleError.  Passing
-    angular_count makes a kernel rule, for integrands that concentrate near
-    the sphere such as kernel powers: the radial degree is doubled and every
-    circle gets max(2 degree + 1, angular_count) angles (and as many phases).
-    Its rule_id ends in ",refined,angles=N".
+    degree + 1 angles: rule_id "product:n=1,alpha=A,degree=D,nodes=K".  At
+    n = 2 it lifts that disc rule at alpha + 1 along e_1 with degree // 4 + 1
+    nodes in t and as many phases as angles; once |m| + |m'| <= degree,
+    z^m conj(z)^m' has degree at most degree / 2 in |w|^2 and in t and phase
+    frequencies at most degree, so it integrates exactly.  A unit vector line
+    zeta of C^2 with t_count >= 1 lifts along zeta instead, with t_count nodes
+    in t and the one phase psi = 0: the rule for the integrands of a slice
+    h(<z, zeta>), which depend on (<z, zeta>, |z|^2) alone; its rule_id reads
+    "slice:n=2,alpha=A,zeta=(Z1,Z2),degree=D,t=T,nodes=K".
 
-    The rule costs 24 bytes per node at n = 1 and 40 at n = 2; a rule of
-    more than _MAX_RULE_NODES (2^24) nodes raises UnsupportedRuleError
-    before anything node-sized is allocated.  Without angular_count the
-    rule is kept on the measure, keyed by (degree, angular_count): later
-    calls share its points and weights, which are read-only and live as
-    long as the measure.  A kernel rule is built afresh on every call.
+    angular_count makes a kernel rule for integrands that peak near the
+    sphere: doubled radial degree, max(2 degree + 1, angular_count) angles
+    (and e_1 phases), and ",refined,angles=M" at the end of the rule_id.  At
+    n > 2, or above _MAX_RULE_NODES (2^24) nodes, UnsupportedRuleError is
+    raised before anything node-sized is allocated.
+
+    Polynomial rules are kept on the measure by their arguments, arrays
+    read-only, and returned by later calls; threads that miss at once store
+    identical rules, so no lock is taken.  Kernel rules serve one centre and
+    are rebuilt on every call: keeping them raised the peak RSS of
+    test_functions over the four stock combinations from 110.8-111.0 MB to
+    114.0-114.2 MB (fresh process on a 2-core VM, 3 runs each).
     """
     if degree < 0:
         raise DomainError(f"degree must be >= 0, got {degree}")
     n, alpha = measure.n, measure.alpha
-
-    def build():
+    zeta = None if line is None else _as_point(line)
+    if zeta is not None and n != 2:
+        raise UnsupportedRuleError(f"slice rules lift the disc to n=2, got n={n}")
+    if (zeta is None) != (t_count is None) or zeta is not None and (
+            t_count < 1 or zeta.shape != (2,) or abs(math.hypot(*np.abs(zeta)) - 1.0) > 1e-12):
+        raise DomainError(f"a slice rule takes a unit vector line of C^2 and t_count >= 1, "
+                          f"got line={line}, t_count={t_count}")
+    key = (degree, None if zeta is None else (zeta.tobytes(), t_count))
+    rule = measure._rules.get(key) if angular_count is None else None
+    if rule is not None:
+        return rule
+    if zeta is None:
         pts, raw_w = _rule_raw(n, alpha, degree, angular_count)
         rid = f"product:n={n},alpha={alpha:g},degree={degree},nodes={pts.shape[0]}"
-        return _unit_mass_parts(pts, raw_w, degree, rid + _kernel_tag(angular_count))
-
-    return _kept_rule(measure, (degree, angular_count), angular_count, build)
-
-
-def build_slice_rule(measure: WeightedMeasure, direction, degree: int, t_count: int,
-                     angular_count: int | None = None) -> QuadratureRule:
-    """The n = 2 rule for integrands of a slice f(z) = h(<z, zeta>), |zeta| = 1.
-
-    Every integrand built from a slice, |f|, (1-|z|^2)|Rf|,
-    (1-|z|^2)|grad f|, the invariant gradient and (1-|z|^2)^w |f|, depends
-    on (<z, zeta>, |z|^2) alone, so the phase is dropped: this is
-    build_rule's lift along zeta with t_count nodes in t and the one
-    transverse vector zeta_perp.  Its rule_id reads
-    "slice:n=2,alpha=A,zeta=(Z1,Z2),degree=D,t=T,nodes=N", with
-    ",refined,angles=M" appended for a kernel rule.  As in build_rule, a rule
-    without angular_count is kept on the measure, keyed by (zeta's bytes,
-    degree, t_count), and its read-only arrays are shared by later calls; a
-    kernel rule is never kept.
-    """
-    if measure.n != 2:
-        raise UnsupportedRuleError(f"slice rules lift the disc to n=2, got n={measure.n}")
-    if degree < 0 or t_count < 1:
-        raise DomainError(f"need degree >= 0 and t_count >= 1, got {degree}, {t_count}")
-    zeta = _as_point(direction)
-    if zeta.shape != (2,) or abs(math.hypot(*np.abs(zeta)) - 1.0) > 1e-12:
-        raise DomainError(f"a slice direction must be a unit vector of C^2, got {zeta}")
-
-    def build():
+    else:
         perp = np.array([[-np.conj(zeta[1]), np.conj(zeta[0])]])
-        pts, raw_w = _lifted_rule_raw("a slice rule", measure.alpha, degree, angular_count,
+        pts, raw_w = _lifted_rule_raw("a slice rule", alpha, degree, angular_count,
                                       zeta, t_count, perp)
         z1, z2 = (f"{c.real:.6g}{c.imag:+.6g}j" for c in zeta)
-        rid = (f"slice:n=2,alpha={measure.alpha:g},zeta=({z1},{z2}),degree={degree},"
+        rid = (f"slice:n=2,alpha={alpha:g},zeta=({z1},{z2}),degree={degree},"
                f"t={t_count},nodes={pts.shape[0]}")
-        return _unit_mass_parts(pts, raw_w, degree, rid + _kernel_tag(angular_count))
+    if angular_count is not None:
+        return _unit_mass_parts(pts, raw_w, degree, f"{rid},refined,angles={int(angular_count)}")
+    rule = _unit_mass_parts(pts, raw_w, degree, rid)
+    rule.points.flags.writeable = rule.weights.flags.writeable = False
+    measure._rules[key] = rule
+    return rule
 
-    return _kept_rule(measure, (zeta.tobytes(), degree, t_count), angular_count, build)
 
-
-def _kernel_tag(angular_count: int | None) -> str:
-    return "" if angular_count is None else f",refined,angles={int(angular_count)}"
-
-
-def _unit_mass_parts(pts: np.ndarray, raw_w: np.ndarray, degree: int, rule_id: str):
-    """QuadratureRule's fields after measure, the raw weights divided in place by their sum."""
+def _unit_mass_parts(pts: np.ndarray, raw_w: np.ndarray, degree: int,
+                     rule_id: str) -> QuadratureRule:
+    """The rule over pts and the raw weights, divided in place by their sum."""
     total = float(np.sum(raw_w))
-    return pts, np.divide(raw_w, total, out=raw_w), degree, rule_id, abs(total - 1.0)
-
-
-def _kept_rule(measure: WeightedMeasure, key, angular_count: int | None,
-               build) -> QuadratureRule:
-    """A fresh QuadratureRule over the parts build() returns, kept on the measure.
-
-    Only rules without angular_count are kept, under key, with their arrays
-    made read-only; the parts are kept rather than the rule, which points back
-    at the measure.  Two threads that miss at once both build and store
-    identical arrays, so no lock is taken.
-    """
-    parts = measure._rules.get(key) if angular_count is None else None
-    if parts is None:
-        parts = build()
-        if angular_count is None:
-            parts[0].flags.writeable = parts[1].flags.writeable = False
-            measure._rules[key] = parts
-    return QuadratureRule(measure, *parts)
+    return QuadratureRule(pts, np.divide(raw_w, total, out=raw_w), degree, rule_id,
+                          abs(total - 1.0))
 
 
 def sphere_directions(n: int, count: int, seed: int) -> np.ndarray:

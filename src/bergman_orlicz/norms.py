@@ -12,15 +12,14 @@ arithmetic.  They are checked once, where they are produced
 step, modular_of_values, only evaluates Phi.fn, weights in place and sums.
 A NaN anywhere in Phi's output makes that sum NaN, which raises DomainError.
 
-Quadrature selection: polynomial integrands get a plain product rule with
-degree scaled to the function degree and the growth exponent; anything
-containing a kernel power is integrated on a boundary-refined rule whose
-angular resolution grows like 1/(1 - |center|), since the trapezoid error for
-the peaked angular profile decays like (r |center|)^N.  At n = 2 every rule
-lifts the disc rule at alpha + 1; a slice f(z) = h(<z, zeta>) gets the lift
-with one phase and a short rule in t (measure.build_slice_rule).  The
-degree, the largest |center| and the line come from one walk over f
-(holo._shape).
+Quadrature selection: one measure.build_rule call per function.  Polynomial
+integrands get a plain rule with degree scaled to the function degree and
+the growth exponent; anything containing a kernel power gets a kernel rule
+whose angular resolution grows like 1/(1 - |center|), since the trapezoid
+error for the peaked angular profile decays like (r |center|)^N.  At n = 2 a
+slice f(z) = h(<z, zeta>) passes its line, for the lift with one phase and
+a short rule in t.  The degree, the largest |center| and the line come from
+one walk over f (holo._shape).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentNormError, DomainError
+from .errors import DivergentNormError, DomainError, WorkbenchError
 from .growth import GrowthFunction
 from .holo import HoloFunction, _direction, _join_lines, _shape, gradient_sweep
 from .measure import (
@@ -38,7 +37,6 @@ from .measure import (
     WeightedMeasure,
     _checked_node_values,
     build_rule,
-    build_slice_rule,
     sphere_directions,
 )
 
@@ -58,8 +56,9 @@ __all__ = [
 
 _LAMBDA_FLOOR = 1e-280
 _LAMBDA_CEIL = 1e280
-_BISECT_MAX_ITER = 200
 _BISECT_REL_TOL = 1e-10
+# Bisection steps that shrink a bracket [lo, 2 lo] below _BISECT_REL_TOL * lo.
+_BISECT_TOL_STEPS = math.ceil(-math.log2(_BISECT_REL_TOL)) + 1
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,9 @@ def luxemburg_norm(f: HoloFunction, phi: GrowthFunction, rule: QuadratureRule) -
 
     The seed bracket starts at max |f| over the nodes and is doubled or halved
     until the modular straddles 1.  The returned lambda_star is the feasible
-    (modular <= 1) endpoint of the final bracket.
+    (modular <= 1) endpoint of the final bracket.  A bracket found in k steps
+    spans 2^k, so bisection must meet the tolerance within k + _BISECT_TOL_STEPS
+    steps, or WorkbenchError is raised (a subnormal lambda can stall it).
     """
     vals = _node_values(f, rule)
     w = rule.weights
@@ -140,9 +141,12 @@ def luxemburg_norm(f: HoloFunction, phi: GrowthFunction, rule: QuadratureRule) -
             )
         m = modular_of_values(vals, w, phi, lam)
     lo, hi = (lam, top) if down else (top, lam)
+    cap = 2 * iterations + _BISECT_TOL_STEPS
 
     # invariant: modular(lo) > 1 >= modular(hi)
-    while iterations < _BISECT_MAX_ITER and (hi - lo) > _BISECT_REL_TOL * hi:
+    while (hi - lo) > _BISECT_REL_TOL * hi:
+        if iterations == cap:
+            raise WorkbenchError(f"Luxembourg bisection did not converge in {cap} steps")
         # Halving each end is exact and cannot overflow near the largest float.
         mid = 0.5 * lo + 0.5 * hi
         iterations += 1
@@ -199,14 +203,14 @@ def rule_for_function(f: HoloFunction, measure: WeightedMeasure,
     floored at 512 on the disc.  refine doubles the degree that many times,
     for stability sweeps.
 
-    At n = 2 a slice f(z) = h(<z, zeta>) (holo.slice_direction) gets
-    build_slice_rule, with the n = 1 degree and angle formulas and
+    At n = 2 a slice f(z) = h(<z, zeta>) (holo.slice_direction) gets the
+    slice rule along its line, with the n = 1 degree and angle formulas and
     base_degree * 2^refine // 4 + 1 nodes in t; its rule_id starts with
-    "slice:".  Every other n = 2 function gets build_rule's lift with
-    phases, whose kernel rules have angles floored at 48.  When the
-    integrand also multiplies by cofactor (the Cesaro upper bound integrates
-    f Rg), the slice rule is used only if cofactor lies on f's line; the
-    degree is always read off f.
+    "slice:".  Every other n = 2 function gets the lift with phases, whose
+    kernel rules have angles floored at 48.  When the integrand also
+    multiplies by cofactor (the Cesaro upper bound integrates f Rg), the
+    slice rule is used only if cofactor lies on f's line; the degree is
+    always read off f.
     """
     d, sharp, line = _shape(f)
     q = 2.0
@@ -230,10 +234,8 @@ def rule_for_function(f: HoloFunction, measure: WeightedMeasure,
         else:
             degree = min(degree, 128) * 2**refine
             ang = int(min(96 * 2**refine, max(48, math.ceil(8.0 / max(1e-2, 1.0 - sharp)))))
-    if zeta is None:
-        return build_rule(measure, degree=degree, angular_count=ang)
-    t_count = base_degree * 2**refine // 4 + 1
-    return build_slice_rule(measure, zeta, degree, t_count, angular_count=ang)
+    t_count = None if zeta is None else base_degree * 2**refine // 4 + 1
+    return build_rule(measure, degree, ang, zeta, t_count)
 
 
 # ---------------------------------------------------------------------------

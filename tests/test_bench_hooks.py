@@ -11,17 +11,24 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bergman_orlicz import cli, harness, holo, norms
+from bergman_orlicz.measure import build_rule, make_measure
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_traced_name_resolves():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_resolves():
+    tracing = _tracing()
     missing = []
     for mod, fn, _, _ in tracing.FUNCTIONS:
         if not callable(getattr(importlib.import_module(f"bergman_orlicz.{mod}"), fn, None)):
@@ -61,3 +68,18 @@ def test_verify_still_takes_jobs():
     argv = ["verify", "--config", '{"growth": "power:p=2"}', "--suite", "small_type",
             "--out", "reports", "--jobs", "2"]
     assert cli._build_parser().parse_args(argv).jobs == 2
+
+
+def test_traced_rule_stats_read_every_kind_of_rule():
+    # tracing._rule reads node_count, points, weights and rule_id of what
+    # build_rule returns: an n = 1 kernel rule and an n = 2 slice rule here.
+    rules = [build_rule(make_measure(1, 0.0), 12, angular_count=64),
+             build_rule(make_measure(2, 0.0), 12, line=np.array([0.6, 0.8j]), t_count=3)]
+    for rule in rules:
+        assert _tracing()._rule((), {}, rule) == {
+            "nodes": len(rule.weights),
+            "bytes_computed": rule.points.nbytes + rule.weights.nbytes,
+            "rule_id": rule.rule_id,
+        }
+    assert rules[0].rule_id.endswith(",refined,angles=64")
+    assert rules[1].rule_id.startswith("slice:n=2,")

@@ -66,6 +66,40 @@ def test_cesaro_check_cross_validates(capsys):
     assert doc["check"]["max_deviation"] <= 1e-10
 
 
+_NON_FINITE_SPECS = {
+    "series coefficient": ('{"kind":"series","n":1,"terms":[[[1],NaN,0]]}', "series"),
+    "kernel exponent": ('{"kind":"kernel_power","center":[[0.5,0]],"exponent":Infinity}',
+                        "kernel_power"),
+    "kernel centre": ('{"kind":"kernel_power","center":[[NaN,0]],"exponent":2}',
+                      "kernel_power"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_NON_FINITE_SPECS))
+def test_cesaro_refuses_a_non_finite_spec_number(capsys, where):
+    spec, kind = _NON_FINITE_SPECS[where]
+    for argv in (["--symbol", Z, "--function", spec], ["--symbol", spec, "--function", Z]):
+        code, out, err = run(capsys, ["cesaro", *argv])
+        assert (code, out) == (65, "")
+        assert f"malformed {kind!r} spec: non-finite number" in err
+
+
+def test_verify_refuses_a_non_finite_symbol_number(capsys):
+    symbol = json.loads(_NON_FINITE_SPECS["series coefficient"][0])
+    cfg = json.dumps({"suites": ["cesaro_boundedness"], "symbols": [symbol]})
+    code, out, err = run(capsys, ["verify", "--config", cfg])
+    assert (code, out) == (65, "")
+    assert "malformed 'series' spec: non-finite number nan" in err
+
+
+def test_cesaro_refuses_an_overflowing_coefficient(capsys):
+    # 1e308 z is finite, but T_g f = 1e616 z^2 / 2 for g = f = 1e308 z is not.
+    big = '{"kind":"series","n":1,"terms":[[[1],1e308,0]]}'
+    code, out, err = run(capsys, ["cesaro", "--symbol", big, "--function", big])
+    assert (code, out) == (65, "")
+    assert "overflows the float range" in err
+
+
 def test_cesaro_rejects_constant_term(capsys):
     bad = '{"kind":"series","n":1,"terms":[[[0],1.0,0.0],[[1],1.0,0.0]]}'
     code, _, err = run(capsys, ["cesaro", "--symbol", bad, "--function", Z])
@@ -180,16 +214,34 @@ _REPORT_SHA256 = {
     "cesaro_compactness": "93101101a245c2f618330078ab35be599959644d1ce3e76177e58c66eebe650f",
     "derivative_equivalence": "80f259f44b677666bdfc502e8ccc3925eb9244aef0a1b328890ba1d477f372df",
     "interpolation_power": "964f28af724a898af84da15e44335f9687653dcdd50803de9487e6ad69690544",
+    "pointwise_estimates": "d8833dc270a815aa787ce717ff0c486b68b2c9a03fe9a19591453ea351c4a9f4",
     "small_type": "8d13588b1f3dcb26fe6ca872bc01ba1a91dc2c9328f62055ff7c5d85276fa1bd",
+    "test_functions": "b5eade41f6fe51ef47645af75ea12d3b0ec0abbc9af8c1d6a8e98e552cfcd93a",
 }
+
+# At n = 2 both suites run on slice rules, kernel ones among them.
+_N2_REPORT_SHA256 = {
+    "cesaro_compactness": "9924a6536904ee7507c270f180defa4d78c478ec94e7daf2bbeebb4b169ce73e",
+    "interpolation_power": "ed24a83a675185363f52c05cd6a819f1668293799d4d2889b0037a79257daaa6",
+}
+
+
+def _report_digest(capsys, tmp_path, suite, *config):
+    assert cli.main(["verify", *config, "--suite", suite, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    return hashlib.sha256((tmp_path / f"{suite}.json").read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("suite", sorted(_REPORT_SHA256))
 def test_default_reports_keep_their_bytes(capsys, tmp_path, suite):
-    assert cli.main(["verify", "--suite", suite, "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    digest = hashlib.sha256((tmp_path / f"{suite}.json").read_bytes()).hexdigest()
+    digest = _report_digest(capsys, tmp_path, suite)
     assert digest == _REPORT_SHA256[suite]
+
+
+@pytest.mark.parametrize("suite", sorted(_N2_REPORT_SHA256))
+def test_default_n2_reports_keep_their_bytes(capsys, tmp_path, suite):
+    digest = _report_digest(capsys, tmp_path, suite, "--config", '{"n":2}')
+    assert digest == _N2_REPORT_SHA256[suite]
 
 
 @pytest.mark.parametrize("n", [3, 9])

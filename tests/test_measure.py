@@ -26,7 +26,6 @@ from bergman_orlicz.measure import (
     _product_rule_raw,
     _radial_jacobi,
     build_rule,
-    build_slice_rule,
     integrate,
     kernel_factor,
     kernel_modulus,
@@ -103,13 +102,13 @@ def test_boundary_refined_and_angular_override_tags():
 def test_polynomial_rules_are_kept_on_their_measure():
     measure = make_measure(2, 0.5)
     first, again = build_rule(measure, degree=16), build_rule(measure, degree=16)
-    assert first is not again
+    assert first is again
     assert first.points is again.points and first.weights is again.weights
     for arr in (first.points, first.weights):
         with pytest.raises(ValueError):
             arr[0] = 0
     zeta = np.array([0.6, 0.8j])
-    s1, s2 = (build_slice_rule(measure, zeta, 12, 3) for _ in range(2))
+    s1, s2 = (build_rule(measure, 12, line=zeta, t_count=3) for _ in range(2))
     assert s1.points is s2.points and s1.weights is s2.weights
     fresh = build_rule(make_measure(2, 0.5), degree=16)
     assert fresh.points is not first.points and fresh.weights is not first.weights
@@ -120,8 +119,8 @@ def test_polynomial_rules_are_kept_on_their_measure():
 def test_kernel_rules_are_rebuilt_on_every_call():
     disc, ball = make_measure(1, 0.0), make_measure(2, 0.0)
     for build in (lambda: build_rule(disc, degree=12, angular_count=64),
-                  lambda: build_slice_rule(ball, np.array([1.0, 0.0]), 12, 3,
-                                           angular_count=64)):
+                  lambda: build_rule(ball, 12, angular_count=64, line=np.array([1.0, 0.0]),
+                                     t_count=3)):
         a, b = build(), build()
         assert a.points is not b.points and a.weights is not b.weights
         assert a.points.flags.writeable and a.weights.flags.writeable
@@ -151,8 +150,8 @@ def test_one_suite_builds_each_polynomial_rule_once(monkeypatch):
     # build normalizes its weights once, in _unit_mass_parts.
     calls, built = [], []
 
-    def counted_build_rule(measure, degree, angular_count=None):
-        rule = build_rule(measure, degree, angular_count)
+    def counted_build_rule(measure, degree, angular_count=None, line=None, t_count=None):
+        rule = build_rule(measure, degree, angular_count, line, t_count)
         calls.append((rule.rule_id, angular_count))
         return rule
 
@@ -277,7 +276,7 @@ def test_n2_rule_is_exact_to_its_degree(alpha, degree, angular_count):
 def _slice_rule_as_first_written(measure, zeta, degree, t_count, angular_count):
     """The slice rule's own construction, before it became a lift with one phase.
 
-    Reference for build_slice_rule, which must give the same bytes.
+    Reference for build_rule's slice rule, which must give the same bytes.
     """
     alpha = measure.alpha
     disc, w_disc = _product_rule_raw(alpha + 1.0, degree, angular_count)
@@ -303,7 +302,7 @@ def test_slice_rule_keeps_its_bytes(alpha, zeta, degree, t_count, angular_count)
     measure = make_measure(2, alpha)
     zeta = np.array(zeta, dtype=complex)
     zeta /= math.hypot(*np.abs(zeta))
-    rule = build_slice_rule(measure, zeta, degree, t_count, angular_count=angular_count)
+    rule = build_rule(measure, degree, angular_count, line=zeta, t_count=t_count)
     pts, w, residual = _slice_rule_as_first_written(measure, zeta, degree, t_count,
                                                     angular_count)
     assert rule.points.tobytes() == pts.tobytes()
@@ -356,10 +355,10 @@ def test_oversized_slice_rule_is_refused_before_allocation():
     def refused():
         with pytest.raises(UnsupportedRuleError,
                            match=r"slice rule with 17,686,528 nodes.*16,777,216"):
-            build_slice_rule(measure, np.array([1.0, 0.0]), 253, 17, angular_count=8192)
+            build_rule(measure, 253, angular_count=8192, line=np.array([1.0, 0.0]), t_count=17)
 
     assert _peak_bytes(refused) < 2**20
-    rule = build_slice_rule(measure, np.array([1.0, 0.0]), 253, 1, angular_count=8192)
+    rule = build_rule(measure, 253, angular_count=8192, line=np.array([1.0, 0.0]), t_count=1)
     assert rule.node_count == 1_040_384
 
 
@@ -388,7 +387,7 @@ def _kernel_probe_rules(n, direction):
     if n == 1:
         return [build_rule(make_measure(1, 0.0), degree=64, angular_count=4096)]
     measure = make_measure(2, 0.0)
-    return [build_slice_rule(measure, direction, 64, 3, angular_count=2048),
+    return [build_rule(measure, 64, angular_count=2048, line=direction, t_count=3),
             build_rule(measure, degree=16, angular_count=96)]
 
 

@@ -1,5 +1,6 @@
 """Modulars, Luxembourg norms, and the pointwise estimate sweeps."""
 
+import json
 import math
 
 import numpy as np
@@ -8,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergman_orlicz import norms as norms_module
-from bergman_orlicz.errors import DomainError, NonFiniteIntegrandError
+from bergman_orlicz.errors import DomainError, NonFiniteIntegrandError, WorkbenchError
 from bergman_orlicz.growth import (
+    GrowthFunction,
     power_growth,
     power_log_growth,
     resolve_growth,
     shipped_growth_ids,
 )
-from bergman_orlicz.holo import Series
+from bergman_orlicz.harness import verify_test_functions
+from bergman_orlicz.holo import Series, function_from_spec
 from bergman_orlicz.measure import build_rule, make_measure
 from bergman_orlicz.norms import (
     derivative_modulars,
@@ -59,6 +62,49 @@ def test_power_law_norm_equals_modular_root(p):
     res = luxemburg_norm(f, phi, rule)
     mod = modular(f, phi, rule).value
     assert res.lambda_star == pytest.approx(mod ** (1.0 / p), rel=1e-8)
+
+
+# The two `bol norm` inputs whose bracket search outruns a step budget shared
+# with the bisection: lambda is about 1.5e-78 and 1e28-1e37 (by rule) while
+# max |f| is near 1 and 1e90.
+_LONG_SEARCH_NORMS = {
+    "z^1000": ("power:p=0.01", '{"kind":"series","n":1,"terms":[[[1000],1,0]]}'),
+    "kernel at 0.999": ("power:p=0.1",
+                        '{"kind":"kernel_power","center":[[0.999,0]],"exponent":30}'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONG_SEARCH_NORMS))
+def test_norm_after_a_long_bracket_search_is_the_closed_form(name):
+    # The CLI's rules for these take seconds per norm; a 16,896-node kernel
+    # rule gives the same search lengths.
+    growth, spec = _LONG_SEARCH_NORMS[name]
+    phi, p = resolve_growth(growth), float(growth.split("=")[1])
+    f = function_from_spec(json.loads(spec))
+    rule = build_rule(make_measure(1, 0.0), 64, angular_count=512)
+    res = luxemburg_norm(f, phi, rule)
+    closed = float(np.sum(rule.weights * f._abs_eval(rule.points) ** p)) ** (1.0 / p)
+    assert res.iterations > 200
+    assert res.lambda_star == pytest.approx(closed, rel=1e-9)
+    assert res.residual <= 1e-9
+
+
+def test_a_bisection_that_cannot_meet_its_tolerance_is_refused():
+    # lambda = 2e-322 is subnormal: 1e-10 lambda underflows to 0 and the
+    # bracket stalls one unit in the last place wide, so the step cap ends it.
+    phi = GrowthFunction(name="4t^2", fn=lambda t: 4.0 * t * t)
+    f = Series(1, {(0,): 1e-322})
+    with pytest.raises(WorkbenchError, match="did not converge in 37 steps"):
+        luxemburg_norm(f, phi, build_rule(make_measure(1, 0.0), 8))
+
+
+def test_test_function_norms_converge_at_a_small_power():
+    # power:p=1/3, alpha = 3: the |a| = 0.999 norm is 7.03e5; a bisection
+    # cut short by the search reported 3.49e31 with residual 1.
+    report = verify_test_functions(resolve_growth("power:p=1/3"), 3.0, 1)
+    norms = {case["id"]: case["quantities"] for case in report.cases}
+    assert all(q["residual"] <= 1e-9 for q in norms.values())
+    assert norms["a=0.999"]["norm"] == pytest.approx(7.03e5, rel=1e-3)
 
 
 @pytest.mark.parametrize("c", [0.1, 3.0, 10.0])

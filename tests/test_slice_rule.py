@@ -2,13 +2,15 @@
 
 A slice f(z) = h(<z, zeta>) pushes nu_alpha on B^2 forward to nu_{alpha+1}
 on the disc, and every integrand the suites build from it depends on
-(<z, zeta>, |z|^2) alone, so the lifted disc rule of measure.build_slice_rule
-must reproduce what the 4-D product rule gives.  Three groups: agreement of
-the four derivative modulars with the product rule, the kernel test-function
-norms against mpmath's 2F1 reduction, and how slice_direction reads a
-function's line.  A fourth pins the rule rule_for_function picks for each
-kind of representation at n = 1 and 2, and a fifth the Cesaro upper-bound
-check, whose integrand f Rg is a slice only when Rg lies on f's line.
+(<z, zeta>, |z|^2) alone.  So measure.build_rule given the line zeta, which
+lifts the disc rule at alpha + 1 along zeta with one phase, must give what
+its product rule, the lift along e_1 with every phase, gives.  Three groups:
+agreement of the four derivative modulars with the product rule, the kernel
+test-function norms against mpmath's 2F1 reduction, and how slice_direction
+reads a function's line.  A fourth pins the rule rule_for_function picks for
+each kind of representation at n = 1 and 2, and a fifth the Cesaro
+upper-bound check, whose integrand f Rg is a slice only when Rg lies on f's
+line.
 """
 
 import mpmath as mp
