@@ -44,6 +44,15 @@ def test_norm_of_zero(capsys):
     assert last_json(out)["lambda_star"] == 0.0
 
 
+def test_norm_of_a_tiny_constant_is_that_constant(capsys):
+    # Under t^2 the norm of a constant c is c; the halving floor follows
+    # max |f| below 1, where a fixed floor of 1e-280 read it as 0.
+    tiny = '{"kind":"series","n":1,"terms":[[[0],1e-290,0]]}'
+    code, out, _ = run(capsys, ["norm", "--function", tiny])
+    assert code == 0
+    assert last_json(out)["lambda_star"] == pytest.approx(1e-290, rel=1e-9, abs=0.0)
+
+
 def test_norm_check_reports_drift(capsys):
     code, out, _ = run(capsys, ["norm", "--function", Z, "--check"])
     assert code == 0

@@ -2,6 +2,8 @@
 
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -85,7 +87,7 @@ def test_norm_after_a_long_bracket_search_is_the_closed_form(name):
     res = luxemburg_norm(f, phi, rule)
     closed = float(np.sum(rule.weights * f._abs_eval(rule.points) ** p)) ** (1.0 / p)
     assert res.iterations > 200
-    assert res.lambda_star == pytest.approx(closed, rel=1e-9)
+    assert res.lambda_star == pytest.approx(closed, rel=1e-9, abs=0.0)
     assert res.residual <= 1e-9
 
 
@@ -96,6 +98,19 @@ def test_a_bisection_that_cannot_meet_its_tolerance_is_refused():
     f = Series(1, {(0,): 1e-322})
     with pytest.raises(WorkbenchError, match="did not converge in 37 steps"):
         luxemburg_norm(f, phi, build_rule(make_measure(1, 0.0), 8))
+
+
+@pytest.mark.parametrize("gid", ["power:p=2", "powerlog:p=2", "power:p=1/3"])
+def test_a_tiny_function_keeps_its_homogeneous_norm(gid):
+    # max |f| is about 1.5e-290: the halving floor follows it down instead
+    # of reading lambda < 1e-280 as a norm of 0.
+    phi = resolve_growth(gid)
+    f = Series(1, {(1,): 1.0, (2,): 0.5})
+    rule = rule_for_function(f, make_measure(1, 0.0), phi)
+    base = luxemburg_norm(f, phi, rule).lambda_star
+    tiny = luxemburg_norm(f.scaled(1e-290), phi, rule)
+    assert tiny.lambda_star == pytest.approx(1e-290 * base, rel=1e-9, abs=0.0)
+    assert tiny.residual <= 1e-9
 
 
 def test_test_function_norms_converge_at_a_small_power():
@@ -201,6 +216,75 @@ def test_derivative_modulars_refuse_nonfinite_node_values(monkeypatch, bad):
     assert err.value.node_index == 0
 
 
+_LEAF = norms_module._LEAF
+# Around and across leaf boundaries of the pairwise cut, and below numpy's
+# own 8-wide and 128-element blocks.
+_LEAF_SIZES = (1, 7, 8, 129, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 7, 3 * _LEAF + 13)
+_INTERP = "interp:phi0=power:p=2,phi1=power:p=4,rho=power:theta=0.5"
+
+
+@pytest.fixture(scope="module")
+def kernel_nodes():
+    """|f_a| and the weights on the 1,040,384-node t^2 kernel rule, |a| = 0.999."""
+    phi = power_growth(2)
+    f = kernel_test_function(phi, np.array([0.999 + 0j]), 0.0)
+    rule = rule_for_function(f, make_measure(1, 0.0), phi)
+    return norms_module._node_values(f, rule), rule.weights
+
+
+@pytest.mark.parametrize("gid", shipped_growth_ids())
+def test_leafwise_modular_is_one_np_sum_bit_for_bit(gid, kernel_nodes):
+    phi = resolve_growth(gid)
+    values, weights = kernel_nodes
+    sizes = _LEAF_SIZES if gid == _INTERP else _LEAF_SIZES + (values.size,)
+    for n in sizes:
+        # n nodes spread over the whole rule, peak included.
+        idx = np.linspace(0, values.size - 1, n).astype(int)
+        v, w = values[idx], weights[idx]
+        for scale in (1.0, 37.0):
+            with np.errstate(over="ignore"):
+                whole = float(np.sum(w * phi(v / scale)))
+            assert modular_of_values(v, w, phi, scale) == whole, (n, scale)
+
+
+@pytest.mark.parametrize("gid", ["power:p=2", "power:p=1/2", "powerlog:p=2", _INTERP])
+def test_a_nan_in_the_last_leaf_is_refused(gid):
+    values = np.full(2 * _LEAF + 7, 0.5)
+    values[-1] = math.nan
+    with pytest.raises(DomainError):
+        modular_of_values(values, np.full(values.size, 1.0 / values.size),
+                          resolve_growth(gid))
+
+
+def test_an_overflow_in_one_leaf_gives_inf():
+    values = np.full(3 * _LEAF + 13, 0.5)
+    values[_LEAF + 5] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        total = modular_of_values(values, np.full(values.size, 1.0 / values.size),
+                                  power_growth(2))
+    assert total == math.inf
+
+
+@pytest.mark.parametrize("gid, n, bound_mib", [("power:p=2", 1 << 22, 8),
+                                               ("power:p=1/2", 1 << 22, 8),
+                                               (_INTERP, 1 << 20, 16)])
+def test_a_large_modular_allocates_leaf_sized_temporaries(gid, n, bound_mib):
+    # One sum over all nodes peaked at 64 MiB (two node-sized arrays) for
+    # t^2 and t^(1/2) at 4,194,304 nodes, and at 174 MiB for the interpolated
+    # Phi at 1,048,576.
+    values = np.linspace(0.0, 2.0, n)
+    weights = np.full(n, 1.0 / n)
+    phi = resolve_growth(gid)
+    tracemalloc.start()
+    try:
+        modular_of_values(values, weights, phi, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
+
+
 # Luxembourg steps of t^2, alpha = 0, n = 1 at the test_functions radii; the
 # benchmark's traced count check rests on these.
 _TEST_FUNCTION_STEPS = {0.0: 34, 0.5: 39, 0.9: 45, 0.99: 51, 0.999: 58}
@@ -269,6 +353,21 @@ def test_small_type_constant_is_one_at_p_equal_one():
     assert rep.weight_exponent == pytest.approx(0.0)
     for r in rep.ratios:
         assert r == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, terms", [(1, {(200,): 1.0, (1,): 0.5}),
+                                      (2, {(3, 1): 1.0, (0, 2): 0.5j})])
+def test_small_type_sums_are_one_np_sum_bit_for_bit(n, terms):
+    measure, p = make_measure(n, 0.5), 0.7
+    f = Series(n, terms)
+    rule = rule_for_function(f, measure, None)
+    assert rule.node_count > _LEAF
+    report = small_type_estimate_check([f], p, measure)
+    vals = np.abs(f._eval(rule.points))
+    one_minus = 1.0 - np.sum(np.abs(rule.points) ** 2, axis=1)
+    num = float(np.sum(rule.weights * vals * one_minus**report.weight_exponent))
+    den = float(np.sum(rule.weights * vals**p))
+    assert report.ratios == (num / den,)
 
 
 def test_small_type_weight_exponent_formula():
