@@ -69,7 +69,6 @@ from .measure import (
 )
 from .norms import (
     LuxNorm,
-    ModularResult,
     derivative_modulars,
     derivative_pointwise_constant,
     luxemburg_norm,

@@ -221,6 +221,13 @@ _number = _checked(_finite, float)
 _integer = _checked(lambda v: _finite(v) and float(v).is_integer(), int)
 
 
+def non_negative_int(value) -> int:
+    """A seed, from the config or a --seed flag; numpy's generators refuse negatives."""
+    if not (_finite(value) and float(value).is_integer() and float(value) >= 0):
+        raise ValueError(value)
+    return int(value)
+
+
 def _numbers(keys: set, every: bool):
     # An object of finite numbers keyed from keys (by every key if every), kept
     # as written so that the config hash still tells 2 from 2.0.
@@ -234,7 +241,7 @@ _CONFIG_KEYS = {
     "n": ("an integer", _integer, 1),
     "alpha": ("a finite number", _number, 0.0),
     "growth": ("a growth id", str, "power:p=2"),
-    "seed": ("an integer", _integer, 0),
+    "seed": ("a non-negative integer", non_negative_int, 0),
     "degree": ("an integer", _integer, 32),
     "suites": ("a list of known suite names", _checked(lambda v: isinstance(v, list) and all(
         isinstance(x, str) and x in SUITES for x in v), list), list(SUITES)),
@@ -355,7 +362,7 @@ def _build_parser() -> _Parser:
     p_ces.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION_DEGREE)
     p_ces.add_argument("--check", action="store_true",
                        help="cross-validate against the ray-integral oracle")
-    p_ces.add_argument("--seed", type=int, default=0)
+    p_ces.add_argument("--seed", type=non_negative_int, default=0)
     p_ces.add_argument("--out", help="also write the JSON document here")
     p_ces.set_defaults(func=cmd_cesaro)
 
@@ -364,7 +371,7 @@ def _build_parser() -> _Parser:
                                         f"schema {CONFIG_SCHEMA}")
     p_ver.add_argument("--suite", help="comma-separated suite names "
                                        "(default: all)")
-    p_ver.add_argument("--seed", type=int, default=None)
+    p_ver.add_argument("--seed", type=non_negative_int, default=None)
     p_ver.add_argument("--out", help="directory for report JSON files")
     p_ver.add_argument("--csv", action="store_true",
                        help="also write per-case CSV next to each report")

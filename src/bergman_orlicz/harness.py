@@ -5,9 +5,10 @@ equivalence over it at a base quadrature resolution and once more at a
 refined resolution, and returns a VerificationReport.  Acceptance is
 finiteness plus refinement stability: empirical constants that move by at
 most 10% under refinement pass, drift up to 50% is inconclusive (quadrature
-limits, not violations), and anything beyond that, or a broken hard
-inequality, fails.  Every other threshold is a module constant, not a
-parameter: CHAIN_TOL, CESARO_LOWER_OVER_M_MIN and _TEST_FUNCTION_BRACKET.
+limits, not violations), and anything beyond that fails.  The layers
+below return plain numbers and every verdict is decided here, against
+module constants (CESARO_LOWER_OVER_M_MIN, _TEST_FUNCTION_BRACKET) or the
+tol of the Cesaro upper check.
 
 Reports are deterministic functions of (seed, configuration): families are
 drawn from a seeded generator, reductions are ordered, and case-level work is
@@ -30,14 +31,7 @@ from .growth import (
     power_growth,
     rho_power,
 )
-from .holo import (
-    CHAIN_TOL,
-    DEFAULT_TRUNCATION_DEGREE,
-    Series,
-    chain_inequality_check,
-    test_function,
-    to_series,
-)
+from .holo import DEFAULT_TRUNCATION_DEGREE, Series, test_function, to_series
 from .measure import WeightedMeasure, make_measure
 from .norms import (
     derivative_modulars,
@@ -194,9 +188,10 @@ def verify_derivative_equivalence(phi: GrowthFunction, alpha: float, n: int = 1,
     """Two-sided comparison of the four norm-defining modulars.
 
     Per function: modulars of |f - f(0)|, |invariant gradient|,
-    (1-|z|^2)|grad f| and (1-|z|^2)|Rf| at base and refined quadrature, the
-    per-case ratios, and the pointwise derivative chain (a hard invariant).
-    The reported constants are the worst ratios across the family.
+    (1-|z|^2)|grad f| and (1-|z|^2)|Rf| at base and refined quadrature, one
+    gradient sweep per rule, and the per-case ratios.  The reported
+    constants are the worst ratios across the family; the verdict is their
+    refinement drift.
     """
     measure = make_measure(n, alpha)
     fam = default_family(phi, measure, seed) if family is None else list(family)
@@ -205,15 +200,10 @@ def verify_derivative_equivalence(phi: GrowthFunction, alpha: float, n: int = 1,
         cid, f = item
         rule0 = rule_for_function(f, measure, phi, base_degree)
         rule1 = rule_for_function(f, measure, phi, base_degree, refine=1)
-        m0 = {k: v.value for k, v in derivative_modulars(f, phi, rule0).items()}
-        m1 = {k: v.value for k, v in derivative_modulars(f, phi, rule1).items()}
+        m0 = derivative_modulars(f, phi, rule0)
+        m1 = derivative_modulars(f, phi, rule1)
         if min(m0["function"], m0["weighted_radial"]) <= 0.0:
             raise DomainError(f"family member {cid} is constant on the rule nodes")
-        chain = chain_inequality_check(f, rule0.points)
-        ordered = (
-            m0["weighted_radial"] <= m0["weighted_gradient"] * (1 + 1e-12)
-            and m0["weighted_gradient"] <= m0["invariant_gradient"] * (1 + 1e-12)
-        )
         return {
             "id": cid,
             "quantities": {"base": m0, "refined": m1},
@@ -223,8 +213,6 @@ def verify_derivative_equivalence(phi: GrowthFunction, alpha: float, n: int = 1,
                 "down_base": m0["function"] / m0["weighted_radial"],
                 "down_refined": m1["function"] / m1["weighted_radial"],
             },
-            "chain_margin": chain.worst_margin,
-            "modulars_ordered": bool(ordered),
             "rules": [rule0.rule_id, rule1.rule_id],
         }
 
@@ -233,17 +221,13 @@ def verify_derivative_equivalence(phi: GrowthFunction, alpha: float, n: int = 1,
     c_plus1 = max(c["ratios"]["up_refined"] for c in cases)
     c_minus0 = max(c["ratios"]["down_base"] for c in cases)
     c_minus1 = max(c["ratios"]["down_refined"] for c in cases)
-    chain_worst = max(c["chain_margin"] for c in cases)
     drifts = [_drift(c_plus0, c_plus1), _drift(c_minus0, c_minus1)]
     verdict = _drift_verdict(drifts, [c_plus0, c_plus1, c_minus0, c_minus1])
-    if chain_worst > CHAIN_TOL or not all(c["modulars_ordered"] for c in cases):
-        verdict = FAIL
     constants = {
         "C_plus": c_plus0,
         "C_minus": c_minus0,
         "C_plus_drift": drifts[0],
         "C_minus_drift": drifts[1],
-        "chain_worst_margin": chain_worst,
     }
     return VerificationReport(
         suite="derivative_equivalence", verdict=verdict, seed=seed,
@@ -367,17 +351,16 @@ def verify_cesaro_boundedness(phi: GrowthFunction, alpha: float, n: int = 1,
         if bl.M <= 0.0:
             raise DomainError(f"symbol {sid} has zero Bloch seminorm")
         low = cesaro_norm_lower_bound(sym, phi, measure, fam_fns)
-        up = cesaro_upper_bound_check(sym, phi, measure, fam_fns,
-                                      bloch_m=bl.M, tol=tol)
+        worst_upper = cesaro_upper_bound_check(sym, phi, measure, fam_fns, bl.M)
         return {
             "id": sid,
             "quantities": {
                 "bloch_m": bl.M,
                 "lower_bound": low.value,
                 "lower_over_m": low.value / bl.M,
-                "worst_upper_modular": up.worst_modular,
+                "worst_upper_modular": worst_upper,
             },
-            "upper_passes": bool(up.passes),
+            "upper_passes": worst_upper <= 1.0 + tol,
         }
 
     cases = _map_ordered(run_case, syms, jobs)

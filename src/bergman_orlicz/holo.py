@@ -21,14 +21,13 @@ reads off, in one walk, what quadrature selection needs: the polynomial
 degree, the largest kernel |center| and the complex line of a slice.
 
 The invariant gradient is (grad f)(z) composed with the Jacobian at 0 of the
-ball automorphism phi_z; chain_inequality_check verifies the pointwise chain
+ball automorphism phi_z.  gradient_sweep computes every derivative quantity
+of norms.py from one gradient evaluation, among them the pointwise chain
 
     (1-|z|^2) |R f| <= (1-|z|^2) |grad f| <= |invariant grad f|
 
-which holds exactly for these formulas.  gradient_sweep computes every
-quantity in that chain from one gradient evaluation, the last through the
-closed form |invariant grad f|^2 = (1-|z|^2)(|grad f|^2 - |Rf|^2) with no
-Jacobian; the chain check and the derivative modulars in norms.py call it.
+that chain_inequality_check verifies, the last through the closed form
+|invariant grad f|^2 = (1-|z|^2)(|grad f|^2 - |Rf|^2) with no Jacobian.
 invariant_gradient keeps the vector form, through mobius_jacobian0_batch.
 """
 
@@ -471,6 +470,8 @@ def chain_inequality_check(f: HoloFunction, points) -> ChainReport:
     second leg is a sum-of-squares identity: gradient_sweep's closed form is
     (1-|z|^2)^2 |grad f|^2 plus (1-|z|^2) times a sum of squares, so only
     rounding can break it; the first leg is Cauchy-Schwarz with |z| < 1.
+    No suite runs it, since none could fail on it; the tests check the
+    paper's chain lemma with it, and the benchmark's tracer wraps it by name.
     """
     pts, _ = _points_2d(points, f.n)
     one_minus, radial, grad_norm, c = gradient_sweep(f, pts)

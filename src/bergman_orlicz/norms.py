@@ -45,7 +45,6 @@ from .measure import (
 )
 
 __all__ = [
-    "ModularResult",
     "LuxNorm",
     "SmallTypeReport",
     "modular",
@@ -67,12 +66,6 @@ _BISECT_TOL_STEPS = math.ceil(-math.log2(_BISECT_REL_TOL)) + 1
 # and stays in L2; 2^15 ran fastest of 2^13..2^17 for t^p, t^p log(e + t) and
 # the interpolated Phi on 1M-node arrays.
 _LEAF = 1 << 15
-
-
-@dataclass(frozen=True)
-class ModularResult:
-    value: float
-    rule_id: str
 
 
 @dataclass(frozen=True)
@@ -138,10 +131,9 @@ def modular_of_values(values: np.ndarray, weights: np.ndarray,
     return total
 
 
-def modular(f: HoloFunction, phi: GrowthFunction, rule: QuadratureRule) -> ModularResult:
+def modular(f: HoloFunction, phi: GrowthFunction, rule: QuadratureRule) -> float:
     """int Phi(|f|) d nu_alpha by quadrature."""
-    value = modular_of_values(_node_values(f, rule), rule.weights, phi)
-    return ModularResult(value=value, rule_id=rule.rule_id)
+    return modular_of_values(_node_values(f, rule), rule.weights, phi)
 
 
 def luxemburg_norm(f: HoloFunction, phi: GrowthFunction, rule: QuadratureRule) -> LuxNorm:
@@ -201,7 +193,7 @@ def luxemburg_norm(f: HoloFunction, phi: GrowthFunction, rule: QuadratureRule) -
 
 
 def derivative_modulars(f: HoloFunction, phi: GrowthFunction,
-                        rule: QuadratureRule) -> dict[str, ModularResult]:
+                        rule: QuadratureRule) -> dict[str, float]:
     """The four modulars whose simultaneous finiteness the theory equates.
 
     Keys, in order: "function" for |f - f(0)|, "invariant_gradient" for the
@@ -219,12 +211,8 @@ def derivative_modulars(f: HoloFunction, phi: GrowthFunction,
         "weighted_gradient": one_minus * grad_norm,
         "weighted_radial": one_minus * radial,
     }
-    return {
-        kind: ModularResult(
-            value=modular_of_values(_checked_node_values(rule, vals), rule.weights, phi),
-            rule_id=rule.rule_id)
-        for kind, vals in quantities.items()
-    }
+    return {kind: modular_of_values(_checked_node_values(rule, vals), rule.weights, phi)
+            for kind, vals in quantities.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +290,7 @@ def _pointwise_sweep(family, phi: GrowthFunction, measure: WeightedMeasure,
         if norm <= 0.0:
             raise DomainError("pointwise sweep needs functions with positive norm")
         if weighted_gradient:
-            num = one_minus * np.linalg.norm(f._partials(pts), axis=1)
+            num = one_minus * gradient_sweep(f, pts)[2]
         else:
             num = np.abs(f._eval(pts))
         worst = max(worst, float(np.max(num / (denom * norm))))

@@ -36,7 +36,6 @@ __all__ = [
     "BlochReport",
     "IdentityReport",
     "LowerBoundReport",
-    "UpperBoundReport",
     "cesaro_apply_exact",
     "cesaro_apply_numeric",
     "radial_derivative_identity_check",
@@ -238,12 +237,6 @@ class LowerBoundReport:
     ratios: tuple
 
 
-@dataclass(frozen=True)
-class UpperBoundReport:
-    worst_modular: float
-    passes: bool
-
-
 def cesaro_norm_lower_bound(symbol: CesaroSymbol, phi: GrowthFunction,
                             measure: WeightedMeasure, family) -> LowerBoundReport:
     """max over the family of ||T_g f|| / ||f||, a certified operator-norm
@@ -267,17 +260,17 @@ def cesaro_norm_lower_bound(symbol: CesaroSymbol, phi: GrowthFunction,
 
 
 def cesaro_upper_bound_check(symbol: CesaroSymbol, phi: GrowthFunction,
-                             measure: WeightedMeasure, family, bloch_m: float,
-                             tol: float = 1e-6) -> UpperBoundReport:
-    """The proof-level upper bound: modular((1-|z|^2)|R T_g f| / (M ||f||)) <= 1.
+                             measure: WeightedMeasure, family, bloch_m: float) -> float:
+    """The worst modular((1-|z|^2)|R T_g f| / (M ||f||)) over the family.
 
     R T_g f is expanded through the operator identity as f Rg, so the check
     needs no truncation of the symbol.  Pointwise (1-|z|^2)|Rg| <= M makes the
     integrand dominated by Phi(|f| / ||f||), whose integral is 1 by the norm
-    definition; the test confirms that chain survives quadrature.  The norm
-    and the integrand share one rule, f's slice rule at n = 2 only when Rg
-    lies on f's line, so that domination carries over node by node.  bloch_m
-    is M, the symbol's bloch_seminorm.
+    definition, so the proof's bound is worst <= 1; the caller compares the
+    returned value with 1 plus its quadrature tolerance.  The norm and the
+    integrand share one rule, f's slice rule at n = 2 only when Rg lies on
+    f's line, so that domination carries over node by node.  bloch_m is M,
+    the symbol's bloch_seminorm.
     """
     if bloch_m <= 0.0:
         raise DomainError("upper-bound check needs a symbol with positive Bloch seminorm")
@@ -292,5 +285,4 @@ def cesaro_upper_bound_check(symbol: CesaroSymbol, phi: GrowthFunction,
         one_minus = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
         vals = _checked_node_values(r, one_minus * np.abs(f._eval(pts) * rg._eval(pts)))
         modulars.append(modular_of_values(vals, r.weights, phi, bloch_m * norm))
-    worst = max(modulars, default=0.0)
-    return UpperBoundReport(worst_modular=worst, passes=bool(worst <= 1.0 + tol))
+    return max(modulars, default=0.0)

@@ -29,11 +29,12 @@ from bergman_orlicz.growth import (
 )
 from bergman_orlicz.harness import (
     CESARO_LOWER_OVER_M_MIN,
+    default_family,
     verify_cesaro_boundedness,
     verify_cesaro_compactness,
     verify_derivative_equivalence,
 )
-from bergman_orlicz.holo import Series
+from bergman_orlicz.holo import Series, chain_inequality_check
 from bergman_orlicz.measure import build_rule, integrate, make_measure
 from bergman_orlicz.norms import luxemburg_norm, modular, rule_for_function
 from bergman_orlicz.operators import (
@@ -128,7 +129,7 @@ def test_criterion_04_luxembourg_consistency():
         phi = power_growth(p)
         rule = rule_for_function(f, measure, phi)
         lam = luxemburg_norm(f, phi, rule).lambda_star
-        mod = modular(f, phi, rule).value
+        mod = modular(f, phi, rule)
         assert abs(lam - mod ** (1.0 / p)) <= 1e-8 * max(lam, 1.0)
     philog = power_log_growth(2, a=1)
     rule = rule_for_function(f, measure, philog)
@@ -152,7 +153,11 @@ def test_criterion_05_derivative_equivalence_suite():
             assert rep.verdict == "pass", (phi.name, alpha, cs)
             assert math.isfinite(cs["C_plus"]) and math.isfinite(cs["C_minus"])
             assert cs["C_plus_drift"] <= 0.10 and cs["C_minus_drift"] <= 0.10
-            assert cs["chain_worst_margin"] <= 1e-10
+            # the pointwise chain lemma on every member's base rule
+            measure = make_measure(1, alpha)
+            for cid, f in default_family(phi, measure, 0):
+                rule = rule_for_function(f, measure, phi)
+                assert chain_inequality_check(f, rule.points).ok, (phi.name, alpha, cid)
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0
     report(5, "four-modular equivalence stable over 12 configurations",

@@ -9,6 +9,9 @@ so it fails here.
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,8 @@ import pytest
 from bergman_orlicz import cli, harness, holo, norms
 from bergman_orlicz.measure import build_rule, make_measure
 
-_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_TRACING = _PERFBENCH / "tracing.py"
 
 
 def _tracing():
@@ -83,3 +87,41 @@ def test_traced_rule_stats_read_every_kind_of_rule():
         }
     assert rules[0].rule_id.endswith(",refined,angles=64")
     assert rules[1].rule_id.startswith("slice:n=2,")
+
+
+# perfbench's count check, run as `run.py --trace 1` runs it: the traced pass
+# of the pinned combination, its spans aggregated per name.  It runs in a
+# child process because Tracer.install rebinds the package's functions.
+_COUNT_CHECK = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import run, tracing, worker, workloads
+
+tracer = tracing.Tracer()
+tracer.install(workloads.import_package())
+tracer.op = tracing.SETUP_OP
+growth, alpha = worker.COUNT_CHECK_OPS
+ops = [op for op in workloads.prepare("verify-n1-stock", worker.COUNT_CHECK_SEED)
+       if op.op_id.startswith(f"{growth}|alpha={alpha:g}|")]
+with tempfile.TemporaryDirectory() as tmp:
+    worker.run_pass(ops, Path(tmp), 1, tracer)
+    tracer.write(Path(tmp) / "spans.jsonl")
+    spans = tracing.read(Path(tmp) / "spans.jsonl")
+agg = tracing.aggregate(spans, {op.op_id for op in ops})
+print(json.dumps({
+    "got": {name: agg.get(name, {}).get("calls", 0) for name in run.COUNT_EXPECTED},
+    "expected": run.COUNT_EXPECTED,
+    "distinct": len(agg.get("measure.build_rule", {}).get("rule_ids", ())),
+    "expected_distinct": run.COUNT_DISTINCT_RULES,
+}))
+"""
+
+
+def test_perfbench_call_counts_hold():
+    done = subprocess.run([sys.executable, "-c", _COUNT_CHECK, str(_PERFBENCH)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["got"] == result["expected"]
+    assert result["distinct"] == result["expected_distinct"]

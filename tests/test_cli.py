@@ -175,6 +175,27 @@ def test_non_finite_or_non_integral_config_value_is_data_error(capsys, config, k
     assert key in err
 
 
+def test_negative_config_seed_is_data_error(capsys):
+    # numpy's generators refuse a negative seed; the config reader names it.
+    code, out, err = run(capsys, ["verify", "--config", '{"seed": -1}', "--suite",
+                                  "interpolation_power"])
+    assert code == 65
+    assert out == ""
+    assert "'seed' must be a non-negative integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify", "--seed", "-3", "--suite", "interpolation_power"], id="verify"),
+    pytest.param(["cesaro", "--symbol", Z, "--function", Z, "--check", "--seed", "-1"],
+                 id="cesaro"),
+])
+def test_negative_seed_flag_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 64
+    assert out == ""
+    assert "--seed" in err
+
+
 @pytest.mark.parametrize("config, digest", [
     ('{}', "f77982744211bbb9"),
     ('{"n": 2.0, "seed": 3.0, "degree": 16}', "ad28fb632b1c516c"),
@@ -221,7 +242,7 @@ def test_verify_has_no_refine_flag(capsys):
 _REPORT_SHA256 = {
     "cesaro_boundedness": "9a56f7ef80bef53e838648443e953c0d6c7974cbf0affb642378487f83b852c8",
     "cesaro_compactness": "93101101a245c2f618330078ab35be599959644d1ce3e76177e58c66eebe650f",
-    "derivative_equivalence": "80f259f44b677666bdfc502e8ccc3925eb9244aef0a1b328890ba1d477f372df",
+    "derivative_equivalence": "1cbc41f478a379a79f57b5c2257e3658d86e934ee21d5f1741c0ca862e710d1a",
     "interpolation_power": "964f28af724a898af84da15e44335f9687653dcdd50803de9487e6ad69690544",
     "pointwise_estimates": "d8833dc270a815aa787ce717ff0c486b68b2c9a03fe9a19591453ea351c4a9f4",
     "small_type": "8d13588b1f3dcb26fe6ca872bc01ba1a91dc2c9328f62055ff7c5d85276fa1bd",

@@ -202,5 +202,5 @@ def test_derivative_path_never_builds_a_jacobian(monkeypatch):
     f = Series(2, {(2, 1): 1.0, (0, 3): -0.5j, (1, 0): 0.25})
     rule = build_rule(make_measure(2, 0.0), degree=12)
     mods = derivative_modulars(f, power_growth(2), rule)
-    assert all(np.isfinite(m.value) and m.value > 0.0 for m in mods.values())
+    assert all(np.isfinite(m) and m > 0.0 for m in mods.values())
     assert chain_inequality_check(f, rule.points).ok

@@ -215,7 +215,7 @@ def test_inverse_closes_brackets_where_adjacent_doubles_are_far_apart():
 def test_inverse_pins_roots_below_the_lower_cap():
     # t^{1/10} = 1e-100 at t = 1e-1000; with fn(0) = 0 the answer is t ~ 0.
     got = _monotone_inverse(lambda t: t ** 0.1, np.array([1e-100, 1e-10]))
-    assert got == pytest.approx([1e-280, 1e-100], rel=1e-12)
+    assert got == pytest.approx([1e-280, 1e-100], rel=1e-12, abs=0.0)
 
 
 def test_inverse_bisects_where_the_function_underflows():

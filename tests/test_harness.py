@@ -23,8 +23,9 @@ from bergman_orlicz.harness import (
     verify_small_type,
     verify_test_functions,
 )
-from bergman_orlicz.holo import Series
+from bergman_orlicz.holo import Series, chain_inequality_check
 from bergman_orlicz.measure import make_measure
+from bergman_orlicz.norms import rule_for_function
 
 PHI2 = power_growth(2)
 
@@ -71,7 +72,9 @@ def test_drift_verdict_thresholds():
 def test_derivative_equivalence_passes_and_reports():
     rep = verify_derivative_equivalence(PHI2, 0.0, seed=1)
     assert rep.verdict == PASS
-    assert rep.empirical_constants["chain_worst_margin"] <= 1e-10
+    measure = make_measure(1, 0.0)
+    for cid, f in default_family(PHI2, measure, 1):
+        assert chain_inequality_check(f, rule_for_function(f, measure, PHI2).points).ok, cid
     assert rep.empirical_constants["C_plus"] > 0
     assert rep.empirical_constants["C_minus"] > 0
     assert len(rep.cases) == 20
