@@ -55,6 +55,7 @@ from .holo import (
     function_from_spec,
     function_to_spec,
     invariant_gradient,
+    on_rule,
     test_function,
     to_series,
 )

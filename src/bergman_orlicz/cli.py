@@ -222,10 +222,19 @@ _integer = _checked(lambda v: _finite(v) and float(v).is_integer(), int)
 
 
 def non_negative_int(value) -> int:
-    """A seed, from the config or a --seed flag; numpy's generators refuse negatives."""
+    """A seed, from the config or a --seed flag (numpy's generators refuse
+    negatives), or the --truncation degree of bol cesaro."""
     if not (_finite(value) and float(value).is_integer() and float(value) >= 0):
         raise ValueError(value)
     return int(value)
+
+
+def positive_int(value) -> int:
+    """The --jobs of bol verify: an integer of at least 1."""
+    count = non_negative_int(value)
+    if count < 1:
+        raise ValueError(value)
+    return count
 
 
 def _numbers(keys: set, every: bool):
@@ -359,7 +368,8 @@ def _build_parser() -> _Parser:
     p_ces.add_argument("--symbol", required=True,
                        help="symbol g spec (must vanish at 0)")
     p_ces.add_argument("--function", required=True, help="argument f spec")
-    p_ces.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION_DEGREE)
+    p_ces.add_argument("--truncation", type=non_negative_int,
+                       default=DEFAULT_TRUNCATION_DEGREE)
     p_ces.add_argument("--check", action="store_true",
                        help="cross-validate against the ray-integral oracle")
     p_ces.add_argument("--seed", type=non_negative_int, default=0)
@@ -375,7 +385,7 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("--out", help="directory for report JSON files")
     p_ver.add_argument("--csv", action="store_true",
                        help="also write per-case CSV next to each report")
-    p_ver.add_argument("--jobs", type=int, default=1,
+    p_ver.add_argument("--jobs", type=positive_int, default=1,
                        help="worker threads per suite (output is identical "
                             "for any value)")
     p_ver.set_defaults(func=cmd_verify)

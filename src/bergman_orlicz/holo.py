@@ -12,7 +12,7 @@ derivatives on a batch of points, and how to produce its radial derivative
 R f = sum_j z_j d f / d z_j as another representation in closed form.  The
 radial derivative of a kernel power is s <z, a> (1 - <z, a>)^(-s-1), which is
 a Product of a linear Series and another KernelPower, so the class is closed
-under R.  A Series call walks the points once (Series._sums), in blocks of
+under R.  A Series call walks the points once (_monomial_sums), in blocks of
 _SERIES_BLOCK, and sums its value, or all n partials, from the powers of each
 coordinate that a term reads, kept per block, so its scratch memory does not
 grow with the terms times the points.  to_series() expands any representation
@@ -20,15 +20,26 @@ into a truncated Series for the coefficient-level Cesaro path, and _shape
 reads off, in one walk, what quadrature selection needs: the polynomial
 degree, the largest kernel |center| and the complex line of a slice.
 
+There are two ways to evaluate.  Pointwise, _eval and _partials take any
+batch of points: probe grids, the Bloch search, kernels.  On a quadrature
+rule, on_rule reads a Series off the rule's factors: at n = 2 every node is
+w zeta + s zeta_perp with s = sqrt(t (1-|w|^2)) e^{i psi}, so the Series is
+rewritten as sum_b g_b(w) s^b, its w-polynomials are evaluated on the disc
+nodes alone and a matrix product per block expands them over (t, psi).  On
+the refined n = 2 lift that is 1,105 disc nodes for 1,221,025 nodes.  The
+norms, modulars and sweeps over rule nodes read through on_rule; at n = 1,
+and for every function but a Series, it evaluates pointwise at the nodes.
+
 The invariant gradient is (grad f)(z) composed with the Jacobian at 0 of the
-ball automorphism phi_z.  gradient_sweep computes every derivative quantity
-of norms.py from one gradient evaluation, among them the pointwise chain
+ball automorphism phi_z.  gradient_norms holds the one closed form
+|invariant grad f|^2 = (1-|z|^2)(|grad f|^2 - |Rf|^2), with no Jacobian;
+gradient_sweep feeds it at probe points, among them those of the chain
 
     (1-|z|^2) |R f| <= (1-|z|^2) |grad f| <= |invariant grad f|
 
-that chain_inequality_check verifies, the last through the closed form
-|invariant grad f|^2 = (1-|z|^2)(|grad f|^2 - |Rf|^2) with no Jacobian.
-invariant_gradient keeps the vector form, through mobius_jacobian0_batch.
+that chain_inequality_check verifies, and derivative_modulars block by block
+from on_rule.  invariant_gradient keeps the vector form, through
+mobius_jacobian0_batch.
 """
 
 from __future__ import annotations
@@ -48,6 +59,7 @@ from .measure import (
     _points_2d,
     kernel_factor,
     kernel_modulus,
+    line_perp,
     mobius_jacobian0_batch,
 )
 
@@ -59,7 +71,10 @@ __all__ = [
     "Product",
     "to_series",
     "slice_direction",
+    "on_rule",
+    "RuleBlock",
     "gradient_sweep",
+    "gradient_norms",
     "invariant_gradient",
     "chain_inequality_check",
     "ChainReport",
@@ -72,6 +87,39 @@ __all__ = [
 # Points per block of a Series evaluation: each power a block keeps is
 # _SERIES_BLOCK complex numbers (256 KiB).
 _SERIES_BLOCK = 16384
+
+
+def _monomial_sums(pts: np.ndarray, term_lists) -> np.ndarray:
+    """Column k holds sum c z^m over the (m, c) pairs of term_lists[k], in order.
+
+    One walk over the point blocks serves every list.  z_j^d is the
+    running product of d factors z_j, each written into a fresh buffer:
+    numpy rounds a complex product written over its own factor
+    differently for a single point.  Only the powers some list reads are
+    kept; the others are freed when the next power replaces them.
+    """
+    n = pts.shape[1]
+    used = [{m[j] for terms in term_lists for m, _ in terms} for j in range(n)]
+    out = np.zeros((pts.shape[0], len(term_lists)), dtype=complex)
+    for lo, hi in _blocks(pts.shape[0]):
+        tab = []
+        for j in range(n):
+            col = np.ascontiguousarray(pts[lo:hi, j])
+            rows = {}
+            for d in range(max(used[j], default=0) + 1):
+                power = power * col if d else np.ones(hi - lo, dtype=complex)
+                if d in used[j]:
+                    rows[d] = power
+            tab.append(rows)
+        for k, terms in enumerate(term_lists):
+            acc = np.zeros(hi - lo, dtype=complex)
+            for m, c in terms:
+                mono = tab[0][m[0]].copy()
+                for j in range(1, n):
+                    mono *= tab[j][m[j]]
+                acc += complex(c) * mono
+            out[lo:hi, k] = acc
+    return out
 
 
 def _blocks(count: int):
@@ -141,45 +189,22 @@ class Series(HoloFunction):
                 clean[idx] = clean.get(idx, 0) + c
         object.__setattr__(self, "terms", clean)
 
-    def _sums(self, pts: np.ndarray, term_lists) -> np.ndarray:
-        """Column k holds sum c z^m over the (m, c) pairs of term_lists[k], in order.
-
-        One walk over the point blocks serves every list.  z_j^d is the
-        running product of d factors z_j, each written into a fresh buffer:
-        numpy rounds a complex product written over its own factor
-        differently for a single point.  Only the powers some list reads are
-        kept; the others are freed when the next power replaces them.
-        """
-        used = [{m[j] for terms in term_lists for m, _ in terms} for j in range(self.n)]
-        out = np.zeros((pts.shape[0], len(term_lists)), dtype=complex)
-        for lo, hi in _blocks(pts.shape[0]):
-            tab = []
-            for j in range(self.n):
-                col = np.ascontiguousarray(pts[lo:hi, j])
-                rows = {}
-                for d in range(max(used[j], default=0) + 1):
-                    power = power * col if d else np.ones(hi - lo, dtype=complex)
-                    if d in used[j]:
-                        rows[d] = power
-                tab.append(rows)
-            for k, terms in enumerate(term_lists):
-                acc = np.zeros(hi - lo, dtype=complex)
-                for m, c in terms:
-                    mono = tab[0][m[0]].copy()
-                    for j in range(1, self.n):
-                        mono *= tab[j][m[j]]
-                    acc += complex(c) * mono
-                out[lo:hi, k] = acc
-        return out
+    def _term_lists(self, derivatives: bool = False) -> list:
+        """The (m, c) pairs of f, in sorted order, then with derivatives those
+        of each partial d_j f: d_j z^m = m_j z^(m - e_j)."""
+        keys = sorted(self.terms)
+        lists = [[(m, self.terms[m]) for m in keys]]
+        if derivatives:
+            lists += [[(m[:j] + (m[j] - 1,) + m[j + 1:], self.terms[m] * m[j])
+                       for m in keys if m[j] > 0] for j in range(self.n)]
+        return lists
 
     def _eval(self, pts):
-        return self._sums(pts, [[(m, self.terms[m]) for m in sorted(self.terms)]])[:, 0]
+        return _monomial_sums(pts, self._term_lists())[:, 0]
 
     def _partials(self, pts):
-        # d_j z^m = m_j z^(m - e_j): all n partials read one walk's powers.
-        return self._sums(pts, [[(m[:j] + (m[j] - 1,) + m[j + 1:], self.terms[m] * m[j])
-                                 for m in sorted(self.terms) if m[j] > 0]
-                                for j in range(self.n)])
+        # All n partials read one walk's powers.
+        return _monomial_sums(pts, self._term_lists(derivatives=True)[1:])
 
     def radial_derivative(self) -> "Series":
         return Series(self.n, {m: c * sum(m) for m, c in self.terms.items() if sum(m) > 0})
@@ -413,6 +438,105 @@ def slice_direction(f: HoloFunction) -> np.ndarray | None:
 
 
 # ---------------------------------------------------------------------------
+# Node values on a quadrature rule
+
+# Products per block of on_rule at n = 2: a block's node arrays and its
+# expansion matrix take about _RULE_BLOCK complex numbers (512 KiB) each.
+_RULE_BLOCK = 1 << 15
+
+
+@dataclass(frozen=True)
+class RuleBlock:
+    """f at the rule nodes of the slice nodes: its values, with derivatives
+    the (k, n) partials and Rf (else None), and 1-|z|^2."""
+
+    nodes: slice
+    values: np.ndarray
+    partials: np.ndarray | None
+    radial: np.ndarray | None
+    one_minus: np.ndarray
+
+
+def _binomial_row(x: complex, y: complex, m: int) -> list:
+    """[(k, C(m, k) x^(m-k) y^k)] over the k whose term of (x w + y s)^m can
+    be nonzero."""
+    return [(k, math.comb(m, k) * x ** (m - k) * y ** k) for k in range(m + 1)
+            if (x != 0 or k == m) and (y != 0 or k == 0)]
+
+
+def _frame_terms(terms, line: np.ndarray) -> dict:
+    """The (m, c) pairs of sum c_m z^m in the frame of a line of C^2: {(a, b): c}
+    with sum c w^a s^b its value at z = w line + s line_perp(line).  Each
+    z_j^m_j is expanded by the binomial theorem; along e_1, where z = (w, s),
+    every coefficient keeps its bits."""
+    rows = [[_binomial_row(complex(x), complex(y), d)
+             for d in range(max((m[j] for m, _ in terms), default=0) + 1)]
+            for j, (x, y) in enumerate(zip(line, line_perp(line)))]
+    out = {}
+    for m, c in terms:
+        for combo in itertools.product(*(rows[j][d] for j, d in enumerate(m))):
+            b = sum(k for k, _ in combo)
+            key = (sum(m) - b, b)
+            out[key] = out.get(key, 0) + complex(c) * math.prod(x for _, x in combo)
+    return out
+
+
+def on_rule(f: HoloFunction, rule, derivatives: bool = False):
+    """Yield f on the nodes of a rule from measure.build_rule, block by block.
+
+    Each RuleBlock covers consecutive nodes, in order; 1-|z|^2 is
+    (1-|w|^2)(1-t) from the rule's factors.  At n = 1 one block covers the
+    rule and f is evaluated at its points (the disc nodes), Rf as
+    sum_j z_j d_j f; so is every function but a Series.  At n = 2 a Series
+    is rewritten in the rule's frame (w, s) = (<z, zeta>, <z, zeta_perp>) as
+    sum_b g_b(w) s^b, with s = sqrt(t (1-|w|^2)) e^{i psi} at the node, so
+    its w-polynomials g_b (and those of each partial and of Rf) are
+    evaluated on the disc nodes only, in one Series walk.  A block of disc
+    nodes then expands them over its fibre (t, psi) by one matrix product:
+    the ((w, t), b) matrix g_b(w) sqrt(t (1-|w|^2))^b times the (b, psi)
+    matrix e^{i b psi}.  Blocks hold about _RULE_BLOCK nodes and expansion
+    products, so no node-sized array but the caller's outputs outlives one.
+    """
+    pts = rule.points
+    omd = 1.0 - np.abs(rule.disc) ** 2
+    fibre = rule.t.size * rule.phases.size
+
+    def one_minus(lo, hi):
+        """1-|z|^2 at the nodes over disc nodes lo..hi."""
+        return np.repeat((omd[lo:hi, None] * (1.0 - rule.t)).reshape(-1), rule.phases.size)
+
+    if pts.shape[1] == 1 or not isinstance(f, Series):
+        grad = rf = None
+        if derivatives:
+            grad = f._partials(pts)
+            rf = np.einsum("nj,nj->n", pts, grad)
+        yield RuleBlock(slice(0, pts.shape[0]), f._eval(pts), grad, rf,
+                        one_minus(0, rule.disc.size))
+        return
+    term_lists = f._term_lists(derivatives)
+    if derivatives:
+        term_lists.append([(m, c * sum(m)) for m, c in term_lists[0] if sum(m) > 0])
+    frames = [_frame_terms(terms, rule.line) for terms in term_lists]
+    degree = max((b for frame in frames for _, b in frame), default=0)
+    lists = [[((a,), c) for (a, bb), c in sorted(frame.items()) if bb == b]
+             for frame in frames for b in range(degree + 1)]
+    g = _monomial_sums(rule.disc[:, None], lists).reshape(-1, len(frames), degree + 1)
+    v = np.sqrt(rule.t[None, :] * np.maximum(0.0, omd)[:, None])
+    spin = np.ones((degree + 1, rule.phases.size), dtype=complex)
+    for b in range(1, degree + 1):
+        spin[b] = spin[b - 1] * rule.phases
+    step = max(1, _RULE_BLOCK // (rule.t.size * max(rule.phases.size, degree + 1)))
+    for lo in range(0, rule.disc.size, step):
+        hi = min(lo + step, rule.disc.size)
+        nodes = slice(lo * fibre, hi * fibre)
+        v_powers = v[lo:hi, :, None] ** np.arange(degree + 1)
+        coeffs = g[lo:hi].transpose(1, 0, 2)[:, :, None, :] * v_powers[None]
+        out = (coeffs.reshape(-1, degree + 1) @ spin).reshape(len(frames), -1)
+        grad, rf = (out[1:-1].T, out[-1]) if derivatives else (None, None)
+        yield RuleBlock(nodes, out[0], grad, rf, one_minus(lo, hi))
+
+
+# ---------------------------------------------------------------------------
 # Invariant gradient and the derivative chain
 
 
@@ -420,25 +544,37 @@ def gradient_sweep(f: HoloFunction, pts: np.ndarray):
     """The four derivative quantities of f at the rows of pts, from one gradient.
 
     Returns the (N,) arrays (1-|z|^2, |Rf(z)|, |grad f(z)|, |invariant grad
-    f(z)|), with Rf(z) = sum_j z_j d_j f(z).  The invariant gradient's norm
-    comes in closed form (Zhu, Spaces of Holomorphic Functions in the Unit
-    Ball, ch. 2): |inv grad f|^2 = (1-|z|^2)(|grad f|^2 - |Rf|^2), written
-    without the cancellation through Lagrange's identity as
-
-        (1-|z|^2) [(1-|z|^2)|grad f|^2 + sum_{i<j} |conj(z_i) d_j f - conj(z_j) d_i f|^2].
-
+    f(z)|), with Rf(z) = sum_j z_j d_j f(z), through gradient_norms.
     invariant_gradient keeps the vector form, through the Jacobian of phi_z.
     """
     grad = f._partials(pts)
     one_minus = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
-    radial = np.abs(np.einsum("nj,nj->n", pts, grad))
+    return (one_minus, *gradient_norms(pts, grad, np.einsum("nj,nj->n", pts, grad), one_minus))
+
+
+def gradient_norms(pts: np.ndarray, grad: np.ndarray, rf: np.ndarray,
+                   one_minus: np.ndarray):
+    """(|Rf|, |grad f|, |invariant grad f|) at the rows of pts from the (N, n)
+    gradient, Rf and 1-|z|^2 there.
+
+    The invariant gradient's norm comes in closed form (Zhu, Spaces of
+    Holomorphic Functions in the Unit Ball, ch. 2): |inv grad f|^2 =
+    (1-|z|^2)(|grad f|^2 - |Rf|^2), written without the cancellation through
+    Lagrange's identity as
+
+        (1-|z|^2) [(1-|z|^2)|grad f|^2 + sum_{i<j} |conj(z_i) d_j f - conj(z_j) d_i f|^2].
+
+    gradient_sweep feeds it at probe points, derivative_modulars block by
+    block from on_rule.
+    """
     grad_norm = np.linalg.norm(grad, axis=1)
     inside = np.maximum(one_minus, 0.0)
     acc = inside * grad_norm**2
-    for i in range(f.n):
-        for j in range(i + 1, f.n):
+    n = pts.shape[1]
+    for i in range(n):
+        for j in range(i + 1, n):
             acc += np.abs(np.conj(pts[:, i]) * grad[:, j] - np.conj(pts[:, j]) * grad[:, i]) ** 2
-    return one_minus, radial, grad_norm, np.sqrt(inside * acc)
+    return np.abs(rf), grad_norm, np.sqrt(inside * acc)
 
 
 def invariant_gradient(f: HoloFunction, points):

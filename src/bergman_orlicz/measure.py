@@ -33,6 +33,13 @@ call with the same arguments returns the same QuadratureRule, whose arrays
 are read-only and live as long as the measure (each suite makes its own).
 Kernel rules serve one centre and are built afresh on every call.
 
+A rule keeps its factors beside its nodes: the line zeta, the disc nodes w,
+the t nodes and the phases e^{i psi}, so node (w, t, psi) is
+w zeta + sqrt(t (1 - |w|^2)) e^{i psi} zeta_perp, zeta_perp = line_perp(zeta),
+and 1 - |z|^2 = (1 - |w|^2)(1 - t) there.  At n = 1 the fibre is the single
+point t = 0, psi = 0 and the disc nodes are the nodes.  holo.on_rule reads
+a polynomial's node values off these factors.
+
 sphere_directions supplies the unit vectors that the pointwise and Bloch
 sweeps probe along: the equispaced circle for n = 1 and seed-deterministic
 scrambled Halton points for n >= 2.
@@ -47,7 +54,7 @@ one finite value per rule node, for integrate and for the modulars and norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import gammaln, ndtri, roots_jacobi
@@ -63,6 +70,7 @@ __all__ = [
     "QuadratureRule",
     "make_measure",
     "build_rule",
+    "line_perp",
     "sphere_directions",
     "integrate",
     "mobius_apply",
@@ -121,7 +129,12 @@ class QuadratureRule:
 
     points has shape (N, n) complex, weights shape (N,) positive with sum 1.
     exact_degree is the largest total monomial degree |m| + |m'| the rule
-    integrates exactly.
+    integrates exactly.  The factors, set by build_rule, list the nodes in
+    the C order of (disc, t, phases): line is the unit vector zeta of C^n,
+    disc the (D,) complex disc nodes w, t the (T,) nodes in t and phases the
+    (P,) unit factors e^{i psi}; node (i, j, k) is
+    disc[i] line + sqrt(t[j] (1 - |disc[i]|^2)) phases[k] line_perp(line).
+    At n = 1, t = (0,) and phases = (1,).
     """
 
     points: np.ndarray = field(repr=False)
@@ -129,6 +142,10 @@ class QuadratureRule:
     exact_degree: int
     rule_id: str
     normalization_residual: float
+    line: np.ndarray | None = field(default=None, repr=False)
+    disc: np.ndarray | None = field(default=None, repr=False)
+    t: np.ndarray | None = field(default=None, repr=False)
+    phases: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def node_count(self) -> int:
@@ -173,7 +190,8 @@ def _product_rule_raw(alpha: float, degree: int, angular_count: int | None = Non
 
 def _lifted_rule_raw(what: str, alpha: float, degree: int, angular_count: int | None,
                      zeta: np.ndarray, t_count: int, transverse: np.ndarray):
-    """Raw nodes/weights of nu_alpha on B^2 lifted from the disc rule at alpha + 1.
+    """Raw nodes/weights of nu_alpha on B^2 lifted from the disc rule at alpha + 1,
+    and the disc nodes and t nodes of the lift.
 
     The disc rule (degree and angular_count as in build_rule) is crossed, in
     the C order of (disc, t, phase), with t_count Gauss-Jacobi nodes in t
@@ -198,20 +216,29 @@ def _lifted_rule_raw(what: str, alpha: float, degree: int, angular_count: int | 
     # int_0^1 (1-t)^alpha dt = 1 / (alpha + 1)
     raw_w = np.empty(pts.shape[:3])
     raw_w[...] = (w_disc[:, None] * ((alpha + 1.0) * w_t / n_phase)[None, :])[:, :, None]
-    return pts.reshape(-1, 2), raw_w.reshape(-1)
+    return pts.reshape(-1, 2), raw_w.reshape(-1), w, t
+
+
+def line_perp(line: np.ndarray) -> np.ndarray:
+    """The unit vector (-conj(zeta_2), conj(zeta_1)) orthogonal to a line of C^2."""
+    return np.array([-np.conj(line[1]), np.conj(line[0])])
 
 
 def _rule_raw(n: int, alpha: float, degree: int, angular_count: int | None = None):
-    """Raw nodes/weights of build_rule's rule; at n = 2 the lift along e_1."""
+    """Raw nodes/weights of build_rule's rule, and its factors (line, disc, t,
+    phases); at n = 2 the lift along e_1."""
     if n == 1:
-        return _product_rule_raw(alpha, degree, angular_count)
+        pts, raw_w = _product_rule_raw(alpha, degree, angular_count)
+        one = np.ones(1, dtype=complex)
+        return pts, raw_w, (one, pts[:, 0], np.zeros(1), one)
     if n > 2:
         raise UnsupportedRuleError(f"rules stop at n=2, got n={n}")
     n_ang = _disc_sizes(degree, angular_count)[1]
     e = np.exp(1j * (2.0 * np.pi * np.arange(n_ang) / n_ang))
-    return _lifted_rule_raw("a product rule", alpha, degree, angular_count,
-                            np.array([1.0, 0.0], dtype=complex), degree // 4 + 1,
-                            np.column_stack([np.zeros(n_ang), e]))
+    e1 = np.array([1.0, 0.0], dtype=complex)
+    pts, raw_w, w, t = _lifted_rule_raw("a product rule", alpha, degree, angular_count, e1,
+                                        degree // 4 + 1, np.column_stack([np.zeros(n_ang), e]))
+    return pts, raw_w, (e1, w, t, e)
 
 
 def build_rule(measure: WeightedMeasure, degree: int, angular_count: int | None = None,
@@ -257,19 +284,23 @@ def build_rule(measure: WeightedMeasure, degree: int, angular_count: int | None 
     if rule is not None:
         return rule
     if zeta is None:
-        pts, raw_w = _rule_raw(n, alpha, degree, angular_count)
+        pts, raw_w, factors = _rule_raw(n, alpha, degree, angular_count)
         rid = f"product:n={n},alpha={alpha:g},degree={degree},nodes={pts.shape[0]}"
     else:
-        perp = np.array([[-np.conj(zeta[1]), np.conj(zeta[0])]])
-        pts, raw_w = _lifted_rule_raw("a slice rule", alpha, degree, angular_count,
-                                      zeta, t_count, perp)
+        pts, raw_w, w, t = _lifted_rule_raw("a slice rule", alpha, degree, angular_count,
+                                            zeta, t_count, line_perp(zeta)[None, :])
+        factors = (zeta.copy(), w, t, np.ones(1, dtype=complex))
         z1, z2 = (f"{c.real:.6g}{c.imag:+.6g}j" for c in zeta)
         rid = (f"slice:n=2,alpha={alpha:g},zeta=({z1},{z2}),degree={degree},"
                f"t={t_count},nodes={pts.shape[0]}")
     if angular_count is not None:
-        return _unit_mass_parts(pts, raw_w, degree, f"{rid},refined,angles={int(angular_count)}")
+        rid = f"{rid},refined,angles={int(angular_count)}"
     rule = _unit_mass_parts(pts, raw_w, degree, rid)
-    rule.points.flags.writeable = rule.weights.flags.writeable = False
+    rule = replace(rule, **dict(zip(("line", "disc", "t", "phases"), factors)))
+    if angular_count is not None:
+        return rule
+    for arr in (rule.points, rule.weights, *factors):
+        arr.flags.writeable = False
     measure._rules[key] = rule
     return rule
 

@@ -6,13 +6,14 @@ modular(F / lambda) <= 1; for continuous unbounded Phi the map
 lambda -> modular(F / lambda) is monotone and continuous, so bisection with a
 doubling bracket always converges.  Node values of |F| are computed once per
 function and reused across the bisection, which keeps kernel-heavy norms
-affordable; a kernel power's come from measure.kernel_modulus, in real
-arithmetic.  They are checked once, where they are produced
-(measure._checked_node_values: one finite value per node), so a bisection
-step, modular_of_values, only evaluates Phi.fn, weights and sums, one leaf
-of at most _LEAF nodes at a time along numpy's own pairwise tree
-(_leafwise_sum): its temporaries stay in L2 and its sum keeps the bits of
-one np.sum over every node.  small_type_estimate_check sums the same way.
+affordable: a Series' come from holo.on_rule, off the rule's factors (as do
+the derivative modulars' and the small-type sums'), and a kernel power's
+from measure.kernel_modulus, in real arithmetic.  They are checked once,
+where they are produced (measure._checked_node_values: one finite value per
+node), so a bisection step, modular_of_values, only evaluates Phi.fn,
+weights and sums, one leaf of at most _LEAF nodes at a time along numpy's
+own pairwise tree (_leafwise_sum): its temporaries stay in L2 and its sum
+keeps the bits of one np.sum over every node.  small_type_estimate_check sums the same way.
 A NaN anywhere in Phi's output makes that sum NaN, which raises DomainError.
 
 Quadrature selection: one measure.build_rule call per function.  Polynomial
@@ -35,7 +36,16 @@ import numpy as np
 
 from .errors import DivergentNormError, DomainError, WorkbenchError
 from .growth import GrowthFunction
-from .holo import HoloFunction, _direction, _join_lines, _shape, gradient_sweep
+from .holo import (
+    HoloFunction,
+    Series,
+    _direction,
+    _join_lines,
+    _shape,
+    gradient_norms,
+    gradient_sweep,
+    on_rule,
+)
 from .measure import (
     QuadratureRule,
     WeightedMeasure,
@@ -77,8 +87,14 @@ class LuxNorm:
 
 
 def _node_values(f: HoloFunction, rule: QuadratureRule) -> np.ndarray:
-    """|f| at the rule nodes, checked once where they are produced."""
-    return _checked_node_values(rule, f._abs_eval(rule.points))
+    """|f| at the rule nodes, checked once where they are produced: a Series
+    through holo.on_rule, any other function by its _abs_eval at the points."""
+    if not isinstance(f, Series):
+        return _checked_node_values(rule, f._abs_eval(rule.points))
+    vals = np.empty(rule.node_count)
+    for block in on_rule(f, rule):
+        np.abs(block.values, out=vals[block.nodes])
+    return _checked_node_values(rule, vals)
 
 
 def _leafwise_sum(terms_sum, *arrays) -> float:
@@ -198,19 +214,22 @@ def derivative_modulars(f: HoloFunction, phi: GrowthFunction,
 
     Keys, in order: "function" for |f - f(0)|, "invariant_gradient" for the
     gradient of f composed with phi_z at 0, "weighted_gradient" for
-    (1-|z|^2)|grad f|, "weighted_radial" for (1-|z|^2)|Rf|.  All four reuse
-    one gradient_sweep over the rule nodes.
+    (1-|z|^2)|grad f|, "weighted_radial" for (1-|z|^2)|Rf|.  holo.on_rule
+    gives f, its partials, Rf and 1-|z|^2 block by block, and each block
+    goes through holo.gradient_norms once; only the four (N,) arrays of
+    node values outlive a block.
     """
-    pts = rule.points
     f0 = f.eval(np.zeros(f.n, dtype=complex))
-    fvals = np.abs(f._eval(pts) - f0)
-    one_minus, radial, grad_norm, invariant = gradient_sweep(f, pts)
-    quantities = {
-        "function": fvals,
-        "invariant_gradient": invariant,
-        "weighted_gradient": one_minus * grad_norm,
-        "weighted_radial": one_minus * radial,
-    }
+    quantities = {kind: np.empty(rule.node_count) for kind in
+                  ("function", "invariant_gradient", "weighted_gradient", "weighted_radial")}
+    for block in on_rule(f, rule, derivatives=True):
+        nodes = block.nodes
+        radial, grad_norm, invariant = gradient_norms(rule.points[nodes], block.partials,
+                                                      block.radial, block.one_minus)
+        np.abs(block.values - f0, out=quantities["function"][nodes])
+        quantities["invariant_gradient"][nodes] = invariant
+        np.multiply(block.one_minus, grad_norm, out=quantities["weighted_gradient"][nodes])
+        np.multiply(block.one_minus, radial, out=quantities["weighted_radial"][nodes])
     return {kind: modular_of_values(_checked_node_values(rule, vals), rule.weights, phi)
             for kind, vals in quantities.items()}
 
@@ -339,13 +358,14 @@ def small_type_estimate_check(family, p: float, measure: WeightedMeasure,
     for f in family:
         r = rule_for_function(f, measure, None, refine=refine)
         rid = r.rule_id if rid is None else rid
-        vals = _node_values(f, r)
-
-        def num_sum(w, v, pts):
-            one_minus = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
-            return float(np.sum(w * v * one_minus**w_exp))
-
-        num = _leafwise_sum(num_sum, r.weights, vals, r.points)
+        vals = np.empty(r.node_count)
+        one_minus = np.empty(r.node_count)
+        for block in on_rule(f, r):
+            np.abs(block.values, out=vals[block.nodes])
+            one_minus[block.nodes] = block.one_minus
+        vals = _checked_node_values(r, vals)
+        num = _leafwise_sum(lambda w, v, om: float(np.sum(w * v * om**w_exp)),
+                            r.weights, vals, one_minus)
         den = _leafwise_sum(lambda w, v: float(np.sum(w * v**p)), r.weights, vals)
         if den == 0.0:
             raise DomainError("small-type sweep needs nonzero functions")

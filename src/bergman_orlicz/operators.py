@@ -27,7 +27,14 @@ from scipy.special import roots_legendre
 
 from .errors import DomainError, SymbolInvariantError
 from .growth import GrowthFunction, golden_section_max
-from .holo import DEFAULT_TRUNCATION_DEGREE, HoloFunction, Series, slice_direction, to_series
+from .holo import (
+    DEFAULT_TRUNCATION_DEGREE,
+    HoloFunction,
+    Series,
+    on_rule,
+    slice_direction,
+    to_series,
+)
 from .measure import WeightedMeasure, _checked_node_values, _points_2d, sphere_directions
 from .norms import luxemburg_norm, modular_of_values, rule_for_function
 
@@ -259,6 +266,12 @@ def cesaro_norm_lower_bound(symbol: CesaroSymbol, phi: GrowthFunction,
     return LowerBoundReport(value=max(ratios), ratios=tuple(ratios))
 
 
+def _rule_values(f: HoloFunction, rule) -> tuple[np.ndarray, np.ndarray]:
+    """f and 1-|z|^2 at every node of the rule, from holo.on_rule's blocks."""
+    blocks = list(on_rule(f, rule))
+    return tuple(np.concatenate([getattr(b, k) for b in blocks]) for k in ("values", "one_minus"))
+
+
 def cesaro_upper_bound_check(symbol: CesaroSymbol, phi: GrowthFunction,
                              measure: WeightedMeasure, family, bloch_m: float) -> float:
     """The worst modular((1-|z|^2)|R T_g f| / (M ||f||)) over the family.
@@ -281,8 +294,7 @@ def cesaro_upper_bound_check(symbol: CesaroSymbol, phi: GrowthFunction,
         norm = luxemburg_norm(f, phi, r).lambda_star
         if norm <= 0.0:
             raise DomainError("upper-bound family must contain nonzero functions")
-        pts = r.points
-        one_minus = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
-        vals = _checked_node_values(r, one_minus * np.abs(f._eval(pts) * rg._eval(pts)))
+        (fv, one_minus), (rgv, _) = (_rule_values(h, r) for h in (f, rg))
+        vals = _checked_node_values(r, one_minus * np.abs(fv * rgv))
         modulars.append(modular_of_values(vals, r.weights, phi, bloch_m * norm))
     return max(modulars, default=0.0)

@@ -175,6 +175,22 @@ def test_non_finite_or_non_integral_config_value_is_data_error(capsys, config, k
     assert key in err
 
 
+def test_negative_truncation_is_usage_error(capsys):
+    # It printed T_g f = 0 (an empty series) with exit 0.
+    kernel = '{"kind":"kernel_power","center":[[0.5,0]],"exponent":2}'
+    code, out, err = run(capsys, ["cesaro", "--symbol", Z, "--function", kernel,
+                                  "--truncation", "-1"])
+    assert (code, out) == (64, "")
+    assert "--truncation" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "1.5"])
+def test_jobs_below_one_is_usage_error(capsys, jobs):
+    code, out, err = run(capsys, ["verify", "--suite", "interpolation_power", "--jobs", jobs])
+    assert (code, out) == (64, "")
+    assert "--jobs" in err
+
+
 def test_negative_config_seed_is_data_error(capsys):
     # numpy's generators refuse a negative seed; the config reader names it.
     code, out, err = run(capsys, ["verify", "--config", '{"seed": -1}', "--suite",

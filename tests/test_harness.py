@@ -1,5 +1,6 @@
 """Verification suites: verdict logic, determinism, scaling invariance."""
 
+import hashlib
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from bergman_orlicz import harness
+from bergman_orlicz.cli import canonical_json
 from bergman_orlicz.growth import power_growth
 from bergman_orlicz.harness import (
     FAIL,
@@ -144,6 +146,34 @@ def test_n2_reports_identical_across_thread_counts():
     base = as_canonical(verify_derivative_equivalence(PHI2, 0.0, 2, family=fam, jobs=1))
     threaded = as_canonical(verify_derivative_equivalence(PHI2, 0.0, 2, family=fam, jobs=3))
     assert base == threaded
+
+
+def _n2_family():
+    """A z1-slice, a z2-slice, an affine Series on a tilted line and a seeded
+    two-variable quartic, which gets the lifted rule."""
+    rng = np.random.default_rng(11)
+    quartic = {m: complex(*rng.normal(size=2)) for m in ((4, 0), (1, 2), (0, 3), (2, 2), (0, 1))}
+    return [("z1^3", Series(2, {(3, 0): 1.0})), ("z2^2", Series(2, {(0, 2): 1.0})),
+            ("affine", Series(2, {(1, 0): 0.6, (0, 1): 0.8j})), ("quartic", Series(2, quartic))]
+
+
+# sha256 of the canonical n = 2 reports on _n2_family.  Like the n = 1
+# digests in test_cli, a change that moves these bytes re-pins them and says
+# so in CHANGES.md.
+_N2_SUITE_SHA256 = {
+    "derivative_equivalence": "01135cd0ed5411a73e9bae24c9f1ff195b9b07e3408d2ed859fbef9de28d5f83",
+    "small_type": "3a7c771dbf403d906a992328a074ea05e821e5913dc8a650478de8cc0728f2d4",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_N2_SUITE_SHA256))
+def test_n2_reports_keep_their_bytes(suite):
+    if suite == "derivative_equivalence":
+        report = verify_derivative_equivalence(PHI2, 0.0, 2, family=_n2_family(), seed=3)
+    else:
+        report = verify_small_type(0.7, 0.0, 2, family=_n2_family(), seed=3)
+    digest = hashlib.sha256(canonical_json(report.to_json_dict()).encode()).hexdigest()
+    assert digest == _N2_SUITE_SHA256[suite]
 
 
 def test_rerun_is_byte_identical():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergman_orlicz import holo as holo_module
 from bergman_orlicz import norms as norms_module
 from bergman_orlicz.errors import DomainError, NonFiniteIntegrandError, WorkbenchError
 from bergman_orlicz.growth import (
@@ -20,7 +21,7 @@ from bergman_orlicz.growth import (
     shipped_growth_ids,
 )
 from bergman_orlicz.harness import verify_test_functions
-from bergman_orlicz.holo import Series, function_from_spec
+from bergman_orlicz.holo import Series, function_from_spec, on_rule
 from bergman_orlicz.measure import build_rule, make_measure
 from bergman_orlicz.norms import (
     derivative_modulars,
@@ -285,6 +286,25 @@ def test_a_large_modular_allocates_leaf_sized_temporaries(gid, n, bound_mib):
     assert peak < bound_mib * 2**20
 
 
+def test_derivative_modulars_keep_block_sized_temporaries():
+    # On the refined n = 2 lift the four (N,) outputs take 39 MB; the
+    # pointwise path peaked 93 MB above them (the partials alone took 39 MB).
+    # Blocks of holo._RULE_BLOCK nodes may keep sixteen complex arrays of
+    # that length (8 MiB) on top.
+    f = Series(2, {(0, 0): 0.5, (6, 0): 1.0 - 0.5j, (3, 3): -0.25j, (1, 4): 0.75,
+                   (0, 6): 0.3 + 0.1j, (2, 1): -1.2, (0, 1): 2.0j})
+    rule = build_rule(make_measure(2, 0.0), 64)
+    assert rule.node_count == 1_221_025
+    allowance = 16 * holo_module._RULE_BLOCK * 16
+    tracemalloc.start()
+    try:
+        derivative_modulars(f, power_growth(2), rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * rule.node_count + allowance
+
+
 # Luxembourg steps of t^2, alpha = 0, n = 1 at the test_functions radii; the
 # benchmark's traced count check rests on these.
 _TEST_FUNCTION_STEPS = {0.0: 34, 0.5: 39, 0.9: 45, 0.99: 51, 0.999: 58}
@@ -362,8 +382,9 @@ def test_small_type_sums_are_one_np_sum_bit_for_bit(n, terms):
     rule = rule_for_function(f, measure, None)
     assert rule.node_count > _LEAF
     report = small_type_estimate_check([f], p, measure)
-    vals = np.abs(f._eval(rule.points))
-    one_minus = 1.0 - np.sum(np.abs(rule.points) ** 2, axis=1)
+    blocks = list(on_rule(f, rule))
+    vals = np.abs(np.concatenate([b.values for b in blocks]))
+    one_minus = np.concatenate([b.one_minus for b in blocks])
     num = float(np.sum(rule.weights * vals * one_minus**report.weight_exponent))
     den = float(np.sum(rule.weights * vals**p))
     assert report.ratios == (num / den,)
