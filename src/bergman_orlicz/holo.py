@@ -22,13 +22,14 @@ degree, the largest kernel |center| and the complex line of a slice.
 
 There are two ways to evaluate.  Pointwise, _eval and _partials take any
 batch of points: probe grids, the Bloch search, kernels.  On a quadrature
-rule, on_rule reads a Series off the rule's factors: at n = 2 every node is
-w zeta + s zeta_perp with s = sqrt(t (1-|w|^2)) e^{i psi}, so the Series is
-rewritten as sum_b g_b(w) s^b, its w-polynomials are evaluated on the disc
-nodes alone and a matrix product per block expands them over (t, psi).  On
-the refined n = 2 lift that is 1,105 disc nodes for 1,221,025 nodes.  The
-norms, modulars and sweeps over rule nodes read through on_rule; at n = 1,
-and for every function but a Series, it evaluates pointwise at the nodes.
+rule, on_rule reads a Series off the rule's factors: on an n = 2 rule along
+e_1 every node is (w, s) with s = sqrt(t (1-|w|^2)) e^{i psi}, so the Series
+is sum_b g_b(w) s^b, its w-polynomials are evaluated on the disc nodes alone
+and a matrix product per block expands them over (t, psi).  On the refined
+n = 2 lift that is 1,105 disc nodes for 1,221,025 nodes.  The
+norms, modulars and sweeps over rule nodes read through on_rule (rule_values
+joins its blocks); at n = 1, on slice rules along other lines, and for every
+function but a Series, it evaluates pointwise at the nodes.
 
 The invariant gradient is (grad f)(z) composed with the Jacobian at 0 of the
 ball automorphism phi_z.  gradient_norms holds the one closed form
@@ -59,7 +60,6 @@ from .measure import (
     _points_2d,
     kernel_factor,
     kernel_modulus,
-    line_perp,
     mobius_jacobian0_batch,
 )
 
@@ -73,6 +73,7 @@ __all__ = [
     "slice_direction",
     "on_rule",
     "RuleBlock",
+    "rule_values",
     "gradient_sweep",
     "gradient_norms",
     "invariant_gradient",
@@ -440,7 +441,7 @@ def slice_direction(f: HoloFunction) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 # Node values on a quadrature rule
 
-# Products per block of on_rule at n = 2: a block's node arrays and its
+# Products per block of on_rule along e_1: a block's node arrays and its
 # expansion matrix take about _RULE_BLOCK complex numbers (512 KiB) each.
 _RULE_BLOCK = 1 << 15
 
@@ -457,45 +458,29 @@ class RuleBlock:
     one_minus: np.ndarray
 
 
-def _binomial_row(x: complex, y: complex, m: int) -> list:
-    """[(k, C(m, k) x^(m-k) y^k)] over the k whose term of (x w + y s)^m can
-    be nonzero."""
-    return [(k, math.comb(m, k) * x ** (m - k) * y ** k) for k in range(m + 1)
-            if (x != 0 or k == m) and (y != 0 or k == 0)]
-
-
-def _frame_terms(terms, line: np.ndarray) -> dict:
-    """The (m, c) pairs of sum c_m z^m in the frame of a line of C^2: {(a, b): c}
-    with sum c w^a s^b its value at z = w line + s line_perp(line).  Each
-    z_j^m_j is expanded by the binomial theorem; along e_1, where z = (w, s),
-    every coefficient keeps its bits."""
-    rows = [[_binomial_row(complex(x), complex(y), d)
-             for d in range(max((m[j] for m, _ in terms), default=0) + 1)]
-            for j, (x, y) in enumerate(zip(line, line_perp(line)))]
-    out = {}
-    for m, c in terms:
-        for combo in itertools.product(*(rows[j][d] for j, d in enumerate(m))):
-            b = sum(k for k, _ in combo)
-            key = (sum(m) - b, b)
-            out[key] = out.get(key, 0) + complex(c) * math.prod(x for _, x in combo)
-    return out
-
-
 def on_rule(f: HoloFunction, rule, derivatives: bool = False):
     """Yield f on the nodes of a rule from measure.build_rule, block by block.
 
     Each RuleBlock covers consecutive nodes, in order; 1-|z|^2 is
-    (1-|w|^2)(1-t) from the rule's factors.  At n = 1 one block covers the
-    rule and f is evaluated at its points (the disc nodes), Rf as
-    sum_j z_j d_j f; so is every function but a Series.  At n = 2 a Series
-    is rewritten in the rule's frame (w, s) = (<z, zeta>, <z, zeta_perp>) as
-    sum_b g_b(w) s^b, with s = sqrt(t (1-|w|^2)) e^{i psi} at the node, so
-    its w-polynomials g_b (and those of each partial and of Rf) are
-    evaluated on the disc nodes only, in one Series walk.  A block of disc
-    nodes then expands them over its fibre (t, psi) by one matrix product:
-    the ((w, t), b) matrix g_b(w) sqrt(t (1-|w|^2))^b times the (b, psi)
-    matrix e^{i b psi}.  Blocks hold about _RULE_BLOCK nodes and expansion
-    products, so no node-sized array but the caller's outputs outlives one.
+    (1-|w|^2)(1-t) from the rule's factors.  On a rule of C^2 along e_1 (the
+    product lifts and the e_1 slice rules) node (w, t, psi) is z = (w, s)
+    with s = sqrt(t (1-|w|^2)) e^{i psi}, so a Series is sum_b g_b(w) s^b
+    with g_b(w) = sum_a c_(a,b) w^a.  The g_b of f (and of each partial and
+    of Rf) are evaluated on the disc nodes only, in one Series walk, and a
+    block of disc nodes expands them over its fibre (t, psi) by one matrix
+    product: the ((w, t), b) matrix g_b(w) sqrt(t (1-|w|^2))^b times the
+    (b, psi) matrix e^{i b psi}.  That product is a BLAS zgemm: deg + 1
+    broadcast multiply-adds, Horner's rule in e^{i psi} or einsum took six
+    times as long per block on one CPU of a 2-core VM (2.6-3.0 ms against
+    0.44 ms for degree 6 on the refined lift).  Blocks hold about _RULE_BLOCK
+    nodes and expansion products, so no node-sized array but the caller's
+    outputs outlives one.
+
+    On any other rule, and for every function but a Series, one block covers
+    the rule and f is evaluated at its points, Rf as sum_j z_j d_j f.  A
+    slice rule along another line serves functions of <z, zeta> alone, whose
+    rewrite in the frame of zeta would only add s-terms that cancel, with a
+    rounding error that grows with the degree.
     """
     pts = rule.points
     omd = 1.0 - np.abs(rule.disc) ** 2
@@ -505,7 +490,7 @@ def on_rule(f: HoloFunction, rule, derivatives: bool = False):
         """1-|z|^2 at the nodes over disc nodes lo..hi."""
         return np.repeat((omd[lo:hi, None] * (1.0 - rule.t)).reshape(-1), rule.phases.size)
 
-    if pts.shape[1] == 1 or not isinstance(f, Series):
+    if not (isinstance(f, Series) and np.array_equal(rule.line, (1, 0))):
         grad = rf = None
         if derivatives:
             grad = f._partials(pts)
@@ -516,11 +501,10 @@ def on_rule(f: HoloFunction, rule, derivatives: bool = False):
     term_lists = f._term_lists(derivatives)
     if derivatives:
         term_lists.append([(m, c * sum(m)) for m, c in term_lists[0] if sum(m) > 0])
-    frames = [_frame_terms(terms, rule.line) for terms in term_lists]
-    degree = max((b for frame in frames for _, b in frame), default=0)
-    lists = [[((a,), c) for (a, bb), c in sorted(frame.items()) if bb == b]
-             for frame in frames for b in range(degree + 1)]
-    g = _monomial_sums(rule.disc[:, None], lists).reshape(-1, len(frames), degree + 1)
+    degree = max((m[1] for terms in term_lists for m, _ in terms), default=0)
+    lists = [[((m[0],), c) for m, c in terms if m[1] == b]
+             for terms in term_lists for b in range(degree + 1)]
+    g = _monomial_sums(rule.disc[:, None], lists).reshape(-1, len(term_lists), degree + 1)
     v = np.sqrt(rule.t[None, :] * np.maximum(0.0, omd)[:, None])
     spin = np.ones((degree + 1, rule.phases.size), dtype=complex)
     for b in range(1, degree + 1):
@@ -531,9 +515,19 @@ def on_rule(f: HoloFunction, rule, derivatives: bool = False):
         nodes = slice(lo * fibre, hi * fibre)
         v_powers = v[lo:hi, :, None] ** np.arange(degree + 1)
         coeffs = g[lo:hi].transpose(1, 0, 2)[:, :, None, :] * v_powers[None]
-        out = (coeffs.reshape(-1, degree + 1) @ spin).reshape(len(frames), -1)
+        out = (coeffs.reshape(-1, degree + 1) @ spin).reshape(len(term_lists), -1)
         grad, rf = (out[1:-1].T, out[-1]) if derivatives else (None, None)
         yield RuleBlock(nodes, out[0], grad, rf, one_minus(lo, hi))
+
+
+def rule_values(f: HoloFunction, rule) -> tuple[np.ndarray, np.ndarray]:
+    """(f, 1-|z|^2) at every node of the rule, (N,) each, from on_rule's blocks."""
+    values = np.empty(rule.node_count, dtype=complex)
+    one_minus = np.empty(rule.node_count)
+    for block in on_rule(f, rule):
+        values[block.nodes] = block.values
+        one_minus[block.nodes] = block.one_minus
+    return values, one_minus
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,11 @@ Kernel rules serve one centre and are built afresh on every call.
 
 A rule keeps its factors beside its nodes: the line zeta, the disc nodes w,
 the t nodes and the phases e^{i psi}, so node (w, t, psi) is
-w zeta + sqrt(t (1 - |w|^2)) e^{i psi} zeta_perp, zeta_perp = line_perp(zeta),
-and 1 - |z|^2 = (1 - |w|^2)(1 - t) there.  At n = 1 the fibre is the single
-point t = 0, psi = 0 and the disc nodes are the nodes.  holo.on_rule reads
-a polynomial's node values off these factors.
+w zeta + sqrt(t (1 - |w|^2)) e^{i psi} zeta_perp with
+zeta_perp = (-conj(zeta_2), conj(zeta_1)), and 1 - |z|^2 = (1 - |w|^2)(1 - t)
+there.  At n = 1 the fibre is the single point t = 0, psi = 0 and the disc
+nodes are the nodes.  holo.on_rule reads a polynomial's node values off
+these factors.
 
 sphere_directions supplies the unit vectors that the pointwise and Bloch
 sweeps probe along: the equispaced circle for n = 1 and seed-deterministic
@@ -54,7 +55,7 @@ one finite value per rule node, for integrate and for the modulars and norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln, ndtri, roots_jacobi
@@ -70,7 +71,6 @@ __all__ = [
     "QuadratureRule",
     "make_measure",
     "build_rule",
-    "line_perp",
     "sphere_directions",
     "integrate",
     "mobius_apply",
@@ -129,12 +129,12 @@ class QuadratureRule:
 
     points has shape (N, n) complex, weights shape (N,) positive with sum 1.
     exact_degree is the largest total monomial degree |m| + |m'| the rule
-    integrates exactly.  The factors, set by build_rule, list the nodes in
-    the C order of (disc, t, phases): line is the unit vector zeta of C^n,
-    disc the (D,) complex disc nodes w, t the (T,) nodes in t and phases the
-    (P,) unit factors e^{i psi}; node (i, j, k) is
-    disc[i] line + sqrt(t[j] (1 - |disc[i]|^2)) phases[k] line_perp(line).
-    At n = 1, t = (0,) and phases = (1,).
+    integrates exactly.  The factors list the nodes in the C order of
+    (disc, t, phases): line is the unit vector zeta of C^n, disc the (D,)
+    complex disc nodes w, t the (T,) nodes in t and phases the (P,) unit
+    factors e^{i psi}.  At n = 2 node (i, j, k) is disc[i] line +
+    sqrt(t[j] (1 - |disc[i]|^2)) phases[k] (-conj(line[1]), conj(line[0]));
+    at n = 1, t = (0,), phases = (1,) and the disc nodes are the nodes.
     """
 
     points: np.ndarray = field(repr=False)
@@ -142,10 +142,10 @@ class QuadratureRule:
     exact_degree: int
     rule_id: str
     normalization_residual: float
-    line: np.ndarray | None = field(default=None, repr=False)
-    disc: np.ndarray | None = field(default=None, repr=False)
-    t: np.ndarray | None = field(default=None, repr=False)
-    phases: np.ndarray | None = field(default=None, repr=False)
+    line: np.ndarray = field(repr=False)
+    disc: np.ndarray = field(repr=False)
+    t: np.ndarray = field(repr=False)
+    phases: np.ndarray = field(repr=False)
 
     @property
     def node_count(self) -> int:
@@ -219,11 +219,6 @@ def _lifted_rule_raw(what: str, alpha: float, degree: int, angular_count: int | 
     return pts.reshape(-1, 2), raw_w.reshape(-1), w, t
 
 
-def line_perp(line: np.ndarray) -> np.ndarray:
-    """The unit vector (-conj(zeta_2), conj(zeta_1)) orthogonal to a line of C^2."""
-    return np.array([-np.conj(line[1]), np.conj(line[0])])
-
-
 def _rule_raw(n: int, alpha: float, degree: int, angular_count: int | None = None):
     """Raw nodes/weights of build_rule's rule, and its factors (line, disc, t,
     phases); at n = 2 the lift along e_1."""
@@ -287,16 +282,16 @@ def build_rule(measure: WeightedMeasure, degree: int, angular_count: int | None 
         pts, raw_w, factors = _rule_raw(n, alpha, degree, angular_count)
         rid = f"product:n={n},alpha={alpha:g},degree={degree},nodes={pts.shape[0]}"
     else:
+        perp = np.array([[-np.conj(zeta[1]), np.conj(zeta[0])]])
         pts, raw_w, w, t = _lifted_rule_raw("a slice rule", alpha, degree, angular_count,
-                                            zeta, t_count, line_perp(zeta)[None, :])
+                                            zeta, t_count, perp)
         factors = (zeta.copy(), w, t, np.ones(1, dtype=complex))
         z1, z2 = (f"{c.real:.6g}{c.imag:+.6g}j" for c in zeta)
         rid = (f"slice:n=2,alpha={alpha:g},zeta=({z1},{z2}),degree={degree},"
                f"t={t_count},nodes={pts.shape[0]}")
     if angular_count is not None:
         rid = f"{rid},refined,angles={int(angular_count)}"
-    rule = _unit_mass_parts(pts, raw_w, degree, rid)
-    rule = replace(rule, **dict(zip(("line", "disc", "t", "phases"), factors)))
+    rule = _unit_mass_parts(pts, raw_w, degree, rid, factors)
     if angular_count is not None:
         return rule
     for arr in (rule.points, rule.weights, *factors):
@@ -306,11 +301,12 @@ def build_rule(measure: WeightedMeasure, degree: int, angular_count: int | None 
 
 
 def _unit_mass_parts(pts: np.ndarray, raw_w: np.ndarray, degree: int,
-                     rule_id: str) -> QuadratureRule:
-    """The rule over pts and the raw weights, divided in place by their sum."""
+                     rule_id: str, factors: tuple) -> QuadratureRule:
+    """The rule over pts and the raw weights, divided in place by their sum,
+    with its factors (line, disc, t, phases)."""
     total = float(np.sum(raw_w))
     return QuadratureRule(pts, np.divide(raw_w, total, out=raw_w), degree, rule_id,
-                          abs(total - 1.0))
+                          abs(total - 1.0), *factors)
 
 
 def sphere_directions(n: int, count: int, seed: int) -> np.ndarray:

@@ -45,6 +45,7 @@ from .holo import (
     gradient_norms,
     gradient_sweep,
     on_rule,
+    rule_values,
 )
 from .measure import (
     QuadratureRule,
@@ -88,13 +89,10 @@ class LuxNorm:
 
 def _node_values(f: HoloFunction, rule: QuadratureRule) -> np.ndarray:
     """|f| at the rule nodes, checked once where they are produced: a Series
-    through holo.on_rule, any other function by its _abs_eval at the points."""
+    through holo.rule_values, any other function by its _abs_eval at the points."""
     if not isinstance(f, Series):
         return _checked_node_values(rule, f._abs_eval(rule.points))
-    vals = np.empty(rule.node_count)
-    for block in on_rule(f, rule):
-        np.abs(block.values, out=vals[block.nodes])
-    return _checked_node_values(rule, vals)
+    return _checked_node_values(rule, np.abs(rule_values(f, rule)[0]))
 
 
 def _leafwise_sum(terms_sum, *arrays) -> float:
@@ -358,12 +356,8 @@ def small_type_estimate_check(family, p: float, measure: WeightedMeasure,
     for f in family:
         r = rule_for_function(f, measure, None, refine=refine)
         rid = r.rule_id if rid is None else rid
-        vals = np.empty(r.node_count)
-        one_minus = np.empty(r.node_count)
-        for block in on_rule(f, r):
-            np.abs(block.values, out=vals[block.nodes])
-            one_minus[block.nodes] = block.one_minus
-        vals = _checked_node_values(r, vals)
+        values, one_minus = rule_values(f, r)
+        vals = _checked_node_values(r, np.abs(values))
         num = _leafwise_sum(lambda w, v, om: float(np.sum(w * v * om**w_exp)),
                             r.weights, vals, one_minus)
         den = _leafwise_sum(lambda w, v: float(np.sum(w * v**p)), r.weights, vals)

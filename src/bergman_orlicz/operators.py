@@ -31,7 +31,7 @@ from .holo import (
     DEFAULT_TRUNCATION_DEGREE,
     HoloFunction,
     Series,
-    on_rule,
+    rule_values,
     slice_direction,
     to_series,
 )
@@ -266,12 +266,6 @@ def cesaro_norm_lower_bound(symbol: CesaroSymbol, phi: GrowthFunction,
     return LowerBoundReport(value=max(ratios), ratios=tuple(ratios))
 
 
-def _rule_values(f: HoloFunction, rule) -> tuple[np.ndarray, np.ndarray]:
-    """f and 1-|z|^2 at every node of the rule, from holo.on_rule's blocks."""
-    blocks = list(on_rule(f, rule))
-    return tuple(np.concatenate([getattr(b, k) for b in blocks]) for k in ("values", "one_minus"))
-
-
 def cesaro_upper_bound_check(symbol: CesaroSymbol, phi: GrowthFunction,
                              measure: WeightedMeasure, family, bloch_m: float) -> float:
     """The worst modular((1-|z|^2)|R T_g f| / (M ||f||)) over the family.
@@ -294,7 +288,7 @@ def cesaro_upper_bound_check(symbol: CesaroSymbol, phi: GrowthFunction,
         norm = luxemburg_norm(f, phi, r).lambda_star
         if norm <= 0.0:
             raise DomainError("upper-bound family must contain nonzero functions")
-        (fv, one_minus), (rgv, _) = (_rule_values(h, r) for h in (f, rg))
+        (fv, one_minus), (rgv, _) = (rule_values(h, r) for h in (f, rg))
         vals = _checked_node_values(r, one_minus * np.abs(fv * rgv))
         modulars.append(modular_of_values(vals, r.weights, phi, bloch_m * norm))
     return max(modulars, default=0.0)

@@ -159,9 +159,12 @@ def _n2_family():
 
 # sha256 of the canonical n = 2 reports on _n2_family.  Like the n = 1
 # digests in test_cli, a change that moves these bytes re-pins them and says
-# so in CHANGES.md.
+# so in CHANGES.md.  The lifted rule's node values pass through one BLAS
+# zgemm per block (holo.on_rule), and OpenBLAS picks its kernel by CPU type,
+# so these digests hold for one BLAS build and CPU type; on another, the
+# last bits may move and the digests need re-pinning.
 _N2_SUITE_SHA256 = {
-    "derivative_equivalence": "01135cd0ed5411a73e9bae24c9f1ff195b9b07e3408d2ed859fbef9de28d5f83",
+    "derivative_equivalence": "fc259cfcb07016bd924bc4ff27802929c2c99afecc6caa1347cab35299dd83a4",
     "small_type": "3a7c771dbf403d906a992328a074ea05e821e5913dc8a650478de8cc0728f2d4",
 }
 

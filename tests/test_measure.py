@@ -155,9 +155,9 @@ def test_one_suite_builds_each_polynomial_rule_once(monkeypatch):
         calls.append((rule.rule_id, angular_count))
         return rule
 
-    def counted_parts(pts, raw_w, degree, rule_id):
+    def counted_parts(pts, raw_w, degree, rule_id, factors):
         built.append(rule_id)
-        return unit_mass_parts(pts, raw_w, degree, rule_id)
+        return unit_mass_parts(pts, raw_w, degree, rule_id, factors)
 
     unit_mass_parts = measure_module._unit_mass_parts
     monkeypatch.setattr(norms, "build_rule", counted_build_rule)

@@ -21,7 +21,7 @@ from bergman_orlicz.growth import (
     shipped_growth_ids,
 )
 from bergman_orlicz.harness import verify_test_functions
-from bergman_orlicz.holo import Series, function_from_spec, on_rule
+from bergman_orlicz.holo import Series, function_from_spec, rule_values
 from bergman_orlicz.measure import build_rule, make_measure
 from bergman_orlicz.norms import (
     derivative_modulars,
@@ -382,9 +382,8 @@ def test_small_type_sums_are_one_np_sum_bit_for_bit(n, terms):
     rule = rule_for_function(f, measure, None)
     assert rule.node_count > _LEAF
     report = small_type_estimate_check([f], p, measure)
-    blocks = list(on_rule(f, rule))
-    vals = np.abs(np.concatenate([b.values for b in blocks]))
-    one_minus = np.concatenate([b.one_minus for b in blocks])
+    values, one_minus = rule_values(f, rule)
+    vals = np.abs(values)
     num = float(np.sum(rule.weights * vals * one_minus**report.weight_exponent))
     den = float(np.sum(rule.weights * vals**p))
     assert report.ratios == (num / den,)

@@ -5,12 +5,14 @@ evaluates a Series' w-polynomials on the disc nodes and expands them over
 each block's fibre; here its values, partials and Rf must match
 Series._eval / _partials at rule.points on every kind of rule the builder
 makes, and its 1-|z|^2 = (1-|w|^2)(1-t) must match 1 - sum |z_j|^2.
+Only rules along e_1 take the factored path; a slice rule along another
+line evaluates at its points, so the tilted cases must match bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from bergman_orlicz.holo import KernelPower, Series, on_rule
+from bergman_orlicz.holo import DEFAULT_TRUNCATION_DEGREE, KernelPower, Series, on_rule, to_series
 from bergman_orlicz.measure import build_rule, make_measure
 
 
@@ -80,6 +82,28 @@ def test_n2_rules_match_pointwise_evaluation(kind):
     assert np.max(np.abs(radial - want_radial)) <= 1e-13 * scale
     want = 1.0 - np.sum(np.abs(rule.points) ** 2, axis=1)
     assert np.max(np.abs(one_minus - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["lift32", "slice_tilted"])
+def test_a_degree_48_slice_series_matches_pointwise_evaluation(kind):
+    # The kernel at 0.7 zeta, zeta = (0.6, 0.8i), expanded to degree 48: a
+    # function of <z, zeta> in both coordinates.  On the e_1 lift its
+    # coefficients enter the frame unchanged; on the slice rule along zeta a
+    # rewrite in the frame of zeta would add s-terms that cancel, with a
+    # rounding error that grows with the degree, so that rule evaluates at
+    # its points.
+    rule = _N2_RULES[kind](make_measure(2, 0.0))
+    zeta = _unit((0.6, 0.8j))
+    f = to_series(KernelPower(0.7 * zeta, 3.0, 1.0), DEFAULT_TRUNCATION_DEGREE)
+    assert max(map(sum, f.terms)) == 48
+    got = _collect(f, rule)[:3]
+    want = _pointwise(f, rule)
+    if kind == "slice_tilted":
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+    scale = np.max(np.abs(want[0]))
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-13 * scale
 
 
 def test_other_functions_are_evaluated_at_the_points():
