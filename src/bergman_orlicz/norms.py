@@ -339,6 +339,19 @@ class SmallTypeReport:
     rule_id: str
 
 
+def _small_type_ratio(f: HoloFunction, rule: QuadratureRule, p: float, w_exp: float) -> float:
+    """int |f| (1-|z|^2)^w_exp over int |f|^p on the rule.  Its node arrays
+    die with the call, so one member's never live beside the next one's."""
+    values, one_minus = rule_values(f, rule)
+    vals = _checked_node_values(rule, np.abs(values))
+    num = _leafwise_sum(lambda w, v, om: float(np.sum(w * v * om**w_exp)),
+                        rule.weights, vals, one_minus)
+    den = _leafwise_sum(lambda w, v: float(np.sum(w * v**p)), rule.weights, vals)
+    if den == 0.0:
+        raise DomainError("small-type sweep needs nonzero functions")
+    return num / den
+
+
 def small_type_estimate_check(family, p: float, measure: WeightedMeasure,
                               refine: int = 0) -> SmallTypeReport:
     """Weighted L^1 domination for exponents p <= 1.
@@ -356,13 +369,6 @@ def small_type_estimate_check(family, p: float, measure: WeightedMeasure,
     for f in family:
         r = rule_for_function(f, measure, None, refine=refine)
         rid = r.rule_id if rid is None else rid
-        values, one_minus = rule_values(f, r)
-        vals = _checked_node_values(r, np.abs(values))
-        num = _leafwise_sum(lambda w, v, om: float(np.sum(w * v * om**w_exp)),
-                            r.weights, vals, one_minus)
-        den = _leafwise_sum(lambda w, v: float(np.sum(w * v**p)), r.weights, vals)
-        if den == 0.0:
-            raise DomainError("small-type sweep needs nonzero functions")
-        ratios.append(num / den)
+        ratios.append(_small_type_ratio(f, r, p, w_exp))
     return SmallTypeReport(constant=max(ratios), weight_exponent=w_exp,
                            ratios=tuple(ratios), rule_id=rid or "")
