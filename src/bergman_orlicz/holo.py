@@ -462,7 +462,7 @@ def on_rule(f: HoloFunction, rule, derivatives: bool = False):
     """Yield f on the nodes of a rule from measure.build_rule, block by block.
 
     Each RuleBlock covers consecutive nodes, in order; 1-|z|^2 is
-    (1-|w|^2)(1-t) from the rule's factors.  On a rule of C^2 along e_1 (the
+    (1-|w|^2)(1-t) from the rule's factors (rule.fibre_one_minus).  On a rule of C^2 along e_1 (the
     product lifts and the e_1 slice rules) node (w, t, psi) is z = (w, s)
     with s = sqrt(t (1-|w|^2)) e^{i psi}, so a Series is sum_b g_b(w) s^b
     with g_b(w) = sum_a c_(a,b) w^a.  The g_b of f (and of each partial and
@@ -483,12 +483,12 @@ def on_rule(f: HoloFunction, rule, derivatives: bool = False):
     rounding error that grows with the degree.
     """
     pts = rule.points
-    omd = 1.0 - np.abs(rule.disc) ** 2
     fibre = rule.t.size * rule.phases.size
 
     def one_minus(lo, hi):
         """1-|z|^2 at the nodes over disc nodes lo..hi."""
-        return np.repeat((omd[lo:hi, None] * (1.0 - rule.t)).reshape(-1), rule.phases.size)
+        return np.repeat(rule.fibre_one_minus[lo * rule.t.size:hi * rule.t.size],
+                         rule.phases.size)
 
     if not (isinstance(f, Series) and np.array_equal(rule.line, (1, 0))):
         grad = rf = None
@@ -505,6 +505,7 @@ def on_rule(f: HoloFunction, rule, derivatives: bool = False):
     lists = [[((m[0],), c) for m, c in terms if m[1] == b]
              for terms in term_lists for b in range(degree + 1)]
     g = _monomial_sums(rule.disc[:, None], lists).reshape(-1, len(term_lists), degree + 1)
+    omd = 1.0 - np.abs(rule.disc) ** 2
     v = np.sqrt(rule.t[None, :] * np.maximum(0.0, omd)[:, None])
     spin = np.ones((degree + 1, rule.phases.size), dtype=complex)
     for b in range(1, degree + 1):
@@ -525,6 +526,8 @@ def rule_values(f: HoloFunction, rule) -> tuple[np.ndarray, np.ndarray]:
     values = np.empty(rule.node_count, dtype=complex)
     one_minus = np.empty(rule.node_count)
     for block in on_rule(f, rule):
+        if block.nodes.stop - block.nodes.start == rule.node_count:
+            return block.values, block.one_minus
         values[block.nodes] = block.values
         one_minus[block.nodes] = block.one_minus
     return values, one_minus

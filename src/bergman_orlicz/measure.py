@@ -54,6 +54,7 @@ one finite value per rule node, for integrate and for the modulars and norms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -150,6 +151,14 @@ class QuadratureRule:
     @property
     def node_count(self) -> int:
         return self.points.shape[0]
+
+    @functools.cached_property
+    def fibre_one_minus(self) -> np.ndarray:
+        """(1 - |w|^2)(1 - t) over the (disc, t) grid in C order: 1 - |z|^2 at
+        the nodes of each (w, t), whatever their phase; built once per rule."""
+        out = ((1.0 - np.abs(self.disc) ** 2)[:, None] * (1.0 - self.t)).reshape(-1)
+        out.flags.writeable = False
+        return out
 
 
 def _radial_jacobi(alpha: float, n_nodes: int):
