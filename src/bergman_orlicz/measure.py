@@ -37,9 +37,9 @@ A rule keeps its factors beside its nodes: the line zeta, the disc nodes w,
 the t nodes and the phases e^{i psi}, so node (w, t, psi) is
 w zeta + sqrt(t (1 - |w|^2)) e^{i psi} zeta_perp with
 zeta_perp = (-conj(zeta_2), conj(zeta_1)), and 1 - |z|^2 = (1 - |w|^2)(1 - t)
-there.  At n = 1 the fibre is the single point t = 0, psi = 0 and the disc
-nodes are the nodes.  holo.on_rule reads a polynomial's node values off
-these factors.
+there (fibre_one_minus, built once per rule).  At n = 1 the fibre is the
+single point t = 0, psi = 0 and the disc nodes are the nodes.  holo.on_rule
+reads a polynomial's node values off these factors.
 
 sphere_directions supplies the unit vectors that the pointwise and Bloch
 sweeps probe along: the equispaced circle for n = 1 and seed-deterministic
