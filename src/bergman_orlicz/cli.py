@@ -223,7 +223,8 @@ _integer = _checked(lambda v: _finite(v) and float(v).is_integer(), int)
 
 def non_negative_int(value) -> int:
     """A seed, from the config or a --seed flag (numpy's generators refuse
-    negatives), or the --truncation degree of bol cesaro."""
+    negatives), or a degree: the config's degree, --degree of bol norm and
+    --truncation of bol cesaro."""
     if not (_finite(value) and float(value).is_integer() and float(value) >= 0):
         raise ValueError(value)
     return int(value)
@@ -237,10 +238,11 @@ def positive_int(value) -> int:
     return count
 
 
-def _numbers(keys: set, every: bool):
-    # An object of finite numbers keyed from keys (by every key if every), kept
-    # as written so that the config hash still tells 2 from 2.0.
-    return _checked(lambda t: isinstance(t, dict) and all(map(_finite, t.values()))
+def _numbers(keys: set, every: bool, ok=_finite):
+    # An object of numbers passing ok (finite by default) keyed from keys (by
+    # every key if every), kept as written so that the config hash still tells
+    # 2 from 2.0.
+    return _checked(lambda t: isinstance(t, dict) and all(map(ok, t.values()))
                     and (set(t) == keys if every else set(t) <= keys), dict)
 
 
@@ -251,7 +253,7 @@ _CONFIG_KEYS = {
     "alpha": ("a finite number", _number, 0.0),
     "growth": ("a growth id", str, "power:p=2"),
     "seed": ("a non-negative integer", non_negative_int, 0),
-    "degree": ("an integer", _integer, 32),
+    "degree": ("a non-negative integer", non_negative_int, 32),
     "suites": ("a list of known suite names", _checked(lambda v: isinstance(v, list) and all(
         isinstance(x, str) and x in SUITES for x in v), list), list(SUITES)),
     "symbols": ("null or a list of function specs",
@@ -260,8 +262,9 @@ _CONFIG_KEYS = {
                       _numbers({"p0", "p1", "theta"}, every=True),
                       {"p0": 2.0, "p1": 4.0, "theta": 0.5}),
     "small_type_p": ("a finite number", _number, 0.7),
-    "tolerances": ("an object of finite numbers with keys from ['cesaro_upper']",
-                   _numbers({"cesaro_upper"}, every=False), {}),
+    "tolerances": ("an object of non-negative finite numbers with keys from ['cesaro_upper']",
+                   _numbers({"cesaro_upper"}, every=False,
+                            ok=lambda v: _finite(v) and float(v) >= 0), {}),
 }
 
 
@@ -356,7 +359,7 @@ def _build_parser() -> _Parser:
                         help=f"growth id, one of the forms {shipped_growth_ids()}")
     p_norm.add_argument("--n", type=int, default=1)
     p_norm.add_argument("--alpha", type=float, default=0.0)
-    p_norm.add_argument("--degree", type=int, default=32)
+    p_norm.add_argument("--degree", type=non_negative_int, default=32)
     p_norm.add_argument("--refine", action="store_true",
                         help="double the quadrature resolution")
     p_norm.add_argument("--check", action="store_true",

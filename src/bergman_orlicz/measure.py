@@ -11,8 +11,9 @@ write z = w zeta + sqrt(t (1 - |w|^2)) e^{i psi} zeta_perp, |zeta| = 1: then
 nu_alpha is nu_{alpha+1} in w = <z, zeta>, times (alpha+1)(1-t)^alpha dt,
 times a uniform phase psi (Rudin, Function Theory in the Unit Ball of C^n,
 1.4).  So one lift of the disc rule at alpha + 1, by Gauss-Jacobi nodes in t
-and equispaced phases, builds every n = 2 rule, and build_rule builds them
-all.  Without a line it lifts along e_1 with as many phases as the disc has
+and a row of phases times zeta_perp, builds every n = 2 rule: _rule_raw is
+that lift, with the one ceiling check, and build_rule its one caller.
+Without a line it lifts along e_1 with as many phases as the disc has
 angles, so z^m conj(z)^m' integrates exactly for |m| + |m'| up to the degree.
 Given a unit vector line zeta, it serves slices f(z) = h(<z, zeta>), whose
 integrands depend on (<z, zeta>, |z|^2) alone: the lift along zeta with
@@ -26,7 +27,11 @@ into the result, with no node-sized temporaries, and kernel_factor
 evaluates its power in the one buffer of inner products; kernel_modulus,
 the modulus that norms need, works in that buffer plus one real array.
 Rules above _MAX_RULE_NODES = 2^24 nodes (0.67 GB at n = 2) are refused
-with UnsupportedRuleError before any allocation.
+with UnsupportedRuleError before any allocation.  make_measure builds no
+rule: each rule records its own normalization_residual.  The one
+Gauss-Jacobi call (_radial_jacobi) refuses with DomainError an alpha it
+cannot build (past about 1,033, where its weights overflow), and
+_unit_mass_parts a rule whose raw mass is not finite and positive.
 
 A measure keeps every polynomial rule built for it: a second build_rule
 call with the same arguments returns the same QuadratureRule, whose arrays
@@ -88,7 +93,7 @@ _MAX_RULE_NODES = 2**24
 
 @dataclass(frozen=True)
 class WeightedMeasure:
-    """Normalized weighted volume nu_alpha on the unit ball of C^n."""
+    """Normalized weighted volume nu_alpha on the unit ball of C^n, n = 1 or 2."""
 
     n: int
     alpha: float
@@ -97,31 +102,16 @@ class WeightedMeasure:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"dimension must be >= 1, got n={self.n}")
+        if self.n > 2:
+            raise UnsupportedRuleError(f"rules stop at n=2, got n={self.n}")
         if not (math.isfinite(self.alpha) and self.alpha > -1.0):
             raise DomainError(f"weight exponent must be finite and > -1, got alpha={self.alpha}")
 
 
-def _normalizing_constant(n: int, alpha: float) -> float:
-    # c_alpha = Gamma(n+alpha+1) / (pi^n Gamma(alpha+1)), from integrating the
-    # radial Beta factor against the sphere area.
-    return math.exp(gammaln(n + alpha + 1.0) - gammaln(alpha + 1.0)) / math.pi**n
-
-
 def make_measure(n: int, alpha: float) -> WeightedMeasure:
-    """Build nu_alpha, cross-checking its closed-form constant by quadrature.
-
-    The raw mass of build_rule's degree-8 rule (at n = 2, the lifted disc
-    rule) must be 1 to within 1e-10, and not NaN, or DomainError is raised;
-    any n but 1 and 2 raises UnsupportedRuleError.
-    """
-    measure = WeightedMeasure(n, alpha)
-    residual = abs(float(np.sum(_rule_raw(n, alpha, degree=8)[1])) - 1.0)
-    if not residual <= 1e-10:
-        raise DomainError(
-            f"normalizing constant failed its quadrature cross-check: "
-            f"residual={residual:.3e} for n={n}, alpha={alpha}"
-        )
-    return measure
+    """nu_alpha on B^n, refused as WeightedMeasure refuses it; it builds no rule,
+    so the first build_rule refuses an alpha past about 1,033."""
+    return WeightedMeasure(n, alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,8 +152,17 @@ class QuadratureRule:
 
 
 def _radial_jacobi(alpha: float, n_nodes: int):
-    """Nodes/weights for integral_0^1 (1-u)^alpha h(u) du."""
-    x, w = roots_jacobi(n_nodes, alpha, 0.0)
+    """Nodes/weights for integral_0^1 (1-u)^alpha h(u) du; the one Gauss-Jacobi
+    call.  DomainError naming the weight when scipy cannot build them: it
+    raises, or its nodes or weights are not finite (its weights overflow past
+    alpha ~ 1,033)."""
+    try:
+        with np.errstate(all="ignore"):
+            x, w = roots_jacobi(n_nodes, alpha, 0.0)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+            raise ValueError("its nodes or weights are not finite")
+    except ValueError as exc:
+        raise DomainError(f"no Gauss-Jacobi rule for the weight (1-u)^{alpha}: {exc}") from None
     u = 0.5 * (x + 1.0)
     w = w * 2.0 ** (-(1 + alpha))
     return u, w
@@ -176,19 +175,12 @@ def _disc_sizes(degree: int, angular_count: int | None) -> tuple[int, int]:
     return (2 * degree) // 4 + 1, max(2 * degree + 1, int(angular_count))
 
 
-def _check_ceiling(what: str, node_count: int, detail: str) -> None:
-    if node_count > _MAX_RULE_NODES:
-        raise UnsupportedRuleError(
-            f"{what} with {node_count:,} nodes exceeds the ceiling of "
-            f"{_MAX_RULE_NODES:,} nodes ({detail})"
-        )
-
-
 def _product_rule_raw(alpha: float, degree: int, angular_count: int | None = None):
     """Raw nodes/weights of the disc's product rule before unit-mass normalization."""
-    c_alpha = _normalizing_constant(1, alpha)
+    # c_alpha = Gamma(alpha+2) / (pi Gamma(alpha+1)), from integrating the
+    # radial Beta factor around the circle.
+    c_alpha = math.exp(gammaln(1.0 + alpha + 1.0) - gammaln(alpha + 1.0)) / math.pi
     n_rad, n_ang = _disc_sizes(degree, angular_count)
-    _check_ceiling("a product rule", n_rad * n_ang, f"n=1, degree={degree}")
     u, wu = _radial_jacobi(alpha, n_rad)
     theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
     zz = np.sqrt(u)[:, None] * np.exp(1j * theta)[None, :]
@@ -197,52 +189,53 @@ def _product_rule_raw(alpha: float, degree: int, angular_count: int | None = Non
     return pts, w.copy()
 
 
-def _lifted_rule_raw(what: str, alpha: float, degree: int, angular_count: int | None,
-                     zeta: np.ndarray, t_count: int, transverse: np.ndarray):
-    """Raw nodes/weights of nu_alpha on B^2 lifted from the disc rule at alpha + 1,
-    and the disc nodes and t nodes of the lift.
+def _rule_raw(n: int, alpha: float, degree: int, angular_count: int | None,
+              zeta: np.ndarray | None, t_count: int | None):
+    """Raw nodes/weights of build_rule's rule, and its factors (line, disc, t,
+    phases); the one lift.
 
-    The disc rule (degree and angular_count as in build_rule) is crossed, in
-    the C order of (disc, t, phase), with t_count Gauss-Jacobi nodes in t
-    and the P rows of transverse, the vectors e^{i psi} zeta_perp of the
-    phases kept; the raw weights are w_disc (alpha+1) w_t / P.  The ceiling
-    is checked before anything node-sized is allocated.
+    At n = 1 the disc rule is the rule.  At n = 2 the disc rule at alpha + 1
+    (degree and angular_count as in build_rule) is crossed, in the C order of
+    (disc, t, phase), with Gauss-Jacobi nodes in t and the phases e^{i psi},
+    each times zeta_perp: along e_1 with degree // 4 + 1 t nodes and every
+    angle of the disc when zeta is None, else along zeta with t_count t nodes
+    and the one phase psi = 0.  The raw weights are w_disc (alpha+1) w_t / P
+    for P phases.  The ceiling is checked before anything node-sized is
+    allocated.
     """
     n_rad, n_ang = _disc_sizes(degree, angular_count)
-    n_phase = transverse.shape[0]
-    _check_ceiling(what, n_rad * n_ang * t_count * n_phase,
-                   f"{n_rad * n_ang:,} disc nodes, {t_count} t nodes and {n_phase} "
-                   f"phases, degree={degree}")
-    disc, w_disc = _product_rule_raw(alpha + 1.0, degree, angular_count)
+    line = phases = np.ones(1, dtype=complex)
+    if n == 1:
+        t_count, detail = 1, f"n=1, degree={degree}"
+    else:
+        if zeta is None:
+            line, t_count = np.array([1.0, 0.0], dtype=complex), degree // 4 + 1
+            phases = np.exp(1j * (2.0 * np.pi * np.arange(n_ang) / n_ang))
+        else:
+            line = zeta.copy()
+        detail = (f"{n_rad * n_ang:,} disc nodes, {t_count} t nodes and {phases.size} "
+                  f"phases, degree={degree}")
+    node_count = n_rad * n_ang * t_count * phases.size
+    if node_count > _MAX_RULE_NODES:
+        raise UnsupportedRuleError(
+            f"{'a product rule' if zeta is None else 'a slice rule'} with {node_count:,} "
+            f"nodes exceeds the ceiling of {_MAX_RULE_NODES:,} nodes ({detail})")
+    disc, w_disc = _product_rule_raw(alpha if n == 1 else alpha + 1.0, degree, angular_count)
+    if n == 1:
+        return disc, w_disc, (line, disc[:, 0], np.zeros(1), phases)
     t, w_t = _radial_jacobi(alpha, t_count)
     w = disc[:, 0]
     v = np.sqrt(t[None, :] * np.maximum(0.0, 1.0 - np.abs(w) ** 2)[:, None])
+    transverse = phases[:, None] * np.array([-np.conj(line[1]), np.conj(line[0])])
     # One multiply per coordinate that some phase moves; the rest stay +0.
-    pts = np.zeros(v.shape + (n_phase, 2), dtype=complex)
+    pts = np.zeros(v.shape + (phases.size, 2), dtype=complex)
     for k in np.flatnonzero(np.any(transverse != 0, axis=0)):
         np.multiply(v[:, :, None], transverse[None, None, :, k], out=pts[..., k])
-    pts += (w[:, None] * zeta[None, :])[:, None, None, :]
+    pts += (w[:, None] * line[None, :])[:, None, None, :]
     # int_0^1 (1-t)^alpha dt = 1 / (alpha + 1)
     raw_w = np.empty(pts.shape[:3])
-    raw_w[...] = (w_disc[:, None] * ((alpha + 1.0) * w_t / n_phase)[None, :])[:, :, None]
-    return pts.reshape(-1, 2), raw_w.reshape(-1), w, t
-
-
-def _rule_raw(n: int, alpha: float, degree: int, angular_count: int | None = None):
-    """Raw nodes/weights of build_rule's rule, and its factors (line, disc, t,
-    phases); at n = 2 the lift along e_1."""
-    if n == 1:
-        pts, raw_w = _product_rule_raw(alpha, degree, angular_count)
-        one = np.ones(1, dtype=complex)
-        return pts, raw_w, (one, pts[:, 0], np.zeros(1), one)
-    if n > 2:
-        raise UnsupportedRuleError(f"rules stop at n=2, got n={n}")
-    n_ang = _disc_sizes(degree, angular_count)[1]
-    e = np.exp(1j * (2.0 * np.pi * np.arange(n_ang) / n_ang))
-    e1 = np.array([1.0, 0.0], dtype=complex)
-    pts, raw_w, w, t = _lifted_rule_raw("a product rule", alpha, degree, angular_count, e1,
-                                        degree // 4 + 1, np.column_stack([np.zeros(n_ang), e]))
-    return pts, raw_w, (e1, w, t, e)
+    raw_w[...] = (w_disc[:, None] * ((alpha + 1.0) * w_t / phases.size)[None, :])[:, :, None]
+    return pts.reshape(-1, 2), raw_w.reshape(-1), (line, w, t, phases)
 
 
 def build_rule(measure: WeightedMeasure, degree: int, angular_count: int | None = None,
@@ -262,9 +255,10 @@ def build_rule(measure: WeightedMeasure, degree: int, angular_count: int | None 
 
     angular_count makes a kernel rule for integrands that peak near the
     sphere: doubled radial degree, max(2 degree + 1, angular_count) angles
-    (and e_1 phases), and ",refined,angles=M" at the end of the rule_id.  At
-    n > 2, or above _MAX_RULE_NODES (2^24) nodes, UnsupportedRuleError is
-    raised before anything node-sized is allocated.
+    (and e_1 phases), and ",refined,angles=M" at the end of the rule_id.
+    Above _MAX_RULE_NODES (2^24) nodes UnsupportedRuleError is raised before
+    anything node-sized is allocated; an alpha whose Gauss-Jacobi rule or mass
+    is not finite raises DomainError naming it.
 
     Polynomial rules are kept on the measure by their arguments, arrays
     read-only, and returned by later calls; threads that miss at once store
@@ -287,14 +281,13 @@ def build_rule(measure: WeightedMeasure, degree: int, angular_count: int | None 
     rule = measure._rules.get(key) if angular_count is None else None
     if rule is not None:
         return rule
+    try:
+        pts, raw_w, factors = _rule_raw(n, alpha, degree, angular_count, zeta, t_count)
+    except DomainError as exc:
+        raise DomainError(f"no quadrature rule for alpha={alpha}: {exc}") from None
     if zeta is None:
-        pts, raw_w, factors = _rule_raw(n, alpha, degree, angular_count)
         rid = f"product:n={n},alpha={alpha:g},degree={degree},nodes={pts.shape[0]}"
     else:
-        perp = np.array([[-np.conj(zeta[1]), np.conj(zeta[0])]])
-        pts, raw_w, w, t = _lifted_rule_raw("a slice rule", alpha, degree, angular_count,
-                                            zeta, t_count, perp)
-        factors = (zeta.copy(), w, t, np.ones(1, dtype=complex))
         z1, z2 = (f"{c.real:.6g}{c.imag:+.6g}j" for c in zeta)
         rid = (f"slice:n=2,alpha={alpha:g},zeta=({z1},{z2}),degree={degree},"
                f"t={t_count},nodes={pts.shape[0]}")
@@ -312,8 +305,12 @@ def build_rule(measure: WeightedMeasure, degree: int, angular_count: int | None 
 def _unit_mass_parts(pts: np.ndarray, raw_w: np.ndarray, degree: int,
                      rule_id: str, factors: tuple) -> QuadratureRule:
     """The rule over pts and the raw weights, divided in place by their sum,
-    with its factors (line, disc, t, phases)."""
+    with its factors (line, disc, t, phases).  A sum that is not finite and
+    positive raises DomainError naming the rule, and so its alpha."""
     total = float(np.sum(raw_w))
+    if not (math.isfinite(total) and total > 0.0):
+        raise DomainError(f"the weights of {rule_id} sum to {total}, not a finite "
+                          f"positive mass")
     return QuadratureRule(pts, np.divide(raw_w, total, out=raw_w), degree, rule_id,
                           abs(total - 1.0), *factors)
 

@@ -149,6 +149,11 @@ def test_unknown_config_key_is_data_error(capsys):
     ('{"suites":"small_type"}', "suites"),
     ('{"suites":["smal_type"]}', "smal_type"),
     ('{"tolerances":{"cesaro_uper":0.5}}', "cesaro_uper"),
+    # A negative degree ran with exit 0 at n = 1 and exited 65 naming no key
+    # at n = 2; a negative tolerance made the upper check a certain fail.
+    ('{"degree":-5}', "'degree' must be a non-negative integer"),
+    ('{"n":2,"degree":-5}', "'degree' must be a non-negative integer"),
+    ('{"tolerances":{"cesaro_upper":-1}}', "'tolerances' must be an object of non-negative"),
 ])
 def test_malformed_config_value_is_data_error(capsys, config, key):
     code, out, err = run(capsys, ["verify", "--config", config])
@@ -210,6 +215,43 @@ def test_negative_seed_flag_is_usage_error(capsys, argv):
     assert code == 64
     assert out == ""
     assert "--seed" in err
+
+
+def test_negative_norm_degree_is_usage_error(capsys):
+    code, out, err = run(capsys, ["norm", "--function", Z, "--degree", "-5"])
+    assert (code, out) == (64, "")
+    assert "--degree" in err
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("alpha", ["1e300", "1e5"])
+def test_an_alpha_past_the_rules_is_data_error(capsys, n, alpha):
+    # At 1e300 scipy refuses the Gauss-Jacobi rule; it exited 70.
+    f = Z if n == 1 else '{"kind":"series","n":2,"terms":[[[1,0],1.0,0.0]]}'
+    code, out, err = run(capsys, ["norm", "--n", str(n), "--alpha", alpha, "--function", f])
+    assert (code, out) == (65, "")
+    assert "alpha=" in err
+    code, out, err = run(capsys, ["verify", "--config", json.dumps({"n": n, "alpha": float(alpha)})])
+    assert (code, out) == (65, "")
+    assert "alpha=" in err
+
+
+@pytest.mark.parametrize("config, suite", [
+    pytest.param({"alpha": 1e300}, "interpolation_power", id="alpha=1e300"),
+    pytest.param({"n": 2, "alpha": 1e300}, "interpolation_power", id="n=2,alpha=1e300"),
+    pytest.param({"alpha": 1100}, "interpolation_power", id="alpha=1100"),
+    pytest.param({"alpha": -0.9999999999}, "cesaro_compactness", id="alpha=-0.9999999999"),
+    pytest.param({"alpha": -0.9999999999999999}, "cesaro_compactness", id="alpha=-1+ulp"),
+    pytest.param({"degree": -5}, "derivative_equivalence", id="degree=-5"),
+    pytest.param({"degree": 0}, "derivative_equivalence", id="degree=0"),
+    pytest.param({"seed": 2**64}, "cesaro_compactness", id="seed=2^64"),
+    pytest.param({"tolerances": {"cesaro_upper": -1}}, "cesaro_boundedness",
+                 id="cesaro_upper=-1"),
+])
+def test_boundary_configs_end_in_a_verdict_or_a_refusal(capsys, config, suite):
+    # One fast suite per config: each ends in a verdict or exit 65, never 70.
+    code, _, err = run(capsys, ["verify", "--config", json.dumps(config), "--suite", suite])
+    assert code in (0, 1, 2, 65), err
 
 
 @pytest.mark.parametrize("config, digest", [

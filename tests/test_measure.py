@@ -4,7 +4,9 @@ The reference values are Beta-type moments: for a multi-index m,
 int |z^m|^2 dnu_alpha = m! Gamma(n+alpha+1) / Gamma(n+|m|+alpha+1).
 """
 
+import hashlib
 import math
+import re
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -187,13 +189,77 @@ def test_measure_refuses_a_non_finite_alpha(alpha):
         WeightedMeasure(1, alpha)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n", [1, 2])
-def test_make_measure_refuses_a_nan_mass(n):
-    # At alpha = 1e5 the Gauss-Jacobi weights overflow to NaN, so the mass
-    # residual is NaN, which no comparison with 1e-10 lets through.
-    with pytest.raises(DomainError, match="residual=nan"):
-        make_measure(n, 1e5)
+def test_first_build_refuses_an_alpha_past_the_rules(n):
+    # make_measure builds no rule, so the first build_rule refuses an alpha
+    # whose Gauss-Jacobi weights overflow (past about 1,033; at 1e5 they are
+    # NaN) or that scipy refuses outright (1e300), naming the measure's alpha.
+    for alpha in (1100.0, 1e5, 1e300):
+        measure = make_measure(n, alpha)
+        with pytest.raises(DomainError, match=re.escape(f"no quadrature rule for alpha={alpha}:")):
+            build_rule(measure, degree=8)
+    assert build_rule(make_measure(n, 1000.0), degree=8).normalization_residual < 1e-10
+
+
+def test_make_measure_builds_no_rule(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("make_measure asked for a Gauss-Jacobi rule")
+
+    monkeypatch.setattr(measure_module, "_radial_jacobi", refuse)
+    for n in (1, 2):
+        measure = make_measure(n, 0.5)
+        assert (measure.n, measure.alpha, measure._rules) == (n, 0.5, {})
+
+
+@pytest.mark.parametrize("total", [math.inf, math.nan, 0.0, -1.0])
+def test_a_mass_that_is_not_finite_and_positive_is_refused(total):
+    one = np.ones(1, dtype=complex)
+    with pytest.raises(DomainError, match=r"product:n=1,alpha=2\.5,.* not a finite positive mass"):
+        measure_module._unit_mass_parts(np.zeros((2, 1), dtype=complex), np.array([total, 0.0]),
+                                        8, "product:n=1,alpha=2.5,degree=8,nodes=2",
+                                        (one, np.zeros(2, dtype=complex), np.zeros(1), one))
+
+
+# sha256 (first 16 hex digits) over the dtype, shape and bytes of points,
+# weights, line, disc, t and phases of each rule, recorded before the n = 2
+# rules became one lift; a rule's bytes must not move.
+_RULE_LINES = {"e1": (1.0, 0.0), "tilted": (0.6, 0.8j), "e2": (0.0, 1.0)}
+_RULE_CASES = {
+    "n1": (1, dict(degree=16)),
+    "n1-kernel": (1, dict(degree=12, angular_count=64)),
+    "n2": (2, dict(degree=12)),
+    "n2-kernel": (2, dict(degree=8, angular_count=32)),
+    **{f"slice-{name}": (2, dict(degree=16, line=np.array(line, dtype=complex), t_count=9))
+       for name, line in _RULE_LINES.items()},
+}
+_RULE_SHA256 = {
+    ("n1", 0.0): "b7040033ec574918",
+    ("n1-kernel", 0.0): "c6cfc946da2a7245",
+    ("n2", 0.0): "f855889915ffb1cd",
+    ("n2-kernel", 0.0): "ed03e4192df07b8c",
+    ("slice-e1", 0.0): "cf985437fd286c38",
+    ("slice-tilted", 0.0): "2d81470cd3dd6bf9",
+    ("slice-e2", 0.0): "284489c8a2fb3dc2",
+    ("n1", 1.5): "ef98bcb278688cae",
+    ("n1-kernel", 1.5): "9073e252ac1d7728",
+    ("n2", 1.5): "4d9377ad4dc7a173",
+    ("n2-kernel", 1.5): "94c2c4ef9dc03c26",
+    ("slice-e1", 1.5): "83d44d2bfea2d5c1",
+    ("slice-tilted", 1.5): "73192f503a9f97d9",
+    ("slice-e2", 1.5): "0b3b515b8e26f88a",
+}
+
+
+@pytest.mark.parametrize("case, alpha", sorted(_RULE_SHA256))
+def test_rules_keep_their_bytes(case, alpha):
+    n, kwargs = _RULE_CASES[case]
+    rule = build_rule(make_measure(n, alpha), **kwargs)
+    digest = hashlib.sha256()
+    for name in ("points", "weights", "line", "disc", "t", "phases"):
+        arr = getattr(rule, name)
+        digest.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest()[:16] == _RULE_SHA256[case, alpha]
 
 
 def test_mobius_swaps_zero_and_center():
