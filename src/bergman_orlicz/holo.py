@@ -449,13 +449,18 @@ _RULE_BLOCK = 1 << 15
 @dataclass(frozen=True)
 class RuleBlock:
     """f at the rule nodes of the slice nodes: its values, with derivatives
-    the (k, n) partials and Rf (else None), and 1-|z|^2."""
+    the (k, n) partials, Rf and the coordinates (else None), and 1-|z|^2.
+
+    coords holds z_1, ..., z_n at those nodes as arrays that broadcast to one
+    shape of k elements in C order, the form holo.gradient_norms reads.
+    """
 
     nodes: slice
     values: np.ndarray
     partials: np.ndarray | None
     radial: np.ndarray | None
     one_minus: np.ndarray
+    coords: tuple | None
 
 
 def on_rule(f: HoloFunction, rule, derivatives: bool = False):
@@ -474,7 +479,9 @@ def on_rule(f: HoloFunction, rule, derivatives: bool = False):
     times as long per block on one CPU of a 2-core VM (2.6-3.0 ms against
     0.44 ms for degree 6 on the refined lift).  Blocks hold about _RULE_BLOCK
     nodes and expansion products, so no node-sized array but the caller's
-    outputs outlives one.
+    outputs outlives one, and the rule's points are never built: with
+    derivatives a block's coordinates are w, shape (k_w, 1, 1), and
+    s, shape (k_w, T, P), for its k_w disc nodes.
 
     On any other rule, and for every function but a Series, one block covers
     the rule and f is evaluated at its points, Rf as sum_j z_j d_j f.  A
@@ -482,7 +489,6 @@ def on_rule(f: HoloFunction, rule, derivatives: bool = False):
     rewrite in the frame of zeta would only add s-terms that cancel, with a
     rounding error that grows with the degree.
     """
-    pts = rule.points
     fibre = rule.t.size * rule.phases.size
 
     def one_minus(lo, hi):
@@ -491,12 +497,14 @@ def on_rule(f: HoloFunction, rule, derivatives: bool = False):
                          rule.phases.size)
 
     if not (isinstance(f, Series) and np.array_equal(rule.line, (1, 0))):
-        grad = rf = None
+        pts = rule.points
+        grad = rf = coords = None
         if derivatives:
             grad = f._partials(pts)
             rf = np.einsum("nj,nj->n", pts, grad)
+            coords = tuple(pts.T)
         yield RuleBlock(slice(0, pts.shape[0]), f._eval(pts), grad, rf,
-                        one_minus(0, rule.disc.size))
+                        one_minus(0, rule.disc.size), coords)
         return
     term_lists = f._term_lists(derivatives)
     if derivatives:
@@ -517,8 +525,11 @@ def on_rule(f: HoloFunction, rule, derivatives: bool = False):
         v_powers = v[lo:hi, :, None] ** np.arange(degree + 1)
         coeffs = g[lo:hi].transpose(1, 0, 2)[:, :, None, :] * v_powers[None]
         out = (coeffs.reshape(-1, degree + 1) @ spin).reshape(len(term_lists), -1)
-        grad, rf = (out[1:-1].T, out[-1]) if derivatives else (None, None)
-        yield RuleBlock(nodes, out[0], grad, rf, one_minus(lo, hi))
+        grad = rf = coords = None
+        if derivatives:
+            grad, rf = out[1:-1].T, out[-1]
+            coords = (rule.disc[lo:hi, None, None], v[lo:hi, :, None] * rule.phases)
+        yield RuleBlock(nodes, out[0], grad, rf, one_minus(lo, hi), coords)
 
 
 def rule_values(f: HoloFunction, rule) -> tuple[np.ndarray, np.ndarray]:
@@ -546,13 +557,18 @@ def gradient_sweep(f: HoloFunction, pts: np.ndarray):
     """
     grad = f._partials(pts)
     one_minus = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
-    return (one_minus, *gradient_norms(pts, grad, np.einsum("nj,nj->n", pts, grad), one_minus))
+    return (one_minus, *gradient_norms(tuple(pts.T), grad, np.einsum("nj,nj->n", pts, grad),
+                                       one_minus))
 
 
-def gradient_norms(pts: np.ndarray, grad: np.ndarray, rf: np.ndarray,
+def gradient_norms(coords: tuple, grad: np.ndarray, rf: np.ndarray,
                    one_minus: np.ndarray):
-    """(|Rf|, |grad f|, |invariant grad f|) at the rows of pts from the (N, n)
-    gradient, Rf and 1-|z|^2 there.
+    """(|Rf|, |grad f|, |invariant grad f|) at N points from their coordinates,
+    the (N, n) gradient, Rf and 1-|z|^2 there.
+
+    coords holds z_1, ..., z_n as arrays that broadcast to one shape of N
+    elements in C order: the columns of the points, or a block's factors
+    (RuleBlock.coords), so no (N, n) array of points is needed.
 
     The invariant gradient's norm comes in closed form (Zhu, Spaces of
     Holomorphic Functions in the Unit Ball, ch. 2): |inv grad f|^2 =
@@ -567,10 +583,11 @@ def gradient_norms(pts: np.ndarray, grad: np.ndarray, rf: np.ndarray,
     grad_norm = np.linalg.norm(grad, axis=1)
     inside = np.maximum(one_minus, 0.0)
     acc = inside * grad_norm**2
-    n = pts.shape[1]
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc += np.abs(np.conj(pts[:, i]) * grad[:, j] - np.conj(pts[:, j]) * grad[:, i]) ** 2
+    for i, j in itertools.combinations(range(len(coords)), 2):
+        shape = np.broadcast_shapes(coords[i].shape, coords[j].shape)
+        terms = acc.reshape(shape)
+        terms += np.abs(np.conj(coords[i]) * grad[:, j].reshape(shape)
+                        - np.conj(coords[j]) * grad[:, i].reshape(shape)) ** 2
     return np.abs(rf), grad_norm, np.sqrt(inside * acc)
 
 

@@ -21,17 +21,22 @@ t_count nodes in t and the one phase psi = 0.  angular_count makes any rule
 a kernel rule (doubled radial degree, at least angular_count angles per
 circle) for integrands that peak near the sphere.
 
-A rule holds 24 bytes per node at n = 1 and 40 at n = 2 (complex nodes plus
-real weights).  The n = 2 nodes are written from their factors straight
-into the result, with no node-sized temporaries, and kernel_factor
-evaluates its power in the one buffer of inner products; kernel_modulus,
-the modulus that norms need, works in that buffer plus one real array.
-Rules above _MAX_RULE_NODES = 2^24 nodes (0.67 GB at n = 2) are refused
-with UnsupportedRuleError before any allocation.  make_measure builds no
-rule: each rule records its own normalization_residual.  The one
-Gauss-Jacobi call (_radial_jacobi) refuses with DomainError an alpha it
-cannot build (past about 1,033, where its weights overflow), and
-_unit_mass_parts a rule whose raw mass is not finite and positive.
+A rule holds 8 bytes per node, its real weights, beside its factors.  Its
+(N, n) complex nodes, 16 n bytes per node more, are built from the factors
+on first use (QuadratureRule.points, through _lift_points, straight into
+the result with no node-sized temporaries).  On a rule along e_1 no suite
+asks for them: holo.on_rule reads a Series off the factors, and norms
+evaluates any other function of z_1 alone at the disc nodes.  Tilted slice
+rules, functions off e_1 (two-centre kernels), integrate and the Mobius
+paths of the tests build them.  kernel_factor evaluates its power in the
+one buffer of inner products; kernel_modulus, the modulus that norms need,
+works in that buffer plus one real array.  Rules above _MAX_RULE_NODES =
+2^24 nodes (134 MB of weights) are refused with UnsupportedRuleError before
+any allocation.  make_measure builds no rule: each rule records its own
+normalization_residual.  The one Gauss-Jacobi call (_radial_jacobi)
+refuses with DomainError an alpha it cannot build (past about 1,033, where
+its weights overflow), and _unit_mass_parts a rule whose raw mass is not
+finite and positive.
 
 A measure keeps every polynomial rule built for it: a second build_rule
 call with the same arguments returns the same QuadratureRule, whose arrays
@@ -84,10 +89,10 @@ __all__ = [
     "kernel_modulus",
 ]
 
-# Largest rule build_rule constructs.  At n = 2 its nodes
-# and weights take 0.67 GB, and a Luxembourg norm of a kernel power on a
-# 16.6M-node rule peaks at 1.09 GB, inside a 1.5 GiB address-space cap; on a
-# 22.4M-node rule the same norm runs out of address space.
+# Largest rule build_rule constructs.  Its weights take 134 MB and, at n = 2,
+# its nodes 537 MB more where they are built: a Luxembourg norm of a kernel
+# power on a 16.6M-node rule, its nodes built, peaked at 1.09 GB inside a
+# 1.5 GiB address-space cap, and on a 22.4M-node rule ran out of it.
 _MAX_RULE_NODES = 2**24
 
 
@@ -118,17 +123,18 @@ def make_measure(n: int, alpha: float) -> WeightedMeasure:
 class QuadratureRule:
     """Nodes and weights representing nu_alpha, normalized to unit mass.
 
-    points has shape (N, n) complex, weights shape (N,) positive with sum 1.
-    exact_degree is the largest total monomial degree |m| + |m'| the rule
-    integrates exactly.  The factors list the nodes in the C order of
-    (disc, t, phases): line is the unit vector zeta of C^n, disc the (D,)
+    weights has shape (N,), positive with sum 1.  exact_degree is the
+    largest total monomial degree |m| + |m'| the rule integrates exactly.
+    The rule is stored as its factors, which list the nodes in the C order
+    of (disc, t, phases): line is the unit vector zeta of C^n, disc the (D,)
     complex disc nodes w, t the (T,) nodes in t and phases the (P,) unit
-    factors e^{i psi}.  At n = 2 node (i, j, k) is disc[i] line +
-    sqrt(t[j] (1 - |disc[i]|^2)) phases[k] (-conj(line[1]), conj(line[0]));
-    at n = 1, t = (0,), phases = (1,) and the disc nodes are the nodes.
+    factors e^{i psi}, so N = D T P.  At n = 2 node (i, j, k) is disc[i]
+    line + sqrt(t[j] (1 - |disc[i]|^2)) phases[k] (-conj(line[1]),
+    conj(line[0])); at n = 1, t = (0,), phases = (1,) and the disc nodes are
+    the nodes.  points, the (N, n) complex nodes, is built from the factors
+    on first use and kept (_lift_points), read-only when the weights are.
     """
 
-    points: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     exact_degree: int
     rule_id: str
@@ -140,7 +146,15 @@ class QuadratureRule:
 
     @property
     def node_count(self) -> int:
-        return self.points.shape[0]
+        return self.disc.size * self.t.size * self.phases.size
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        """The (N, n) nodes, built from the factors on first use: 16 n bytes
+        per node that the paths along e_1 never ask for."""
+        out = _lift_points(self.line, self.disc, self.t, self.phases)
+        out.flags.writeable = self.weights.flags.writeable
+        return out
 
     @functools.cached_property
     def fibre_one_minus(self) -> np.ndarray:
@@ -191,7 +205,7 @@ def _product_rule_raw(alpha: float, degree: int, angular_count: int | None = Non
 
 def _rule_raw(n: int, alpha: float, degree: int, angular_count: int | None,
               zeta: np.ndarray | None, t_count: int | None):
-    """Raw nodes/weights of build_rule's rule, and its factors (line, disc, t,
+    """Raw weights of build_rule's rule and its factors (line, disc, t,
     phases); the one lift.
 
     At n = 1 the disc rule is the rule.  At n = 2 the disc rule at alpha + 1
@@ -201,7 +215,7 @@ def _rule_raw(n: int, alpha: float, degree: int, angular_count: int | None,
     angle of the disc when zeta is None, else along zeta with t_count t nodes
     and the one phase psi = 0.  The raw weights are w_disc (alpha+1) w_t / P
     for P phases.  The ceiling is checked before anything node-sized is
-    allocated.
+    allocated, and the weights are the one node-sized array written.
     """
     n_rad, n_ang = _disc_sizes(degree, angular_count)
     line = phases = np.ones(1, dtype=complex)
@@ -222,20 +236,36 @@ def _rule_raw(n: int, alpha: float, degree: int, angular_count: int | None,
             f"nodes exceeds the ceiling of {_MAX_RULE_NODES:,} nodes ({detail})")
     disc, w_disc = _product_rule_raw(alpha if n == 1 else alpha + 1.0, degree, angular_count)
     if n == 1:
-        return disc, w_disc, (line, disc[:, 0], np.zeros(1), phases)
+        return w_disc, (line, disc[:, 0], np.zeros(1), phases)
     t, w_t = _radial_jacobi(alpha, t_count)
-    w = disc[:, 0]
-    v = np.sqrt(t[None, :] * np.maximum(0.0, 1.0 - np.abs(w) ** 2)[:, None])
+    # int_0^1 (1-t)^alpha dt = 1 / (alpha + 1)
+    raw_w = np.empty((disc.shape[0], t_count, phases.size))
+    raw_w[...] = (w_disc[:, None] * ((alpha + 1.0) * w_t / phases.size)[None, :])[:, :, None]
+    return raw_w.reshape(-1), (line, disc[:, 0], t, phases)
+
+
+def _lift_points(line: np.ndarray, disc: np.ndarray, t: np.ndarray,
+                 phases: np.ndarray) -> np.ndarray:
+    """The (D T P, n) nodes of the rule with these factors, in C order; the
+    one place nodes are written (QuadratureRule.points, and the one node a
+    non-finite value names).  At n = 1 they are the disc nodes, as a view."""
+    if line.size == 1:
+        return disc.reshape(-1, 1)
+    v = np.sqrt(t[None, :] * np.maximum(0.0, 1.0 - np.abs(disc) ** 2)[:, None])
     transverse = phases[:, None] * np.array([-np.conj(line[1]), np.conj(line[0])])
     # One multiply per coordinate that some phase moves; the rest stay +0.
     pts = np.zeros(v.shape + (phases.size, 2), dtype=complex)
     for k in np.flatnonzero(np.any(transverse != 0, axis=0)):
         np.multiply(v[:, :, None], transverse[None, None, :, k], out=pts[..., k])
-    pts += (w[:, None] * line[None, :])[:, None, None, :]
-    # int_0^1 (1-t)^alpha dt = 1 / (alpha + 1)
-    raw_w = np.empty(pts.shape[:3])
-    raw_w[...] = (w_disc[:, None] * ((alpha + 1.0) * w_t / phases.size)[None, :])[:, :, None]
-    return pts.reshape(-1, 2), raw_w.reshape(-1), (line, w, t, phases)
+    pts += (disc[:, None] * line[None, :])[:, None, None, :]
+    return pts.reshape(-1, 2)
+
+
+def _alpha_id(alpha: float) -> str:
+    """alpha as rule ids print it: :g where that reads back as alpha, else
+    repr, so distinct weights never share an id."""
+    short = f"{alpha:g}"
+    return short if float(short) == alpha else repr(float(alpha))
 
 
 def build_rule(measure: WeightedMeasure, degree: int, angular_count: int | None = None,
@@ -282,36 +312,36 @@ def build_rule(measure: WeightedMeasure, degree: int, angular_count: int | None 
     if rule is not None:
         return rule
     try:
-        pts, raw_w, factors = _rule_raw(n, alpha, degree, angular_count, zeta, t_count)
+        raw_w, factors = _rule_raw(n, alpha, degree, angular_count, zeta, t_count)
     except DomainError as exc:
         raise DomainError(f"no quadrature rule for alpha={alpha}: {exc}") from None
     if zeta is None:
-        rid = f"product:n={n},alpha={alpha:g},degree={degree},nodes={pts.shape[0]}"
+        rid = f"product:n={n},alpha={_alpha_id(alpha)},degree={degree},nodes={raw_w.size}"
     else:
         z1, z2 = (f"{c.real:.6g}{c.imag:+.6g}j" for c in zeta)
-        rid = (f"slice:n=2,alpha={alpha:g},zeta=({z1},{z2}),degree={degree},"
-               f"t={t_count},nodes={pts.shape[0]}")
+        rid = (f"slice:n=2,alpha={_alpha_id(alpha)},zeta=({z1},{z2}),degree={degree},"
+               f"t={t_count},nodes={raw_w.size}")
     if angular_count is not None:
         rid = f"{rid},refined,angles={int(angular_count)}"
-    rule = _unit_mass_parts(pts, raw_w, degree, rid, factors)
+    rule = _unit_mass_parts(raw_w, degree, rid, factors)
     if angular_count is not None:
         return rule
-    for arr in (rule.points, rule.weights, *factors):
+    for arr in (rule.weights, *factors):
         arr.flags.writeable = False
     measure._rules[key] = rule
     return rule
 
 
-def _unit_mass_parts(pts: np.ndarray, raw_w: np.ndarray, degree: int,
-                     rule_id: str, factors: tuple) -> QuadratureRule:
-    """The rule over pts and the raw weights, divided in place by their sum,
-    with its factors (line, disc, t, phases).  A sum that is not finite and
-    positive raises DomainError naming the rule, and so its alpha."""
+def _unit_mass_parts(raw_w: np.ndarray, degree: int, rule_id: str,
+                     factors: tuple) -> QuadratureRule:
+    """The rule of the factors (line, disc, t, phases) with the raw weights,
+    divided in place by their sum.  A sum that is not finite and positive
+    raises DomainError naming the rule, and so its alpha."""
     total = float(np.sum(raw_w))
     if not (math.isfinite(total) and total > 0.0):
         raise DomainError(f"the weights of {rule_id} sum to {total}, not a finite "
                           f"positive mass")
-    return QuadratureRule(pts, np.divide(raw_w, total, out=raw_w), degree, rule_id,
+    return QuadratureRule(np.divide(raw_w, total, out=raw_w), degree, rule_id,
                           abs(total - 1.0), *factors)
 
 
@@ -340,7 +370,8 @@ def _checked_node_values(rule: QuadratureRule, values) -> np.ndarray:
     """values as an array of shape (N,), one finite value per node of the rule.
 
     A wrong shape raises DomainError; a non-finite value (real or complex)
-    raises NonFiniteIntegrandError naming the first offending node.
+    raises NonFiniteIntegrandError naming the first offending node, which
+    alone is built from the rule's factors.
     """
     values = np.asarray(values)
     if values.shape != (rule.node_count,):
@@ -350,8 +381,10 @@ def _checked_node_values(rule: QuadratureRule, values) -> np.ndarray:
     finite = np.isfinite(values)
     if not bool(np.all(finite)):
         idx = int(np.argmin(finite))
+        i, j, k = np.unravel_index(idx, (rule.disc.size, rule.t.size, rule.phases.size))
+        z = _lift_points(rule.line, rule.disc[i:i + 1], rule.t[j:j + 1], rule.phases[k:k + 1])
         raise NonFiniteIntegrandError(
-            f"integrand is not finite at node {idx} (z={rule.points[idx]})", node_index=idx
+            f"integrand is not finite at node {idx} (z={z[0]})", node_index=idx
         )
     return values
 

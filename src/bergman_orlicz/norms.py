@@ -8,7 +8,8 @@ doubling bracket always converges.  Node values of |F| are computed once per
 function and reused across the bisection, which keeps kernel-heavy norms
 affordable: a Series' come from holo.on_rule, off the rule's factors (as do
 the derivative modulars' and the small-type sums'), and a kernel power's
-from measure.kernel_modulus, in real arithmetic.  They are checked once,
+from measure.kernel_modulus, in real arithmetic, at the disc nodes alone
+when it reads z_1 alone on a rule along e_1.  They are checked once,
 where they are produced (measure._checked_node_values: one finite value per
 node), so a bisection step, modular_of_values, only evaluates Phi.fn,
 weights and sums, one leaf of at most _LEAF nodes at a time along numpy's
@@ -37,6 +38,7 @@ import numpy as np
 from .errors import DivergentNormError, DomainError, WorkbenchError
 from .growth import GrowthFunction
 from .holo import (
+    _ANY_LINE,
     HoloFunction,
     Series,
     _direction,
@@ -89,10 +91,20 @@ class LuxNorm:
 
 def _node_values(f: HoloFunction, rule: QuadratureRule) -> np.ndarray:
     """|f| at the rule nodes, checked once where they are produced: a Series
-    through holo.rule_values, any other function by its _abs_eval at the points."""
-    if not isinstance(f, Series):
+    through holo.rule_values, any other function by its _abs_eval at the
+    points.  On a rule along e_1 a function of z_1 alone (its _shape line is
+    e_1 up to a phase, the reading slice rules rest on) reads z_1 = w at
+    every node over disc node w, so it is evaluated at the disc nodes (w, 0)
+    and repeated over each fibre: the rule's points are never built."""
+    if isinstance(f, Series):
+        return _checked_node_values(rule, np.abs(rule_values(f, rule)[0]))
+    line = _shape(f)[2] if np.array_equal(rule.line, (1, 0)) else None
+    if line is None or line is not _ANY_LINE and line[1] != 0:
         return _checked_node_values(rule, f._abs_eval(rule.points))
-    return _checked_node_values(rule, np.abs(rule_values(f, rule)[0]))
+    at_disc = np.zeros((rule.disc.size, 2), dtype=complex)
+    at_disc[:, 0] = rule.disc
+    return _checked_node_values(
+        rule, np.repeat(f._abs_eval(at_disc), rule.t.size * rule.phases.size))
 
 
 def _leafwise_sum(terms_sum, *arrays) -> float:
@@ -222,7 +234,7 @@ def derivative_modulars(f: HoloFunction, phi: GrowthFunction,
                   ("function", "invariant_gradient", "weighted_gradient", "weighted_radial")}
     for block in on_rule(f, rule, derivatives=True):
         nodes = block.nodes
-        radial, grad_norm, invariant = gradient_norms(rule.points[nodes], block.partials,
+        radial, grad_norm, invariant = gradient_norms(block.coords, block.partials,
                                                       block.radial, block.one_minus)
         np.abs(block.values - f0, out=quantities["function"][nodes])
         quantities["invariant_gradient"][nodes] = invariant

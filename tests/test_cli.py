@@ -3,9 +3,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bergman_orlicz
 from bergman_orlicz import cli
 
 Z = '{"kind":"series","n":1,"terms":[[[1],1.0,0.0]]}'
@@ -434,3 +439,28 @@ def test_config_file_round_trip(capsys, tmp_path):
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, err = run(capsys, [])
     assert code == 64
+
+
+_MAXRSS_CHILD = """
+import json, resource, sys
+from bergman_orlicz import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps({"exit": code,
+                  "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+
+def test_n2_test_functions_fit_in_400_mb(tmp_path):
+    # Its |a| = 0.999 kernel norm runs on a 9.4M-node slice rule along e_1,
+    # evaluated at the disc nodes: it peaked at 674 MB while the rule's
+    # (N, 2) points were written, and at about 265 MB without them.
+    src = str(Path(bergman_orlicz.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["verify", "--config", '{"n":2}', "--suite", "test_functions",
+            "--out", str(tmp_path)]
+    done = subprocess.run([sys.executable, "-c", _MAXRSS_CHILD, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["exit"] == 0
+    assert result["maxrss_mb"] < 400

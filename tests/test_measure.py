@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 
 from bergman_orlicz import measure as measure_module
 from bergman_orlicz import norms
-from bergman_orlicz.errors import DomainError, UnsupportedRuleError
+from bergman_orlicz.errors import DomainError, NonFiniteIntegrandError, UnsupportedRuleError
 from bergman_orlicz.growth import power_growth
 from bergman_orlicz.harness import verify_cesaro_boundedness
 from bergman_orlicz.holo import test_function as kernel_test_function
 from bergman_orlicz.holo import KernelPower, Series, to_series
 from bergman_orlicz.measure import (
     WeightedMeasure,
+    _checked_node_values,
     _product_rule_raw,
     _radial_jacobi,
     build_rule,
@@ -157,9 +158,9 @@ def test_one_suite_builds_each_polynomial_rule_once(monkeypatch):
         calls.append((rule.rule_id, angular_count))
         return rule
 
-    def counted_parts(pts, raw_w, degree, rule_id, factors):
+    def counted_parts(raw_w, degree, rule_id, factors):
         built.append(rule_id)
-        return unit_mass_parts(pts, raw_w, degree, rule_id, factors)
+        return unit_mass_parts(raw_w, degree, rule_id, factors)
 
     unit_mass_parts = measure_module._unit_mass_parts
     monkeypatch.setattr(norms, "build_rule", counted_build_rule)
@@ -170,6 +171,25 @@ def test_one_suite_builds_each_polynomial_rule_once(monkeypatch):
     assert polynomial
     assert sorted(built) == sorted([*polynomial, *kernel])
     assert len(built) < len(calls)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, 2.5, 1000.0])
+def test_rule_ids_print_a_round_alpha_as_before(alpha):
+    for n in (1, 2):
+        rule = build_rule(make_measure(n, alpha), degree=8)
+        assert rule.rule_id.startswith(f"product:n={n},alpha={alpha:g},degree=8,")
+
+
+def test_rule_ids_tell_every_alpha_apart():
+    # :g keeps six digits: -0.999999999999 printed as -1, a weight the CLI
+    # refuses, and 0.1234567 and 0.1234568 printed alike.
+    alphas = (-0.999999999999, 0.1234567, 0.1234568)
+    ids = [build_rule(make_measure(1, a), degree=8).rule_id for a in alphas]
+    assert ids == [f"product:n=1,alpha={a!r},degree=8,nodes=27" for a in alphas]
+    slices = {build_rule(make_measure(2, a), 8, line=np.array([0.6, 0.8j]), t_count=3).rule_id
+              for a in alphas}
+    assert len(slices) == 3
+    assert all(f"alpha={a!r}," in rid for a, rid in zip(alphas, sorted(slices)))
 
 
 def test_rule_argument_validation():
@@ -215,7 +235,7 @@ def test_make_measure_builds_no_rule(monkeypatch):
 def test_a_mass_that_is_not_finite_and_positive_is_refused(total):
     one = np.ones(1, dtype=complex)
     with pytest.raises(DomainError, match=r"product:n=1,alpha=2\.5,.* not a finite positive mass"):
-        measure_module._unit_mass_parts(np.zeros((2, 1), dtype=complex), np.array([total, 0.0]),
+        measure_module._unit_mass_parts(np.array([total, 0.0]),
                                         8, "product:n=1,alpha=2.5,degree=8,nodes=2",
                                         (one, np.zeros(2, dtype=complex), np.zeros(1), one))
 
@@ -260,6 +280,36 @@ def test_rules_keep_their_bytes(case, alpha):
         digest.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
         digest.update(np.ascontiguousarray(arr).tobytes())
     assert digest.hexdigest()[:16] == _RULE_SHA256[case, alpha]
+
+
+def test_a_non_finite_value_names_its_node_without_the_points():
+    # The message builds the one offending node from the rule's factors and
+    # reads as it did when it indexed the (N, 2) points.
+    rule = build_rule(make_measure(2, 0.0), 64)
+    reference = build_rule(make_measure(2, 0.0), 64).points
+    for idx, bad in ((0, np.nan), (777_777, np.inf), (rule.node_count - 1, -np.inf)):
+        values = np.ones(rule.node_count)
+        values[idx] = bad
+        with pytest.raises(NonFiniteIntegrandError) as err:
+            _checked_node_values(rule, values)
+        assert err.value.node_index == idx
+        assert str(err.value) == f"integrand is not finite at node {idx} (z={reference[idx]})"
+    assert "points" not in rule.__dict__
+
+
+def test_a_lift_allocates_its_weights_and_no_nodes():
+    # The refined lift's nodes would take 39 MB; building the rule writes
+    # its 9.8 MB of weights and arrays of the disc's and fibre's size.
+    holder = {}
+
+    def build():
+        holder["rule"] = build_rule(make_measure(2, 0.0), 64)
+
+    peak = _peak_bytes(build)
+    rule = holder["rule"]
+    assert rule.node_count == 1_221_025
+    assert peak < rule.weights.nbytes + 2 * 2**20
+    assert "points" not in rule.__dict__
 
 
 def test_mobius_swaps_zero_and_center():

@@ -305,6 +305,31 @@ def test_derivative_modulars_keep_block_sized_temporaries():
     assert peak < 4 * 8 * rule.node_count + allowance
 
 
+def test_norms_and_modulars_along_e1_never_build_the_points():
+    # Series on the lift, and a kernel test function of z_1 on its slice
+    # rule, are read off the rule's factors; the (N, 2) points would take
+    # 39 MB on the refined lift.
+    f = Series(2, {(0, 0): 0.5, (6, 0): 1.0 - 0.5j, (3, 3): -0.25j, (1, 4): 0.75,
+                   (0, 6): 0.3 + 0.1j, (2, 1): -1.2, (0, 1): 2.0j})
+    measure = make_measure(2, 0.0)
+    rule = build_rule(measure, 64)
+    phi = power_growth(2)
+    luxemburg_norm(f, phi, rule)
+    derivative_modulars(f, phi, rule)
+    rule_values(f, rule)
+    small_type_estimate_check([f], 0.7, measure)
+    assert measure._rules and all("points" not in r.__dict__ for r in measure._rules.values())
+    kernel = kernel_test_function(phi, np.array([0.999, 0.0]), 0.0)
+    kernel_rule = rule_for_function(kernel, measure, phi)
+    assert kernel_rule.rule_id.startswith("slice:n=2,alpha=0,zeta=(1+0j,0+0j),")
+    lam = luxemburg_norm(kernel, phi, kernel_rule).lambda_star
+    assert "points" not in kernel_rule.__dict__
+    # The same norm at the built points, bit for bit.
+    values = kernel._abs_eval(kernel_rule.points)
+    assert values.tobytes() == norms_module._node_values(kernel, kernel_rule).tobytes()
+    assert lam > 0.0
+
+
 # Luxembourg steps of t^2, alpha = 0, n = 1 at the test_functions radii; the
 # benchmark's traced count check rests on these.
 _TEST_FUNCTION_STEPS = {0.0: 34, 0.5: 39, 0.9: 45, 0.99: 51, 0.999: 58}
