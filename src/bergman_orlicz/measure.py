@@ -21,29 +21,33 @@ t_count nodes in t and the one phase psi = 0.  angular_count makes any rule
 a kernel rule (doubled radial degree, at least angular_count angles per
 circle) for integrands that peak near the sphere.
 
-A rule holds 8 bytes per node, its real weights, beside its factors.  Its
-(N, n) complex nodes, 16 n bytes per node more, are built from the factors
-on first use (QuadratureRule.points, through _lift_points, straight into
-the result with no node-sized temporaries).  On a rule along e_1 no suite
-asks for them: holo.on_rule reads a Series off the factors, and norms
-evaluates any other function of z_1 alone at the disc nodes.  Tilted slice
-rules, functions off e_1 (two-centre kernels), integrate and the Mobius
-paths of the tests build them.  kernel_factor evaluates its power in the
-one buffer of inner products; kernel_modulus, the modulus that norms need,
-works in that buffer plus one real array.  Rules above _MAX_RULE_NODES =
-2^24 nodes (134 MB of weights) are refused with UnsupportedRuleError before
-any allocation.  make_measure builds no rule: each rule records its own
-normalization_residual.  The one Gauss-Jacobi call (_radial_jacobi)
-refuses with DomainError an alpha it cannot build (past about 1,033, where
-its weights overflow), and _unit_mass_parts a rule whose raw mass is not
-finite and positive.
+A rule holds 8 bytes per node, its real weights, beside its factors: the
+disc rule is its (R,) radii and (A,) unit angles.  Its (R A,) complex disc
+nodes (16 bytes each) and its (N, n) complex nodes (16 n bytes per node)
+are built from the factors on first use (QuadratureRule.disc and
+.points, through _disc_nodes and _lift_points, straight into the result with
+no node-sized temporaries).  On a rule along e_1 no suite asks for the
+nodes: holo.on_rule reads a Series off the disc nodes and the fibre factors,
+and norms evaluates any other function of z_1 alone ring by ring, so a
+kernel norm holds only its weights and its values.  Tilted slice rules,
+functions off e_1 (two-centre kernels), integrate and the Mobius paths of
+the tests build them.  kernel_factor evaluates its power in the one buffer
+of inner products; kernel_modulus, the modulus that norms need, works in
+that buffer plus one real array.  Rules above _MAX_RULE_NODES = 2^24 nodes
+(134 MB of weights) are refused with UnsupportedRuleError before any
+allocation.  make_measure builds no rule: each rule records its own
+normalization_residual.  The one Gauss-Jacobi call (_radial_jacobi) refuses
+with DomainError an alpha it cannot build (past about 1,033, where its
+weights overflow), and _unit_mass_parts a rule whose raw mass is not finite
+and positive.
 
 A measure keeps every polynomial rule built for it: a second build_rule
 call with the same arguments returns the same QuadratureRule, whose arrays
 are read-only and live as long as the measure (each suite makes its own).
 Kernel rules serve one centre and are built afresh on every call.
 
-A rule keeps its factors beside its nodes: the line zeta, the disc nodes w,
+A rule keeps its factors beside its weights: the line zeta, the radii
+sqrt(u) and angles e^{i theta} of the disc nodes w = sqrt(u) e^{i theta},
 the t nodes and the phases e^{i psi}, so node (w, t, psi) is
 w zeta + sqrt(t (1 - |w|^2)) e^{i psi} zeta_perp with
 zeta_perp = (-conj(zeta_2), conj(zeta_1)), and 1 - |z|^2 = (1 - |w|^2)(1 - t)
@@ -126,13 +130,15 @@ class QuadratureRule:
     weights has shape (N,), positive with sum 1.  exact_degree is the
     largest total monomial degree |m| + |m'| the rule integrates exactly.
     The rule is stored as its factors, which list the nodes in the C order
-    of (disc, t, phases): line is the unit vector zeta of C^n, disc the (D,)
-    complex disc nodes w, t the (T,) nodes in t and phases the (P,) unit
-    factors e^{i psi}, so N = D T P.  At n = 2 node (i, j, k) is disc[i]
-    line + sqrt(t[j] (1 - |disc[i]|^2)) phases[k] (-conj(line[1]),
-    conj(line[0])); at n = 1, t = (0,), phases = (1,) and the disc nodes are
-    the nodes.  points, the (N, n) complex nodes, is built from the factors
-    on first use and kept (_lift_points), read-only when the weights are.
+    of (radii, angles, t, phases): line is the unit vector zeta of C^n,
+    radii the (R,) disc radii sqrt(u), angles the (A,) unit factors
+    e^{i theta}, t the (T,) nodes in t and phases the (P,) unit factors
+    e^{i psi}, so N = R A T P.  Disc node (i, j) is w = radii[i] angles[j];
+    at n = 2 node (i, j, k, l) is w line + sqrt(t[k] (1 - |w|^2)) phases[l]
+    (-conj(line[1]), conj(line[0])); at n = 1, t = (0,), phases = (1,) and
+    the disc nodes are the nodes.  disc, the (R A,) complex disc nodes, and
+    points, the (N, n) complex nodes, are built from the factors on first
+    use and kept (_disc_nodes, _lift_points), read-only when the weights are.
     """
 
     weights: np.ndarray = field(repr=False)
@@ -140,13 +146,23 @@ class QuadratureRule:
     rule_id: str
     normalization_residual: float
     line: np.ndarray = field(repr=False)
-    disc: np.ndarray = field(repr=False)
+    radii: np.ndarray = field(repr=False)
+    angles: np.ndarray = field(repr=False)
     t: np.ndarray = field(repr=False)
     phases: np.ndarray = field(repr=False)
 
     @property
     def node_count(self) -> int:
-        return self.disc.size * self.t.size * self.phases.size
+        return self.radii.size * self.angles.size * self.t.size * self.phases.size
+
+    @functools.cached_property
+    def disc(self) -> np.ndarray:
+        """The (R A,) disc nodes, built from radii and angles on first use: 16
+        bytes per disc node that a function of z_1 alone, evaluated ring by
+        ring (norms._node_values), never asks for."""
+        out = _disc_nodes(self.radii, self.angles)
+        out.flags.writeable = self.weights.flags.writeable
+        return out
 
     @functools.cached_property
     def points(self) -> np.ndarray:
@@ -190,32 +206,32 @@ def _disc_sizes(degree: int, angular_count: int | None) -> tuple[int, int]:
 
 
 def _product_rule_raw(alpha: float, degree: int, angular_count: int | None = None):
-    """Raw nodes/weights of the disc's product rule before unit-mass normalization."""
+    """Raw factors of the disc's product rule before unit-mass normalization:
+    the (R,) radii sqrt(u), the (A,) unit angles e^{i theta} and the (R,)
+    weight of each node on ring i, w_u[i] c_alpha pi / A."""
     # c_alpha = Gamma(alpha+2) / (pi Gamma(alpha+1)), from integrating the
     # radial Beta factor around the circle.
     c_alpha = math.exp(gammaln(1.0 + alpha + 1.0) - gammaln(alpha + 1.0)) / math.pi
     n_rad, n_ang = _disc_sizes(degree, angular_count)
     u, wu = _radial_jacobi(alpha, n_rad)
     theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
-    zz = np.sqrt(u)[:, None] * np.exp(1j * theta)[None, :]
-    pts = zz.reshape(-1, 1)
-    w = np.broadcast_to((c_alpha * np.pi / n_ang) * wu[:, None], zz.shape).reshape(-1)
-    return pts, w.copy()
+    return np.sqrt(u), np.exp(1j * theta), (c_alpha * np.pi / n_ang) * wu
 
 
 def _rule_raw(n: int, alpha: float, degree: int, angular_count: int | None,
               zeta: np.ndarray | None, t_count: int | None):
-    """Raw weights of build_rule's rule and its factors (line, disc, t,
-    phases); the one lift.
+    """Raw weights of build_rule's rule and its factors (line, radii, angles,
+    t, phases); the one lift.
 
     At n = 1 the disc rule is the rule.  At n = 2 the disc rule at alpha + 1
     (degree and angular_count as in build_rule) is crossed, in the C order of
-    (disc, t, phase), with Gauss-Jacobi nodes in t and the phases e^{i psi},
-    each times zeta_perp: along e_1 with degree // 4 + 1 t nodes and every
-    angle of the disc when zeta is None, else along zeta with t_count t nodes
-    and the one phase psi = 0.  The raw weights are w_disc (alpha+1) w_t / P
-    for P phases.  The ceiling is checked before anything node-sized is
-    allocated, and the weights are the one node-sized array written.
+    (radius, angle, t, phase), with Gauss-Jacobi nodes in t and the phases
+    e^{i psi}, each times zeta_perp: along e_1 with degree // 4 + 1 t nodes
+    and every angle of the disc when zeta is None, else along zeta with
+    t_count t nodes and the one phase psi = 0.  The raw weights are w_ring
+    (alpha+1) w_t / P for P phases.  The ceiling is checked before anything
+    node-sized is allocated, and the weights, written once, are the one
+    node-sized array.
     """
     n_rad, n_ang = _disc_sizes(degree, angular_count)
     line = phases = np.ones(1, dtype=complex)
@@ -234,21 +250,32 @@ def _rule_raw(n: int, alpha: float, degree: int, angular_count: int | None,
         raise UnsupportedRuleError(
             f"{'a product rule' if zeta is None else 'a slice rule'} with {node_count:,} "
             f"nodes exceeds the ceiling of {_MAX_RULE_NODES:,} nodes ({detail})")
-    disc, w_disc = _product_rule_raw(alpha if n == 1 else alpha + 1.0, degree, angular_count)
+    radii, angles, w_ring = _product_rule_raw(alpha if n == 1 else alpha + 1.0, degree,
+                                              angular_count)
     if n == 1:
-        return w_disc, (line, disc[:, 0], np.zeros(1), phases)
-    t, w_t = _radial_jacobi(alpha, t_count)
-    # int_0^1 (1-t)^alpha dt = 1 / (alpha + 1)
-    raw_w = np.empty((disc.shape[0], t_count, phases.size))
-    raw_w[...] = (w_disc[:, None] * ((alpha + 1.0) * w_t / phases.size)[None, :])[:, :, None]
-    return raw_w.reshape(-1), (line, disc[:, 0], t, phases)
+        t, w_fibre = np.zeros(1), np.ones(1)
+    else:
+        t, w_t = _radial_jacobi(alpha, t_count)
+        # int_0^1 (1-t)^alpha dt = 1 / (alpha + 1)
+        w_fibre = (alpha + 1.0) * w_t / phases.size
+    raw_w = np.empty((n_rad, n_ang, t_count, phases.size))
+    raw_w[...] = (w_ring[:, None] * w_fibre)[:, None, :, None]
+    return raw_w.reshape(-1), (line, radii, angles, t, phases)
+
+
+def _disc_nodes(radii: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """The (R A,) disc nodes radii[i] angles[j] in C order; the one place they
+    are written (QuadratureRule.disc, norms' ring blocks and the one node a
+    non-finite value names), so each node has the same bits wherever it is."""
+    return (radii[:, None] * angles[None, :]).reshape(-1)
 
 
 def _lift_points(line: np.ndarray, disc: np.ndarray, t: np.ndarray,
                  phases: np.ndarray) -> np.ndarray:
-    """The (D T P, n) nodes of the rule with these factors, in C order; the
-    one place nodes are written (QuadratureRule.points, and the one node a
-    non-finite value names).  At n = 1 they are the disc nodes, as a view."""
+    """The (D T P, n) nodes of the rule with these disc nodes and fibre
+    factors, in C order; the one place nodes are written
+    (QuadratureRule.points, and the one node a non-finite value names).  At
+    n = 1 they are the disc nodes, as a view."""
     if line.size == 1:
         return disc.reshape(-1, 1)
     v = np.sqrt(t[None, :] * np.maximum(0.0, 1.0 - np.abs(disc) ** 2)[:, None])
@@ -334,7 +361,7 @@ def build_rule(measure: WeightedMeasure, degree: int, angular_count: int | None 
 
 def _unit_mass_parts(raw_w: np.ndarray, degree: int, rule_id: str,
                      factors: tuple) -> QuadratureRule:
-    """The rule of the factors (line, disc, t, phases) with the raw weights,
+    """The rule of the factors (line, radii, angles, t, phases) with the raw weights,
     divided in place by their sum.  A sum that is not finite and positive
     raises DomainError naming the rule, and so its alpha."""
     total = float(np.sum(raw_w))
@@ -371,7 +398,7 @@ def _checked_node_values(rule: QuadratureRule, values) -> np.ndarray:
 
     A wrong shape raises DomainError; a non-finite value (real or complex)
     raises NonFiniteIntegrandError naming the first offending node, which
-    alone is built from the rule's factors.
+    alone is built from the rule's factors (its radius and angle, t and phase).
     """
     values = np.asarray(values)
     if values.shape != (rule.node_count,):
@@ -381,8 +408,10 @@ def _checked_node_values(rule: QuadratureRule, values) -> np.ndarray:
     finite = np.isfinite(values)
     if not bool(np.all(finite)):
         idx = int(np.argmin(finite))
-        i, j, k = np.unravel_index(idx, (rule.disc.size, rule.t.size, rule.phases.size))
-        z = _lift_points(rule.line, rule.disc[i:i + 1], rule.t[j:j + 1], rule.phases[k:k + 1])
+        i, j, k, m = np.unravel_index(idx, (rule.radii.size, rule.angles.size, rule.t.size,
+                                            rule.phases.size))
+        z = _lift_points(rule.line, _disc_nodes(rule.radii[i:i + 1], rule.angles[j:j + 1]),
+                         rule.t[k:k + 1], rule.phases[m:m + 1])
         raise NonFiniteIntegrandError(
             f"integrand is not finite at node {idx} (z={z[0]})", node_index=idx
         )

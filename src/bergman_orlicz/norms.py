@@ -8,13 +8,14 @@ doubling bracket always converges.  Node values of |F| are computed once per
 function and reused across the bisection, which keeps kernel-heavy norms
 affordable: a Series' come from holo.on_rule, off the rule's factors (as do
 the derivative modulars' and the small-type sums'), and a kernel power's
-from measure.kernel_modulus, in real arithmetic, at the disc nodes alone
-when it reads z_1 alone on a rule along e_1.  They are checked once,
-where they are produced (measure._checked_node_values: one finite value per
-node), so a bisection step, modular_of_values, only evaluates Phi.fn,
-weights and sums, one leaf of at most _LEAF nodes at a time along numpy's
-own pairwise tree (_leafwise_sum): its temporaries stay in L2 and its sum
-keeps the bits of one np.sum over every node.  small_type_estimate_check sums the same way.
+from measure.kernel_modulus, in real arithmetic, at the disc nodes alone,
+ring by ring, when it reads z_1 alone on a rule along e_1.  They are
+checked once, where they are produced (measure._checked_node_values: one
+finite value per node), so a bisection step, modular_of_values, only
+evaluates Phi.fn, weights and sums, one leaf of at most _LEAF nodes at a
+time along numpy's own pairwise tree (_leafwise_sum): its temporaries stay
+in L2 and its sum keeps the bits of one np.sum over every node.
+small_type_estimate_check sums the same way.
 A NaN anywhere in Phi's output makes that sum NaN, which raises DomainError.
 
 Quadrature selection: one measure.build_rule call per function.  Polynomial
@@ -53,6 +54,7 @@ from .measure import (
     QuadratureRule,
     WeightedMeasure,
     _checked_node_values,
+    _disc_nodes,
     build_rule,
     sphere_directions,
 )
@@ -91,20 +93,36 @@ class LuxNorm:
 
 def _node_values(f: HoloFunction, rule: QuadratureRule) -> np.ndarray:
     """|f| at the rule nodes, checked once where they are produced: a Series
-    through holo.rule_values, any other function by its _abs_eval at the
-    points.  On a rule along e_1 a function of z_1 alone (its _shape line is
-    e_1 up to a phase, the reading slice rules rest on) reads z_1 = w at
-    every node over disc node w, so it is evaluated at the disc nodes (w, 0)
-    and repeated over each fibre: the rule's points are never built."""
+    through holo.rule_values, any other function by its _abs_eval.  On a rule
+    along e_1 (every n = 1 rule, the n = 2 lifts and e_1 slices) a function
+    of z_1 alone (at n = 2, its _shape line is e_1 up to a phase, the reading
+    slice rules rest on) reads z_1 = w at every node over disc node w.  It is
+    evaluated at the disc nodes (w, 0) in blocks of whole rings, of about
+    _LEAF nodes, straight into one array of disc values, and at n = 2
+    repeated over each fibre: neither the rule's disc nor its points are
+    built.  Elsewhere f is evaluated at the rule's points."""
     if isinstance(f, Series):
         return _checked_node_values(rule, np.abs(rule_values(f, rule)[0]))
-    line = _shape(f)[2] if np.array_equal(rule.line, (1, 0)) else None
+    line = _ANY_LINE if rule.line.size == 1 else (
+        _shape(f)[2] if np.array_equal(rule.line, (1, 0)) else None)
     if line is None or line is not _ANY_LINE and line[1] != 0:
         return _checked_node_values(rule, f._abs_eval(rule.points))
-    at_disc = np.zeros((rule.disc.size, 2), dtype=complex)
-    at_disc[:, 0] = rule.disc
-    return _checked_node_values(
-        rule, np.repeat(f._abs_eval(at_disc), rule.t.size * rule.phases.size))
+    n_ang, n_rad = rule.angles.size, rule.radii.size
+    starts = list(range(0, n_rad, max(1, _LEAF // n_ang)))
+    # A short last block joins the one before it, so that on a rule past
+    # _LEAF nodes every block holds at least _LEAF // 2 (256 KiB of complex
+    # values).  From 256 KiB up numpy writes a product of two temporaries into
+    # one of them, which can swap its factors, and a complex a * b and b * a
+    # round differently: a Product's values then keep the whole rule's bits.
+    if len(starts) > 1 and (n_rad - starts[-1]) * n_ang < _LEAF // 2:
+        starts.pop()
+    values = np.empty(n_rad * n_ang)
+    for lo, hi in zip(starts, starts[1:] + [n_rad]):
+        at_disc = np.zeros(((hi - lo) * n_ang, f.n), dtype=complex)
+        at_disc[:, 0] = _disc_nodes(rule.radii[lo:hi], rule.angles)
+        values[lo * n_ang:hi * n_ang] = f._abs_eval(at_disc)
+    fibre = rule.t.size * rule.phases.size
+    return _checked_node_values(rule, values if fibre == 1 else np.repeat(values, fibre))
 
 
 def _leafwise_sum(terms_sum, *arrays) -> float:
@@ -240,6 +258,8 @@ def derivative_modulars(f: HoloFunction, phi: GrowthFunction,
         quantities["invariant_gradient"][nodes] = invariant
         np.multiply(block.one_minus, grad_norm, out=quantities["weighted_gradient"][nodes])
         np.multiply(block.one_minus, radial, out=quantities["weighted_radial"][nodes])
+        # Drop this block's arrays before on_rule builds the next one.
+        del block, nodes, radial, grad_norm, invariant
     return {kind: modular_of_values(_checked_node_values(rule, vals), rule.weights, phi)
             for kind, vals in quantities.items()}
 

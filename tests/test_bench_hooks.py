@@ -76,8 +76,12 @@ def test_verify_still_takes_jobs():
 
 def test_traced_rule_stats_read_every_kind_of_rule():
     # tracing._rule reads node_count, points, weights and rule_id of what
-    # build_rule returns: an n = 1 kernel rule and an n = 2 slice rule here.
-    rules = [build_rule(make_measure(1, 0.0), 12, angular_count=64),
+    # build_rule returns, so a QuadratureRule field that --trace 1 can no
+    # longer read fails here: an n = 1 rule, an n = 1 kernel rule, an n = 2
+    # lift and an n = 2 slice rule.
+    rules = [build_rule(make_measure(1, 0.0), 12),
+             build_rule(make_measure(1, 0.0), 12, angular_count=64),
+             build_rule(make_measure(2, 0.0), 8),
              build_rule(make_measure(2, 0.0), 12, line=np.array([0.6, 0.8j]), t_count=3)]
     for rule in rules:
         assert _tracing()._rule((), {}, rule) == {
@@ -85,8 +89,9 @@ def test_traced_rule_stats_read_every_kind_of_rule():
             "bytes_computed": rule.points.nbytes + rule.weights.nbytes,
             "rule_id": rule.rule_id,
         }
-    assert rules[0].rule_id.endswith(",refined,angles=64")
-    assert rules[1].rule_id.startswith("slice:n=2,")
+    assert [r.rule_id.split(",")[0] for r in rules] == [
+        "product:n=1", "product:n=1", "product:n=2", "slice:n=2"]
+    assert rules[1].rule_id.endswith(",refined,angles=64")
 
 
 # perfbench's count check, run as `run.py --trace 1` runs it: the traced pass

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from bergman_orlicz import measure as measure_module
 from bergman_orlicz import norms
@@ -26,7 +27,7 @@ from bergman_orlicz.holo import KernelPower, Series, to_series
 from bergman_orlicz.measure import (
     WeightedMeasure,
     _checked_node_values,
-    _product_rule_raw,
+    _disc_sizes,
     _radial_jacobi,
     build_rule,
     integrate,
@@ -395,9 +396,16 @@ def _slice_rule_as_first_written(measure, zeta, degree, t_count, angular_count):
     Reference for build_rule's slice rule, which must give the same bytes.
     """
     alpha = measure.alpha
-    disc, w_disc = _product_rule_raw(alpha + 1.0, degree, angular_count)
+    # The disc's product rule at alpha + 1, every disc node written.
+    a = alpha + 1.0
+    c_alpha = math.exp(gammaln(1.0 + a + 1.0) - gammaln(a + 1.0)) / math.pi
+    n_rad, n_ang = _disc_sizes(degree, angular_count)
+    u, wu = _radial_jacobi(a, n_rad)
+    theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
+    zz = np.sqrt(u)[:, None] * np.exp(1j * theta)[None, :]
+    w_disc = np.broadcast_to((c_alpha * np.pi / n_ang) * wu[:, None], zz.shape).reshape(-1)
     t, w_t = _radial_jacobi(alpha, t_count)
-    w = disc[:, 0]
+    w = zz.reshape(-1)
     v = np.sqrt(t[None, :] * np.maximum(0.0, 1.0 - np.abs(w) ** 2)[:, None])
     perp = np.array([-np.conj(zeta[1]), np.conj(zeta[0])])
     pts = np.empty(v.shape + (2,), dtype=complex)

@@ -330,6 +330,53 @@ def test_norms_and_modulars_along_e1_never_build_the_points():
     assert lam > 0.0
 
 
+# Disc degree per angle count: 7 radii (one block) for 25 angles, 65 radii
+# (two blocks of 42 rings) for 777 and 33 radii (blocks of 4 rings) for 8,192.
+_RING_DEGREES = {25: 12, 777: 128, 8192: 64}
+
+
+@pytest.mark.parametrize("angles", sorted(_RING_DEGREES))
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_ring_blocks_give_the_pointwise_bits(angles, n, alpha):
+    # A kernel function of z_1 on a kernel rule along e_1 (n = 1, or the n = 2
+    # e_1 slice) is evaluated ring by ring at the disc nodes: the same bits
+    # as its _abs_eval at the built points, with neither disc nor points built.
+    phi = power_growth(2)
+    centre = np.array([0.6 + 0.75j, 0.0][:n])
+    f = kernel_test_function(phi, centre, alpha)
+    extra = {} if n == 1 else {"line": np.array([1.0, 0.0]), "t_count": 2}
+    rule = build_rule(make_measure(n, alpha), _RING_DEGREES[angles], angles, **extra)
+    assert rule.angles.size == angles
+    for g in (f, f.radial_derivative()):
+        values = norms_module._node_values(g, rule)
+        assert "disc" not in rule.__dict__ and "points" not in rule.__dict__
+        assert values.tobytes() == g._abs_eval(rule.points).tobytes()
+        del rule.__dict__["points"], rule.__dict__["disc"]
+
+
+def test_kernel_norm_holds_its_weights_and_values_alone():
+    # The n = 1 t^2, |a| = 0.999 kernel norm on 1,040,384 nodes peaked at
+    # 51 MB with its disc nodes kept and a complex inner-product buffer; ring
+    # by ring it holds the weights and the values, 8 bytes per node each.
+    phi = power_growth(2)
+    f = kernel_test_function(phi, np.array([0.999 + 0j]), 0.0)
+    measure = make_measure(1, 0.0)
+    # A small kernel norm first, so that the lazy imports behind the rule
+    # builder are not counted.
+    luxemburg_norm(f, phi, build_rule(measure, 12, 64))
+    tracemalloc.start()
+    try:
+        rule = rule_for_function(f, measure, phi)
+        luxemburg_norm(f, phi, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rule.node_count == 1_040_384
+    assert peak < 2 * 8 * rule.node_count + 4 * 2**20
+    assert "disc" not in rule.__dict__
+
+
 # Luxembourg steps of t^2, alpha = 0, n = 1 at the test_functions radii; the
 # benchmark's traced count check rests on these.
 _TEST_FUNCTION_STEPS = {0.0: 34, 0.5: 39, 0.9: 45, 0.99: 51, 0.999: 58}
