@@ -331,7 +331,8 @@ def test_norms_and_modulars_along_e1_never_build_the_points():
 
 
 # Disc degree per angle count: 7 radii (one block) for 25 angles, 65 radii
-# (two blocks of 42 rings) for 777 and 33 radii (blocks of 4 rings) for 8,192.
+# (blocks of 42 and 23 rings) for 777 and 33 radii (blocks of 4 rings, the
+# last of 5) for 8,192.
 _RING_DEGREES = {25: 12, 777: 128, 8192: 64}
 
 
@@ -341,7 +342,9 @@ _RING_DEGREES = {25: 12, 777: 128, 8192: 64}
 def test_ring_blocks_give_the_pointwise_bits(angles, n, alpha):
     # A kernel function of z_1 on a kernel rule along e_1 (n = 1, or the n = 2
     # e_1 slice) is evaluated ring by ring at the disc nodes: the same bits
-    # as its _abs_eval at the built points, with neither disc nor points built.
+    # as its _abs_eval at the built points, with neither disc nor points
+    # built.  Its radial derivative, a Product, keeps them only because a
+    # short last block joins the one before it.
     phi = power_growth(2)
     centre = np.array([0.6 + 0.75j, 0.0][:n])
     f = kernel_test_function(phi, centre, alpha)
