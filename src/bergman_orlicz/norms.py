@@ -109,11 +109,12 @@ def _node_values(f: HoloFunction, rule: QuadratureRule) -> np.ndarray:
         return _checked_node_values(rule, f._abs_eval(rule.points))
     n_ang, n_rad = rule.angles.size, rule.radii.size
     starts = list(range(0, n_rad, max(1, _LEAF // n_ang)))
-    # A short last block joins the one before it, so that on a rule past
-    # _LEAF nodes every block holds at least _LEAF // 2 (256 KiB of complex
-    # values).  From 256 KiB up numpy writes a product of two temporaries into
-    # one of them, which can swap its factors, and a complex a * b and b * a
-    # round differently: a Product's values then keep the whole rule's bits.
+    # A short last block joins the one before it, so that on a disc of more
+    # than _LEAF nodes every block holds at least _LEAF // 2 (256 KiB of
+    # complex values), as the whole disc does.  From 256 KiB up numpy writes
+    # a product of two temporaries into one of them, which can swap its
+    # factors, and a complex a * b and b * a round differently: a Product's
+    # values then keep the whole disc's bits.
     if len(starts) > 1 and (n_rad - starts[-1]) * n_ang < _LEAF // 2:
         starts.pop()
     values = np.empty(n_rad * n_ang)
