@@ -27,8 +27,8 @@ e_1 every node is (w, s) with s = sqrt(t (1-|w|^2)) e^{i psi}, so the Series
 is sum_b g_b(w) s^b, its w-polynomials are evaluated on the disc nodes alone
 and a matrix product per block expands them over (t, psi).  On the refined
 n = 2 lift that is 1,105 disc nodes for 1,221,025 nodes.  The
-norms, modulars and sweeps over rule nodes read through on_rule (rule_values
-joins its blocks); at n = 1, on slice rules along other lines, and for every
+norms, modulars and sweeps over rule nodes read its blocks as they come,
+never joined; at n = 1, on slice rules along other lines, and for every
 function but a Series, it evaluates pointwise at the nodes.
 
 The invariant gradient is (grad f)(z) composed with the Jacobian at 0 of the
@@ -73,7 +73,6 @@ __all__ = [
     "slice_direction",
     "on_rule",
     "RuleBlock",
-    "rule_values",
     "gradient_sweep",
     "gradient_norms",
     "invariant_gradient",
@@ -314,12 +313,15 @@ class Product(HoloFunction):
     def n(self) -> int:
         return self.left.n
 
+    # np.multiply, not *: numpy may compute a * of two large temporaries as right * left,
+    # and complex a * b and b * a round differently, so bits would follow the batch size.
     def _eval(self, pts):
-        return self.left._eval(pts) * self.right._eval(pts)
+        return np.multiply(self.left._eval(pts), self.right._eval(pts))
 
     def _partials(self, pts):
         fl, fr = self.left._eval(pts), self.right._eval(pts)
-        return fl[:, None] * self.right._partials(pts) + fr[:, None] * self.left._partials(pts)
+        return (np.multiply(fl[:, None], self.right._partials(pts))
+                + np.multiply(fr[:, None], self.left._partials(pts)))
 
     def radial_derivative(self) -> "HoloFunction":
         return Sum((Product(self.left.radial_derivative(), self.right),
@@ -530,18 +532,6 @@ def on_rule(f: HoloFunction, rule, derivatives: bool = False):
             grad, rf = out[1:-1].T, out[-1]
             coords = (rule.disc[lo:hi, None, None], v[lo:hi, :, None] * rule.phases)
         yield RuleBlock(nodes, out[0], grad, rf, one_minus(lo, hi), coords)
-
-
-def rule_values(f: HoloFunction, rule) -> tuple[np.ndarray, np.ndarray]:
-    """(f, 1-|z|^2) at every node of the rule, (N,) each, from on_rule's blocks."""
-    values = np.empty(rule.node_count, dtype=complex)
-    one_minus = np.empty(rule.node_count)
-    for block in on_rule(f, rule):
-        if block.nodes.stop - block.nodes.start == rule.node_count:
-            return block.values, block.one_minus
-        values[block.nodes] = block.values
-        one_minus[block.nodes] = block.one_minus
-    return values, one_minus
 
 
 # ---------------------------------------------------------------------------

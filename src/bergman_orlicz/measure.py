@@ -393,21 +393,23 @@ def sphere_directions(n: int, count: int, seed: int) -> np.ndarray:
     return vecs / norms[:, None]
 
 
-def _checked_node_values(rule: QuadratureRule, values) -> np.ndarray:
+def _checked_node_values(rule: QuadratureRule, values, start: int | None = None) -> np.ndarray:
     """values as an array of shape (N,), one finite value per node of the rule.
 
-    A wrong shape raises DomainError; a non-finite value (real or complex)
+    With start, values are a leaf's: nodes start, start + 1, ... along their
+    last axis, with one row per quantity, in a shape the caller keeps.  A
+    wrong shape raises DomainError; a non-finite value (real or complex)
     raises NonFiniteIntegrandError naming the first offending node, which
     alone is built from the rule's factors (its radius and angle, t and phase).
     """
     values = np.asarray(values)
-    if values.shape != (rule.node_count,):
+    if start is None and values.shape != (rule.node_count,):
         raise DomainError(
             f"integrand values have shape {values.shape}, expected ({rule.node_count},)"
         )
     finite = np.isfinite(values)
     if not bool(np.all(finite)):
-        idx = int(np.argmin(finite))
+        idx = (start or 0) + int(np.argmin(finite.reshape(-1, finite.shape[-1]).all(axis=0)))
         i, j, k, m = np.unravel_index(idx, (rule.radii.size, rule.angles.size, rule.t.size,
                                             rule.phases.size))
         z = _lift_points(rule.line, _disc_nodes(rule.radii[i:i + 1], rule.angles[j:j + 1]),

@@ -6,17 +6,18 @@ modular(F / lambda) <= 1; for continuous unbounded Phi the map
 lambda -> modular(F / lambda) is monotone and continuous, so bisection with a
 doubling bracket always converges.  Node values of |F| are computed once per
 function and reused across the bisection, which keeps kernel-heavy norms
-affordable: a Series' come from holo.on_rule, off the rule's factors (as do
-the derivative modulars' and the small-type sums'), and a kernel power's
+affordable: a Series' come from holo.on_rule's blocks, and a kernel power's
 from measure.kernel_modulus, in real arithmetic, at the disc nodes alone,
 ring by ring, when it reads z_1 alone on a rule along e_1.  They are
 checked once, where they are produced (measure._checked_node_values: one
 finite value per node), so a bisection step, modular_of_values, only
-evaluates Phi.fn, weights and sums, one leaf of at most _LEAF nodes at a
-time along numpy's own pairwise tree (_leafwise_sum): its temporaries stay
-in L2 and its sum keeps the bits of one np.sum over every node.
-small_type_estimate_check sums the same way.
-A NaN anywhere in Phi's output makes that sum NaN, which raises DomainError.
+evaluates Phi.fn, weights and sums.  Every weighted sum over rule nodes
+walks one tree (_tree_sum), numpy's own pairwise cuts down to leaves of at
+most _LEAF nodes: its temporaries stay in L2 and it keeps the bits of one
+np.sum over every node.  The derivative modulars, the small-type sums and
+the Cesaro upper modular read and check each leaf's rows straight off
+on_rule's blocks (_leaf_rows), with no node-sized array.
+A NaN anywhere in Phi's output makes a sum NaN, which raises DomainError.
 
 Quadrature selection: one measure.build_rule call per function.  Polynomial
 integrands get a plain rule with degree scaled to the function degree and
@@ -48,7 +49,6 @@ from .holo import (
     gradient_norms,
     gradient_sweep,
     on_rule,
-    rule_values,
 )
 from .measure import (
     QuadratureRule,
@@ -93,32 +93,28 @@ class LuxNorm:
 
 def _node_values(f: HoloFunction, rule: QuadratureRule) -> np.ndarray:
     """|f| at the rule nodes, checked once where they are produced: a Series
-    through holo.rule_values, any other function by its _abs_eval.  On a rule
-    along e_1 (every n = 1 rule, the n = 2 lifts and e_1 slices) a function
-    of z_1 alone (at n = 2, its _shape line is e_1 up to a phase, the reading
-    slice rules rest on) reads z_1 = w at every node over disc node w.  It is
-    evaluated at the disc nodes (w, 0) in blocks of whole rings, of about
-    _LEAF nodes, straight into one array of disc values, and at n = 2
-    repeated over each fibre: neither the rule's disc nor its points are
-    built.  Elsewhere f is evaluated at the rule's points."""
+    block by block from holo.on_rule, any other function by its _abs_eval,
+    each straight into one float array.  On a rule along e_1 (every n = 1
+    rule, the n = 2 lifts and e_1 slices) a function of z_1 alone (at n = 2,
+    its _shape line is e_1 up to a phase, the reading slice rules rest on)
+    reads z_1 = w at every node over disc node w.  It is evaluated at the
+    disc nodes (w, 0) in blocks of whole rings, of about _LEAF nodes, and at
+    n = 2 repeated over each fibre: neither the rule's disc nor its points
+    are built.  Elsewhere f is evaluated at the rule's points."""
     if isinstance(f, Series):
-        return _checked_node_values(rule, np.abs(rule_values(f, rule)[0]))
+        values = np.empty(rule.node_count)
+        for block in on_rule(f, rule):
+            np.abs(block.values, out=values[block.nodes])
+        return _checked_node_values(rule, values)
     line = _ANY_LINE if rule.line.size == 1 else (
         _shape(f)[2] if np.array_equal(rule.line, (1, 0)) else None)
     if line is None or line is not _ANY_LINE and line[1] != 0:
         return _checked_node_values(rule, f._abs_eval(rule.points))
     n_ang, n_rad = rule.angles.size, rule.radii.size
-    starts = list(range(0, n_rad, max(1, _LEAF // n_ang)))
-    # A short last block joins the one before it, so that on a disc of more
-    # than _LEAF nodes every block holds at least _LEAF // 2 (256 KiB of
-    # complex values), as the whole disc does.  From 256 KiB up numpy writes
-    # a product of two temporaries into one of them, which can swap its
-    # factors, and a complex a * b and b * a round differently: a Product's
-    # values then keep the whole disc's bits.
-    if len(starts) > 1 and (n_rad - starts[-1]) * n_ang < _LEAF // 2:
-        starts.pop()
+    step = max(1, _LEAF // n_ang)
     values = np.empty(n_rad * n_ang)
-    for lo, hi in zip(starts, starts[1:] + [n_rad]):
+    for lo in range(0, n_rad, step):
+        hi = min(lo + step, n_rad)
         at_disc = np.zeros(((hi - lo) * n_ang, f.n), dtype=complex)
         at_disc[:, 0] = _disc_nodes(rule.radii[lo:hi], rule.angles)
         values[lo * n_ang:hi * n_ang] = f._abs_eval(at_disc)
@@ -126,22 +122,41 @@ def _node_values(f: HoloFunction, rule: QuadratureRule) -> np.ndarray:
     return _checked_node_values(rule, values if fibre == 1 else np.repeat(values, fibre))
 
 
-def _leafwise_sum(terms_sum, *arrays) -> float:
-    """terms_sum(*arrays), taken leaf by leaf along numpy's pairwise tree.
-
-    numpy adds a contiguous float64 array of more than 128 elements as the
-    sum of its two parts cut at n2 = n // 2 - (n // 2) % 8 (pairwise_sum), so
-    its result depends on n alone.  The arrays (first axis n) are cut the
-    same way into leaves of at most _LEAF rows; when terms_sum returns the
-    np.sum of a fresh array of one term per row, the leaf sums add up to the
-    one-shot result bit for bit.  n <= _LEAF is a single call on the arrays.
-    """
-    n = len(arrays[0])
+def _tree_sum(n: int, leaf, lo: int = 0):
+    """The sum of leaf(lo, hi) over the leaves of numpy's pairwise tree on
+    the n rows from lo.  numpy adds a contiguous float64 array of more than
+    128 elements as its two parts cut at n2 = n // 2 - (n // 2) % 8
+    (pairwise_sum); the rows are cut the same way, down to leaves of at most
+    _LEAF rows, and leaf is called on each in node order.  When it returns
+    the np.sum of a fresh array of one term per row, or a short float array
+    of such sums (an elementwise float64 add has a scalar add's bits), the
+    leaf results add up to the one-shot sums bit for bit."""
     if n <= _LEAF:
-        return terms_sum(*arrays)
+        return leaf(lo, lo + n)
     n2 = n // 2 - (n // 2) % 8
-    return (_leafwise_sum(terms_sum, *(a[:n2] for a in arrays))
-            + _leafwise_sum(terms_sum, *(a[n2:] for a in arrays)))
+    return _tree_sum(n2, leaf, lo) + _tree_sum(n - n2, leaf, lo + n2)
+
+
+def _leaf_rows(blocks):
+    """rows(lo, hi): the columns lo..hi of the arrays that blocks yields as
+    tuples over consecutive nodes (node axis last), one per holo.on_rule
+    block.  Rows are asked for in node order, as _tree_sum's leaves come;
+    they are views of one block, copied only where a leaf straddles two."""
+    blocks, rest = iter(blocks), (np.empty(0),)
+
+    def rows(lo: int, hi: int) -> tuple:
+        nonlocal rest
+        parts = []
+        while lo < hi:
+            if rest[0].shape[-1] == 0:
+                rest = next(blocks)
+            k = min(hi - lo, rest[0].shape[-1])
+            parts.append(tuple(a[..., :k] for a in rest))
+            rest, lo = tuple(a[..., k:] for a in rest), lo + k
+        return parts[0] if len(parts) == 1 else tuple(
+            np.concatenate(columns, axis=-1) for columns in zip(*parts))
+
+    return rows
 
 
 def _phi_sum(values, weights, phi: GrowthFunction, scale: float) -> float:
@@ -159,7 +174,7 @@ def modular_of_values(values: np.ndarray, weights: np.ndarray,
     measure._checked_node_values checks where they are produced; they are
     not checked again here, since a Luxembourg norm calls this once per step
     on the same values.  Phi.fn runs without GrowthFunction's argument
-    check, one leaf at a time (_leafwise_sum), and the weights multiply its
+    check, one leaf at a time (_tree_sum), and the weights multiply its
     output in place; the total is the np.sum of all nodes' terms bit for bit.
     An overflow gives inf; a NaN sum raises DomainError.
     """
@@ -169,7 +184,8 @@ def modular_of_values(values: np.ndarray, weights: np.ndarray,
             # closure or recursion on the Luxembourg solve's commonest call.
             total = _phi_sum(values, weights, phi, scale)
         else:
-            total = _leafwise_sum(lambda v, w: _phi_sum(v, w, phi, scale), values, weights)
+            total = _tree_sum(values.size, lambda lo, hi: _phi_sum(
+                values[lo:hi], weights[lo:hi], phi, scale))
     if math.isnan(total):
         raise DomainError(f"modular of {phi.name} is NaN; node values must be "
                           "non-negative and finite")
@@ -245,24 +261,31 @@ def derivative_modulars(f: HoloFunction, phi: GrowthFunction,
     gradient of f composed with phi_z at 0, "weighted_gradient" for
     (1-|z|^2)|grad f|, "weighted_radial" for (1-|z|^2)|Rf|.  holo.on_rule
     gives f, its partials, Rf and 1-|z|^2 block by block, and each block
-    goes through holo.gradient_norms once; only the four (N,) arrays of
-    node values outlive a block.
+    goes through holo.gradient_norms once into a (4, k) array; each leaf of
+    _tree_sum checks its rows and takes one modular_of_values per quantity.
     """
     f0 = f.eval(np.zeros(f.n, dtype=complex))
-    quantities = {kind: np.empty(rule.node_count) for kind in
-                  ("function", "invariant_gradient", "weighted_gradient", "weighted_radial")}
-    for block in on_rule(f, rule, derivatives=True):
-        nodes = block.nodes
-        radial, grad_norm, invariant = gradient_norms(block.coords, block.partials,
-                                                      block.radial, block.one_minus)
-        np.abs(block.values - f0, out=quantities["function"][nodes])
-        quantities["invariant_gradient"][nodes] = invariant
-        np.multiply(block.one_minus, grad_norm, out=quantities["weighted_gradient"][nodes])
-        np.multiply(block.one_minus, radial, out=quantities["weighted_radial"][nodes])
-        # Drop this block's arrays before on_rule builds the next one.
-        del block, nodes, radial, grad_norm, invariant
-    return {kind: modular_of_values(_checked_node_values(rule, vals), rule.weights, phi)
-            for kind, vals in quantities.items()}
+
+    def quantities():
+        for block in on_rule(f, rule, derivatives=True):
+            radial, grad_norm, invariant = gradient_norms(block.coords, block.partials,
+                                                          block.radial, block.one_minus)
+            q = np.stack([np.abs(block.values - f0), invariant,
+                          block.one_minus * grad_norm, block.one_minus * radial])
+            # Drop this block's arrays before on_rule builds the next one.
+            del block, radial, grad_norm, invariant
+            yield (q,)
+
+    rows = _leaf_rows(quantities())
+
+    def leaf(lo, hi):
+        (q,) = rows(lo, hi)
+        _checked_node_values(rule, q, lo)
+        return np.array([modular_of_values(v, rule.weights[lo:hi], phi) for v in q])
+
+    totals = _tree_sum(rule.node_count, leaf)
+    return {kind: float(total) for kind, total in zip(
+        ("function", "invariant_gradient", "weighted_gradient", "weighted_radial"), totals)}
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +396,19 @@ class SmallTypeReport:
 
 
 def _small_type_ratio(f: HoloFunction, rule: QuadratureRule, p: float, w_exp: float) -> float:
-    """int |f| (1-|z|^2)^w_exp over int |f|^p on the rule.  Its node arrays
-    die with the call, so one member's never live beside the next one's."""
-    values, one_minus = rule_values(f, rule)
-    vals = _checked_node_values(rule, np.abs(values))
-    num = _leafwise_sum(lambda w, v, om: float(np.sum(w * v * om**w_exp)),
-                        rule.weights, vals, one_minus)
-    den = _leafwise_sum(lambda w, v: float(np.sum(w * v**p)), rule.weights, vals)
+    """int |f| (1-|z|^2)^w_exp over int |f|^p, in one _tree_sum walk of on_rule's blocks."""
+    rows = _leaf_rows((np.abs(block.values), block.one_minus) for block in on_rule(f, rule))
+
+    def leaf(lo, hi):
+        vals, one_minus = rows(lo, hi)
+        _checked_node_values(rule, vals, lo)
+        w = rule.weights[lo:hi]
+        return np.array([np.sum(w * vals * one_minus**w_exp), np.sum(w * vals**p)])
+
+    num, den = _tree_sum(rule.node_count, leaf)
     if den == 0.0:
         raise DomainError("small-type sweep needs nonzero functions")
-    return num / den
+    return float(num) / float(den)
 
 
 def small_type_estimate_check(family, p: float, measure: WeightedMeasure,

@@ -31,12 +31,12 @@ from .holo import (
     DEFAULT_TRUNCATION_DEGREE,
     HoloFunction,
     Series,
-    rule_values,
+    on_rule,
     slice_direction,
     to_series,
 )
 from .measure import WeightedMeasure, _checked_node_values, _points_2d, sphere_directions
-from .norms import luxemburg_norm, modular_of_values, rule_for_function
+from .norms import _leaf_rows, _tree_sum, luxemburg_norm, modular_of_values, rule_for_function
 
 __all__ = [
     "CesaroSymbol",
@@ -276,8 +276,9 @@ def cesaro_upper_bound_check(symbol: CesaroSymbol, phi: GrowthFunction,
     definition, so the proof's bound is worst <= 1; the caller compares the
     returned value with 1 plus its quadrature tolerance.  The norm and the
     integrand share one rule, f's slice rule at n = 2 only when Rg lies on
-    f's line, so that domination carries over node by node.  bloch_m is M,
-    the symbol's bloch_seminorm.
+    f's line, so that domination carries over node by node; f and Rg stream
+    side by side off their own on_rule blocks.  bloch_m is M, the symbol's
+    bloch_seminorm.
     """
     if bloch_m <= 0.0:
         raise DomainError("upper-bound check needs a symbol with positive Bloch seminorm")
@@ -288,7 +289,13 @@ def cesaro_upper_bound_check(symbol: CesaroSymbol, phi: GrowthFunction,
         norm = luxemburg_norm(f, phi, r).lambda_star
         if norm <= 0.0:
             raise DomainError("upper-bound family must contain nonzero functions")
-        (fv, one_minus), (rgv, _) = (rule_values(h, r) for h in (f, rg))
-        vals = _checked_node_values(r, one_minus * np.abs(fv * rgv))
-        modulars.append(modular_of_values(vals, r.weights, phi, bloch_m * norm))
+        f_rows = _leaf_rows((b.values, b.one_minus) for b in on_rule(f, r))
+        rg_rows = _leaf_rows((b.values,) for b in on_rule(rg, r))
+
+        def leaf(lo, hi):
+            (fv, one_minus), (rgv,) = f_rows(lo, hi), rg_rows(lo, hi)
+            vals = _checked_node_values(r, one_minus * np.abs(fv * rgv), lo)
+            return modular_of_values(vals, r.weights[lo:hi], phi, bloch_m * norm)
+
+        modulars.append(_tree_sum(r.node_count, leaf))
     return max(modulars, default=0.0)

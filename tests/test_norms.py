@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from bergman_orlicz import holo as holo_module
 from bergman_orlicz import norms as norms_module
+from bergman_orlicz import operators as operators_module
 from bergman_orlicz.errors import DomainError, NonFiniteIntegrandError, WorkbenchError
 from bergman_orlicz.growth import (
     GrowthFunction,
@@ -21,7 +22,7 @@ from bergman_orlicz.growth import (
     shipped_growth_ids,
 )
 from bergman_orlicz.harness import verify_test_functions
-from bergman_orlicz.holo import Series, function_from_spec, rule_values
+from bergman_orlicz.holo import Series, function_from_spec, gradient_norms, on_rule
 from bergman_orlicz.measure import build_rule, make_measure
 from bergman_orlicz.norms import (
     derivative_modulars,
@@ -33,6 +34,7 @@ from bergman_orlicz.norms import (
     rule_for_function,
     small_type_estimate_check,
 )
+from bergman_orlicz.operators import CesaroSymbol, cesaro_upper_bound_check
 from bergman_orlicz.holo import test_function as kernel_test_function
 
 
@@ -42,6 +44,13 @@ def monomial_norm_oracle(k, alpha):
     return math.sqrt(
         math.gamma(k + 1.0) * math.gamma(alpha + 2.0) / math.gamma(k + alpha + 2.0)
     )
+
+
+def joined_values(f, rule):
+    """(f, 1-|z|^2) at every node of the rule: holo.on_rule's blocks joined."""
+    blocks = list(on_rule(f, rule))
+    return (np.concatenate([b.values for b in blocks]),
+            np.concatenate([b.one_minus for b in blocks]))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5])
@@ -286,37 +295,160 @@ def test_a_large_modular_allocates_leaf_sized_temporaries(gid, n, bound_mib):
     assert peak < bound_mib * 2**20
 
 
-def test_derivative_modulars_keep_block_sized_temporaries():
-    # On the refined n = 2 lift the four (N,) outputs take 39 MB; the
-    # pointwise path peaked 93 MB above them (the partials alone took 39 MB).
-    # Blocks of holo._RULE_BLOCK nodes may keep sixteen complex arrays of
-    # that length (8 MiB) on top.
-    f = Series(2, {(0, 0): 0.5, (6, 0): 1.0 - 0.5j, (3, 3): -0.25j, (1, 4): 0.75,
-                   (0, 6): 0.3 + 0.1j, (2, 1): -1.2, (0, 1): 2.0j})
-    rule = build_rule(make_measure(2, 0.0), 64)
+_LIFT_POLY = {(0, 0): 0.5, (6, 0): 1.0 - 0.5j, (3, 3): -0.25j, (1, 4): 0.75,
+              (0, 6): 0.3 + 0.1j, (2, 1): -1.2, (0, 1): 2.0j}
+# Blocks of holo._RULE_BLOCK nodes may keep sixteen complex arrays of that
+# length (8 MiB) alive at once.
+_BLOCK_ALLOWANCE = 16 * holo_module._RULE_BLOCK * 16
+
+
+def refined_lift():
+    """A two-variable polynomial, its measure and the refined n = 2 lift,
+    which a refine=1 rule_for_function of the polynomial returns."""
+    measure = make_measure(2, 0.0)
+    rule = build_rule(measure, 64)
     assert rule.node_count == 1_221_025
-    allowance = 16 * holo_module._RULE_BLOCK * 16
+    return Series(2, _LIFT_POLY), measure, rule
+
+
+def traced_peak(call):
     tracemalloc.start()
     try:
-        derivative_modulars(f, power_growth(2), rule)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 8 * rule.node_count + allowance
+
+
+def test_derivative_modulars_keep_block_sized_temporaries():
+    # On the refined n = 2 lift the four (N,) quantities took 39 MB (a 45 MB
+    # peak), and the pointwise path peaked 93 MB above them; streamed leaf
+    # by leaf, only blocks are held.
+    f, _, rule = refined_lift()
+    peak = traced_peak(lambda: derivative_modulars(f, power_growth(2), rule))
+    assert peak < _BLOCK_ALLOWANCE
+
+
+def test_small_type_sums_keep_block_sized_temporaries():
+    # It held f as a complex (N,) array, 1-|z|^2 and |f|: a 40 MB peak.
+    f, measure, rule = refined_lift()
+    assert rule_for_function(f, measure, None, refine=1) is rule
+    peak = traced_peak(lambda: small_type_estimate_check([f], 0.7, measure, refine=1))
+    assert peak < _BLOCK_ALLOWANCE
+
+
+def test_series_norm_and_cesaro_upper_check_hold_one_float_per_node(monkeypatch):
+    # A Series norm holds its |f|, 8 bytes per node, with no complex (N,)
+    # array (30 MB peak before); the upper check streams f and Rg after its
+    # norm (84 MB peak before).
+    f, measure, rule = refined_lift()
+    phi = power_growth(2)
+    symbol = CesaroSymbol(Series(2, {(1, 0): 0.5, (1, 1): 1j, (0, 2): 0.3}))
+    monkeypatch.setattr(operators_module, "rule_for_function", lambda *args, **kw: rule)
+    for call in (lambda: luxemburg_norm(f, phi, rule),
+                 lambda: cesaro_upper_bound_check(symbol, phi, measure, [f], 2.0)):
+        assert traced_peak(call) < 8 * rule.node_count + _BLOCK_ALLOWANCE
+
+
+def many_leaf_cases():
+    """(f, symbol, rule) on the refined lift, whose leaf cuts fall inside
+    on_rule's blocks and inside a disc node's 17 x 65 fibre, and on the
+    188,309-node e_1 slice rule of a refined degree-48 series in z_1."""
+    f, measure, lift = refined_lift()
+    yield f, CesaroSymbol(Series(2, {(1, 0): 0.5, (1, 1): 1j, (0, 2): 0.3})), lift
+    g = Series(2, {(48, 0): 1.0, (3, 0): -0.5j, (0, 0): 0.25})
+    yield (g, CesaroSymbol(Series(2, {(2, 0): 1.0, (1, 0): 0.5})),
+           rule_for_function(g, measure, power_growth(2), refine=1))
+
+
+def test_streamed_sums_over_many_leaves_are_one_np_sum_bit_for_bit(monkeypatch):
+    phi, p, bloch_m = resolve_growth("powerlog:p=2"), 0.7, 2.0
+    for f, symbol, rule in many_leaf_cases():
+        assert rule.node_count in (1_221_025, 188_309)
+        w = rule.weights
+
+        def one_sum(values, scale=1.0):
+            return float(np.sum(w * phi(values / scale)))
+
+        # The reference joins on_rule's blocks and takes one np.sum per quantity.
+        f0 = f.eval(np.zeros(2, dtype=complex))
+        quantities = [[], [], [], []]
+        for b in on_rule(f, rule, derivatives=True):
+            radial, grad_norm, invariant = gradient_norms(b.coords, b.partials, b.radial,
+                                                          b.one_minus)
+            for q, part in zip(quantities, (np.abs(b.values - f0), invariant,
+                                            b.one_minus * grad_norm, b.one_minus * radial)):
+                q.append(part)
+        assert list(derivative_modulars(f, phi, rule).values()) == [
+            one_sum(np.concatenate(q)) for q in quantities]
+
+        values, one_minus = joined_values(f, rule)
+        vals = np.abs(values)
+        w_exp = 1.5
+        assert norms_module._small_type_ratio(f, rule, p, w_exp) == (
+            float(np.sum(w * vals * one_minus**w_exp)) / float(np.sum(w * vals**p)))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(norms_module, "_node_values", lambda g, r: vals)
+            patch.setattr(norms_module, "modular_of_values",
+                          lambda v, weights, phi, scale=1.0: one_sum(v, scale))
+            norm = luxemburg_norm(f, phi, rule)
+        assert luxemburg_norm(f, phi, rule) == norm
+
+        rg_values = joined_values(symbol.rg, rule)[0]
+        upper = one_sum(one_minus * np.abs(values * rg_values), bloch_m * norm.lambda_star)
+        monkeypatch.setattr(operators_module, "rule_for_function", lambda *args, **kw: rule)
+        assert cesaro_upper_bound_check(symbol, phi, make_measure(2, 0.0), [f], bloch_m) == upper
+
+
+def test_a_nan_past_the_second_leaf_names_its_global_node(monkeypatch):
+    # NaN values at node 150,001 and NaN partials at node 100,003, both past
+    # the second leaf: the derivative modulars name the first offending node
+    # in node order over all four quantities, the other sums node 150,001.
+    f, measure, rule = refined_lift()
+    leaves = norms_module._tree_sum(rule.node_count, lambda lo, hi: [(lo, hi)])
+    assert len(leaves) > 2 and leaves[1][1] < 100_003
+    planted = {"values": 150_001, "partials": 100_003}
+    symbol = CesaroSymbol(Series(2, {(1, 0): 0.5, (1, 1): 1j, (0, 2): 0.3}))
+    target = f
+    real_on_rule = holo_module.on_rule
+
+    def planting(g, r, derivatives=False):
+        for block in real_on_rule(g, r, derivatives):
+            for name, node in planted.items():
+                array = getattr(block, name)
+                if g is target and array is not None and node in range(
+                        block.nodes.start, block.nodes.stop):
+                    array[node - block.nodes.start] = math.nan
+            yield block
+
+    monkeypatch.setattr(norms_module, "on_rule", planting)
+    monkeypatch.setattr(operators_module, "on_rule", planting)
+    monkeypatch.setattr(operators_module, "rule_for_function", lambda *args, **kw: rule)
+    phi = power_growth(2)
+    calls = [(lambda: derivative_modulars(f, phi, rule), 100_003),
+             (lambda: luxemburg_norm(f, phi, rule), 150_001),
+             (lambda: norms_module._small_type_ratio(f, rule, 0.7, 1.5), 150_001)]
+    for call, node in calls:
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIntegrandError) as err:
+            call()
+        assert err.value.node_index == node
+    # Rg alone carries the NaN, so f's norm is finite and the streamed check
+    # names the node.
+    target = symbol.rg
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIntegrandError) as err:
+        cesaro_upper_bound_check(symbol, phi, measure, [f], 2.0)
+    assert err.value.node_index == 150_001
 
 
 def test_norms_and_modulars_along_e1_never_build_the_points():
     # Series on the lift, and a kernel test function of z_1 on its slice
     # rule, are read off the rule's factors; the (N, 2) points would take
     # 39 MB on the refined lift.
-    f = Series(2, {(0, 0): 0.5, (6, 0): 1.0 - 0.5j, (3, 3): -0.25j, (1, 4): 0.75,
-                   (0, 6): 0.3 + 0.1j, (2, 1): -1.2, (0, 1): 2.0j})
-    measure = make_measure(2, 0.0)
-    rule = build_rule(measure, 64)
+    f, measure, rule = refined_lift()
     phi = power_growth(2)
     luxemburg_norm(f, phi, rule)
     derivative_modulars(f, phi, rule)
-    rule_values(f, rule)
     small_type_estimate_check([f], 0.7, measure)
     assert measure._rules and all("points" not in r.__dict__ for r in measure._rules.values())
     kernel = kernel_test_function(phi, np.array([0.999, 0.0]), 0.0)
@@ -332,7 +464,7 @@ def test_norms_and_modulars_along_e1_never_build_the_points():
 
 # Disc degree per angle count: 7 radii (one block) for 25 angles, 65 radii
 # (blocks of 42 and 23 rings) for 777 and 33 radii (blocks of 4 rings, the
-# last of 5) for 8,192.
+# last of 1) for 8,192.
 _RING_DEGREES = {25: 12, 777: 128, 8192: 64}
 
 
@@ -343,8 +475,8 @@ def test_ring_blocks_give_the_pointwise_bits(angles, n, alpha):
     # A kernel function of z_1 on a kernel rule along e_1 (n = 1, or the n = 2
     # e_1 slice) is evaluated ring by ring at the disc nodes: the same bits
     # as its _abs_eval at the built points, with neither disc nor points
-    # built.  Its radial derivative, a Product, keeps them only because a
-    # short last block joins the one before it.
+    # built.  Its radial derivative, a Product, keeps them in blocks of any
+    # size, down to one ring.
     phi = power_growth(2)
     centre = np.array([0.6 + 0.75j, 0.0][:n])
     f = kernel_test_function(phi, centre, alpha)
@@ -457,7 +589,7 @@ def test_small_type_sums_are_one_np_sum_bit_for_bit(n, terms):
     rule = rule_for_function(f, measure, None)
     assert rule.node_count > _LEAF
     report = small_type_estimate_check([f], p, measure)
-    values, one_minus = rule_values(f, rule)
+    values, one_minus = joined_values(f, rule)
     vals = np.abs(values)
     num = float(np.sum(rule.weights * vals * one_minus**report.weight_exponent))
     den = float(np.sum(rule.weights * vals**p))
