@@ -22,20 +22,21 @@ degree, the largest kernel |center| and the complex line of a slice.
 
 There are two ways to evaluate.  Pointwise, _eval and _partials take any
 batch of points: probe grids, the Bloch search, kernels.  On a quadrature
-rule, on_rule reads a Series off the rule's factors: on an n = 2 rule along
-e_1 every node is (w, s) with s = sqrt(t (1-|w|^2)) e^{i psi}, so the Series
-is sum_b g_b(w) s^b, its w-polynomials are evaluated on the disc nodes alone
-and a matrix product per block expands them over (t, psi).  On the refined
-n = 2 lift that is 1,105 disc nodes for 1,221,025 nodes.  The
-norms, modulars and sweeps over rule nodes read its blocks as they come,
-never joined; at n = 1, on slice rules along other lines, and for every
-function but a Series, it evaluates pointwise at the nodes.
+rule, on_rule yields one block per leaf of measure._tree_sum, the one cut
+of a rule's nodes, so each streamed sum takes the next block per leaf.  It
+reads a Series off the rule's factors: on an n = 2 rule along e_1 every
+node is (w, s) with s = sqrt(t (1-|w|^2)) e^{i psi}, so the Series is
+sum_b g_b(w) s^b, its w-polynomials are evaluated on the disc nodes alone
+and a matrix product over the disc nodes that cover a leaf expands them
+over (t, psi).  On the refined n = 2 lift that is 1,105 disc nodes for
+1,221,025 nodes.  At n = 1, on slice rules along other lines, and for every
+function but a Series, it evaluates pointwise at each leaf's nodes.
 
 The invariant gradient is (grad f)(z) composed with the Jacobian at 0 of the
 ball automorphism phi_z.  gradient_norms holds the one closed form
 |invariant grad f|^2 = (1-|z|^2)(|grad f|^2 - |Rf|^2), with no Jacobian;
-gradient_sweep feeds it at probe points, and derivative_modulars block by
-block from on_rule.  invariant_gradient keeps the vector form, through
+gradient_sweep feeds it at probe points, and derivative_modulars leaf by
+leaf from on_rule.  invariant_gradient keeps the vector form, through
 mobius_jacobian0_batch, and chain_inequality_check verifies the chain
 
     (1-|z|^2) |R f| <= (1-|z|^2) |grad f| <= |invariant grad f|
@@ -58,6 +59,7 @@ from .errors import DomainError, FunctionSpecError
 from .measure import (
     _as_point,
     _points_2d,
+    _tree_sum,
     kernel_factor,
     kernel_modulus,
     mobius_jacobian0_batch,
@@ -443,19 +445,11 @@ def slice_direction(f: HoloFunction) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 # Node values on a quadrature rule
 
-# Products per block of on_rule along e_1: a block's node arrays and its
-# expansion matrix take about _RULE_BLOCK complex numbers (512 KiB) each.
-_RULE_BLOCK = 1 << 15
-
-
 @dataclass(frozen=True)
 class RuleBlock:
-    """f at the rule nodes of the slice nodes: its values, with derivatives
-    the (k, n) partials, Rf and the coordinates (else None), and 1-|z|^2.
-
-    coords holds z_1, ..., z_n at those nodes as arrays that broadcast to one
-    shape of k elements in C order, the form holo.gradient_norms reads.
-    """
+    """f at the rule nodes of one leaf (measure._tree_sum), the node slice
+    nodes: its values, with derivatives the (k, n) partials, Rf and the
+    coordinates z_1, ..., z_n as (k,) arrays (else None), and 1-|z|^2."""
 
     nodes: slice
     values: np.ndarray
@@ -466,47 +460,49 @@ class RuleBlock:
 
 
 def on_rule(f: HoloFunction, rule, derivatives: bool = False):
-    """Yield f on the nodes of a rule from measure.build_rule, block by block.
+    """Yield f on the nodes of a rule from measure.build_rule, one RuleBlock
+    per leaf of measure._tree_sum, in node order, so a sum over the rule
+    takes next() on each leaf.
 
-    Each RuleBlock covers consecutive nodes, in order; 1-|z|^2 is
-    (1-|w|^2)(1-t) from the rule's factors (rule.fibre_one_minus).  On a rule of C^2 along e_1 (the
-    product lifts and the e_1 slice rules) node (w, t, psi) is z = (w, s)
-    with s = sqrt(t (1-|w|^2)) e^{i psi}, so a Series is sum_b g_b(w) s^b
-    with g_b(w) = sum_a c_(a,b) w^a.  The g_b of f (and of each partial and
-    of Rf) are evaluated on the disc nodes only, in one Series walk, and a
-    block of disc nodes expands them over its fibre (t, psi) by one matrix
-    product: the ((w, t), b) matrix g_b(w) sqrt(t (1-|w|^2))^b times the
-    (b, psi) matrix e^{i b psi}.  That product is a BLAS zgemm: deg + 1
-    broadcast multiply-adds, Horner's rule in e^{i psi} or einsum took six
-    times as long per block on one CPU of a 2-core VM (2.6-3.0 ms against
-    0.44 ms for degree 6 on the refined lift).  Blocks hold about _RULE_BLOCK
-    nodes and expansion products, so no node-sized array but the caller's
-    outputs outlives one, and the rule's points are never built: with
-    derivatives a block's coordinates are w, shape (k_w, 1, 1), and
-    s, shape (k_w, T, P), for its k_w disc nodes.
+    1-|z|^2 is (1-|w|^2)(1-t) from the rule's factors (rule.fibre_one_minus).
+    On a rule of C^2 along e_1 (the product lifts and the e_1 slice rules)
+    node (w, t, psi) is z = (w, s) with s = sqrt(t (1-|w|^2)) e^{i psi}, so
+    a Series is sum_b g_b(w) s^b with g_b(w) = sum_a c_(a,b) w^a.  The g_b of
+    f (and of each partial and of Rf) are evaluated on the disc nodes only,
+    in one Series walk, and the disc nodes that cover a leaf expand them
+    over their fibre (t, psi) by one matrix product, whose columns past the
+    leaf are dropped: the ((w, t), b) matrix g_b(w) sqrt(t (1-|w|^2))^b
+    times the (b, psi) matrix e^{i b psi}.  That product is a BLAS zgemm:
+    deg + 1 broadcast multiply-adds, Horner's rule in e^{i psi} or einsum
+    took six times as long per block on one CPU of a 2-core VM (2.6-3.0 ms
+    against 0.44 ms for degree 6 on the refined lift).  No node-sized array
+    but the caller's outputs outlives a leaf, and the rule's points are
+    never built.
 
-    On any other rule, and for every function but a Series, one block covers
-    the rule and f is evaluated at its points, Rf as sum_j z_j d_j f.  A
-    slice rule along another line serves functions of <z, zeta> alone, whose
-    rewrite in the frame of zeta would only add s-terms that cancel, with a
-    rounding error that grows with the degree.
+    On any other rule, and for every function but a Series, f is evaluated
+    at the leaf's points, Rf as sum_j z_j d_j f.  A slice rule along another
+    line serves functions of <z, zeta> alone, whose rewrite in the frame of
+    zeta would only add s-terms that cancel, with a rounding error that
+    grows with the degree.
     """
-    fibre = rule.t.size * rule.phases.size
+    leaves = _tree_sum(rule.node_count, lambda lo, hi: [(lo, hi)])
+    phases = rule.phases.size
 
     def one_minus(lo, hi):
-        """1-|z|^2 at the nodes over disc nodes lo..hi."""
-        return np.repeat(rule.fibre_one_minus[lo * rule.t.size:hi * rule.t.size],
-                         rule.phases.size)
+        """1-|z|^2 at nodes lo..hi, each (w, t) repeated over its phases."""
+        first = lo // phases
+        return np.repeat(rule.fibre_one_minus[first:-(-hi // phases)],
+                         phases)[lo - first * phases:hi - first * phases]
 
     if not (isinstance(f, Series) and np.array_equal(rule.line, (1, 0))):
-        pts = rule.points
-        grad = rf = coords = None
-        if derivatives:
-            grad = f._partials(pts)
-            rf = np.einsum("nj,nj->n", pts, grad)
-            coords = tuple(pts.T)
-        yield RuleBlock(slice(0, pts.shape[0]), f._eval(pts), grad, rf,
-                        one_minus(0, rule.disc.size), coords)
+        for lo, hi in leaves:
+            pts = rule.points[lo:hi]
+            grad = rf = coords = None
+            if derivatives:
+                grad = f._partials(pts)
+                rf = np.einsum("nj,nj->n", pts, grad)
+                coords = tuple(pts.T)
+            yield RuleBlock(slice(lo, hi), f._eval(pts), grad, rf, one_minus(lo, hi), coords)
         return
     term_lists = f._term_lists(derivatives)
     if derivatives:
@@ -517,21 +513,22 @@ def on_rule(f: HoloFunction, rule, derivatives: bool = False):
     g = _monomial_sums(rule.disc[:, None], lists).reshape(-1, len(term_lists), degree + 1)
     omd = 1.0 - np.abs(rule.disc) ** 2
     v = np.sqrt(rule.t[None, :] * np.maximum(0.0, omd)[:, None])
-    spin = np.ones((degree + 1, rule.phases.size), dtype=complex)
+    spin = np.ones((degree + 1, phases), dtype=complex)
     for b in range(1, degree + 1):
         spin[b] = spin[b - 1] * rule.phases
-    step = max(1, _RULE_BLOCK // (rule.t.size * max(rule.phases.size, degree + 1)))
-    for lo in range(0, rule.disc.size, step):
-        hi = min(lo + step, rule.disc.size)
-        nodes = slice(lo * fibre, hi * fibre)
-        v_powers = v[lo:hi, :, None] ** np.arange(degree + 1)
-        coeffs = g[lo:hi].transpose(1, 0, 2)[:, :, None, :] * v_powers[None]
-        out = (coeffs.reshape(-1, degree + 1) @ spin).reshape(len(term_lists), -1)
+    fibre = rule.t.size * phases
+    for lo, hi in leaves:
+        first, last = lo // fibre, -(-hi // fibre)
+        cut = slice(lo - first * fibre, hi - first * fibre)
+        v_powers = v[first:last, :, None] ** np.arange(degree + 1)
+        coeffs = g[first:last].transpose(1, 0, 2)[:, :, None, :] * v_powers[None]
+        out = (coeffs.reshape(-1, degree + 1) @ spin).reshape(len(term_lists), -1)[:, cut]
         grad = rf = coords = None
         if derivatives:
             grad, rf = out[1:-1].T, out[-1]
-            coords = (rule.disc[lo:hi, None, None], v[lo:hi, :, None] * rule.phases)
-        yield RuleBlock(nodes, out[0], grad, rf, one_minus(lo, hi), coords)
+            coords = (np.repeat(rule.disc[first:last], fibre)[cut],
+                      (v[first:last, :, None] * rule.phases).reshape(-1)[cut])
+        yield RuleBlock(slice(lo, hi), out[0], grad, rf, one_minus(lo, hi), coords)
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +553,8 @@ def gradient_norms(coords: tuple, grad: np.ndarray, rf: np.ndarray,
     """(|Rf|, |grad f|, |invariant grad f|) at N points from their coordinates,
     the (N, n) gradient, Rf and 1-|z|^2 there.
 
-    coords holds z_1, ..., z_n as arrays that broadcast to one shape of N
-    elements in C order: the columns of the points, or a block's factors
-    (RuleBlock.coords), so no (N, n) array of points is needed.
+    coords holds z_1, ..., z_n as (N,) arrays: the columns of the points, or
+    a block's (RuleBlock.coords), so no (N, n) array of points is needed.
 
     The invariant gradient's norm comes in closed form (Zhu, Spaces of
     Holomorphic Functions in the Unit Ball, ch. 2): |inv grad f|^2 =
@@ -567,17 +563,14 @@ def gradient_norms(coords: tuple, grad: np.ndarray, rf: np.ndarray,
 
         (1-|z|^2) [(1-|z|^2)|grad f|^2 + sum_{i<j} |conj(z_i) d_j f - conj(z_j) d_i f|^2].
 
-    gradient_sweep feeds it at probe points, derivative_modulars block by
-    block from on_rule.
+    gradient_sweep feeds it at probe points, derivative_modulars leaf by
+    leaf from on_rule.
     """
     grad_norm = np.linalg.norm(grad, axis=1)
     inside = np.maximum(one_minus, 0.0)
     acc = inside * grad_norm**2
     for i, j in itertools.combinations(range(len(coords)), 2):
-        shape = np.broadcast_shapes(coords[i].shape, coords[j].shape)
-        terms = acc.reshape(shape)
-        terms += np.abs(np.conj(coords[i]) * grad[:, j].reshape(shape)
-                        - np.conj(coords[j]) * grad[:, i].reshape(shape)) ** 2
+        acc += np.abs(np.conj(coords[i]) * grad[:, j] - np.conj(coords[j]) * grad[:, i]) ** 2
     return np.abs(rf), grad_norm, np.sqrt(inside * acc)
 
 

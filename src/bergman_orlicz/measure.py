@@ -29,7 +29,10 @@ are built from the factors on first use (QuadratureRule.disc and
 no node-sized temporaries).  On a rule along e_1 no suite asks for the
 nodes: holo.on_rule reads a Series off the disc nodes and the fibre factors,
 and norms evaluates any other function of z_1 alone ring by ring, so a
-kernel norm holds only its weights and its values.  Tilted slice rules,
+kernel norm holds only its weights and its values.  _tree_sum is the one
+cut of a rule's nodes, into leaves of at most _LEAF nodes where numpy's
+pairwise summation cuts them: every weighted sum over the nodes walks it,
+and on_rule yields one block per leaf.  Tilted slice rules,
 functions off e_1 (two-centre kernels), integrate and the Mobius paths of
 the tests build them.  kernel_factor evaluates its power in the one buffer
 of inner products; kernel_modulus, the modulus that norms need, works in
@@ -92,6 +95,12 @@ __all__ = [
     "kernel_factor",
     "kernel_modulus",
 ]
+
+# Nodes per leaf of a rule's node range (_tree_sum): each of a leaf's float
+# temporaries takes 256 KiB and stays in L2; 2^15 ran fastest of 2^13..2^17
+# for the modulars of t^p, t^p log(e + t) and the interpolated Phi on
+# 1M-node arrays.
+_LEAF = 1 << 15
 
 # Largest rule build_rule constructs.  Its weights take 134 MB and, at n = 2,
 # its nodes 537 MB more where they are built: a Luxembourg norm of a kernel
@@ -391,6 +400,22 @@ def sphere_directions(n: int, count: int, seed: int) -> np.ndarray:
     norms = np.linalg.norm(vecs, axis=1)
     norms = np.where(norms == 0.0, 1.0, norms)
     return vecs / norms[:, None]
+
+
+def _tree_sum(n: int, leaf, lo: int = 0):
+    """The sum of leaf(lo, hi) over the leaves of numpy's pairwise tree on
+    the n nodes from lo; the one way a rule's nodes are cut.  numpy adds a
+    contiguous float64 array of more than 128 elements as its two parts cut
+    at n2 = n // 2 - (n // 2) % 8 (pairwise_sum); the nodes are cut the same
+    way, down to leaves of at most _LEAF nodes, and leaf is called on each
+    in node order.  When it returns the np.sum of a fresh array of one term
+    per node, or a short float array of such sums (an elementwise float64
+    add has a scalar add's bits), the leaf results add up to the one-shot
+    sums bit for bit.  With leaf returning [(lo, hi)] it lists the leaves."""
+    if n <= _LEAF:
+        return leaf(lo, lo + n)
+    n2 = n // 2 - (n // 2) % 8
+    return _tree_sum(n2, leaf, lo) + _tree_sum(n - n2, leaf, lo + n2)
 
 
 def _checked_node_values(rule: QuadratureRule, values, start: int | None = None) -> np.ndarray:

@@ -12,11 +12,12 @@ ring by ring, when it reads z_1 alone on a rule along e_1.  They are
 checked once, where they are produced (measure._checked_node_values: one
 finite value per node), so a bisection step, modular_of_values, only
 evaluates Phi.fn, weights and sums.  Every weighted sum over rule nodes
-walks one tree (_tree_sum), numpy's own pairwise cuts down to leaves of at
-most _LEAF nodes: its temporaries stay in L2 and it keeps the bits of one
-np.sum over every node.  The derivative modulars, the small-type sums and
-the Cesaro upper modular read and check each leaf's rows straight off
-on_rule's blocks (_leaf_rows), with no node-sized array.
+walks one tree (measure._tree_sum), numpy's own pairwise cuts down to
+leaves of at most _LEAF nodes: its temporaries stay in L2 and it keeps the
+bits of one np.sum over every node.  on_rule yields one block per leaf of
+that tree, so the derivative modulars, the small-type sums and the Cesaro
+upper modular take the next block on each leaf and check it there, with no
+node-sized array.
 A NaN anywhere in Phi's output makes a sum NaN, which raises DomainError.
 
 Quadrature selection: one measure.build_rule call per function.  Polynomial
@@ -53,8 +54,10 @@ from .holo import (
 from .measure import (
     QuadratureRule,
     WeightedMeasure,
+    _LEAF,
     _checked_node_values,
     _disc_nodes,
+    _tree_sum,
     build_rule,
     sphere_directions,
 )
@@ -77,10 +80,6 @@ _LAMBDA_CEIL = 1e280
 _BISECT_REL_TOL = 1e-10
 # Bisection steps that shrink a bracket [lo, 2 lo] below _BISECT_REL_TOL * lo.
 _BISECT_TOL_STEPS = math.ceil(-math.log2(_BISECT_REL_TOL)) + 1
-# Nodes per leaf of a weighted sum: each of a leaf's temporaries takes 256 KiB
-# and stays in L2; 2^15 ran fastest of 2^13..2^17 for t^p, t^p log(e + t) and
-# the interpolated Phi on 1M-node arrays.
-_LEAF = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -122,43 +121,6 @@ def _node_values(f: HoloFunction, rule: QuadratureRule) -> np.ndarray:
     return _checked_node_values(rule, values if fibre == 1 else np.repeat(values, fibre))
 
 
-def _tree_sum(n: int, leaf, lo: int = 0):
-    """The sum of leaf(lo, hi) over the leaves of numpy's pairwise tree on
-    the n rows from lo.  numpy adds a contiguous float64 array of more than
-    128 elements as its two parts cut at n2 = n // 2 - (n // 2) % 8
-    (pairwise_sum); the rows are cut the same way, down to leaves of at most
-    _LEAF rows, and leaf is called on each in node order.  When it returns
-    the np.sum of a fresh array of one term per row, or a short float array
-    of such sums (an elementwise float64 add has a scalar add's bits), the
-    leaf results add up to the one-shot sums bit for bit."""
-    if n <= _LEAF:
-        return leaf(lo, lo + n)
-    n2 = n // 2 - (n // 2) % 8
-    return _tree_sum(n2, leaf, lo) + _tree_sum(n - n2, leaf, lo + n2)
-
-
-def _leaf_rows(blocks):
-    """rows(lo, hi): the columns lo..hi of the arrays that blocks yields as
-    tuples over consecutive nodes (node axis last), one per holo.on_rule
-    block.  Rows are asked for in node order, as _tree_sum's leaves come;
-    they are views of one block, copied only where a leaf straddles two."""
-    blocks, rest = iter(blocks), (np.empty(0),)
-
-    def rows(lo: int, hi: int) -> tuple:
-        nonlocal rest
-        parts = []
-        while lo < hi:
-            if rest[0].shape[-1] == 0:
-                rest = next(blocks)
-            k = min(hi - lo, rest[0].shape[-1])
-            parts.append(tuple(a[..., :k] for a in rest))
-            rest, lo = tuple(a[..., k:] for a in rest), lo + k
-        return parts[0] if len(parts) == 1 else tuple(
-            np.concatenate(columns, axis=-1) for columns in zip(*parts))
-
-    return rows
-
-
 def _phi_sum(values, weights, phi: GrowthFunction, scale: float) -> float:
     """np.sum of w_i Phi(values_i / scale), weighting Phi's fresh output in place."""
     y = phi.fn(values / scale)
@@ -179,13 +141,8 @@ def modular_of_values(values: np.ndarray, weights: np.ndarray,
     An overflow gives inf; a NaN sum raises DomainError.
     """
     with np.errstate(over="ignore"):
-        if values.size <= _LEAF:
-            # One leaf, as for every polynomial rule of the n = 1 suites: no
-            # closure or recursion on the Luxembourg solve's commonest call.
-            total = _phi_sum(values, weights, phi, scale)
-        else:
-            total = _tree_sum(values.size, lambda lo, hi: _phi_sum(
-                values[lo:hi], weights[lo:hi], phi, scale))
+        total = _tree_sum(values.size, lambda lo, hi: _phi_sum(
+            values[lo:hi], weights[lo:hi], phi, scale))
     if math.isnan(total):
         raise DomainError(f"modular of {phi.name} is NaN; node values must be "
                           "non-negative and finite")
@@ -259,27 +216,20 @@ def derivative_modulars(f: HoloFunction, phi: GrowthFunction,
 
     Keys, in order: "function" for |f - f(0)|, "invariant_gradient" for the
     gradient of f composed with phi_z at 0, "weighted_gradient" for
-    (1-|z|^2)|grad f|, "weighted_radial" for (1-|z|^2)|Rf|.  holo.on_rule
-    gives f, its partials, Rf and 1-|z|^2 block by block, and each block
-    goes through holo.gradient_norms once into a (4, k) array; each leaf of
-    _tree_sum checks its rows and takes one modular_of_values per quantity.
+    (1-|z|^2)|grad f|, "weighted_radial" for (1-|z|^2)|Rf|.  Each leaf of
+    _tree_sum takes holo.on_rule's next block, with f, its partials, Rf and
+    1-|z|^2, through holo.gradient_norms once into a (4, k) array, checks it
+    and takes one modular_of_values per quantity.
     """
     f0 = f.eval(np.zeros(f.n, dtype=complex))
-
-    def quantities():
-        for block in on_rule(f, rule, derivatives=True):
-            radial, grad_norm, invariant = gradient_norms(block.coords, block.partials,
-                                                          block.radial, block.one_minus)
-            q = np.stack([np.abs(block.values - f0), invariant,
-                          block.one_minus * grad_norm, block.one_minus * radial])
-            # Drop this block's arrays before on_rule builds the next one.
-            del block, radial, grad_norm, invariant
-            yield (q,)
-
-    rows = _leaf_rows(quantities())
+    blocks = on_rule(f, rule, derivatives=True)
 
     def leaf(lo, hi):
-        (q,) = rows(lo, hi)
+        block = next(blocks)
+        radial, grad_norm, invariant = gradient_norms(block.coords, block.partials,
+                                                      block.radial, block.one_minus)
+        q = np.stack([np.abs(block.values - f0), invariant,
+                      block.one_minus * grad_norm, block.one_minus * radial])
         _checked_node_values(rule, q, lo)
         return np.array([modular_of_values(v, rule.weights[lo:hi], phi) for v in q])
 
@@ -397,13 +347,13 @@ class SmallTypeReport:
 
 def _small_type_ratio(f: HoloFunction, rule: QuadratureRule, p: float, w_exp: float) -> float:
     """int |f| (1-|z|^2)^w_exp over int |f|^p, in one _tree_sum walk of on_rule's blocks."""
-    rows = _leaf_rows((np.abs(block.values), block.one_minus) for block in on_rule(f, rule))
+    blocks = on_rule(f, rule)
 
     def leaf(lo, hi):
-        vals, one_minus = rows(lo, hi)
-        _checked_node_values(rule, vals, lo)
+        block = next(blocks)
+        vals = _checked_node_values(rule, np.abs(block.values), lo)
         w = rule.weights[lo:hi]
-        return np.array([np.sum(w * vals * one_minus**w_exp), np.sum(w * vals**p)])
+        return np.array([np.sum(w * vals * block.one_minus**w_exp), np.sum(w * vals**p)])
 
     num, den = _tree_sum(rule.node_count, leaf)
     if den == 0.0:

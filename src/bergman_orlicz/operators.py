@@ -35,8 +35,8 @@ from .holo import (
     slice_direction,
     to_series,
 )
-from .measure import WeightedMeasure, _checked_node_values, _points_2d, sphere_directions
-from .norms import _leaf_rows, _tree_sum, luxemburg_norm, modular_of_values, rule_for_function
+from .measure import WeightedMeasure, _checked_node_values, _points_2d, _tree_sum, sphere_directions
+from .norms import luxemburg_norm, modular_of_values, rule_for_function
 
 __all__ = [
     "CesaroSymbol",
@@ -289,12 +289,11 @@ def cesaro_upper_bound_check(symbol: CesaroSymbol, phi: GrowthFunction,
         norm = luxemburg_norm(f, phi, r).lambda_star
         if norm <= 0.0:
             raise DomainError("upper-bound family must contain nonzero functions")
-        f_rows = _leaf_rows((b.values, b.one_minus) for b in on_rule(f, r))
-        rg_rows = _leaf_rows((b.values,) for b in on_rule(rg, r))
+        f_blocks, rg_blocks = on_rule(f, r), on_rule(rg, r)
 
         def leaf(lo, hi):
-            (fv, one_minus), (rgv,) = f_rows(lo, hi), rg_rows(lo, hi)
-            vals = _checked_node_values(r, one_minus * np.abs(fv * rgv), lo)
+            fb, rgb = next(f_blocks), next(rg_blocks)
+            vals = _checked_node_values(r, fb.one_minus * np.abs(fb.values * rgb.values), lo)
             return modular_of_values(vals, r.weights[lo:hi], phi, bloch_m * norm)
 
         modulars.append(_tree_sum(r.node_count, leaf))

@@ -441,33 +441,10 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert code == 64
 
 
-_MAXRSS_CHILD = """
-import json, resource, sys
-from bergman_orlicz import cli
-code = cli.main(sys.argv[1:])
-print(json.dumps({"exit": code,
-                  "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
-"""
-
-
-def test_n2_test_functions_fit_in_400_mb(tmp_path):
-    # Its |a| = 0.999 kernel norm runs on a 9.4M-node slice rule along e_1,
-    # evaluated at the disc nodes: it peaked at 674 MB while the rule's
-    # (N, 2) points were written, and at about 265 MB without them.
-    src = str(Path(bergman_orlicz.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    argv = ["verify", "--config", '{"n":2}', "--suite", "test_functions",
-            "--out", str(tmp_path)]
-    done = subprocess.run([sys.executable, "-c", _MAXRSS_CHILD, *argv], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
-    assert result["exit"] == 0
-    assert result["maxrss_mb"] < 400
-
-
-# The peak RSS of the child's own address space (VmHWM): ru_maxrss also
-# counts the pages of the forking test process, which exec folds into it.
+# `bol` in a child under a 1.5 GiB address-space cap, set in the child
+# alone, that prints its exit code and the peak RSS of its own address space
+# (VmHWM): ru_maxrss also counts the pages of the forking test process,
+# which exec folds into it.
 _CAPPED_CHILD = """
 import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
@@ -480,10 +457,26 @@ print(json.dumps({"exit": code, "maxrss_mb": peak / 1024}))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_n2_test_functions_fit_in_400_mb(tmp_path):
+    # Its |a| = 0.999 kernel norm runs on a 9.4M-node slice rule along e_1,
+    # evaluated at the disc nodes: it peaked at 674 MB while the rule's
+    # (N, 2) points were written, and at about 265 MB without them.
+    src = str(Path(bergman_orlicz.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["verify", "--config", '{"n":2}', "--suite", "test_functions",
+            "--out", str(tmp_path)]
+    done = subprocess.run([sys.executable, "-c", _CAPPED_CHILD, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["exit"] == 0
+    assert result["maxrss_mb"] < 400
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 @pytest.mark.parametrize("suite", ["derivative_equivalence", "small_type"])
 def test_n2_streamed_suites_fit_in_110_mb(tmp_path, suite):
-    # Under a 1.5 GiB address-space cap, set in the child alone.  The two
-    # suites peaked at 118 and 114 MB while their sums held node-sized
+    # The two suites peaked at 118 and 114 MB while their sums held node-sized
     # arrays, and at 94 and 86 MB once streamed leaf by leaf.
     src = str(Path(bergman_orlicz.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

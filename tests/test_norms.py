@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergman_orlicz import holo as holo_module
+from bergman_orlicz import measure as measure_module
 from bergman_orlicz import norms as norms_module
 from bergman_orlicz import operators as operators_module
 from bergman_orlicz.errors import DomainError, NonFiniteIntegrandError, WorkbenchError
@@ -226,7 +227,7 @@ def test_derivative_modulars_refuse_nonfinite_node_values(monkeypatch, bad):
     assert err.value.node_index == 0
 
 
-_LEAF = norms_module._LEAF
+_LEAF = measure_module._LEAF
 # Around and across leaf boundaries of the pairwise cut, and below numpy's
 # own 8-wide and 128-element blocks.
 _LEAF_SIZES = (1, 7, 8, 129, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 7, 3 * _LEAF + 13)
@@ -297,9 +298,9 @@ def test_a_large_modular_allocates_leaf_sized_temporaries(gid, n, bound_mib):
 
 _LIFT_POLY = {(0, 0): 0.5, (6, 0): 1.0 - 0.5j, (3, 3): -0.25j, (1, 4): 0.75,
               (0, 6): 0.3 + 0.1j, (2, 1): -1.2, (0, 1): 2.0j}
-# Blocks of holo._RULE_BLOCK nodes may keep sixteen complex arrays of that
-# length (8 MiB) alive at once.
-_BLOCK_ALLOWANCE = 16 * holo_module._RULE_BLOCK * 16
+# on_rule's blocks, one per leaf of measure._LEAF nodes, may keep sixteen
+# complex arrays of that length (8 MiB) alive at once.
+_BLOCK_ALLOWANCE = 16 * _LEAF * 16
 
 
 def refined_lift():
@@ -350,21 +351,35 @@ def test_series_norm_and_cesaro_upper_check_hold_one_float_per_node(monkeypatch)
         assert traced_peak(call) < 8 * rule.node_count + _BLOCK_ALLOWANCE
 
 
+def tilted_slice():
+    """A series of <z, zeta> off e_1, its measure and its 72,369-node slice
+    rule along zeta = (1, 1) / sqrt(2), which on_rule evaluates pointwise."""
+    measure = make_measure(2, 0.0)
+    zeta = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    f = Series(2, {(0, 0): 0.25, (1, 0): 1.0, (0, 1): 1.0, (2, 0): 0.5j, (1, 1): 1.0j,
+                   (0, 2): 0.5j})
+    rule = build_rule(measure, 128, line=zeta, t_count=17)
+    assert rule.node_count == 72_369
+    return f, measure, rule
+
+
 def many_leaf_cases():
-    """(f, symbol, rule) on the refined lift, whose leaf cuts fall inside
-    on_rule's blocks and inside a disc node's 17 x 65 fibre, and on the
-    188,309-node e_1 slice rule of a refined degree-48 series in z_1."""
+    """(f, symbol, rule) on the refined lift, whose leaf cuts fall inside a
+    disc node's 17 x 65 fibre, on the 188,309-node e_1 slice rule of a
+    refined degree-48 series in z_1, and on a tilted slice rule."""
     f, measure, lift = refined_lift()
     yield f, CesaroSymbol(Series(2, {(1, 0): 0.5, (1, 1): 1j, (0, 2): 0.3})), lift
     g = Series(2, {(48, 0): 1.0, (3, 0): -0.5j, (0, 0): 0.25})
     yield (g, CesaroSymbol(Series(2, {(2, 0): 1.0, (1, 0): 0.5})),
            rule_for_function(g, measure, power_growth(2), refine=1))
+    h, _, tilted = tilted_slice()
+    yield h, CesaroSymbol(Series(2, {(1, 0): 0.5, (0, 1): 0.5})), tilted
 
 
 def test_streamed_sums_over_many_leaves_are_one_np_sum_bit_for_bit(monkeypatch):
     phi, p, bloch_m = resolve_growth("powerlog:p=2"), 0.7, 2.0
     for f, symbol, rule in many_leaf_cases():
-        assert rule.node_count in (1_221_025, 188_309)
+        assert rule.node_count in (1_221_025, 188_309, 72_369)
         w = rule.weights
 
         def one_sum(values, scale=1.0):
@@ -406,7 +421,7 @@ def test_a_nan_past_the_second_leaf_names_its_global_node(monkeypatch):
     # the second leaf: the derivative modulars name the first offending node
     # in node order over all four quantities, the other sums node 150,001.
     f, measure, rule = refined_lift()
-    leaves = norms_module._tree_sum(rule.node_count, lambda lo, hi: [(lo, hi)])
+    leaves = measure_module._tree_sum(rule.node_count, lambda lo, hi: [(lo, hi)])
     assert len(leaves) > 2 and leaves[1][1] < 100_003
     planted = {"values": 150_001, "partials": 100_003}
     symbol = CesaroSymbol(Series(2, {(1, 0): 0.5, (1, 1): 1j, (0, 2): 0.3}))

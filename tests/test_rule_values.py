@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from bergman_orlicz.holo import DEFAULT_TRUNCATION_DEGREE, KernelPower, Series, on_rule, to_series
-from bergman_orlicz.measure import build_rule, make_measure
+from bergman_orlicz.measure import _tree_sum, build_rule, make_measure
 
 
 def _random_series(n, degree=6):
@@ -112,3 +112,32 @@ def test_other_functions_are_evaluated_at_the_points():
     values, partials, radial, _ = _collect(f, rule)
     for got, want in zip((values, partials, radial), _pointwise(f, rule)):
         assert got.tobytes() == want.tobytes()
+
+
+# Rules past one leaf on both paths: the refined lift and the e_1 slice of a
+# refined degree-48 series expand disc nodes, the tilted slice and the n = 1
+# rule evaluate at the points.
+_MANY_LEAF_RULES = {
+    "lift64": (2, lambda m: build_rule(m, 64), 1_221_025),
+    "slice_e1": (2, lambda m: build_rule(m, 208, line=_unit((1.0, 0.0)), t_count=17), 188_309),
+    "slice_tilted": (2, lambda m: build_rule(m, 128, line=_unit((1.0, 1.0)), t_count=17),
+                     72_369),
+    "disc512": (1, lambda m: build_rule(m, 512), 66_177),
+}
+
+
+@pytest.mark.parametrize("derivatives", [False, True])
+@pytest.mark.parametrize("kind", sorted(_MANY_LEAF_RULES))
+def test_blocks_are_the_leaves_of_the_tree_sum(kind, derivatives):
+    # Each streamed sum pairs leaf k with on_rule's k-th block by next(): a
+    # block off its leaf would weight the wrong nodes without an error.
+    n, make, count = _MANY_LEAF_RULES[kind]
+    rule = make(make_measure(n, 0.0))
+    assert rule.node_count == count
+    leaves = _tree_sum(rule.node_count, lambda lo, hi: [slice(lo, hi)])
+    blocks = list(on_rule(_random_series(n), rule, derivatives))
+    assert len(leaves) > 1
+    assert [b.nodes for b in blocks] == leaves
+    for b in blocks:
+        k = b.nodes.stop - b.nodes.start
+        assert b.values.shape == b.one_minus.shape == (k,)
