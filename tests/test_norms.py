@@ -351,29 +351,21 @@ def test_series_norm_and_cesaro_upper_check_hold_one_float_per_node(monkeypatch)
         assert traced_peak(call) < 8 * rule.node_count + _BLOCK_ALLOWANCE
 
 
-def tilted_slice():
-    """A series of <z, zeta> off e_1, its measure and its 72,369-node slice
-    rule along zeta = (1, 1) / sqrt(2), which on_rule evaluates pointwise."""
-    measure = make_measure(2, 0.0)
-    zeta = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    f = Series(2, {(0, 0): 0.25, (1, 0): 1.0, (0, 1): 1.0, (2, 0): 0.5j, (1, 1): 1.0j,
-                   (0, 2): 0.5j})
-    rule = build_rule(measure, 128, line=zeta, t_count=17)
-    assert rule.node_count == 72_369
-    return f, measure, rule
-
-
 def many_leaf_cases():
     """(f, symbol, rule) on the refined lift, whose leaf cuts fall inside a
     disc node's 17 x 65 fibre, on the 188,309-node e_1 slice rule of a
-    refined degree-48 series in z_1, and on a tilted slice rule."""
+    refined degree-48 series in z_1, and on the 72,369-node slice rule along
+    (1, 1) / sqrt(2) of a series in z_1 + z_2, which on_rule evaluates at
+    the points."""
     f, measure, lift = refined_lift()
     yield f, CesaroSymbol(Series(2, {(1, 0): 0.5, (1, 1): 1j, (0, 2): 0.3})), lift
     g = Series(2, {(48, 0): 1.0, (3, 0): -0.5j, (0, 0): 0.25})
     yield (g, CesaroSymbol(Series(2, {(2, 0): 1.0, (1, 0): 0.5})),
            rule_for_function(g, measure, power_growth(2), refine=1))
-    h, _, tilted = tilted_slice()
-    yield h, CesaroSymbol(Series(2, {(1, 0): 0.5, (0, 1): 0.5})), tilted
+    h = Series(2, {(0, 0): 0.25, (1, 0): 1.0, (0, 1): 1.0, (2, 0): 0.5j, (1, 1): 1.0j,
+                   (0, 2): 0.5j})
+    yield (h, CesaroSymbol(Series(2, {(1, 0): 0.5, (0, 1): 0.5})),
+           build_rule(measure, 128, line=np.array([1.0, 1.0]) / math.sqrt(2.0), t_count=17))
 
 
 def test_streamed_sums_over_many_leaves_are_one_np_sum_bit_for_bit(monkeypatch):
