@@ -22,15 +22,9 @@ degree, the largest kernel |center| and the complex line of a slice.
 
 There are two ways to evaluate.  Pointwise, _eval and _partials take any
 batch of points: probe grids, the Bloch search, kernels.  On a quadrature
-rule, on_rule yields one block per leaf of measure._tree_sum, the one cut
-of a rule's nodes, so each streamed sum takes the next block per leaf.  It
-reads a Series off the rule's factors: on an n = 2 rule along e_1 every
-node is (w, s) with s = sqrt(t (1-|w|^2)) e^{i psi}, so the Series is
-sum_b g_b(w) s^b, its w-polynomials are evaluated on the disc nodes alone
-and a matrix product over the disc nodes that cover a leaf expands them
-over (t, psi).  On the refined n = 2 lift that is 1,105 disc nodes for
-1,221,025 nodes.  At n = 1, on slice rules along other lines, and for every
-function but a Series, it evaluates pointwise at each leaf's nodes.
+rule, on_rule alone reads f, one block per leaf of measure._tree_sum, from
+the disc nodes that cover the leaf: on the refined n = 2 lift a Series is
+evaluated at 1,105 disc nodes for 1,221,025 nodes.
 
 The invariant gradient is (grad f)(z) composed with the Jacobian at 0 of the
 ball automorphism phi_z.  gradient_norms holds the one closed form
@@ -49,6 +43,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -58,6 +53,8 @@ import numpy as np
 from .errors import DomainError, FunctionSpecError
 from .measure import (
     _as_point,
+    _disc_nodes,
+    _lift_points,
     _points_2d,
     _tree_sum,
     kernel_factor,
@@ -448,87 +445,96 @@ def slice_direction(f: HoloFunction) -> np.ndarray | None:
 @dataclass(frozen=True)
 class RuleBlock:
     """f at the rule nodes of one leaf (measure._tree_sum), the node slice
-    nodes: its values, with derivatives the (k, n) partials, Rf and the
-    coordinates z_1, ..., z_n as (k,) arrays (else None), and 1-|z|^2."""
+    nodes: its values (|f| for a norm), with derivatives the (k, n)
+    partials, Rf and the coordinates z_1, ..., z_n as (k,) arrays (else
+    None), and 1-|z|^2 (None for a norm)."""
 
     nodes: slice
     values: np.ndarray
     partials: np.ndarray | None
     radial: np.ndarray | None
-    one_minus: np.ndarray
     coords: tuple | None
+    one_minus: np.ndarray | None
 
 
-def on_rule(f: HoloFunction, rule, derivatives: bool = False):
+def on_rule(f: HoloFunction, rule, derivatives: bool = False, _modulus: bool = False):
     """Yield f on the nodes of a rule from measure.build_rule, one RuleBlock
     per leaf of measure._tree_sum, in node order, so a sum over the rule
-    takes next() on each leaf.
+    takes next() on each leaf; the one reader of f at a rule's nodes.  Each
+    leaf starts from the disc nodes that cover it; the points are never
+    built.  1-|z|^2 is (1-|w|^2)(1-t) (rule.fibre_one_minus).  _modulus
+    (norms._node_values, no derivatives) yields |f| by f._abs_eval, a kernel
+    power's in real arithmetic, and no 1-|z|^2.
 
-    1-|z|^2 is (1-|w|^2)(1-t) from the rule's factors (rule.fibre_one_minus).
     On a rule of C^2 along e_1 (the product lifts and the e_1 slice rules)
     node (w, t, psi) is z = (w, s) with s = sqrt(t (1-|w|^2)) e^{i psi}, so
     a Series is sum_b g_b(w) s^b with g_b(w) = sum_a c_(a,b) w^a.  The g_b of
     f (and of each partial and of Rf) are evaluated on the disc nodes only,
-    in one Series walk, and the disc nodes that cover a leaf expand them
-    over their fibre (t, psi) by one matrix product, whose columns past the
-    leaf are dropped: the ((w, t), b) matrix g_b(w) sqrt(t (1-|w|^2))^b
-    times the (b, psi) matrix e^{i b psi}.  That product is a BLAS zgemm:
-    deg + 1 broadcast multiply-adds, Horner's rule in e^{i psi} or einsum
-    took six times as long per block on one CPU of a 2-core VM (2.6-3.0 ms
-    against 0.44 ms for degree 6 on the refined lift).  No node-sized array
-    but the caller's outputs outlives a leaf, and the rule's points are
-    never built.
-
-    On any other rule, and for every function but a Series, f is evaluated
-    at the leaf's points, Rf as sum_j z_j d_j f.  A slice rule along another
-    line serves functions of <z, zeta> alone, whose rewrite in the frame of
-    zeta would only add s-terms that cancel, with a rounding error that
-    grows with the degree.
+    in one Series walk, and the covering disc nodes expand them over their
+    fibre (t, psi) by one matrix product, whose columns past the leaf are
+    dropped: the ((w, t), b) matrix g_b(w) sqrt(t (1-|w|^2))^b times the
+    (b, psi) matrix e^{i b psi}.  That product is a BLAS zgemm: deg + 1
+    broadcast multiply-adds, Horner's rule in e^{i psi} or einsum took six
+    times as long per block on one CPU of a 2-core VM (2.6-3.0 ms against
+    0.44 ms for degree 6 on the refined lift).  Any other function of z_1
+    alone (its _shape line is e_1 up to a phase) is, without derivatives,
+    evaluated at the covering disc nodes (w, 0) and repeated over their
+    fibre.  Everywhere else (every n = 1 rule, tilted slice rules, functions
+    off e_1) the covering disc nodes are lifted (measure._lift_points) and
+    cut to the leaf, and Rf is sum_j z_j d_j f: on a slice rule along
+    another line a rewrite in the frame of zeta would only add s-terms that
+    cancel, with a rounding error that grows with the degree.
     """
-    leaves = _tree_sum(rule.node_count, lambda lo, hi: [(lo, hi)])
     phases = rule.phases.size
-
-    def one_minus(lo, hi):
-        """1-|z|^2 at nodes lo..hi, each (w, t) repeated over its phases."""
-        first = lo // phases
-        return np.repeat(rule.fibre_one_minus[first:-(-hi // phases)],
-                         phases)[lo - first * phases:hi - first * phases]
-
-    if not (isinstance(f, Series) and np.array_equal(rule.line, (1, 0))):
-        for lo, hi in leaves:
-            pts = rule.points[lo:hi]
-            grad = rf = coords = None
-            if derivatives:
-                grad = f._partials(pts)
-                rf = np.einsum("nj,nj->n", pts, grad)
-                coords = tuple(pts.T)
-            yield RuleBlock(slice(lo, hi), f._eval(pts), grad, rf, one_minus(lo, hi), coords)
-        return
-    term_lists = f._term_lists(derivatives)
-    if derivatives:
-        term_lists.append([(m, c * sum(m)) for m, c in term_lists[0] if sum(m) > 0])
-    degree = max((m[1] for terms in term_lists for m, _ in terms), default=0)
-    lists = [[((m[0],), c) for m, c in terms if m[1] == b]
-             for terms in term_lists for b in range(degree + 1)]
-    g = _monomial_sums(rule.disc[:, None], lists).reshape(-1, len(term_lists), degree + 1)
-    omd = 1.0 - np.abs(rule.disc) ** 2
-    v = np.sqrt(rule.t[None, :] * np.maximum(0.0, omd)[:, None])
-    spin = np.ones((degree + 1, phases), dtype=complex)
-    for b in range(1, degree + 1):
-        spin[b] = spin[b - 1] * rule.phases
     fibre = rule.t.size * phases
-    for lo, hi in leaves:
-        first, last = lo // fibre, -(-hi // fibre)
-        cut = slice(lo - first * fibre, hi - first * fibre)
-        v_powers = v[first:last, :, None] ** np.arange(degree + 1)
-        coeffs = g[first:last].transpose(1, 0, 2)[:, :, None, :] * v_powers[None]
-        out = (coeffs.reshape(-1, degree + 1) @ spin).reshape(len(term_lists), -1)[:, cut]
-        grad = rf = coords = None
+    on_e1 = np.array_equal(rule.line, (1, 0))
+    if isinstance(f, Series) and on_e1:
+        term_lists = f._term_lists(derivatives)
         if derivatives:
-            grad, rf = out[1:-1].T, out[-1]
-            coords = (np.repeat(rule.disc[first:last], fibre)[cut],
-                      (v[first:last, :, None] * rule.phases).reshape(-1)[cut])
-        yield RuleBlock(slice(lo, hi), out[0], grad, rf, one_minus(lo, hi), coords)
+            term_lists.append([(m, c * sum(m)) for m, c in term_lists[0] if sum(m) > 0])
+        degree = max((m[1] for terms in term_lists for m, _ in terms), default=0)
+        lists = [[((m[0],), c) for m, c in terms if m[1] == b]
+                 for terms in term_lists for b in range(degree + 1)]
+        g = _monomial_sums(rule.disc[:, None], lists).reshape(-1, len(term_lists), degree + 1)
+        v = np.sqrt(rule.t[None, :] * np.maximum(0.0, 1.0 - np.abs(rule.disc) ** 2)[:, None])
+        spin = np.ones((degree + 1, phases), dtype=complex)
+        for b in range(1, degree + 1):
+            spin[b] = spin[b - 1] * rule.phases
+
+        def leaf(first, last, cut):
+            v_powers = v[first:last, :, None] ** np.arange(degree + 1)
+            coeffs = g[first:last].transpose(1, 0, 2)[:, :, None, :] * v_powers[None]
+            out = (coeffs.reshape(-1, degree + 1) @ spin).reshape(len(term_lists), -1)[:, cut]
+            if not derivatives:
+                return np.abs(out[0]) if _modulus else out[0], None, None, None
+            return out[0], out[1:-1].T, out[-1], (
+                np.repeat(rule.disc[first:last], fibre)[cut],
+                (v[first:last, :, None] * rule.phases).reshape(-1)[cut])
+    else:
+        line = _shape(f)[2] if on_e1 and not derivatives else None
+        spread = line is _ANY_LINE or line is not None and line[1] == 0
+
+        def leaf(first, last, cut):
+            disc = _disc_nodes(rule.radii, rule.angles, first, last)
+            if spread:
+                pts = np.zeros((disc.size, 2), dtype=complex)
+                pts[:, 0] = disc
+                values = f._abs_eval(pts) if _modulus else f._eval(pts)
+                return np.repeat(values, fibre)[cut], None, None, None
+            pts = _lift_points(rule.line, disc, rule.t, rule.phases)[cut]
+            if not derivatives:
+                return f._abs_eval(pts) if _modulus else f._eval(pts), None, None, None
+            grad = f._partials(pts)
+            return f._eval(pts), grad, np.einsum("nj,nj->n", pts, grad), tuple(pts.T)
+
+    # A leaf's temporaries are gone before the next leaf starts.
+    for lo, hi in _tree_sum(rule.node_count, lambda lo, hi: [(lo, hi)]):
+        first, wt = lo // fibre, lo // phases
+        one_minus = None if _modulus else np.repeat(
+            rule.fibre_one_minus[wt:-(-hi // phases)], phases)[lo - wt * phases:hi - wt * phases]
+        yield RuleBlock(slice(lo, hi), *leaf(first, -(-hi // fibre),
+                                             slice(lo - first * fibre, hi - first * fibre)),
+                        one_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +696,15 @@ def _finite_float(value) -> float:
     return x
 
 
+def _spec_integer(value) -> int:
+    """An n or index entry of a spec: a finite integral number, not a bool or
+    a string (int() would read 1.9, True and "1" as 1)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and float(value).is_integer()):
+        raise FunctionSpecError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _complex_from_pair(pair) -> complex:
     if isinstance(pair, (int, float)):
         pair = (pair, 0.0)
@@ -710,11 +725,12 @@ def function_from_spec(spec: Mapping) -> HoloFunction:
     kind = spec["kind"]
     try:
         if kind == "series":
-            n = int(spec["n"])
+            n = _spec_integer(spec["n"])
             terms = {}
             for entry in spec["terms"]:
                 m, re_part, im_part = entry
-                terms[_validate_index(m, n)] = _complex_from_pair((re_part, im_part))
+                terms[_validate_index([_spec_integer(v) for v in m], n)] = (
+                    _complex_from_pair((re_part, im_part)))
             return Series(n, terms)
         if kind == "kernel_power":
             center = [_complex_from_pair(c) for c in spec["center"]]

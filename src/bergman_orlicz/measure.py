@@ -26,17 +26,15 @@ disc rule is its (R,) radii and (A,) unit angles.  Its (R A,) complex disc
 nodes (16 bytes each) and its (N, n) complex nodes (16 n bytes per node)
 are built from the factors on first use (QuadratureRule.disc and
 .points, through _disc_nodes and _lift_points, straight into the result with
-no node-sized temporaries).  On a rule along e_1 no suite asks for the
-nodes: holo.on_rule reads a Series off the disc nodes and the fibre factors,
-and norms evaluates any other function of z_1 alone ring by ring, so a
-kernel norm holds only its weights and its values.  _tree_sum is the one
-cut of a rule's nodes, into leaves of at most _LEAF nodes where numpy's
-pairwise summation cuts them: every weighted sum over the nodes walks it,
-and on_rule yields one block per leaf.  Tilted slice rules,
-functions off e_1 (two-centre kernels), integrate and the Mobius paths of
-the tests build them.  kernel_factor evaluates its power in the one buffer
-of inner products; kernel_modulus, the modulus that norms need, works in
-that buffer plus one real array.  Rules above _MAX_RULE_NODES = 2^24 nodes
+no node-sized temporaries).  _tree_sum is the one cut of a rule's nodes,
+into leaves of at most _LEAF nodes where numpy's pairwise summation cuts
+them: every weighted sum over the nodes walks it, and holo.on_rule reads f
+leaf by leaf from the disc nodes that cover the leaf (_disc_nodes of that
+span), so no suite builds the points and a norm holds only its weights
+and its values; integrate and the Mobius paths of the tests build them.
+kernel_factor evaluates its power in the one buffer of inner products;
+kernel_modulus, the modulus that norms need, works in that buffer plus one
+real array.  Rules above _MAX_RULE_NODES = 2^24 nodes
 (134 MB of weights) are refused with UnsupportedRuleError before any
 allocation.  make_measure builds no rule: each rule records its own
 normalization_residual.  The one Gauss-Jacobi call (_radial_jacobi) refuses
@@ -167,8 +165,7 @@ class QuadratureRule:
     @functools.cached_property
     def disc(self) -> np.ndarray:
         """The (R A,) disc nodes, built from radii and angles on first use: 16
-        bytes per disc node that a function of z_1 alone, evaluated ring by
-        ring (norms._node_values), never asks for."""
+        bytes per disc node that a norm of a function off Series never asks for."""
         out = _disc_nodes(self.radii, self.angles)
         out.flags.writeable = self.weights.flags.writeable
         return out
@@ -176,7 +173,7 @@ class QuadratureRule:
     @functools.cached_property
     def points(self) -> np.ndarray:
         """The (N, n) nodes, built from the factors on first use: 16 n bytes
-        per node that the paths along e_1 never ask for."""
+        per node that no suite asks for."""
         out = _lift_points(self.line, self.disc, self.t, self.phases)
         out.flags.writeable = self.weights.flags.writeable
         return out
@@ -272,18 +269,28 @@ def _rule_raw(n: int, alpha: float, degree: int, angular_count: int | None,
     return raw_w.reshape(-1), (line, radii, angles, t, phases)
 
 
-def _disc_nodes(radii: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """The (R A,) disc nodes radii[i] angles[j] in C order; the one place they
-    are written (QuadratureRule.disc, norms' ring blocks and the one node a
-    non-finite value names), so each node has the same bits wherever it is."""
-    return (radii[:, None] * angles[None, :]).reshape(-1)
+def _disc_nodes(radii: np.ndarray, angles: np.ndarray, first: int = 0,
+                last: int | None = None) -> np.ndarray:
+    """Disc nodes first, ..., last - 1 (by default all R A) of the disc nodes
+    radii[i] angles[j] in C order, ring by ring straight into the result; the
+    one place they are written (QuadratureRule.disc, on_rule's leaves and
+    the one node a non-finite value names), so each node has the same bits
+    wherever it is."""
+    a = angles.size
+    last = radii.size * a if last is None else last
+    out = np.empty(last - first, dtype=complex)
+    for r in range(first // a, -(-last // a)):
+        lo, hi = max(first, r * a), min(last, r * a + a)
+        np.multiply(radii[r], angles[lo - r * a:hi - r * a], out=out[lo - first:hi - first])
+    return out
 
 
 def _lift_points(line: np.ndarray, disc: np.ndarray, t: np.ndarray,
                  phases: np.ndarray) -> np.ndarray:
     """The (D T P, n) nodes of the rule with these disc nodes and fibre
     factors, in C order; the one place nodes are written
-    (QuadratureRule.points, and the one node a non-finite value names).  At
+    (QuadratureRule.points, on_rule's leaves and the one node a non-finite
+    value names).  At
     n = 1 they are the disc nodes, as a view."""
     if line.size == 1:
         return disc.reshape(-1, 1)
@@ -425,7 +432,7 @@ def _checked_node_values(rule: QuadratureRule, values, start: int | None = None)
     last axis, with one row per quantity, in a shape the caller keeps.  A
     wrong shape raises DomainError; a non-finite value (real or complex)
     raises NonFiniteIntegrandError naming the first offending node, which
-    alone is built from the rule's factors (its radius and angle, t and phase).
+    alone, with its disc node's fibre, is built from the rule's factors.
     """
     values = np.asarray(values)
     if start is None and values.shape != (rule.node_count,):
@@ -435,12 +442,11 @@ def _checked_node_values(rule: QuadratureRule, values, start: int | None = None)
     finite = np.isfinite(values)
     if not bool(np.all(finite)):
         idx = (start or 0) + int(np.argmin(finite.reshape(-1, finite.shape[-1]).all(axis=0)))
-        i, j, k, m = np.unravel_index(idx, (rule.radii.size, rule.angles.size, rule.t.size,
-                                            rule.phases.size))
-        z = _lift_points(rule.line, _disc_nodes(rule.radii[i:i + 1], rule.angles[j:j + 1]),
-                         rule.t[k:k + 1], rule.phases[m:m + 1])
+        disc, k = divmod(idx, rule.t.size * rule.phases.size)
+        z = _lift_points(rule.line, _disc_nodes(rule.radii, rule.angles, disc, disc + 1),
+                         rule.t, rule.phases)[k]
         raise NonFiniteIntegrandError(
-            f"integrand is not finite at node {idx} (z={z[0]})", node_index=idx
+            f"integrand is not finite at node {idx} (z={z})", node_index=idx
         )
     return values
 

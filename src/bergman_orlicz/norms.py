@@ -4,21 +4,17 @@ The modular of F against a growth function Phi and the measure nu_alpha is
 int Phi(|F|) d nu_alpha.  The Luxembourg norm is the infimal lambda > 0 with
 modular(F / lambda) <= 1; for continuous unbounded Phi the map
 lambda -> modular(F / lambda) is monotone and continuous, so bisection with a
-doubling bracket always converges.  Node values of |F| are computed once per
-function and reused across the bisection, which keeps kernel-heavy norms
-affordable: a Series' come from holo.on_rule's blocks, and a kernel power's
-from measure.kernel_modulus, in real arithmetic, at the disc nodes alone,
-ring by ring, when it reads z_1 alone on a rule along e_1.  They are
-checked once, where they are produced (measure._checked_node_values: one
-finite value per node), so a bisection step, modular_of_values, only
-evaluates Phi.fn, weights and sums.  Every weighted sum over rule nodes
+doubling bracket always converges.  Every weighted sum over rule nodes
 walks one tree (measure._tree_sum), numpy's own pairwise cuts down to
 leaves of at most _LEAF nodes: its temporaries stay in L2 and it keeps the
-bits of one np.sum over every node.  on_rule yields one block per leaf of
-that tree, so the derivative modulars, the small-type sums and the Cesaro
-upper modular take the next block on each leaf and check it there, with no
-node-sized array.
-A NaN anywhere in Phi's output makes a sum NaN, which raises DomainError.
+bits of one np.sum over every node.  holo.on_rule yields f on each leaf of
+that tree, and each leaf is checked where it is produced
+(measure._checked_node_values: one finite value per node).  A norm writes
+the leaves' |F| (a kernel power's in real arithmetic) into one float
+array, once per function, so a bisection step, modular_of_values, only
+evaluates Phi.fn, weights and sums; the derivative modulars, the small-type
+sums and the Cesaro upper modular take the next block on each leaf, with no
+node-sized array.  A NaN anywhere in Phi's output makes a sum NaN, which raises DomainError.
 
 Quadrature selection: one measure.build_rule call per function.  Polynomial
 integrands get a plain rule with degree scaled to the function degree and
@@ -41,9 +37,7 @@ import numpy as np
 from .errors import DivergentNormError, DomainError, WorkbenchError
 from .growth import GrowthFunction
 from .holo import (
-    _ANY_LINE,
     HoloFunction,
-    Series,
     _direction,
     _join_lines,
     _shape,
@@ -54,9 +48,7 @@ from .holo import (
 from .measure import (
     QuadratureRule,
     WeightedMeasure,
-    _LEAF,
     _checked_node_values,
-    _disc_nodes,
     _tree_sum,
     build_rule,
     sphere_directions,
@@ -91,34 +83,13 @@ class LuxNorm:
 
 
 def _node_values(f: HoloFunction, rule: QuadratureRule) -> np.ndarray:
-    """|f| at the rule nodes, checked once where they are produced: a Series
-    block by block from holo.on_rule, any other function by its _abs_eval,
-    each straight into one float array.  On a rule along e_1 (every n = 1
-    rule, the n = 2 lifts and e_1 slices) a function of z_1 alone (at n = 2,
-    its _shape line is e_1 up to a phase, the reading slice rules rest on)
-    reads z_1 = w at every node over disc node w.  It is evaluated at the
-    disc nodes (w, 0) in blocks of whole rings, of about _LEAF nodes, and at
-    n = 2 repeated over each fibre: neither the rule's disc nor its points
-    are built.  Elsewhere f is evaluated at the rule's points."""
-    if isinstance(f, Series):
-        values = np.empty(rule.node_count)
-        for block in on_rule(f, rule):
-            np.abs(block.values, out=values[block.nodes])
-        return _checked_node_values(rule, values)
-    line = _ANY_LINE if rule.line.size == 1 else (
-        _shape(f)[2] if np.array_equal(rule.line, (1, 0)) else None)
-    if line is None or line is not _ANY_LINE and line[1] != 0:
-        return _checked_node_values(rule, f._abs_eval(rule.points))
-    n_ang, n_rad = rule.angles.size, rule.radii.size
-    step = max(1, _LEAF // n_ang)
-    values = np.empty(n_rad * n_ang)
-    for lo in range(0, n_rad, step):
-        hi = min(lo + step, n_rad)
-        at_disc = np.zeros(((hi - lo) * n_ang, f.n), dtype=complex)
-        at_disc[:, 0] = _disc_nodes(rule.radii[lo:hi], rule.angles)
-        values[lo * n_ang:hi * n_ang] = f._abs_eval(at_disc)
-    fibre = rule.t.size * rule.phases.size
-    return _checked_node_values(rule, values if fibre == 1 else np.repeat(values, fibre))
+    """|f| at the rule nodes: holo.on_rule's blocks of |f|, each checked
+    (measure._checked_node_values) and written into one float array."""
+    values = np.empty(rule.node_count)
+    for block in on_rule(f, rule, _modulus=True):
+        values[block.nodes] = _checked_node_values(rule, block.values, block.nodes.start)
+        del block  # so the next leaf does not start beside this one
+    return values
 
 
 def _phi_sum(values, weights, phi: GrowthFunction, scale: float) -> float:

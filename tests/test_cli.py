@@ -106,6 +106,37 @@ def test_verify_refuses_a_non_finite_symbol_number(capsys):
     assert "malformed 'series' spec: non-finite number nan" in err
 
 
+# Series specs whose n or index entry is not an integer: int() read each of
+# them as an integer (the index 2.9 ran as z^2, the n 1.9 as n = 1).
+_NON_INTEGER_SERIES = {
+    "index 2.9": ('{"kind":"series","n":1,"terms":[[[2.9],1,0]]}', "2.9"),
+    "index 1.5": ('{"kind":"series","n":1,"terms":[[[1.5],1,0]]}', "1.5"),
+    "index string": ('{"kind":"series","n":1,"terms":[["2",1,0]]}', "'2'"),
+    "index true": ('{"kind":"series","n":1,"terms":[[[true],1,0]]}', "True"),
+    "n 1.9": ('{"kind":"series","n":1.9,"terms":[[[1],1,0]]}', "1.9"),
+    "n true": ('{"kind":"series","n":true,"terms":[[[1],1,0]]}', "True"),
+    "n string": ('{"kind":"series","n":"1","terms":[[[1],1,0]]}', "'1'"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_NON_INTEGER_SERIES))
+def test_series_specs_refuse_a_non_integer_n_or_index(capsys, where):
+    spec, got = _NON_INTEGER_SERIES[where]
+    cfg = json.dumps({"suites": ["cesaro_boundedness"], "symbols": [json.loads(spec)]})
+    for argv in (["norm", "--function", spec],
+                 ["cesaro", "--symbol", Z, "--function", spec],
+                 ["cesaro", "--symbol", spec, "--function", Z],
+                 ["verify", "--config", cfg]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (65, ""), argv
+        assert f"expected an integer, got {got}" in err
+
+
+def test_series_specs_read_an_integral_float_as_its_integer(capsys):
+    spec = '{"kind":"series","n":1.0,"terms":[[[2.0],1,0]]}'
+    assert run(capsys, ["norm", "--function", spec]) == run(capsys, ["norm", "--function", ZSQ])
+
+
 def test_cesaro_refuses_an_overflowing_coefficient(capsys):
     # 1e308 z is finite, but T_g f = 1e616 z^2 / 2 for g = f = 1e308 z is not.
     big = '{"kind":"series","n":1,"terms":[[[1],1e308,0]]}'
@@ -471,6 +502,27 @@ def test_n2_test_functions_fit_in_400_mb(tmp_path):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["exit"] == 0
     assert result["maxrss_mb"] < 400
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_n2_two_centre_kernel_norm_fits_in_300_mb():
+    # A kernel sum off e_1 gets the 9,335,601-node lift.  With the (N, 2)
+    # points built and |f| taken over the whole rule it peaked at 784 MB;
+    # leaf by leaf from the covering disc nodes it holds the weights and
+    # the values, at about 210 MB.
+    src = str(Path(bergman_orlicz.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    spec = json.dumps({"kind": "sum", "parts": [
+        {"kind": "kernel_power", "center": [[0.9, 0], [0, 0]], "exponent": 3},
+        {"kind": "kernel_power", "center": [[0, 0], [0.9, 0]], "exponent": 3}]})
+    done = subprocess.run([sys.executable, "-c", _CAPPED_CHILD, "norm", "--n", "2",
+                           "--function", spec], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["exit"] == 0
+    assert "nodes=9335601" in done.stdout
+    assert result["maxrss_mb"] < 300
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")

@@ -23,7 +23,14 @@ from bergman_orlicz.growth import (
     shipped_growth_ids,
 )
 from bergman_orlicz.harness import verify_test_functions
-from bergman_orlicz.holo import Series, function_from_spec, gradient_norms, on_rule
+from bergman_orlicz.holo import (
+    KernelPower,
+    Series,
+    Sum,
+    function_from_spec,
+    gradient_norms,
+    on_rule,
+)
 from bergman_orlicz.measure import build_rule, make_measure
 from bergman_orlicz.norms import (
     derivative_modulars,
@@ -420,8 +427,8 @@ def test_a_nan_past_the_second_leaf_names_its_global_node(monkeypatch):
     target = f
     real_on_rule = holo_module.on_rule
 
-    def planting(g, r, derivatives=False):
-        for block in real_on_rule(g, r, derivatives):
+    def planting(g, r, derivatives=False, **kwargs):
+        for block in real_on_rule(g, r, derivatives, **kwargs):
             for name, node in planted.items():
                 array = getattr(block, name)
                 if g is target and array is not None and node in range(
@@ -448,10 +455,24 @@ def test_a_nan_past_the_second_leaf_names_its_global_node(monkeypatch):
     assert err.value.node_index == 150_001
 
 
-def test_norms_and_modulars_along_e1_never_build_the_points():
+def lifted_cases():
+    """(f, rule) past one leaf whose f reads more than z_1: a kernel on the
+    line of a tilted slice rule (78,336 nodes), and the two-centre kernel sum
+    that `bol norm --n 2` runs on a 9.3M-node lift, here on a 49,005-node
+    kernel lift.  on_rule lifts the disc nodes that cover each leaf."""
+    measure = make_measure(2, 0.0)
+    zeta = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+    yield KernelPower(0.99 * zeta, 6.0), build_rule(measure, 32, 512, line=zeta, t_count=9)
+    two_centre = Sum((KernelPower(np.array([0.9, 0.0]), 3.0),
+                      KernelPower(np.array([0.0, 0.9]), 3.0)))
+    yield two_centre, build_rule(measure, 16, 24)
+
+
+def test_norms_and_modulars_along_e1_never_build_the_points(monkeypatch):
     # Series on the lift, and a kernel test function of z_1 on its slice
     # rule, are read off the rule's factors; the (N, 2) points would take
-    # 39 MB on the refined lift.
+    # 39 MB on the refined lift.  Off e_1 (a tilted slice rule, the
+    # two-centre kernel sum on a lift) each leaf lifts its own disc nodes.
     f, measure, rule = refined_lift()
     phi = power_growth(2)
     luxemburg_norm(f, phi, rule)
@@ -467,11 +488,20 @@ def test_norms_and_modulars_along_e1_never_build_the_points():
     values = kernel._abs_eval(kernel_rule.points)
     assert values.tobytes() == norms_module._node_values(kernel, kernel_rule).tobytes()
     assert lam > 0.0
+    symbol = CesaroSymbol(Series(2, {(1, 0): 0.5, (1, 1): 1j, (0, 2): 0.3}))
+    for g, lifted in lifted_cases():
+        monkeypatch.setattr(operators_module, "rule_for_function", lambda *args, **kw: lifted)
+        for call in (lambda: luxemburg_norm(g, phi, lifted),
+                     lambda: derivative_modulars(g, phi, lifted),
+                     lambda: norms_module._small_type_ratio(g, lifted, 0.7, 1.5),
+                     lambda: cesaro_upper_bound_check(symbol, phi, measure, [g], 2.0)):
+            call()
+            assert "points" not in lifted.__dict__
 
 
-# Disc degree per angle count: 7 radii (one block) for 25 angles, 65 radii
-# (blocks of 42 and 23 rings) for 777 and 33 radii (blocks of 4 rings, the
-# last of 1) for 8,192.
+# Disc degree per angle count: 7 radii (one leaf) for 25 angles, 65 radii
+# (50,505 disc nodes, two leaves) for 777 and 33 radii (270,336 disc nodes,
+# leaves cut inside rings) for 8,192.
 _RING_DEGREES = {25: 12, 777: 128, 8192: 64}
 
 
@@ -480,10 +510,10 @@ _RING_DEGREES = {25: 12, 777: 128, 8192: 64}
 @pytest.mark.parametrize("alpha", [0.0, 1.5])
 def test_ring_blocks_give_the_pointwise_bits(angles, n, alpha):
     # A kernel function of z_1 on a kernel rule along e_1 (n = 1, or the n = 2
-    # e_1 slice) is evaluated ring by ring at the disc nodes: the same bits
-    # as its _abs_eval at the built points, with neither disc nor points
-    # built.  Its radial derivative, a Product, keeps them in blocks of any
-    # size, down to one ring.
+    # e_1 slice) is evaluated leaf by leaf at the disc nodes that cover the
+    # leaf: the same bits as its _abs_eval at the built points, with neither
+    # disc nor points built.  Its radial derivative, a Product, keeps them in
+    # blocks of any size.
     phi = power_growth(2)
     centre = np.array([0.6 + 0.75j, 0.0][:n])
     f = kernel_test_function(phi, centre, alpha)
@@ -495,6 +525,19 @@ def test_ring_blocks_give_the_pointwise_bits(angles, n, alpha):
         assert "disc" not in rule.__dict__ and "points" not in rule.__dict__
         assert values.tobytes() == g._abs_eval(rule.points).tobytes()
         del rule.__dict__["points"], rule.__dict__["disc"]
+
+
+def test_lifted_leaves_give_the_pointwise_bits():
+    # Off e_1, each leaf's |f| is taken at its disc nodes' lift, cut to the
+    # leaf: the same bits as _abs_eval at the built points, with neither
+    # disc nor points built.
+    for f, rule in lifted_cases():
+        assert rule.node_count > _LEAF
+        for g in (f, f.radial_derivative()):
+            values = norms_module._node_values(g, rule)
+            assert "disc" not in rule.__dict__ and "points" not in rule.__dict__
+            assert values.tobytes() == g._abs_eval(rule.points).tobytes()
+            del rule.__dict__["points"], rule.__dict__["disc"]
 
 
 def test_kernel_norm_holds_its_weights_and_values_alone():

@@ -6,7 +6,8 @@ each block's fibre; here its values, partials and Rf must match
 Series._eval / _partials at rule.points on every kind of rule the builder
 makes, and its 1-|z|^2 = (1-|w|^2)(1-t) must match 1 - sum |z_j|^2.
 Only rules along e_1 take the factored path; a slice rule along another
-line evaluates at its points, so the tilted cases must match bit for bit.
+line evaluates at its nodes, lifted leaf by leaf from the disc nodes that
+cover the leaf, so the tilted cases must match bit for bit.
 """
 
 import numpy as np
@@ -135,9 +136,17 @@ def test_blocks_are_the_leaves_of_the_tree_sum(kind, derivatives):
     rule = make(make_measure(n, 0.0))
     assert rule.node_count == count
     leaves = _tree_sum(rule.node_count, lambda lo, hi: [slice(lo, hi)])
-    blocks = list(on_rule(_random_series(n), rule, derivatives))
+    f = _random_series(n)
+    blocks = list(on_rule(f, rule, derivatives))
     assert len(leaves) > 1
     assert [b.nodes for b in blocks] == leaves
     for b in blocks:
         k = b.nodes.stop - b.nodes.start
         assert b.values.shape == b.one_minus.shape == (k,)
+    if not derivatives:
+        # A norm's blocks of |f| (norms._node_values): the same leaves, no 1-|z|^2.
+        moduli = list(on_rule(f, rule, _modulus=True))
+        assert [b.nodes for b in moduli] == leaves
+        for b, m in zip(blocks, moduli):
+            assert m.one_minus is None
+            assert m.values.tobytes() == np.abs(b.values).tobytes()
