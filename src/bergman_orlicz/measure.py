@@ -164,8 +164,9 @@ class QuadratureRule:
 
     @functools.cached_property
     def disc(self) -> np.ndarray:
-        """The (R A,) disc nodes, built from radii and angles on first use: 16
-        bytes per disc node that a norm of a function off Series never asks for."""
+        """The (R A,) disc nodes, built from radii and angles on first use (for
+        fibre_one_minus and a Series along e_1): 16 bytes per disc node that
+        a norm of any other function never asks for."""
         out = _disc_nodes(self.radii, self.angles)
         out.flags.writeable = self.weights.flags.writeable
         return out
@@ -272,16 +273,22 @@ def _rule_raw(n: int, alpha: float, degree: int, angular_count: int | None,
 def _disc_nodes(radii: np.ndarray, angles: np.ndarray, first: int = 0,
                 last: int | None = None) -> np.ndarray:
     """Disc nodes first, ..., last - 1 (by default all R A) of the disc nodes
-    radii[i] angles[j] in C order, ring by ring straight into the result; the
+    radii[i] angles[j] in C order, straight into the result: the part of a
+    ring at each end, and the whole rings between them in one product.  The
     one place they are written (QuadratureRule.disc, on_rule's leaves and
     the one node a non-finite value names), so each node has the same bits
     wherever it is."""
     a = angles.size
     last = radii.size * a if last is None else last
     out = np.empty(last - first, dtype=complex)
-    for r in range(first // a, -(-last // a)):
-        lo, hi = max(first, r * a), min(last, r * a + a)
-        np.multiply(radii[r], angles[lo - r * a:hi - r * a], out=out[lo - first:hi - first])
+    head = min(last, -(-first // a) * a)
+    tail = max(head, last // a * a)
+    for lo, hi in ((first, head), (tail, last)):
+        if lo < hi:
+            r = lo // a
+            np.multiply(radii[r], angles[lo - r * a:hi - r * a], out=out[lo - first:hi - first])
+    np.multiply(radii[head // a:tail // a, None], angles,
+                out=out[head - first:tail - first].reshape(-1, a))
     return out
 
 
@@ -290,8 +297,7 @@ def _lift_points(line: np.ndarray, disc: np.ndarray, t: np.ndarray,
     """The (D T P, n) nodes of the rule with these disc nodes and fibre
     factors, in C order; the one place nodes are written
     (QuadratureRule.points, on_rule's leaves and the one node a non-finite
-    value names).  At
-    n = 1 they are the disc nodes, as a view."""
+    value names).  At n = 1 they are the disc nodes, as a view."""
     if line.size == 1:
         return disc.reshape(-1, 1)
     v = np.sqrt(t[None, :] * np.maximum(0.0, 1.0 - np.abs(disc) ** 2)[:, None])

@@ -14,7 +14,8 @@ the leaves' |F| (a kernel power's in real arithmetic) into one float
 array, once per function, so a bisection step, modular_of_values, only
 evaluates Phi.fn, weights and sums; the derivative modulars, the small-type
 sums and the Cesaro upper modular take the next block on each leaf, with no
-node-sized array.  A NaN anywhere in Phi's output makes a sum NaN, which raises DomainError.
+node-sized array.  A NaN anywhere in Phi's output makes a sum NaN, which
+raises DomainError.
 
 Quadrature selection: one measure.build_rule call per function.  Polynomial
 integrands get a plain rule with degree scaled to the function degree and
