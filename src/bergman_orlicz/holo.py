@@ -516,16 +516,13 @@ def on_rule(f: HoloFunction, rule, derivatives: bool = False, _modulus: bool = F
 
         def leaf(first, last, cut):
             disc = _disc_nodes(rule.radii, rule.angles, first, last)
-            if spread:
-                pts = np.zeros((disc.size, 2), dtype=complex)
-                pts[:, 0] = disc
-                values = f._abs_eval(pts) if _modulus else f._eval(pts)
-                return np.repeat(values, fibre)[cut], None, None, None
-            pts = _lift_points(rule.line, disc, rule.t, rule.phases)[cut]
-            if not derivatives:
-                return f._abs_eval(pts) if _modulus else f._eval(pts), None, None, None
+            pts = (np.stack([disc, np.zeros_like(disc)], axis=1) if spread
+                   else _lift_points(rule.line, disc, rule.t, rule.phases)[cut])
+            values = f._abs_eval(pts) if _modulus else f._eval(pts)
+            if spread or not derivatives:
+                return np.repeat(values, fibre)[cut] if spread else values, None, None, None
             grad = f._partials(pts)
-            return f._eval(pts), grad, np.einsum("nj,nj->n", pts, grad), tuple(pts.T)
+            return values, grad, np.einsum("nj,nj->n", pts, grad), tuple(pts.T)
 
     # A leaf's temporaries are gone before the next leaf starts.
     for lo, hi in _tree_sum(rule.node_count, lambda lo, hi: [(lo, hi)]):

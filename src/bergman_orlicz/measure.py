@@ -273,11 +273,9 @@ def _rule_raw(n: int, alpha: float, degree: int, angular_count: int | None,
 def _disc_nodes(radii: np.ndarray, angles: np.ndarray, first: int = 0,
                 last: int | None = None) -> np.ndarray:
     """Disc nodes first, ..., last - 1 (by default all R A) of the disc nodes
-    radii[i] angles[j] in C order, straight into the result: the part of a
-    ring at each end, and the whole rings between them in one product.  The
-    one place they are written (QuadratureRule.disc, on_rule's leaves and
-    the one node a non-finite value names), so each node has the same bits
-    wherever it is."""
+    radii[i] angles[j] in C order: a ring's part at each end, then the whole
+    rings between them in one product.  The one place they are written, so
+    each node has the same bits wherever it is."""
     a = angles.size
     last = radii.size * a if last is None else last
     out = np.empty(last - first, dtype=complex)
