@@ -500,8 +500,9 @@ def test_norms_and_modulars_along_e1_never_build_the_points(monkeypatch):
 
 
 # Disc degree per angle count: 7 radii (one leaf) for 25 angles, 65 radii
-# (50,505 disc nodes, two leaves) for 777 and 33 radii (270,336 disc nodes,
-# leaves cut inside rings) for 8,192.
+# (50,505 disc nodes, whose leaves at n = 2, with 3 t nodes, start inside a
+# disc node's fibre) for 777 and 33 radii (270,336 disc nodes, leaves cut
+# inside rings) for 8,192.
 _RING_DEGREES = {25: 12, 777: 128, 8192: 64}
 
 
@@ -517,7 +518,7 @@ def test_ring_blocks_give_the_pointwise_bits(angles, n, alpha):
     phi = power_growth(2)
     centre = np.array([0.6 + 0.75j, 0.0][:n])
     f = kernel_test_function(phi, centre, alpha)
-    extra = {} if n == 1 else {"line": np.array([1.0, 0.0]), "t_count": 2}
+    extra = {} if n == 1 else {"line": np.array([1.0, 0.0]), "t_count": 3}
     rule = build_rule(make_measure(n, alpha), _RING_DEGREES[angles], angles, **extra)
     assert rule.angles.size == angles
     for g in (f, f.radial_derivative()):
