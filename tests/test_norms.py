@@ -543,8 +543,8 @@ def test_lifted_leaves_give_the_pointwise_bits():
 
 def test_kernel_norm_holds_its_weights_and_values_alone():
     # The n = 1 t^2, |a| = 0.999 kernel norm on 1,040,384 nodes peaked at
-    # 51 MB with its disc nodes kept and a complex inner-product buffer; ring
-    # by ring it holds the weights and the values, 8 bytes per node each.
+    # 51 MB with its disc nodes kept and a complex inner-product buffer; leaf
+    # by leaf it holds the weights and the values, 8 bytes per node each.
     phi = power_growth(2)
     f = kernel_test_function(phi, np.array([0.999 + 0j]), 0.0)
     measure = make_measure(1, 0.0)
