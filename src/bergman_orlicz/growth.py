@@ -16,9 +16,12 @@ harness suites consume:
 All evaluators are vectorized over numpy arrays.  Where no closed form is
 available, inverses fall back to one safeguarded root-finder on the log axis:
 a geometric bracket from t = 1, then Illinois (regula falsi) steps with a
-bisection fallback.  Maximizations use golden_section_max, a vectorized golden
-section that the indices and the conjugate run on a log axis and the Bloch
-seminorm in operators.py runs along radii and angles.
+bisection fallback.  An interpolated Phi, known only through its inverse, is
+read off a table of that inverse built once (_InverseTable) and polished by
+Newton steps on it, with no root-finder.  Maximizations use
+golden_section_max, a vectorized golden section that the indices and the
+conjugate run on a log axis and the Bloch seminorm in operators.py runs along
+radii and angles.
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ _DELTA2_CAP = 1e12
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _INVERSE_REL_TOL = 1e-13
 _INVERSE_MAX_ITER = 250
+_TABLE_PAIRS = 8001
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 def _log_grid(lo: float, hi: float, count: int) -> np.ndarray:
@@ -126,6 +131,12 @@ class GrowthFunction:
             raise DomainError("derivative is evaluated on (0, inf)")
         if self.deriv is not None:
             out = self.deriv(arr)
+        elif self.inv is not None:
+            # Phi'(t) = 1 / Psi'(Phi(t)), with Psi' a central difference of the
+            # explicit inverse Psi rather than of a computed Phi.
+            s = self.fn(arr)
+            h = 1e-5 * s
+            out = 2.0 * h / (self.inv(s + h) - self.inv(s - h))
         else:
             h = 1e-6 * arr
             out = (self.fn(arr + h) - self.fn(arr - h)) / (2.0 * h)
@@ -153,6 +164,122 @@ class PseudoConcaveFunction:
             raise DomainError("pseudo-concave functions are evaluated on (0, inf)")
         out = self.fn(arr)
         return float(out) if np.ndim(s) == 0 else out
+
+
+class _InverseTable:
+    """Phi from its explicit inverse Psi, with no root-finding.
+
+    Holds the exact pairs (u_j, y_j) = (log Psi(e^{y_j}), y_j) on _TABLE_PAIRS
+    uniform y_j of [-log _BRACKET_CAP, log _BRACKET_CAP], and per window of
+    four pairs the cubic through them: y as a polynomial in u - u_k, in units
+    of the y step.  Pairs where Psi is not a normal positive float, or where
+    an inverse inside Psi refuses its target, are left out at the ends.
+
+    Phi(t) finds u = log t in the table, reads y0 and dy/du off the cubic of
+    the window around it, and takes two Newton steps on log(Psi(e^y) / t),
+    each a factor on e^y so that the rounding of y at |y| ~ 600 (1e-13) does
+    not reach the result.  Below the table y follows the end slope; a result
+    below 1/_BRACKET_CAP is pinned there.  Above the table Phi raises
+    UnboundedInverseError; 0 maps to 0 and NaN raises DomainError.  Every
+    value is computed on its own, so a value's bits do not depend on the
+    batch it comes in.
+    """
+
+    def __init__(self, psi, label: str):
+        self.psi, self.label = psi, label
+        cap = math.log(_BRACKET_CAP)
+        y = np.linspace(-cap, cap, _TABLE_PAIRS)
+        u = _log_psi_on_prefix(psi, y)
+        keep = np.flatnonzero((u >= _LOG_TINY) & (u < math.inf))
+        if keep.size and keep[-1] - keep[0] + 1 != keep.size:
+            keep = keep[:0]
+        u = u[keep]
+        if u.size < 4 or not np.all(np.diff(u) > 0.0):
+            raise DomainError(f"inverse of {label} is not increasing on its table")
+        self.y_first, self.y_step = float(y[keep[0]]), float(y[1] - y[0])
+        self.y_last = float(y[keep[-1]])
+        self.u = u
+        # Divided differences of the index offsets 0..3 over the window's u,
+        # then the cubic's coefficients in x = u - u_k.
+        a, b, c, d = u[:-3], u[1:-2], u[2:-1], u[3:]
+        ab, bc, cd = 1.0 / (b - a), 1.0 / (c - b), 1.0 / (d - c)
+        abc, bcd = (bc - ab) / (c - a), (cd - bc) / (d - b)
+        abcd = (bcd - abc) / (d - a)
+        self.coef = np.stack([ab - (b - a) * (abc - (c - a) * abcd),
+                              abc - (b - a + c - a) * abcd, abcd])
+
+    def __call__(self, t) -> np.ndarray:
+        s = np.asarray(t, dtype=float)
+        flat = s.reshape(-1)
+        if np.isnan(flat).any():
+            raise DomainError(f"cannot invert {self.label} at NaN")
+        live = flat > 0.0
+        if live.all():
+            return self._positive(flat).reshape(s.shape)
+        out = np.zeros_like(flat)
+        out[live] = self._positive(flat[live])
+        return out.reshape(s.shape)
+
+    def _positive(self, t: np.ndarray) -> np.ndarray:
+        u = np.log(t)
+        above = u > self.u[-1]
+        if np.any(above):
+            raise UnboundedInverseError(
+                f"{self.label} exceeds {math.exp(self.y_last):g} at t = {t[above][0]:g}")
+        below = u < self.u[0]
+        if np.any(below):
+            val = np.empty_like(u)
+            end_slope = self.y_step * self.coef[0, 0]
+            val[below] = np.exp(self.y_first + end_slope * (u[below] - self.u[0]))
+            val[~below] = self._newton(u[~below], t[~below])
+        else:
+            val = self._newton(u, t)
+        return np.maximum(val, 1.0 / _BRACKET_CAP, out=val)
+
+    def _newton(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Phi(t) for u = log t on the table."""
+        k = np.clip(np.searchsorted(self.u, u, side="right") - 2, 0, self.u.size - 4)
+        x = u - self.u[k]
+        e1, e2, e3 = self.coef[:, k]
+        y = self.y_first + self.y_step * (k + x * (e1 + x * (e2 + x * e3)))
+        minus_slope = -self.y_step * (e1 + x * (2.0 * e2 + 3.0 * x * e3))
+        val = np.exp(np.minimum(y, self.y_last, out=y), out=y)
+        # One step leaves the cubic's error times that of its slope: up to
+        # 2e-10 where log Phi bends fastest (phi0 = powerlog:p=1/2); two leave
+        # Psi's own rounding.
+        for _ in range(2):
+            step = self.psi(val)
+            step /= t
+            np.log(step, out=step)
+            step *= minus_slope
+            val *= np.exp(step, out=step)
+        return val
+
+
+def _log_psi_on_prefix(psi, y: np.ndarray) -> np.ndarray:
+    """log Psi(e^y) on the longest leading part of the ascending grid y where
+    Psi answers: an inverse that Psi is built from may refuse targets past its
+    own cap, and refuses then for every larger target too."""
+
+    def attempt(m):
+        try:
+            with np.errstate(all="ignore"):
+                return np.log(psi(np.exp(y[:m])))
+        except UnboundedInverseError:
+            return None
+
+    u = attempt(y.size)
+    if u is not None:
+        return u
+    good, bad, u = 0, y.size, y[:0]
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        got = attempt(mid)
+        if got is None:
+            bad = mid
+        else:
+            good, u = mid, got
+    return u
 
 
 def _monotone_inverse(fn, targets: np.ndarray, label: str = "") -> np.ndarray:
@@ -552,11 +679,24 @@ def interpolate_growth(phi0: GrowthFunction, phi1: GrowthFunction,
                        rho: PseudoConcaveFunction) -> GrowthFunction:
     """Growth function defined through Phi^{-1} = Phi0^{-1} rho(Phi1^{-1}/Phi0^{-1}).
 
-    The forward evaluator inverts that monotone expression with the
-    safeguarded log-axis root-finder of _monotone_inverse.  The combination
-    is rejected with DomainError when rho fails pseudo_concave_check, a
-    hypothesis of the interpolation theorem, or when the assembled inverse
-    fails to be increasing on a probe grid.
+    Phi itself has no closed form.  Its evaluator is an _InverseTable built
+    here once from the explicit inverse Psi: 8,001 exact pairs
+    (log Psi(e^y), y) on a uniform grid of y = log Phi in [-log 1e280,
+    log 1e280], with a cubic per window of four pairs, 256 KB in all.  A
+    value is read off the table and polished by two Newton steps on Psi, so
+    no root-finder runs on Psi, at build time or per value.  On t in [1e-200,
+    1e200] with Phi(t) in [1e-280, 1e280], Psi(Phi(t))/t - 1 stays within
+    4.5e-16 for interp(t^2, t^4; s^(1/2)) and 2.7e-14 for
+    interp(t^2 log(e + t), t^4; s^(1/2)), whose Psi runs the root-finder for
+    the powerlog inverse; solving Psi(x) = t with _monotone_inverse leaves
+    4.3e-14 on both.  Phi is pinned at 1e-280 below that range, refuses t
+    above it with UnboundedInverseError, maps 0 to 0 and refuses NaN.
+    Phi' = 1 / Psi'(Phi) (GrowthFunction.derivative).
+
+    The combination is rejected with DomainError when rho fails
+    pseudo_concave_check, a hypothesis of the interpolation theorem, or when
+    the assembled inverse fails to be increasing on a probe grid or on the
+    table.
     """
     concave = pseudo_concave_check(rho)
     if not concave.ok:
@@ -566,15 +706,18 @@ def interpolate_growth(phi0: GrowthFunction, phi1: GrowthFunction,
             f" t={concave.worst_t:.6g}"
         )
 
+    def psi(s):
+        # Psi on s > 0.
+        i0, i1 = phi0.inverse(s), phi1.inverse(s)
+        return i0 * rho.fn(i1 / i0)
+
     def inv_fn(s):
         arr = np.asarray(s, dtype=float)
         flat = arr.reshape(-1)
         out = np.zeros_like(flat)
         pos = flat > 0.0
         if np.any(pos):
-            i0 = phi0.inverse(flat[pos])
-            i1 = phi1.inverse(flat[pos])
-            out[pos] = i0 * rho.fn(i1 / i0)
+            out[pos] = psi(flat[pos])
         return out.reshape(arr.shape)
 
     probe = _log_grid(1e-10, 1e10, 256)
@@ -588,7 +731,7 @@ def interpolate_growth(phi0: GrowthFunction, phi1: GrowthFunction,
     name = f"interp:phi0=({phi0.name}),phi1=({phi1.name}),rho=({rho.name})"
     return GrowthFunction(
         name=name,
-        fn=lambda t: _monotone_inverse(inv_fn, np.asarray(t, dtype=float), label=name),
+        fn=_InverseTable(psi, name),
         kind="unclassified",
         inv=inv_fn,
     )

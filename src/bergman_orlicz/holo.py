@@ -687,6 +687,10 @@ def cauchy_gradient(f: HoloFunction, z) -> np.ndarray:
 
 
 def _finite_float(value) -> float:
+    """A real number of a spec: finite, and not a bool or a string (float()
+    would read True as 1 and "2" as 2)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise FunctionSpecError(f"expected a number, got {value!r}")
     x = float(value)
     if not math.isfinite(x):
         raise ValueError(f"non-finite number {value!r}")

@@ -132,6 +132,26 @@ def test_series_specs_refuse_a_non_integer_n_or_index(capsys, where):
         assert f"expected an integer, got {got}" in err
 
 
+# Spec numbers that float() read: the term ran as (1 + i) z and the exponent
+# as 2.  A bare string scale was refused already, as no [re, im] pair.
+_NON_NUMBER_SPECS = {
+    "term true": ('{"kind":"series","n":1,"terms":[[[1],1,true]]}',
+                  "expected a number, got True"),
+    "exponent string": ('{"kind":"kernel_power","center":[[0.5,0]],"exponent":"2"}',
+                        "expected a number, got '2'"),
+    "scale string": ('{"kind":"kernel_power","center":[[0.5,0]],"exponent":2,"scale":"3"}',
+                     "expected number or [re, im] pair, got '3'"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_NON_NUMBER_SPECS))
+def test_function_specs_refuse_a_bool_or_string_number(capsys, where):
+    spec, message = _NON_NUMBER_SPECS[where]
+    code, out, err = run(capsys, ["norm", "--function", spec])
+    assert (code, out) == (65, "")
+    assert message in err
+
+
 def test_series_specs_read_an_integral_float_as_its_integer(capsys):
     spec = '{"kind":"series","n":1.0,"terms":[[[2.0],1,0]]}'
     assert run(capsys, ["norm", "--function", spec]) == run(capsys, ["norm", "--function", ZSQ])
@@ -337,7 +357,7 @@ _REPORT_SHA256 = {
     "cesaro_boundedness": "9a56f7ef80bef53e838648443e953c0d6c7974cbf0affb642378487f83b852c8",
     "cesaro_compactness": "93101101a245c2f618330078ab35be599959644d1ce3e76177e58c66eebe650f",
     "derivative_equivalence": "1cbc41f478a379a79f57b5c2257e3658d86e934ee21d5f1741c0ca862e710d1a",
-    "interpolation_power": "964f28af724a898af84da15e44335f9687653dcdd50803de9487e6ad69690544",
+    "interpolation_power": "6239072b4a595f99d8b370f3f15d50298e24578af2993347be9f2fadab0831b9",
     "pointwise_estimates": "d8833dc270a815aa787ce717ff0c486b68b2c9a03fe9a19591453ea351c4a9f4",
     "small_type": "8d13588b1f3dcb26fe6ca872bc01ba1a91dc2c9328f62055ff7c5d85276fa1bd",
     "test_functions": "b5eade41f6fe51ef47645af75ea12d3b0ec0abbc9af8c1d6a8e98e552cfcd93a",
@@ -346,7 +366,7 @@ _REPORT_SHA256 = {
 # At n = 2 both suites run on slice rules, kernel ones among them.
 _N2_REPORT_SHA256 = {
     "cesaro_compactness": "9924a6536904ee7507c270f180defa4d78c478ec94e7daf2bbeebb4b169ce73e",
-    "interpolation_power": "ed24a83a675185363f52c05cd6a819f1668293799d4d2889b0037a79257daaa6",
+    "interpolation_power": "0481a5d0a42d9519039a27883ad94629c19139a02df737e07150a5202ec1a00b",
 }
 
 

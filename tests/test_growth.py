@@ -27,6 +27,7 @@ from bergman_orlicz.growth import (
     rho_power_log,
     shipped_growth_ids,
 )
+from bergman_orlicz.harness import verify_interpolation_power
 from bergman_orlicz.holo import Series
 from bergman_orlicz.measure import make_measure
 from bergman_orlicz.norms import luxemburg_norm, rule_for_function
@@ -183,6 +184,65 @@ def test_inverse_refuses_nan_targets():
     phi = resolve_growth("interp:phi0=power:p=2,phi1=power:p=4,rho=power:theta=0.5")
     with pytest.raises(DomainError):
         phi.fn(np.array([0.5, math.nan]))
+
+
+_INTERP_FORMS = ["interp:phi0=power:p=2,phi1=power:p=4,rho=power:theta=0.5",
+                 "interp:phi0=(powerlog:p=2,a=1),phi1=power:p=4,rho=power:theta=0.5"]
+
+
+@pytest.mark.parametrize("gid", _INTERP_FORMS)
+def test_tabulated_phi_matches_the_root_finder(gid):
+    # Compared on the t of [1e-200, 1e200] whose Phi lies within [1e-280,
+    # 1e280]; t^(8/3) leaves it near t = 1e105.  The root-finder keeps log Phi
+    # to its 1e-13 tolerance, and at |log Phi| ~ 600 that log itself rounds
+    # by 1.1e-13.
+    phi = resolve_growth(gid)
+    t = np.logspace(-200, 200, 10000)
+    lo, hi = phi.inv(np.array([1e-280, 1e280]))
+    t = t[(t > lo) & (t < hi)]
+    ref = _monotone_inverse(phi.inv, t)
+    got = phi(t)
+    assert np.all(np.abs(got / ref - 1.0) <= 1e-13 + np.spacing(np.abs(np.log(ref))))
+    assert np.max(np.abs(phi.inv(got) / t - 1.0)) <= np.max(np.abs(phi.inv(ref) / t - 1.0))
+    table = phi.fn
+    assert table.u.nbytes + table.coef.nbytes <= 512 * 1024
+
+
+def test_tabulated_phi_keeps_the_root_finders_ends():
+    # t^(8/3) is 1e280 at t = 1e105: below 1e-280 Phi is pinned there,
+    # above 1e280 it is refused.
+    phi = resolve_growth(_INTERP_FORMS[0])
+    got = phi(np.array([0.0, 1e-105, 1e-300]))
+    assert got == pytest.approx([0.0, 1e-280, 1e-280], rel=1e-12, abs=0.0)
+    for t in (1e106, math.inf):
+        with pytest.raises(UnboundedInverseError, match=r"exceeds 1e\+280"):
+            phi(np.array([1.0, t]))
+
+
+def test_tabulated_phi_ends_where_an_inner_inverse_refuses():
+    # t^(1/2) log(e + t) reaches 1e280 only near t = 1e557, so its inverse
+    # refuses the table's top targets; the table stops below them.
+    phi = resolve_growth("interp:phi0=(powerlog:p=1/2,a=1),phi1=power:p=4,rho=power:theta=0.5")
+    t = np.logspace(-20, 20, 401)
+    assert np.max(np.abs(phi.inv(phi(t)) / t - 1.0)) <= 1e-13
+
+
+def test_interpolation_suite_runs_no_root_finder(monkeypatch):
+    # Phi was the root-finder on Psi: 148 calls in this suite.
+    calls = []
+    solve = growth_module._monotone_inverse
+    monkeypatch.setattr(growth_module, "_monotone_inverse",
+                        lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+    verify_interpolation_power(2.0, 4.0, 0.5)
+    assert calls == []
+
+
+def test_interp_derivative_comes_from_the_explicit_inverse():
+    # Phi' = 1 / Psi'(Phi).  As a difference quotient of the root-finder's
+    # Phi, t Phi' / Phi of t^(8/3) scattered 2.5e-8 around 8/3.
+    phi = interpolate_growth(power_growth(2), power_growth(4), rho_power(0.5))
+    t = np.exp(np.linspace(-3.0, 3.0, 4001))
+    assert np.max(np.abs(t * phi.derivative(t) / phi(t) - 8.0 / 3.0)) <= 1e-9
 
 
 def test_square_root_growth_is_the_half_power_bit_for_bit():
