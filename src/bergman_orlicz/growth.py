@@ -76,6 +76,8 @@ _INVERSE_REL_TOL = 1e-13
 _INVERSE_MAX_ITER = 250
 _TABLE_PAIRS = 8001
 _LOG_TINY = math.log(np.finfo(float).tiny)
+# t^p by one correctly rounded ufunc, with the bits of np.power(t, p) at half the cost.
+_POWER_UFUNCS = {2.0: np.square, 0.5: np.sqrt}
 
 
 def _log_grid(lo: float, hi: float, count: int) -> np.ndarray:
@@ -397,11 +399,10 @@ def power_growth(p) -> GrowthFunction:
     kind = "upper" if p >= 1.0 else "lower"
     return GrowthFunction(
         name=f"power:p={_fmt(p)}",
-        # sqrt is correctly rounded and agrees with t^0.5 bit for bit at half the cost.
-        fn=np.sqrt if p == 0.5 else (lambda t: np.power(t, p)),
+        fn=_POWER_UFUNCS.get(p, lambda t: np.power(t, p)),
         kind=kind,
         type_exponent=p,
-        inv=lambda s: np.power(s, 1.0 / p),
+        inv=_POWER_UFUNCS.get(1.0 / p, lambda s: np.power(s, 1.0 / p)),
         deriv=lambda t: p * np.power(t, p - 1.0),
     )
 

@@ -95,7 +95,9 @@ def _monomial_sums(pts: np.ndarray, term_lists) -> np.ndarray:
     running product of d factors z_j, each written into a fresh buffer:
     numpy rounds a complex product written over its own factor
     differently for a single point.  Only the powers some list reads are
-    kept; the others are freed when the next power replaces them.
+    kept; the others are freed when the next power replaces them.  A
+    monomial is copied only when a second coordinate multiplies it in
+    place: at n = 1 each term reads its kept power of z_1 as it stands.
     """
     n = pts.shape[1]
     used = [{m[j] for terms in term_lists for m, _ in terms} for j in range(n)]
@@ -113,7 +115,7 @@ def _monomial_sums(pts: np.ndarray, term_lists) -> np.ndarray:
         for k, terms in enumerate(term_lists):
             acc = np.zeros(hi - lo, dtype=complex)
             for m, c in terms:
-                mono = tab[0][m[0]].copy()
+                mono = tab[0][m[0]].copy() if n > 1 else tab[0][m[0]]
                 for j in range(1, n):
                     mono *= tab[j][m[j]]
                 acc += complex(c) * mono

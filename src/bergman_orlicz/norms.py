@@ -12,10 +12,13 @@ that tree, and each leaf is checked where it is produced
 (measure._checked_node_values: one finite value per node).  A norm writes
 the leaves' |F| (a kernel power's in real arithmetic) into one float
 array, once per function, so a bisection step, modular_of_values, only
-evaluates Phi.fn, weights and sums; the derivative modulars, the small-type
-sums and the Cesaro upper modular take the next block on each leaf, with no
-node-sized array.  A NaN anywhere in Phi's output makes a sum NaN, which
-raises DomainError.
+evaluates Phi.fn, weights and sums.  At n = 1 a rule has a few hundred
+nodes and a step is mostly fixed cost, so it pays little besides: one
+errstate per call, set by decorator, and per leaf Phi.fn, one in-place
+multiply and one np.add.reduce (np.sum's pairwise sum without its Python
+wrapper).  The derivative modulars, the small-type sums and the Cesaro
+upper modular take the next block on each leaf, with no node-sized array.
+A NaN anywhere in Phi's output makes a sum NaN, which raises DomainError.
 
 Quadrature selection: one measure.build_rule call per function.  Polynomial
 integrands get a plain rule with degree scaled to the function degree and
@@ -97,9 +100,10 @@ def _phi_sum(values, weights, phi: GrowthFunction, scale: float) -> float:
     """np.sum of w_i Phi(values_i / scale), weighting Phi's fresh output in place."""
     y = phi.fn(values / scale)
     y *= weights
-    return float(y.sum())
+    return float(np.add.reduce(y))
 
 
+@np.errstate(over="ignore")
 def modular_of_values(values: np.ndarray, weights: np.ndarray,
                       phi: GrowthFunction, scale: float = 1.0) -> float:
     """sum_i w_i Phi(values_i / scale); the workhorse behind modular and norms.
@@ -112,9 +116,8 @@ def modular_of_values(values: np.ndarray, weights: np.ndarray,
     output in place; the total is the np.sum of all nodes' terms bit for bit.
     An overflow gives inf; a NaN sum raises DomainError.
     """
-    with np.errstate(over="ignore"):
-        total = _tree_sum(values.size, lambda lo, hi: _phi_sum(
-            values[lo:hi], weights[lo:hi], phi, scale))
+    total = _tree_sum(values.size, lambda lo, hi: _phi_sum(
+        values[lo:hi], weights[lo:hi], phi, scale))
     if math.isnan(total):
         raise DomainError(f"modular of {phi.name} is NaN; node values must be "
                           "non-negative and finite")

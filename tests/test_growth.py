@@ -252,6 +252,17 @@ def test_square_root_growth_is_the_half_power_bit_for_bit():
     assert phi.fn(t).tobytes() == np.power(t, 0.5).tobytes()
 
 
+def test_square_growth_is_the_second_power_bit_for_bit():
+    phi = power_growth(2)
+    assert phi.fn is np.square
+    assert phi.inv is np.sqrt
+    # Subnormal squares at the bottom, overflow to inf at the top.
+    t = np.logspace(-320, 160, 60001)
+    with np.errstate(over="ignore"):
+        assert phi.fn(t).tobytes() == np.power(t, 2.0).tobytes()
+    assert phi.inv(t).tobytes() == np.power(t, 0.5).tobytes()
+
+
 def test_inverse_refuses_to_stop_at_the_iteration_cap(monkeypatch):
     monkeypatch.setattr(growth_module, "_INVERSE_MAX_ITER", 2)
     phi = resolve_growth("powerlog:p=2,a=1")

@@ -282,6 +282,13 @@ def test_an_overflow_in_one_leaf_gives_inf():
         total = modular_of_values(values, np.full(values.size, 1.0 / values.size),
                                   power_growth(2))
     assert total == math.inf
+    one_leaf = np.full(_LEAF - 3, 0.5)
+    one_leaf[7] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        total = modular_of_values(one_leaf, np.full(one_leaf.size, 1.0 / one_leaf.size),
+                                  power_growth(2))
+    assert total == math.inf
 
 
 @pytest.mark.parametrize("gid, n, bound_mib", [("power:p=2", 1 << 22, 8),
