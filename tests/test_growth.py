@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from bergman_orlicz import growth as growth_module
 from bergman_orlicz.errors import DomainError, FunctionSpecError, UnboundedInverseError
 from bergman_orlicz.growth import (
-    _monotone_inverse,
+    GrowthFunction,
+    _InverseTable,
     complementary,
     delta2_constant,
     equivalence_constants,
@@ -153,8 +155,8 @@ def test_inverse_is_right_inverse(p, t):
     y = float(phi(np.array([t]))[0])
     back = float(phi.inverse(np.array([y]))[0])
     assert back == pytest.approx(t, rel=1e-10)
-    # These have no closed-form Phi (interp) or Phi^{-1} (the rest), so the
-    # log-axis root-finder supplies one side of each round trip.
+    # These have no closed-form Phi (interp) or Phi^{-1} (the rest), so a
+    # table of the other side supplies one side of each round trip.
     for gid in ("powerlog:p=2,a=1", "powerlog:p=1/2,a=1", "powerinvlog:p=2",
                 "interp:phi0=power:p=2,phi1=power:p=4,rho=power:theta=0.5"):
         phi = resolve_growth(gid)
@@ -170,17 +172,18 @@ def test_interpolated_power_growth_matches_its_closed_form():
 
 
 def test_inverse_refuses_nan_from_the_function():
-    # NaN compares False both ways; a bracket built on it would close on t = 2.
+    # NaN compares False both ways; a table cut at it would end at t = 2 and
+    # read the target 9 as out of range.
+    spiky = GrowthFunction("spiky", lambda t: np.where(t > 2.0, math.nan, t * t))
     with pytest.raises(DomainError, match="spiky"):
-        _monotone_inverse(lambda t: np.where(t > 2.0, math.nan, t * t),
-                          np.array([9.0]), label="spiky")
+        spiky.inverse(np.array([9.0]))
 
 
 def test_inverse_refuses_nan_targets():
-    # The root-finder maps targets <= 0 to 0; NaN compares False, so without
-    # its own check the interpolated Phi.fn read a NaN argument as 0.
+    # The table maps targets <= 0 to 0; NaN compares False, so without its own
+    # check the interpolated Phi.fn, which is such a table, read NaN as 0.
     with pytest.raises(DomainError, match="spiky"):
-        _monotone_inverse(lambda t: t * t, np.array([4.0, math.nan]), label="spiky")
+        _InverseTable(lambda t: t * t, "spiky")(np.array([4.0, math.nan]))
     phi = resolve_growth("interp:phi0=power:p=2,phi1=power:p=4,rho=power:theta=0.5")
     with pytest.raises(DomainError):
         phi.fn(np.array([0.5, math.nan]))
@@ -190,22 +193,49 @@ _INTERP_FORMS = ["interp:phi0=power:p=2,phi1=power:p=4,rho=power:theta=0.5",
                  "interp:phi0=(powerlog:p=2,a=1),phi1=power:p=4,rho=power:theta=0.5"]
 
 
+def _log_power_log(p, a):
+    """L -> log Phi(e^L) for Phi(t) = t^p log(e + t)^a, in mpmath."""
+    return lambda L: p * L + a * mp.log(mp.log(mp.e + mp.exp(L)))
+
+
 @pytest.mark.parametrize("gid", _INTERP_FORMS)
 def test_tabulated_phi_matches_the_root_finder(gid):
-    # Compared on the t of [1e-200, 1e200] whose Phi lies within [1e-280,
-    # 1e280]; t^(8/3) leaves it near t = 1e105.  The root-finder keeps log Phi
-    # to its 1e-13 tolerance, and at |log Phi| ~ 600 that log itself rounds
-    # by 1.1e-13.
+    # Against an mpmath root of Psi(x) = t.  With L = log Phi0^{-1}(x),
+    # Psi = (Phi0^{-1} Phi1^{-1})^(1/2) = t reads L/2 + log Phi0(e^L)/8 = log t,
+    # and Phi(t) = Phi0(e^L).  Compared on the t of [1e-200, 1e200] whose Phi
+    # lies within [1e-280, 1e280]; t^(8/3) leaves it near t = 1e105.
     phi = resolve_growth(gid)
-    t = np.logspace(-200, 200, 10000)
+    log_phi0 = _log_power_log(2, 1 if "powerlog" in gid else 0)
+    t = np.logspace(-200, 200, 401)
     lo, hi = phi.inv(np.array([1e-280, 1e280]))
     t = t[(t > lo) & (t < hi)]
-    ref = _monotone_inverse(phi.inv, t)
-    got = phi(t)
-    assert np.all(np.abs(got / ref - 1.0) <= 1e-13 + np.spacing(np.abs(np.log(ref))))
-    assert np.max(np.abs(phi.inv(got) / t - 1.0)) <= np.max(np.abs(phi.inv(ref) / t - 1.0))
+    with mp.workdps(40):
+        ref = np.array([float(mp.exp(log_phi0(mp.findroot(
+            lambda L: L / 2 + log_phi0(L) / 8 - mp.log(v), 1.5 * math.log(v)))))
+            for v in t])
+    assert np.max(np.abs(phi(t) / ref - 1.0)) <= 2e-15
     table = phi.fn
     assert table.u.nbytes + table.coef.nbytes <= 512 * 1024
+
+
+_TABULATED_INVERSES = {"powerlog:p=2,a=1": (2.0, 1.0), "powerlog:p=1/2,a=1": (0.5, 1.0),
+                       "powerinvlog:p=2": (2.0, -1.0)}
+
+
+@pytest.mark.parametrize("gid", list(_TABULATED_INVERSES))
+def test_tabulated_inverse_matches_mpmath(gid):
+    # Phi^{-1} over the whole table, from its least to its largest finite Phi;
+    # a root below 1e-280 is pinned there.
+    phi = resolve_growth(gid)
+    u = phi._inverse_table.u
+    s = np.exp(np.linspace(u[0], u[-1], 201))
+    s = s[np.log(s) <= u[-1]]
+    p, a = _TABULATED_INVERSES[gid]
+    log_phi = _log_power_log(p, a)
+    with mp.workdps(40):
+        ref = np.array([float(mp.exp(mp.findroot(lambda L: log_phi(L) - mp.log(v),
+                                                 math.log(v) / p))) for v in s])
+    assert np.max(np.abs(phi.inverse(s) / np.maximum(ref, 1e-280) - 1.0)) <= 2e-15
 
 
 def test_tabulated_phi_keeps_the_root_finders_ends():
@@ -217,6 +247,12 @@ def test_tabulated_phi_keeps_the_root_finders_ends():
     for t in (1e106, math.inf):
         with pytest.raises(UnboundedInverseError, match=r"exceeds 1e\+280"):
             phi(np.array([1.0, t]))
+    # Psi = s^(5/2): where s^2 or s^3 leaves the normal floats it is 0 or inf,
+    # not the NaN of 0/0 or inf/inf, so the table keeps its end pairs and
+    # Phi = t^(2/5) follows the end slope below them.
+    low = resolve_growth("interp:phi0=power:p=1/2,phi1=power:p=1/3,rho=power:theta=0.5")
+    assert low.fn.y_step * low.fn.coef[0, 0] == pytest.approx(0.4, rel=1e-10, abs=0.0)
+    assert low(1e-310) == pytest.approx(1e-124, rel=3.5e-11, abs=0.0)
 
 
 def test_tabulated_phi_ends_where_an_inner_inverse_refuses():
@@ -225,16 +261,6 @@ def test_tabulated_phi_ends_where_an_inner_inverse_refuses():
     phi = resolve_growth("interp:phi0=(powerlog:p=1/2,a=1),phi1=power:p=4,rho=power:theta=0.5")
     t = np.logspace(-20, 20, 401)
     assert np.max(np.abs(phi.inv(phi(t)) / t - 1.0)) <= 1e-13
-
-
-def test_interpolation_suite_runs_no_root_finder(monkeypatch):
-    # Phi was the root-finder on Psi: 148 calls in this suite.
-    calls = []
-    solve = growth_module._monotone_inverse
-    monkeypatch.setattr(growth_module, "_monotone_inverse",
-                        lambda *args, **kw: calls.append(1) or solve(*args, **kw))
-    verify_interpolation_power(2.0, 4.0, 0.5)
-    assert calls == []
 
 
 def test_interp_derivative_comes_from_the_explicit_inverse():
@@ -263,21 +289,15 @@ def test_square_growth_is_the_second_power_bit_for_bit():
     assert phi.inv(t).tobytes() == np.power(t, 0.5).tobytes()
 
 
-def test_inverse_refuses_to_stop_at_the_iteration_cap(monkeypatch):
-    monkeypatch.setattr(growth_module, "_INVERSE_MAX_ITER", 2)
-    phi = resolve_growth("powerlog:p=2,a=1")
-    with pytest.raises(UnboundedInverseError, match=r"powerlog:p=2,a=1 did not converge"):
-        phi.inverse(np.array([0.3, 7.0]))
-
-
 def test_inverse_refuses_a_root_past_the_upper_cap():
-    with pytest.raises(UnboundedInverseError, match=r"for slow exceeded 1e\+280"):
-        _monotone_inverse(np.log1p, np.array([2.0, 1e4]), label="slow")
+    # log(1 + t) stays below log(1 + 1e280) ~ 645 on the table's t <= 1e280.
+    with pytest.raises(UnboundedInverseError, match=r"inverse of slow exceeds 1e\+280"):
+        GrowthFunction("slow", np.log1p).inverse(np.array([2.0, 1e4]))
 
 
 def test_inverse_closes_brackets_where_adjacent_doubles_are_far_apart():
     # Roots up to t ~ 1e274 (log t ~ 632), where one step of a double on the
-    # log axis exceeds the 1e-13 tolerance.
+    # log axis is 1.1e-13: the Newton steps act on t, not on log t.
     phi = resolve_growth("powerlog:p=1/2,a=1")
     s = np.logspace(100, 140, 401)
     assert np.max(np.abs(phi(phi.inverse(s)) / s - 1.0)) <= 1e-12
@@ -285,13 +305,13 @@ def test_inverse_closes_brackets_where_adjacent_doubles_are_far_apart():
 
 def test_inverse_pins_roots_below_the_lower_cap():
     # t^{1/10} = 1e-100 at t = 1e-1000; with fn(0) = 0 the answer is t ~ 0.
-    got = _monotone_inverse(lambda t: t ** 0.1, np.array([1e-100, 1e-10]))
+    got = GrowthFunction("tenth", lambda t: t ** 0.1).inverse(np.array([1e-100, 1e-10]))
     assert got == pytest.approx([1e-280, 1e-100], rel=1e-12, abs=0.0)
 
 
 def test_inverse_bisects_where_the_function_underflows():
-    # t^3 log(e + t) = 1e-300 at t ~ 1e-100; the first bracket reaches down to
-    # t ~ e^-353, where fn underflows to 0 and g = -inf pins the secant point.
+    # t^3 log(e + t) = 1e-300 at t ~ 1e-100; the table starts near
+    # t = 2.8e-103, where Phi reaches the smallest normal float.
     phi = resolve_growth("powerlog:p=3")
     s = np.array([1e-250, 1e-300])
     assert np.max(np.abs(phi(phi.inverse(s)) / s - 1.0)) <= 1e-12
@@ -302,7 +322,9 @@ def test_inverse_bisects_where_the_function_underflows():
 
 
 def test_inverse_refuses_an_infinite_target():
-    with pytest.raises(UnboundedInverseError, match=r"powerlog:p=2,a=1 exceeded 1e\+280"):
+    # The table ends at t ~ 6.5e152, where t^2 log(e + t) last stays finite.
+    with pytest.raises(UnboundedInverseError,
+                       match=r"inverse of powerlog:p=2,a=1 exceeds 6\.45654e\+152 at t = inf"):
         resolve_growth("powerlog:p=2").inverse(np.inf)
 
 
