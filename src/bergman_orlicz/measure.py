@@ -37,10 +37,11 @@ kernel_modulus, the modulus that norms need, works in that buffer plus one
 real array.  Rules above _MAX_RULE_NODES = 2^24 nodes
 (134 MB of weights) are refused with UnsupportedRuleError before any
 allocation.  make_measure builds no rule: each rule records its own
-normalization_residual.  The one Gauss-Jacobi call (_radial_jacobi) refuses
-with DomainError an alpha it cannot build (past about 1,033, where its
-weights overflow), and _unit_mass_parts a rule whose raw mass is not finite
-and positive.
+normalization_residual.  Every Gauss-Jacobi rule comes from _gauss_jacobi,
+built in numpy, rounded once from extended precision and kept per
+(alpha, n); _radial_jacobi refuses with DomainError an alpha it cannot build (past about
+1,033, where the weights overflow float64), and _unit_mass_parts a rule
+whose raw mass is not finite and positive.
 
 A measure keeps every polynomial rule built for it: a second build_rule
 call with the same arguments returns the same QuadratureRule, whose arrays
@@ -74,7 +75,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, ndtri, roots_jacobi
 
 from .errors import (
     DomainError,
@@ -188,16 +188,69 @@ class QuadratureRule:
         return out
 
 
+def _jacobi_and_derivative(a, n: int, x):
+    """P_n^{(a,0)} and its derivative at the nodes x, by the three-term
+    recurrence, in the precision of a and x (with n >= 1 and -1 < x < 1)."""
+    p_prev, p = np.ones_like(x), ((a + 2) * x + a) / 2
+    for m in range(2, n + 1):
+        c = 2 * m + a
+        p, p_prev = ((c - 1) * (c * (c - 2) * x + a * a) * p
+                     - 2 * (m + a - 1) * (m - 1) * c * p_prev) / (2 * m * (m + a) * (c - 2)), p
+    c = 2 * n + a
+    # (2n + a)(1 - x^2) P_n' = n (a - (2n + a) x) P_n + 2 n (n + a) P_{n-1}
+    return p, (n * (a - c * x) * p + 2 * n * (n + a) * p_prev) / (c * (1 - x) * (1 + x))
+
+
+@functools.lru_cache(maxsize=256)
+def _gauss_jacobi(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n nodes x and weights w of Gauss-Jacobi quadrature for
+    int_{-1}^1 (1-x)^alpha h(x) dx, each rounded once to float64 from
+    np.longdouble; read-only, and kept for the 256 (alpha, n) last used.
+
+    Golub-Welsch gives the nodes to about 1e-16: the eigenvalues of the
+    symmetric Jacobi matrix.  Two Newton steps on P_n^{(alpha,0)} in
+    np.longdouble polish them, and w_k = 2^{alpha+1} / ((1 - x_k^2)
+    P_n'(x_k)^2) is taken at the polished nodes.  Newton in float64 would
+    not settle (it alternates between neighbouring floats, so the step count
+    would pick the bits); rounded from extended precision, the nodes are
+    within 1 ulp and the weights within 8 ulp of 40-digit values, and the
+    bits do not depend on the LAPACK path eigvalsh took.  Where
+    np.longdouble is float64 (MSVC, macOS arm64) the rule is only
+    float64-accurate.  At alpha = 0 the nodes are made symmetric, so an odd
+    n has the node 0 exactly.  ValueError when the Jacobi matrix, the nodes
+    or the weights are not finite: the weights, whose sum is
+    2^{alpha+1} / (alpha+1), overflow float64 past alpha ~ 1,033.
+    """
+    k = np.arange(1.0, n)
+    c = 2.0 * k + alpha
+    with np.errstate(all="ignore"):
+        diag = np.concatenate(([-alpha / (alpha + 2.0)], -alpha * alpha / (c * (c + 2.0))))
+        off = 2.0 * k * (k + alpha) / (c * np.sqrt((c - 1.0) * (c + 1.0)))
+        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+            raise ValueError("its Jacobi matrix is not finite")
+        jacobi_matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        x = np.linalg.eigvalsh(jacobi_matrix).astype(np.longdouble)
+        a = np.longdouble(alpha)
+        for _ in range(2):
+            p, dp = _jacobi_and_derivative(a, n, x)
+            x = x - p / dp
+        if alpha == 0.0:
+            x = (x - x[::-1]) / 2
+        _, dp = _jacobi_and_derivative(a, n, x)
+        w = np.longdouble(2) ** (a + 1) / ((1 - x) * (1 + x) * dp * dp)
+        x, w = x.astype(float), w.astype(float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        raise ValueError("its nodes or weights are not finite")
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _radial_jacobi(alpha: float, n_nodes: int):
-    """Nodes/weights for integral_0^1 (1-u)^alpha h(u) du; the one Gauss-Jacobi
-    call.  DomainError naming the weight when scipy cannot build them: it
-    raises, or its nodes or weights are not finite (its weights overflow past
-    alpha ~ 1,033)."""
+    """Nodes/weights for integral_0^1 (1-u)^alpha h(u) du, from _gauss_jacobi
+    in u = (x + 1) / 2.  DomainError naming the weight when it cannot build
+    them."""
     try:
-        with np.errstate(all="ignore"):
-            x, w = roots_jacobi(n_nodes, alpha, 0.0)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
-            raise ValueError("its nodes or weights are not finite")
+        x, w = _gauss_jacobi(alpha, n_nodes)
     except ValueError as exc:
         raise DomainError(f"no Gauss-Jacobi rule for the weight (1-u)^{alpha}: {exc}") from None
     u = 0.5 * (x + 1.0)
@@ -216,9 +269,9 @@ def _product_rule_raw(alpha: float, degree: int, angular_count: int | None = Non
     """Raw factors of the disc's product rule before unit-mass normalization:
     the (R,) radii sqrt(u), the (A,) unit angles e^{i theta} and the (R,)
     weight of each node on ring i, w_u[i] c_alpha pi / A."""
-    # c_alpha = Gamma(alpha+2) / (pi Gamma(alpha+1)), from integrating the
-    # radial Beta factor around the circle.
-    c_alpha = math.exp(gammaln(1.0 + alpha + 1.0) - gammaln(alpha + 1.0)) / math.pi
+    # c_alpha = Gamma(alpha+2) / (pi Gamma(alpha+1)) = (alpha+1) / pi, from
+    # integrating the radial Beta factor around the circle.
+    c_alpha = (alpha + 1.0) / math.pi
     n_rad, n_ang = _disc_sizes(degree, angular_count)
     u, wu = _radial_jacobi(alpha, n_rad)
     theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
@@ -398,11 +451,14 @@ def sphere_directions(n: int, count: int, seed: int) -> np.ndarray:
     n = 1 gives the equispaced circle (seed unused).  For n >= 2, scrambled
     Halton points in [0, 1)^(2n) are mapped through the inverse normal CDF to
     Gaussian vectors and normalized, which spreads them uniformly over the
-    sphere; the set is a deterministic function of the seed.
+    sphere; the set is a deterministic function of the seed.  scipy, which
+    supplies the Halton points and the inverse normal CDF, is imported here
+    and nowhere else in the package.
     """
     if n == 1:
         theta = 2.0 * np.pi * np.arange(count) / count
         return np.exp(1j * theta)[:, None]
+    from scipy.special import ndtri
     from scipy.stats import qmc
 
     q = qmc.Halton(d=2 * n, scramble=True, seed=seed).random(count)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import DomainError, SymbolInvariantError
 from .growth import GrowthFunction, golden_section_max
@@ -35,7 +34,14 @@ from .holo import (
     slice_direction,
     to_series,
 )
-from .measure import WeightedMeasure, _checked_node_values, _points_2d, _tree_sum, sphere_directions
+from .measure import (
+    WeightedMeasure,
+    _checked_node_values,
+    _points_2d,
+    _radial_jacobi,
+    _tree_sum,
+    sphere_directions,
+)
 from .norms import luxemburg_norm, modular_of_values, rule_for_function
 
 __all__ = [
@@ -102,9 +108,7 @@ def cesaro_apply_numeric(symbol: CesaroSymbol, f: HoloFunction, z):
     Gauss nodes are interior and never touch the endpoint.
     """
     pts, squeeze = _points_2d(z, symbol.n)
-    x, w = roots_legendre(64)
-    t = 0.5 * (x + 1.0)
-    wt = 0.5 * w
+    t, wt = _radial_jacobi(0.0, 64)
     out = np.empty(pts.shape[0], dtype=complex)
     for i, zi in enumerate(pts):
         ray = t[:, None] * zi[None, :]

@@ -282,7 +282,7 @@ def test_negative_norm_degree_is_usage_error(capsys):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("alpha", ["1e300", "1e5"])
 def test_an_alpha_past_the_rules_is_data_error(capsys, n, alpha):
-    # At 1e300 scipy refuses the Gauss-Jacobi rule; it exited 70.
+    # At 1e300 the Gauss-Jacobi rule's Jacobi matrix is not finite; it exited 70.
     f = Z if n == 1 else '{"kind":"series","n":2,"terms":[[[1,0],1.0,0.0]]}'
     code, out, err = run(capsys, ["norm", "--n", str(n), "--alpha", alpha, "--function", f])
     assert (code, out) == (65, "")
@@ -354,13 +354,13 @@ def test_verify_has_no_refine_flag(capsys):
 # config (power:p=2, alpha 0, n 1, seed 0).  A change that moves a report's
 # digits on purpose updates its digest here and says so in CHANGES.md.
 _REPORT_SHA256 = {
-    "cesaro_boundedness": "9a56f7ef80bef53e838648443e953c0d6c7974cbf0affb642378487f83b852c8",
+    "cesaro_boundedness": "6910cc3a59367490ba52371ab41a0523930921ba419db2b8449e92ab34350551",
     "cesaro_compactness": "93101101a245c2f618330078ab35be599959644d1ce3e76177e58c66eebe650f",
-    "derivative_equivalence": "1cbc41f478a379a79f57b5c2257e3658d86e934ee21d5f1741c0ca862e710d1a",
+    "derivative_equivalence": "efac33506844527640a3bbf7b3a4f10a92222e5d61f29b7973c3837b6c2226fe",
     "interpolation_power": "6239072b4a595f99d8b370f3f15d50298e24578af2993347be9f2fadab0831b9",
     "pointwise_estimates": "d8833dc270a815aa787ce717ff0c486b68b2c9a03fe9a19591453ea351c4a9f4",
-    "small_type": "8d13588b1f3dcb26fe6ca872bc01ba1a91dc2c9328f62055ff7c5d85276fa1bd",
-    "test_functions": "b5eade41f6fe51ef47645af75ea12d3b0ec0abbc9af8c1d6a8e98e552cfcd93a",
+    "small_type": "e4055f67cdde23d071673b0844af146a67625bc3fecbf4f72b124f66af9a8d53",
+    "test_functions": "9b00ae946b7a1986398f0a0577707ed96d81721bf65c99b7ebc6b110b9956102",
 }
 
 # At n = 2 both suites run on slice rules, kernel ones among them.
@@ -559,3 +559,25 @@ def test_n2_streamed_suites_fit_in_110_mb(tmp_path, suite):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["exit"] == 0
     assert result["maxrss_mb"] < 110
+
+
+# `bol` in a child that prints its exit code and the scipy modules it imported.
+_SCIPY_CHILD = """
+import json, sys
+from bergman_orlicz import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps({"exit": code, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_default_verify_imports_no_scipy(tmp_path):
+    # The Gauss-Jacobi rule is built in numpy; scipy's Halton points serve
+    # sphere_directions at n >= 2 only and are imported there.  Importing
+    # scipy.special cost verify-n1-stock about 24 MB of its peak RSS.
+    src = str(Path(bergman_orlicz.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["verify", "--suite", "derivative_equivalence", "--out", str(tmp_path)]
+    done = subprocess.run([sys.executable, "-c", _SCIPY_CHILD, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {"exit": 0, "scipy": []}

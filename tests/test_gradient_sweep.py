@@ -155,9 +155,9 @@ def test_shared_power_table_is_bitwise_the_per_coordinate_path(monkeypatch, name
 # two-variable degree-6 series and its partials on the first 16,385 nodes:
 # one _SERIES_BLOCK plus a lone last point, which joins the block before it.
 _N2_DIGESTS = {
-    "points": "3d5f2fcc115add1f7930b602fd5390e72cc314b26fad7bc9d1d27ecd7c30fee0",
-    "eval": "fb312765dfa46e31c1dfe0c17ffec731d86bdf0f3b0aaf92e2db7c36dd2e2d18",
-    "partials": "b79e9050185b3820cfec078f0d9957e96761e42f3cb4aeb52b952370a284d6df",
+    "points": "20037d99e1341a4277c5604a6f2ac6870acb17ccb7daf478439d6bf3a84d9ea0",
+    "eval": "be6d8d317d415b3f6a50a62a44707907224cfbaa21de791ba5ac606a734fbae9",
+    "partials": "22ccb1c3cfbdb3dfc6a6e4a8ad7ee8509f28b8ddfe7d59c455a199b15d39219b",
 }
 
 

@@ -164,8 +164,8 @@ def _n2_family():
 # so these digests hold for one BLAS build and CPU type; on another, the
 # last bits may move and the digests need re-pinning.
 _N2_SUITE_SHA256 = {
-    "derivative_equivalence": "fc259cfcb07016bd924bc4ff27802929c2c99afecc6caa1347cab35299dd83a4",
-    "small_type": "3a7c771dbf403d906a992328a074ea05e821e5913dc8a650478de8cc0728f2d4",
+    "derivative_equivalence": "3e1bab2aa4fc9c0a3cf8ebd8ed73efc819ca731f75dd039cfec0b7d5b4ccaea9",
+    "small_type": "57ec9dc5755c52ee92772e7babcd804a4e1cdba9388fd212e95ceda97122f710",
 }
 
 

@@ -11,11 +11,11 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
 
 from bergman_orlicz import measure as measure_module
 from bergman_orlicz import norms
@@ -213,13 +213,71 @@ def test_measure_refuses_a_non_finite_alpha(alpha):
 @pytest.mark.parametrize("n", [1, 2])
 def test_first_build_refuses_an_alpha_past_the_rules(n):
     # make_measure builds no rule, so the first build_rule refuses an alpha
-    # whose Gauss-Jacobi weights overflow (past about 1,033; at 1e5 they are
-    # NaN) or that scipy refuses outright (1e300), naming the measure's alpha.
+    # whose Gauss-Jacobi weights overflow float64 (past about 1,033; at 1e5
+    # even 2^(alpha+1) overflows np.longdouble) or whose Jacobi matrix is not
+    # finite (1e300), naming the measure's alpha.
     for alpha in (1100.0, 1e5, 1e300):
         measure = make_measure(n, alpha)
         with pytest.raises(DomainError, match=re.escape(f"no quadrature rule for alpha={alpha}:")):
             build_rule(measure, degree=8)
     assert build_rule(make_measure(n, 1000.0), degree=8).normalization_residual < 1e-10
+
+
+def _gauss_jacobi_mp(alpha, n, nodes):
+    """The Gauss-Jacobi nodes of (1-x)^alpha next to the given floats and
+    their weights, by 40-digit Newton steps on the three-term recurrence for
+    P_n^{(alpha,0)}, P_m = ((A_m x + B_m) P_{m-1} - C_m P_{m-2}).
+    mpmath.jacobi cannot serve: its hypergeometric sum does not converge at a
+    root.  From a node within 1e-15 the second step is at 40 digits and the
+    third leaves it there, with P_n' taken at that node."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        abc = []
+        for m in range(2, n + 1):
+            c, d = 2 * m + a, 2 * m * (m + a) * (2 * m + a - 2)
+            abc.append(((c - 1) * c * (c - 2) / d, (c - 1) * a * a / d,
+                        2 * (m + a - 1) * (m - 1) * c / d))
+        out = []
+        for x in map(mpmath.mpf, nodes):
+            for _ in range(3):
+                p_prev, p = 1, ((a + 2) * x + a) / 2
+                for a_m, b_m, c_m in abc:
+                    p, p_prev = (a_m * x + b_m) * p - c_m * p_prev, p
+                c = 2 * n + a
+                dp = (n * (a - c * x) * p + 2 * n * (n + a) * p_prev) / (c * (1 - x) * (1 + x))
+                x -= p / dp
+            out.append((float(x), float(2 ** (a + 1) / ((1 - x) * (1 + x) * dp**2))))
+        return out
+
+
+@pytest.mark.parametrize("n", [9, 17, 27, 33, 53, 127, 257])
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 1.5, 2.0, 20.0])
+def test_gauss_jacobi_rule_matches_a_40_digit_oracle(alpha, n):
+    # Each node within 1 ulp of the 40-digit one (the node 0 of odd n at
+    # alpha = 0 within 1e-300) and each weight within 8 ulp; scipy's
+    # roots_jacobi was 4.2e-10 off at n = 257, alpha = 2.  A 40-digit node
+    # costs 4-10 ms at n = 127 and 257, so there the oracle takes the eight
+    # nodes at each end, where they crowd, and every 16th between.
+    x, w = measure_module._gauss_jacobi(alpha, n)
+    assert measure_module._gauss_jacobi(alpha, n)[1] is w
+    assert not (x.flags.writeable or w.flags.writeable)
+    ends = set(range(8)) | set(range(n - 8, n))
+    checked = range(n) if n <= 53 else sorted(ends | set(range(8, n - 8, 16)))
+    for k, (ref_x, ref_w) in zip(checked, _gauss_jacobi_mp(alpha, n, x[checked])):
+        if ref_x == 0.0:
+            assert abs(x[k]) <= 1e-300, k
+        else:
+            assert abs(x[k] - ref_x) <= np.spacing(abs(ref_x)), k
+        assert abs(w[k] - ref_w) <= 8 * np.spacing(ref_w), k
+
+
+def test_sphere_directions_keep_their_bytes():
+    # scipy's scrambled Halton points and inverse normal CDF, imported on
+    # the first n >= 2 call.
+    dirs = measure_module.sphere_directions(2, 64, 0)
+    assert (dirs.dtype, dirs.shape) == (np.complex128, (64, 2))
+    assert hashlib.sha256(dirs.tobytes()).hexdigest() == (
+        "26bdf89638801142cb1fb417fdc6a74784913a1b4148223ab96bcc7845b96474")
 
 
 def test_make_measure_builds_no_rule(monkeypatch):
@@ -242,8 +300,9 @@ def test_a_mass_that_is_not_finite_and_positive_is_refused(total):
 
 
 # sha256 (first 16 hex digits) over the dtype, shape and bytes of points,
-# weights, line, disc, t and phases of each rule, recorded before the n = 2
-# rules became one lift; a rule's bytes must not move.
+# weights, line, disc, t and phases of each rule, re-recorded when the
+# Gauss-Jacobi nodes and weights came to be rounded once from extended
+# precision; a rule's bytes must not move.
 _RULE_LINES = {"e1": (1.0, 0.0), "tilted": (0.6, 0.8j), "e2": (0.0, 1.0)}
 _RULE_CASES = {
     "n1": (1, dict(degree=16)),
@@ -254,20 +313,20 @@ _RULE_CASES = {
        for name, line in _RULE_LINES.items()},
 }
 _RULE_SHA256 = {
-    ("n1", 0.0): "b7040033ec574918",
-    ("n1-kernel", 0.0): "c6cfc946da2a7245",
-    ("n2", 0.0): "f855889915ffb1cd",
-    ("n2-kernel", 0.0): "ed03e4192df07b8c",
-    ("slice-e1", 0.0): "cf985437fd286c38",
-    ("slice-tilted", 0.0): "2d81470cd3dd6bf9",
-    ("slice-e2", 0.0): "284489c8a2fb3dc2",
-    ("n1", 1.5): "ef98bcb278688cae",
-    ("n1-kernel", 1.5): "9073e252ac1d7728",
-    ("n2", 1.5): "4d9377ad4dc7a173",
-    ("n2-kernel", 1.5): "94c2c4ef9dc03c26",
-    ("slice-e1", 1.5): "83d44d2bfea2d5c1",
-    ("slice-tilted", 1.5): "73192f503a9f97d9",
-    ("slice-e2", 1.5): "0b3b515b8e26f88a",
+    ("n1", 0.0): "21667c57b4737260",
+    ("n1-kernel", 0.0): "92c69a562a0034da",
+    ("n2", 0.0): "2e5e133cf26737b8",
+    ("n2-kernel", 0.0): "8a63a866dad11388",
+    ("slice-e1", 0.0): "cd112aaf8297707f",
+    ("slice-tilted", 0.0): "9c4ca2f91afd862f",
+    ("slice-e2", 0.0): "7e9d9a055cb5154c",
+    ("n1", 1.5): "9d9aef28e15d0de0",
+    ("n1-kernel", 1.5): "49651efa25fac0bd",
+    ("n2", 1.5): "106a092a90fd0078",
+    ("n2-kernel", 1.5): "dc6e3d4a2c3bba09",
+    ("slice-e1", 1.5): "859ad7f17bf52088",
+    ("slice-tilted", 1.5): "bb795d2b56e6f0cd",
+    ("slice-e2", 1.5): "ce32004de37157b3",
 }
 
 
@@ -398,7 +457,7 @@ def _slice_rule_as_first_written(measure, zeta, degree, t_count, angular_count):
     alpha = measure.alpha
     # The disc's product rule at alpha + 1, every disc node written.
     a = alpha + 1.0
-    c_alpha = math.exp(gammaln(1.0 + a + 1.0) - gammaln(a + 1.0)) / math.pi
+    c_alpha = (a + 1.0) / math.pi
     n_rad, n_ang = _disc_sizes(degree, angular_count)
     u, wu = _radial_jacobi(a, n_rad)
     theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
