@@ -126,11 +126,19 @@ def cmd_norm(args) -> int:
 # cesaro
 
 
+# Most terms C(truncation + n, n) of bol cesaro's expansions: degree 2,144 at
+# n = 1, 64 at n = 2.  Two kernel inputs at the cap took 2.9 s and 5-8 s.
+_MAX_TRUNCATION_TERMS = 2145
+
+
 def cmd_cesaro(args) -> int:
     g = function_from_spec(_load_json_arg(args.symbol))
     f = function_from_spec(_load_json_arg(args.function))
     if g.n != f.n:
         raise FunctionSpecError(f"symbol has n={g.n} but function has n={f.n}")
+    if math.comb(args.truncation + f.n, f.n) > _MAX_TRUNCATION_TERMS:
+        raise FunctionSpecError(f"--truncation {args.truncation} would expand to more than "
+                                f"{_MAX_TRUNCATION_TERMS} terms at n={f.n}")
     symbol = CesaroSymbol(g)
     out_series = cesaro_apply_exact(symbol, f, args.truncation)
     if not all(map(cmath.isfinite, out_series.terms.values())):

@@ -249,30 +249,21 @@ def verify_pointwise_estimates(phi: GrowthFunction, alpha: float, n: int = 1,
     measure = make_measure(n, alpha)
     fam = default_family(phi, measure, seed)
 
+    sweeps = (("value", pointwise_bound_constant), ("gradient", derivative_pointwise_constant))
+
     def run_case(item):
         cid, f = item
-        c_fun0 = pointwise_bound_constant([f], phi, measure, seed=seed)
-        c_fun1 = pointwise_bound_constant([f], phi, measure, seed=seed, refine=1)
-        c_grad0 = derivative_pointwise_constant([f], phi, measure, seed=seed)
-        c_grad1 = derivative_pointwise_constant([f], phi, measure, seed=seed, refine=1)
-        return {
-            "id": cid,
-            "quantities": {
-                "value_base": c_fun0, "value_refined": c_fun1,
-                "gradient_base": c_grad0, "gradient_refined": c_grad1,
-            },
-        }
+        return {"id": cid, "quantities": {
+            f"{kind}_{res}": sweep([f], phi, measure, refine=refine)
+            for kind, sweep in sweeps for res, refine in (("base", 0), ("refined", 1))}}
 
     cases = _map_ordered(run_case, fam, jobs)
-    c_fun0 = max(c["quantities"]["value_base"] for c in cases)
-    c_fun1 = max(c["quantities"]["value_refined"] for c in cases)
-    c_grad0 = max(c["quantities"]["gradient_base"] for c in cases)
-    c_grad1 = max(c["quantities"]["gradient_refined"] for c in cases)
-    drifts = [_drift(c_fun0, c_fun1), _drift(c_grad0, c_grad1)]
-    verdict = _drift_verdict(drifts, [c_fun0, c_fun1, c_grad0, c_grad1])
+    top = {key: max(c["quantities"][key] for c in cases) for key in cases[0]["quantities"]}
+    drifts = [_drift(top[f"{kind}_base"], top[f"{kind}_refined"]) for kind, _ in sweeps]
+    verdict = _drift_verdict(drifts, top.values())
     constants = {
-        "C_value": c_fun0,
-        "C_gradient": c_grad0,
+        "C_value": top["value_base"],
+        "C_gradient": top["gradient_base"],
         "C_value_drift": drifts[0],
         "C_gradient_drift": drifts[1],
     }

@@ -58,8 +58,8 @@ single point t = 0, psi = 0 and the disc nodes are the nodes.  holo.on_rule
 reads a polynomial's node values off these factors.
 
 sphere_directions supplies the unit vectors that the pointwise and Bloch
-sweeps probe along: the equispaced circle for n = 1 and seed-deterministic
-scrambled Halton points for n >= 2.
+sweeps probe along: the equispaced circle for n = 1 and a fixed
+low-discrepancy set on the sphere for n = 2.
 
 Two conventions are defined here once for the whole package.  _points_2d
 reads "a point or a batch": a scalar or a length-n vector is one point and
@@ -445,28 +445,27 @@ def _unit_mass_parts(raw_w: np.ndarray, degree: int, rule_id: str,
                           abs(total - 1.0), *factors)
 
 
-def sphere_directions(n: int, count: int, seed: int) -> np.ndarray:
+def sphere_directions(n: int, count: int) -> np.ndarray:
     """count unit vectors of C^n, shape (count, n), for probe sweeps.
 
-    n = 1 gives the equispaced circle (seed unused).  For n >= 2, scrambled
-    Halton points in [0, 1)^(2n) are mapped through the inverse normal CDF to
-    Gaussian vectors and normalized, which spreads them uniformly over the
-    sphere; the set is a deterministic function of the seed.  scipy, which
-    supplies the Halton points and the inverse normal CDF, is imported here
-    and nowhere else in the package.
+    n = 1 gives the equispaced circle.  n = 2 maps the R_3 sequence
+    (u, phi1, phi2) = frac(0.5 + k (1/g, 1/g^2, 1/g^3)), g^4 = g + 1, to
+    (sqrt(u) e^{2 pi i phi1}, sqrt(1 - u) e^{2 pi i phi2}), which carries the
+    cube's uniform measure to the sphere's (Rudin, 1.4); the parts are float64
+    products, so the set is fixed.  Larger n raises UnsupportedRuleError.
     """
     if n == 1:
         theta = 2.0 * np.pi * np.arange(count) / count
         return np.exp(1j * theta)[:, None]
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-
-    q = qmc.Halton(d=2 * n, scramble=True, seed=seed).random(count)
-    g = ndtri(np.clip(q, 1e-15, 1.0 - 1e-15))
-    vecs = g[:, :n] + 1j * g[:, n:]
-    norms = np.linalg.norm(vecs, axis=1)
-    norms = np.where(norms == 0.0, 1.0, norms)
-    return vecs / norms[:, None]
+    if n != 2:
+        raise UnsupportedRuleError(f"probe directions stop at n=2, got n={n}")
+    step = np.array([0.8191725133961645, 0.6710436067037893, 0.5497004779019703])
+    u, phi1, phi2 = np.modf(0.5 + np.arange(count)[:, None] * step)[0].T
+    radii = np.stack([np.sqrt(u), np.sqrt(1.0 - u)], axis=1)
+    angles = 2.0 * np.pi * np.stack([phi1, phi2], axis=1)
+    dirs = np.empty((count, 2), dtype=complex)
+    dirs.real, dirs.imag = radii * np.cos(angles), radii * np.sin(angles)
+    return dirs
 
 
 def _tree_sum(n: int, leaf, lo: int = 0):

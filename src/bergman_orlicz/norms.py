@@ -274,10 +274,10 @@ _PROBE_DIRECTIONS = 64
 
 
 def _pointwise_sweep(family, phi: GrowthFunction, measure: WeightedMeasure,
-                     weighted_gradient: bool, seed: int, refine: int) -> float:
+                     weighted_gradient: bool, refine: int) -> float:
     n = measure.n
     m = n + 1.0 + measure.alpha
-    dirs = sphere_directions(n, _PROBE_DIRECTIONS, seed)
+    dirs = sphere_directions(n, _PROBE_DIRECTIONS)
     pts = (_PROBE_RADII[:, None, None] * dirs[None, :, :]).reshape(-1, n)
     one_minus = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
     denom = phi.inverse(one_minus ** (-m))
@@ -296,20 +296,20 @@ def _pointwise_sweep(family, phi: GrowthFunction, measure: WeightedMeasure,
 
 
 def pointwise_bound_constant(family, phi: GrowthFunction, measure: WeightedMeasure,
-                             seed: int = 0, refine: int = 0) -> float:
+                             refine: int = 0) -> float:
     """Empirical C with |f(z)| <= C Phi^{-1}((1-|z|^2)^{-(n+1+alpha)}) ||f||.
 
     Maximized over the family and a probe grid of 8 radii reaching 0.999
-    times 64 directions (seeded at n = 2).  Finiteness (with refinement
-    stability) is the claim under test; the value is never asserted minimal.
+    times 64 directions.  Finiteness (with refinement stability) is the
+    claim under test; the value is never asserted minimal.
     """
-    return _pointwise_sweep(family, phi, measure, False, seed, refine)
+    return _pointwise_sweep(family, phi, measure, False, refine)
 
 
 def derivative_pointwise_constant(family, phi: GrowthFunction, measure: WeightedMeasure,
-                                  seed: int = 0, refine: int = 0) -> float:
+                                  refine: int = 0) -> float:
     """Empirical C with (1-|z|^2)|grad f(z)| <= C Phi^{-1}(...) ||f||."""
-    return _pointwise_sweep(family, phi, measure, True, seed, refine)
+    return _pointwise_sweep(family, phi, measure, True, refine)
 
 
 @dataclass(frozen=True)

@@ -185,13 +185,13 @@ def bloch_seminorm(g) -> BlochReport:
     Accepts a CesaroSymbol or any HoloFunction.  The radius grid clusters
     geometrically toward the sphere and meets 512 directions e^(i theta) zeta
     when Rg lies on the line of zeta (every symbol at n = 1), else 2048
-    sphere directions (seed 0); the best cell is polished with golden-section
+    sphere directions; the best cell is polished with golden-section
     passes (radius, then the angle theta on a line, then radius again).
     """
     rg = g.rg if isinstance(g, CesaroSymbol) else g.radial_derivative()
     zeta = slice_direction(rg)
-    circle = sphere_directions(1, 512, 0)
-    dirs = sphere_directions(rg.n, 2048, 0) if zeta is None else circle * zeta
+    circle = sphere_directions(1, 512)
+    dirs = sphere_directions(rg.n, 2048) if zeta is None else circle * zeta
 
     def weighted(r, d):
         """(1-r^2)|Rg(r d)| at a direction d, or at each row of a batch d."""

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bergman_orlicz
-from bergman_orlicz import cli
+from bergman_orlicz import cli, operators
 
 Z = '{"kind":"series","n":1,"terms":[[[1],1.0,0.0]]}'
 ONE = '{"kind":"series","n":1,"terms":[[[0],1.0,0.0]]}'
@@ -243,6 +243,26 @@ def test_negative_truncation_is_usage_error(capsys):
                                   "--truncation", "-1"])
     assert (code, out) == (64, "")
     assert "--truncation" in err
+
+
+@pytest.mark.parametrize("n, cap", [(1, 2144), (2, 64)])
+def test_truncation_above_the_cap_is_data_error(capsys, monkeypatch, n, cap):
+    # Uncapped, a kernel at degree 100,000 did not end in 100 s at n = 1, and
+    # at 1,000 took 28 s at n = 2.  Past the cap nothing is expanded; at it,
+    # the kernel is.
+    expanded = []
+    real_to_series = operators.to_series
+    monkeypatch.setattr(operators, "to_series",
+                        lambda *a: expanded.append(a[1]) or real_to_series(*a))
+    kernel = json.dumps({"kind": "kernel_power", "center": [[0.5, 0]] + [[0, 0]] * (n - 1),
+                         "exponent": 2})
+    z1 = json.dumps({"kind": "series", "n": n, "terms": [[[1] + [0] * (n - 1), 1, 0]]})
+    argv = ["cesaro", "--symbol", z1, "--function", kernel, "--truncation"]
+    code, out, err = run(capsys, [*argv, str(cap + 1)])
+    assert (code, out, expanded) == (65, "", [])
+    assert f"--truncation {cap + 1} would expand to more than 2145 terms at n={n}" in err
+    assert run(capsys, [*argv, str(cap)])[0] == 0
+    assert expanded == [cap]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3", "1.5"])
@@ -561,23 +581,28 @@ def test_n2_streamed_suites_fit_in_110_mb(tmp_path, suite):
     assert result["maxrss_mb"] < 110
 
 
-# `bol` in a child that prints its exit code and the scipy modules it imported.
-_SCIPY_CHILD = """
+# `bol` in a child where any scipy import raises ImportError; it prints the
+# exit code and the Bloch seminorm of z1 z2, which is no slice.
+_SCIPY_BLOCKED_CHILD = """
 import json, sys
-from bergman_orlicz import cli
+sys.modules["scipy"] = None
+from bergman_orlicz import Series, bloch_seminorm, cli
 code = cli.main(sys.argv[1:])
-print(json.dumps({"exit": code, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+print(json.dumps({"exit": code, "M": bloch_seminorm(Series(2, {(1, 1): 1.0})).M}))
 """
 
 
-def test_default_verify_imports_no_scipy(tmp_path):
-    # The Gauss-Jacobi rule is built in numpy; scipy's Halton points serve
-    # sphere_directions at n >= 2 only and are imported there.  Importing
-    # scipy.special cost verify-n1-stock about 24 MB of its peak RSS.
+def test_n2_probes_run_with_scipy_blocked(tmp_path):
+    # numpy is the one runtime dependency: the n = 2 probe directions of the
+    # pointwise sweep and of the Bloch search import nothing else.
     src = str(Path(bergman_orlicz.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    argv = ["verify", "--suite", "derivative_equivalence", "--out", str(tmp_path)]
-    done = subprocess.run([sys.executable, "-c", _SCIPY_CHILD, *argv], env=env,
+    argv = ["verify", "--config", '{"n":2}', "--suite", "pointwise_estimates",
+            "--out", str(tmp_path)]
+    done = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED_CHILD, *argv], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == {"exit": 0, "scipy": []}
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["exit"] == 0
+    assert result["M"] == pytest.approx(0.25, rel=1e-12)
+    assert json.loads((tmp_path / "pointwise_estimates.json").read_text())["verdict"] == "pass"

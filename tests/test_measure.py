@@ -271,13 +271,43 @@ def test_gauss_jacobi_rule_matches_a_40_digit_oracle(alpha, n):
         assert abs(w[k] - ref_w) <= 8 * np.spacing(ref_w), k
 
 
+# sha256 of sphere_directions(n, count) for the sets the sweeps use: the
+# pointwise sweep's 64 and the Bloch search's 512 (circle) and 2048 (sphere).
+# The n = 2 set is a map of the R_3 sequence through sqrt, cos and sin; its
+# digests held with numpy's X86_V4, and X86_V3 with it, disabled.
+_DIRECTION_SHA256 = {
+    (1, 64): "197483b9448cf442a0412e967124f197ce7a03c56dcd1d6334f3b9a7df17035b",
+    (1, 512): "09fcfd93b547652540d92075c1af4a41c725a568f992229b78679807bd2ca43e",
+    (2, 64): "7f12f527e47715e8714786c0290267193834fcc1af69ac1dac4878fdafbed6da",
+    (2, 2048): "cf6dc645754257186533cb644216eafba0a65c6bc3d298c37383230cbc1adc8d",
+}
+
+
 def test_sphere_directions_keep_their_bytes():
-    # scipy's scrambled Halton points and inverse normal CDF, imported on
-    # the first n >= 2 call.
-    dirs = measure_module.sphere_directions(2, 64, 0)
-    assert (dirs.dtype, dirs.shape) == (np.complex128, (64, 2))
-    assert hashlib.sha256(dirs.tobytes()).hexdigest() == (
-        "26bdf89638801142cb1fb417fdc6a74784913a1b4148223ab96bcc7845b96474")
+    for (n, count), digest in _DIRECTION_SHA256.items():
+        dirs = measure_module.sphere_directions(n, count)
+        assert (dirs.dtype, dirs.shape) == (np.complex128, (count, n))
+        assert np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) <= 4e-16
+        assert hashlib.sha256(dirs.tobytes()).hexdigest() == digest, (n, count)
+
+
+def test_sphere_directions_spread_over_the_sphere():
+    # The map (u, phi1, phi2) -> (sqrt(u) e^{2 pi i phi1}, sqrt(1-u) e^{2 pi i phi2})
+    # carries Lebesgue measure on the cube to the uniform measure on S^3,
+    # where |z1|^2 is uniform on [0, 1] and E|z1^a z2^b|^2 = a! b! / (a+b+1)!.
+    dirs = measure_module.sphere_directions(2, 2048)
+    u = np.sort(np.abs(dirs[:, 0]) ** 2)
+    assert np.max(np.abs(u - (np.arange(2048) + 0.5) / 2048)) < 2e-3
+    for a, b in ((1, 0), (1, 1), (2, 1), (3, 1)):
+        moment = np.mean(np.abs(dirs[:, 0] ** a * dirs[:, 1] ** b) ** 2)
+        exact = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 1)
+        assert moment == pytest.approx(exact, rel=1e-3)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sphere_directions_stop_at_n2(n):
+    with pytest.raises(UnsupportedRuleError, match=f"stop at n=2, got n={n}"):
+        measure_module.sphere_directions(n, 8)
 
 
 def test_make_measure_builds_no_rule(monkeypatch):

@@ -136,6 +136,24 @@ def test_n2_bloch_seminorm_of_an_off_axis_kernel_is_its_disc_value():
     assert bloch_seminorm(g2).M == pytest.approx(m1, rel=1e-12)
 
 
+@pytest.mark.parametrize("terms, exact", [
+    ({(1, 1): 1.0}, 0.25),
+    ({(2, 0): 1.0, (0, 2): 1.0}, 0.5),
+    ({(3, 1): 1.0}, math.sqrt(3.0) / 9.0),
+], ids=["z1z2", "z1^2+z2^2", "z1^3z2"])
+def test_n2_bloch_seminorm_off_a_line_meets_its_closed_form(terms, exact):
+    # R(z1 z2) = 2 z1 z2 and 2|z1 z2| <= |z|^2, so M = sup r^2 (1-r^2) = 1/4;
+    # likewise 2|z1^2 + z2^2| <= 2|z|^2 gives 1/2.  For z1^3 z2 the modulus
+    # 4 |z1|^3 |z2| peaks at |z1|^2 = 3/4 |z|^2, and r^4 (1-r^2) at
+    # r^2 = 2/3, so M = sqrt(3)/9.  None is a slice, so the search runs on
+    # the 2048 sphere directions; a grid-and-polish sup reads low, by
+    # 2.2e-6 relative at most here, and high by rounding only.
+    g = Series(2, terms)
+    assert slice_direction(g.radial_derivative()) is None
+    m = bloch_seminorm(g).M
+    assert exact * (1.0 - 1e-5) <= m <= exact * (1.0 + 1e-15)
+
+
 def test_bloch_flags_divergent_symbol():
     # g = (1-z)^(-2): the weighted radial derivative grows like (1-r)^(-2).
     g = KernelPower(np.array([1.0 - 1e-9 + 0j]), 2.0, 1.0)
