@@ -63,7 +63,6 @@ from .measure import (
     QuadratureRule,
     WeightedMeasure,
     build_rule,
-    integrate,
     kernel_factor,
     make_measure,
     mobius_apply,

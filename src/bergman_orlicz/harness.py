@@ -18,6 +18,7 @@ safe to fan out over threads without changing a single bit of the output.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -31,7 +32,7 @@ from .growth import (
     power_growth,
     rho_power,
 )
-from .holo import DEFAULT_TRUNCATION_DEGREE, Series, test_function, to_series
+from .holo import DEFAULT_TRUNCATION_DEGREE, Series, _Scratch, test_function, to_series
 from .measure import WeightedMeasure, make_measure
 from .norms import (
     derivative_modulars,
@@ -195,13 +196,16 @@ def verify_derivative_equivalence(phi: GrowthFunction, alpha: float, n: int = 1,
     """
     measure = make_measure(n, alpha)
     fam = default_family(phi, measure, seed) if family is None else list(family)
+    # Each worker thread keeps one scratch for the leaves of all its walks.
+    workers = threading.local()
 
     def run_case(item):
         cid, f = item
+        scratch = workers.__dict__.setdefault("scratch", _Scratch())
         rule0 = rule_for_function(f, measure, phi, base_degree)
         rule1 = rule_for_function(f, measure, phi, base_degree, refine=1)
-        m0 = derivative_modulars(f, phi, rule0)
-        m1 = derivative_modulars(f, phi, rule1)
+        m0 = derivative_modulars(f, phi, rule0, scratch)
+        m1 = derivative_modulars(f, phi, rule1, scratch)
         if min(m0["function"], m0["weighted_radial"]) <= 0.0:
             raise DomainError(f"family member {cid} is constant on the rule nodes")
         return {

@@ -88,7 +88,7 @@ __all__ = [
 _SERIES_BLOCK = 16384
 
 
-def _monomial_sums(pts: np.ndarray, term_lists) -> np.ndarray:
+def _monomial_sums(pts: np.ndarray, term_lists, scratch=None) -> np.ndarray:
     """Column k holds sum c z^m over the (m, c) pairs of term_lists[k], in order.
 
     One walk over the point blocks serves every list.  z_j^d is the
@@ -98,17 +98,24 @@ def _monomial_sums(pts: np.ndarray, term_lists) -> np.ndarray:
     kept; the others are freed when the next power replaces them.  A
     monomial is copied only when a second coordinate multiplies it in
     place: at n = 1 each term reads its kept power of z_1 as it stands.
+    With scratch (a _Scratch, from on_rule) every kept power is cut from it.
     """
     n = pts.shape[1]
     used = [{m[j] for terms in term_lists for m, _ in terms} for j in range(n)]
     out = np.zeros((pts.shape[0], len(term_lists)), dtype=complex)
+    take = scratch or _Scratch(reuse=False)
     for lo, hi in _blocks(pts.shape[0]):
+        take.restart()
         tab = []
         for j in range(n):
             col = np.ascontiguousarray(pts[lo:hi, j])
             rows = {}
             for d in range(max(used[j], default=0) + 1):
-                power = power * col if d else np.ones(hi - lo, dtype=complex)
+                if d:
+                    out_d = take((hi - lo,), complex) if d in used[j] else None
+                    power = np.multiply(power, col, out=out_d)
+                else:
+                    power = np.ones(hi - lo, dtype=complex)
                 if d in used[j]:
                     rows[d] = power
             tab.append(rows)
@@ -459,7 +466,42 @@ class RuleBlock:
     one_minus: np.ndarray | None
 
 
-def on_rule(f: HoloFunction, rule, derivatives: bool = False, _modulus: bool = False):
+class _Scratch:
+    """Memory for the temporaries of one leaf at a time, kept across leaves.
+
+    scratch(shape, dtype) cuts a new array from one buffer; restart() (at
+    each leaf) cuts from its start again, so a leaf writes its temporaries
+    where the leaf before wrote theirs.  What does not fit is allocated
+    afresh, and the next restart() grows the buffer to the most a leaf has
+    asked for, plus an eighth.  A walk that allocated every temporary afresh
+    freed several MB per leaf, which glibc handed back to the OS and the
+    next leaf faulted back in.  _Scratch(reuse=False) hands out new arrays
+    instead, for arrays that a caller keeps.
+    """
+
+    def __init__(self, reuse: bool = True):
+        self._reuse = reuse
+        self._buffer = np.empty(0, dtype=np.uint8)
+        self._used = self._most = 0
+
+    def restart(self) -> None:
+        if self._most > self._buffer.size:
+            self._buffer = np.empty(self._most + self._most // 8, dtype=np.uint8)
+        self._used = 0
+
+    def __call__(self, shape: tuple, dtype=float) -> np.ndarray:
+        if not self._reuse:
+            return np.empty(shape, dtype)
+        start = -(-self._used // 64) * 64
+        self._used = start + math.prod(shape) * np.dtype(dtype).itemsize
+        self._most = max(self._most, self._used)
+        if self._used > self._buffer.size:
+            return np.empty(shape, dtype)
+        return self._buffer[start:self._used].view(dtype).reshape(shape)
+
+
+def on_rule(f: HoloFunction, rule, derivatives: bool = False, _modulus: bool = False,
+            _scratch: _Scratch | None = None):
     """Yield f on the nodes of a rule from measure.build_rule, one RuleBlock
     per leaf of measure._tree_sum, in node order, so a sum over the rule
     takes next() on each leaf; the one reader of f at a rule's nodes.  Each
@@ -486,7 +528,12 @@ def on_rule(f: HoloFunction, rule, derivatives: bool = False, _modulus: bool = F
     cut to the leaf, and Rf is sum_j z_j d_j f: on a slice rule along
     another line a rewrite in the frame of zeta would only add s-terms that
     cancel, with a rounding error that grows with the degree.
+
+    With _scratch (norms.derivative_modulars) the fibre expansion, the
+    coordinates and 1-|z|^2 are written into its buffers, so a block holds
+    only until the next one is taken; without it every block is new.
     """
+    take = _scratch or _Scratch(reuse=False)
     phases = rule.phases.size
     fibre = rule.t.size * phases
     on_e1 = np.array_equal(rule.line, (1, 0))
@@ -497,21 +544,30 @@ def on_rule(f: HoloFunction, rule, derivatives: bool = False, _modulus: bool = F
         degree = max((m[1] for terms in term_lists for m, _ in terms), default=0)
         lists = [[((m[0],), c) for m, c in terms if m[1] == b]
                  for terms in term_lists for b in range(degree + 1)]
-        g = _monomial_sums(rule.disc[:, None], lists).reshape(-1, len(term_lists), degree + 1)
+        g = _monomial_sums(rule.disc[:, None], lists, _scratch).reshape(
+            -1, len(term_lists), degree + 1)
         v = np.sqrt(rule.t[None, :] * np.maximum(0.0, 1.0 - np.abs(rule.disc) ** 2)[:, None])
         spin = np.ones((degree + 1, phases), dtype=complex)
         for b in range(1, degree + 1):
             spin[b] = spin[b - 1] * rule.phases
 
         def leaf(first, last, cut):
-            v_powers = v[first:last, :, None] ** np.arange(degree + 1)
-            coeffs = g[first:last].transpose(1, 0, 2)[:, :, None, :] * v_powers[None]
-            out = (coeffs.reshape(-1, degree + 1) @ spin).reshape(len(term_lists), -1)[:, cut]
+            shape = (last - first, rule.t.size)
+            v_powers = np.power(v[first:last, :, None], np.arange(degree + 1),
+                                out=take((*shape, degree + 1)))
+            coeffs = np.multiply(g[first:last].transpose(1, 0, 2)[:, :, None, :], v_powers[None],
+                                 out=take((len(term_lists), *shape, degree + 1),
+                                          complex))
+            out = np.matmul(coeffs.reshape(-1, degree + 1), spin,
+                            out=take((coeffs.size // (degree + 1), phases), complex))
+            out = out.reshape(len(term_lists), -1)[:, cut]
             if not derivatives:
                 return np.abs(out[0]) if _modulus else out[0], None, None, None
-            return out[0], out[1:-1].T, out[-1], (
-                np.repeat(rule.disc[first:last], fibre)[cut],
-                (v[first:last, :, None] * rule.phases).reshape(-1)[cut])
+            w = take((last - first, fibre), complex)
+            w[...] = rule.disc[first:last, None]
+            s = np.multiply(v[first:last, :, None], rule.phases,
+                            out=take((*shape, phases), complex))
+            return out[0], out[1:-1].T, out[-1], (w.reshape(-1)[cut], s.reshape(-1)[cut])
     else:
         line = _shape(f)[2] if on_e1 and not derivatives else None
         spread = line is _ANY_LINE or line is not None and line[1] == 0
@@ -526,11 +582,15 @@ def on_rule(f: HoloFunction, rule, derivatives: bool = False, _modulus: bool = F
             grad = f._partials(pts)
             return values, grad, np.einsum("nj,nj->n", pts, grad), tuple(pts.T)
 
-    # A leaf's temporaries are gone before the next leaf starts.
+    # A leaf's temporaries are gone, or written over, before the next leaf starts.
     for lo, hi in _tree_sum(rule.node_count, lambda lo, hi: [(lo, hi)]):
+        take.restart()
         first, wt = lo // fibre, lo // phases
-        one_minus = None if _modulus else np.repeat(
-            rule.fibre_one_minus[wt:-(-hi // phases)], phases)[lo - wt * phases:hi - wt * phases]
+        one_minus = None
+        if not _modulus:
+            one_minus = take((-(-hi // phases) - wt, phases))
+            one_minus[...] = rule.fibre_one_minus[wt:-(-hi // phases), None]
+            one_minus = one_minus.reshape(-1)[lo - wt * phases:hi - wt * phases]
         yield RuleBlock(slice(lo, hi), *leaf(first, -(-hi // fibre),
                                              slice(lo - first * fibre, hi - first * fibre)),
                         one_minus)
@@ -554,7 +614,7 @@ def gradient_sweep(f: HoloFunction, pts: np.ndarray):
 
 
 def gradient_norms(coords: tuple, grad: np.ndarray, rf: np.ndarray,
-                   one_minus: np.ndarray):
+                   one_minus: np.ndarray, scratch: _Scratch | None = None):
     """(|Rf|, |grad f|, |invariant grad f|) at N points from their coordinates,
     the (N, n) gradient, Rf and 1-|z|^2 there.
 
@@ -569,14 +629,29 @@ def gradient_norms(coords: tuple, grad: np.ndarray, rf: np.ndarray,
         (1-|z|^2) [(1-|z|^2)|grad f|^2 + sum_{i<j} |conj(z_i) d_j f - conj(z_j) d_i f|^2].
 
     gradient_sweep feeds it at probe points, derivative_modulars leaf by
-    leaf from on_rule.
+    leaf from on_rule, with its scratch: then the three results, like every
+    temporary, are its buffers.  |grad f| is np.linalg.norm's, (conj(g) g).real
+    summed along the row, written in the layout that norm writes it in.
     """
-    grad_norm = np.linalg.norm(grad, axis=1)
-    inside = np.maximum(one_minus, 0.0)
-    acc = inside * grad_norm**2
+    take = scratch or _Scratch(reuse=False)
+    k = rf.shape[0]
+    by_column = grad.strides[0] < grad.strides[1]
+    sq = take(grad.shape[::-1] if by_column else grad.shape, complex)
+    sq = sq.T if by_column else sq
+    np.multiply(np.conjugate(grad, out=sq), grad, out=sq)
+    grad_norm = take((k,))
+    np.sqrt(np.add.reduce(sq.real, axis=1, out=grad_norm), out=grad_norm)
+    inside = np.maximum(one_minus, 0.0, out=take((k,)))
+    acc = np.square(grad_norm, out=take((k,)))
+    np.multiply(inside, acc, out=acc)
     for i, j in itertools.combinations(range(len(coords)), 2):
-        acc += np.abs(np.conj(coords[i]) * grad[:, j] - np.conj(coords[j]) * grad[:, i]) ** 2
-    return np.abs(rf), grad_norm, np.sqrt(inside * acc)
+        cross, other, term = take((k,), complex), take((k,), complex), take((k,))
+        np.multiply(np.conjugate(coords[i], out=cross), grad[:, j], out=cross)
+        np.multiply(np.conjugate(coords[j], out=other), grad[:, i], out=other)
+        np.abs(np.subtract(cross, other, out=cross), out=term)
+        acc += np.square(term, out=term)
+    np.multiply(inside, acc, out=acc)
+    return np.abs(rf, out=take((k,))), grad_norm, np.sqrt(acc, out=acc)
 
 
 def invariant_gradient(f: HoloFunction, points):

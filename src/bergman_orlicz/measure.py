@@ -21,34 +21,41 @@ t_count nodes in t and the one phase psi = 0.  angular_count makes any rule
 a kernel rule (doubled radial degree, at least angular_count angles per
 circle) for integrands that peak near the sphere.
 
-A rule holds 8 bytes per node, its real weights, beside its factors: the
+A rule holds its factors and its weight table, not one weight per node.
+nu_alpha is invariant under rotation of the disc angle and of the transverse
+phase (Rudin, 1.4), so a node's weight depends on its ring and its fibre
+slot (t, phase) alone: the (R, T P) table, 8 bytes per ring and slot.  The
 disc rule is its (R,) radii and (A,) unit angles.  Its (R A,) complex disc
-nodes (16 bytes each) and its (N, n) complex nodes (16 n bytes per node)
-are built from the factors on first use (QuadratureRule.disc and
-.points, through _disc_nodes and _lift_points, straight into the result with
-no node-sized temporaries).  _tree_sum is the one cut of a rule's nodes,
-into leaves of at most _LEAF nodes where numpy's pairwise summation cuts
-them: every weighted sum over the nodes walks it, and holo.on_rule reads f
-leaf by leaf from the disc nodes that cover the leaf (_disc_nodes of that
-span), so no suite builds the points and a norm holds only its weights
-and its values; integrate and the Mobius paths of the tests build them.
+nodes (16 bytes each), its (N,) weights and its (N, n) complex nodes (16 n
+bytes per node) are built on first use (QuadratureRule.disc, .weights and
+.points, through _disc_nodes, _weigh and _lift_points, straight into the
+result with no node-sized temporaries).  _tree_sum is the one cut of a
+rule's nodes, into leaves of at most _LEAF nodes where numpy's pairwise
+summation cuts them: every weighted sum over the nodes walks it,
+QuadratureRule.weigh multiplies a leaf's terms in place by their weights,
+by a broadcast view of the table for each run of whole rings or fibres
+(_weight_runs), and holo.on_rule reads f leaf by leaf from the disc nodes
+that cover the leaf (_disc_nodes of that span).  So no suite builds the
+weights or the points, and a norm holds its values alone; a rule of at most
+_KEPT_WEIGHTS nodes keeps a contiguous copy of its weights (2 MiB at most),
+which numpy multiplies faster.  The tests build the weights and points.
 kernel_factor evaluates its power in the one buffer of inner products;
 kernel_modulus, the modulus that norms need, works in that buffer plus one
-real array.  Rules above _MAX_RULE_NODES = 2^24 nodes
-(134 MB of weights) are refused with UnsupportedRuleError before any
-allocation.  make_measure builds no rule: each rule records its own
-normalization_residual.  Every Gauss-Jacobi rule comes from _gauss_jacobi,
-built in numpy, rounded once from extended precision and kept per
-(alpha, n); _radial_jacobi refuses with DomainError an alpha it cannot build (past about
-1,033, where the weights overflow float64), and _unit_mass_parts a rule
-whose raw mass is not finite and positive.
+real array.  Rules above _MAX_RULE_NODES = 2^24 nodes are refused with
+UnsupportedRuleError before any allocation.  make_measure builds no rule:
+each rule records its own normalization_residual.  Every Gauss-Jacobi rule
+comes from _gauss_jacobi, built in numpy, rounded once from extended
+precision and kept per (alpha, n); _radial_jacobi refuses with DomainError
+an alpha it cannot build (past about 1,033, where the weights overflow
+float64), and _unit_mass_parts a rule whose raw mass is not finite and
+positive.
 
 A measure keeps every polynomial rule built for it: a second build_rule
 call with the same arguments returns the same QuadratureRule, whose arrays
 are read-only and live as long as the measure (each suite makes its own).
 Kernel rules serve one centre and are built afresh on every call.
 
-A rule keeps its factors beside its weights: the line zeta, the radii
+A rule keeps its factors beside its weight table: the line zeta, the radii
 sqrt(u) and angles e^{i theta} of the disc nodes w = sqrt(u) e^{i theta},
 the t nodes and the phases e^{i psi}, so node (w, t, psi) is
 w zeta + sqrt(t (1 - |w|^2)) e^{i psi} zeta_perp with
@@ -65,7 +72,7 @@ Two conventions are defined here once for the whole package.  _points_2d
 reads "a point or a batch": a scalar or a length-n vector is one point and
 gets one value back; an (N, n) array, or at n = 1 a flat array of N
 coordinates, is a batch of N points.  _checked_node_values accepts exactly
-one finite value per rule node, for integrate and for the modulars and norms.
+one finite value per rule node, for the modulars and norms.
 """
 
 from __future__ import annotations
@@ -88,7 +95,6 @@ __all__ = [
     "make_measure",
     "build_rule",
     "sphere_directions",
-    "integrate",
     "mobius_apply",
     "kernel_factor",
     "kernel_modulus",
@@ -100,10 +106,22 @@ __all__ = [
 # 1M-node arrays.
 _LEAF = 1 << 15
 
-# Largest rule build_rule constructs.  Its weights take 134 MB and, at n = 2,
-# its nodes 537 MB more where they are built: a Luxembourg norm of a kernel
-# power on a 16.6M-node rule, its nodes built, peaked at 1.09 GB inside a
-# 1.5 GiB address-space cap, and on a 22.4M-node rule ran out of it.
+# Largest rule whose sums weigh their leaves from a contiguous copy of its
+# weights (2 MiB), kept while the rule lives.  numpy multiplies by the table's
+# broadcast runs at a third to a half of the speed of a contiguous array
+# whenever a run's rows are shorter than its 8,192-element ufunc buffer (a
+# slice rule's 9 or 17 t nodes, a lift's fibre, a disc ring of fewer than
+# 8,192 angles): on such rules a Luxembourg step took up to a third longer.
+# Above it the weights would set the peak (8.3 MB on the 1,040,384-node n = 1
+# kernel rule, 9.8 MB on the refined 1,221,025-node lift), and its leaves'
+# rows are long or its sums few.
+_KEPT_WEIGHTS = 1 << 18
+
+# Largest rule build_rule constructs.  A norm on it holds 134 MB of values
+# (and its weights 134 MB more, where they are built), and at n = 2 its
+# nodes take 537 MB where they are built: a Luxembourg norm of a kernel power
+# on a 16.6M-node rule, its nodes and weights built, peaked at 1.09 GB inside
+# a 1.5 GiB address-space cap, and on a 22.4M-node rule ran out of it.
 _MAX_RULE_NODES = 2**24
 
 
@@ -134,21 +152,25 @@ def make_measure(n: int, alpha: float) -> WeightedMeasure:
 class QuadratureRule:
     """Nodes and weights representing nu_alpha, normalized to unit mass.
 
-    weights has shape (N,), positive with sum 1.  exact_degree is the
-    largest total monomial degree |m| + |m'| the rule integrates exactly.
-    The rule is stored as its factors, which list the nodes in the C order
-    of (radii, angles, t, phases): line is the unit vector zeta of C^n,
-    radii the (R,) disc radii sqrt(u), angles the (A,) unit factors
-    e^{i theta}, t the (T,) nodes in t and phases the (P,) unit factors
-    e^{i psi}, so N = R A T P.  Disc node (i, j) is w = radii[i] angles[j];
-    at n = 2 node (i, j, k, l) is w line + sqrt(t[k] (1 - |w|^2)) phases[l]
-    (-conj(line[1]), conj(line[0])); at n = 1, t = (0,), phases = (1,) and
-    the disc nodes are the nodes.  disc, the (R A,) complex disc nodes, and
-    points, the (N, n) complex nodes, are built from the factors on first
-    use and kept (_disc_nodes, _lift_points), read-only when the weights are.
+    exact_degree is the largest total monomial degree |m| + |m'| the rule
+    integrates exactly.  The rule is stored as its factors, which list the
+    nodes in the C order of (radii, angles, t, phases): line is the unit
+    vector zeta of C^n, radii the (R,) disc radii sqrt(u), angles the (A,)
+    unit factors e^{i theta}, t the (T,) nodes in t and phases the (P,) unit
+    factors e^{i psi}, so N = R A T P.  Disc node (i, j) is w = radii[i]
+    angles[j]; at n = 2 node (i, j, k, l) is w line + sqrt(t[k] (1 - |w|^2))
+    phases[l] (-conj(line[1]), conj(line[0])); at n = 1, t = (0,), phases =
+    (1,) and the disc nodes are the nodes.  nu_alpha is invariant under the
+    rotations of theta and psi, so a node's weight depends on its ring i and
+    its fibre slot (k, l) alone: table is the (R, T P) array of those
+    weights, positive with sum 1 over the nodes, and weigh multiplies a
+    leaf's terms by them in place.  weights, the (N,) array of every node's
+    weight, disc, the (R A,) complex disc nodes, and points, the (N, n)
+    complex nodes, are built on first use and kept (for tests and tracing;
+    no suite asks for weights or points), read-only when the table is.
     """
 
-    weights: np.ndarray = field(repr=False)
+    table: np.ndarray = field(repr=False)
     exact_degree: int
     rule_id: str
     normalization_residual: float
@@ -163,12 +185,41 @@ class QuadratureRule:
         return self.radii.size * self.angles.size * self.t.size * self.phases.size
 
     @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """The (N,) weights, written from table on first use: 8 bytes per node
+        that no suite asks for."""
+        out = _weigh(_weight_runs(self.table, self.angles.size, 0, self.node_count),
+                     np.ones(self.node_count))
+        out.flags.writeable = self.table.flags.writeable
+        return out
+
+    @functools.cached_property
+    def _leaf_runs(self) -> dict:
+        """{lo: _weight_runs of the leaf from node lo} for the leaves of _tree_sum.
+
+        A rule of at most _KEPT_WEIGHTS nodes keeps its weights instead, each
+        leaf's as one contiguous run (_KEPT_WEIGHTS)."""
+        leaves = _tree_sum(self.node_count, lambda lo, hi: [(lo, hi)])
+        if self.node_count > _KEPT_WEIGHTS:
+            return {lo: _weight_runs(self.table, self.angles.size, lo, hi) for lo, hi in leaves}
+        w = _weigh(_weight_runs(self.table, self.angles.size, 0, self.node_count),
+                   np.ones(self.node_count))
+        w.flags.writeable = False
+        return {lo: [(0, hi - lo, (hi - lo,), w[lo:hi])] for lo, hi in leaves}
+
+    def weigh(self, terms: np.ndarray, lo: int) -> np.ndarray:
+        """terms, a fresh (k,) array over the nodes lo, ..., lo + k - 1 of a
+        leaf of _tree_sum, multiplied in place by their weights, and returned;
+        each term meets the float it would meet in weights."""
+        return _weigh(self._leaf_runs[lo], terms)
+
+    @functools.cached_property
     def disc(self) -> np.ndarray:
         """The (R A,) disc nodes, built from radii and angles on first use (for
         fibre_one_minus and a Series along e_1): 16 bytes per disc node that
         a norm of any other function never asks for."""
         out = _disc_nodes(self.radii, self.angles)
-        out.flags.writeable = self.weights.flags.writeable
+        out.flags.writeable = self.table.flags.writeable
         return out
 
     @functools.cached_property
@@ -176,7 +227,7 @@ class QuadratureRule:
         """The (N, n) nodes, built from the factors on first use: 16 n bytes
         per node that no suite asks for."""
         out = _lift_points(self.line, self.disc, self.t, self.phases)
-        out.flags.writeable = self.weights.flags.writeable
+        out.flags.writeable = self.table.flags.writeable
         return out
 
     @functools.cached_property
@@ -186,6 +237,41 @@ class QuadratureRule:
         out = ((1.0 - np.abs(self.disc) ** 2)[:, None] * (1.0 - self.t)).reshape(-1)
         out.flags.writeable = False
         return out
+
+
+def _weight_runs(table: np.ndarray, angle_count: int, lo: int, hi: int) -> list:
+    """Nodes lo, ..., hi - 1 of a rule with this (R, F) weight table and
+    angle_count angles per ring, cut into at most five runs whose weights are
+    one view of the table: [(start, stop, shape, w)] with start and stop
+    counted from lo, so that terms[start:stop].reshape(shape) * w weights
+    them.  In node order: the end of a fibre, the rest of its ring in whole
+    fibres, whole rings, whole fibres of the last ring and the start of a
+    fibre; at n = 1 (F = 1) only the middle three occur."""
+    f = table.shape[1]
+    ring = angle_count * f
+    runs, a = [], lo
+    for b, shape in ((-(-lo // f) * f, None), (min(-(-lo // ring) * ring, hi // f * f), (-1, f)),
+                     (hi // ring * ring, (-1, angle_count, f)), (hi // f * f, (-1, f)),
+                     (hi, None)):
+        b = min(b, hi)
+        if a < b:
+            i = a // ring
+            w = (table[i, a % f:a % f + b - a] if shape is None else
+                 table[i] if len(shape) == 2 else table[i:b // ring, None, :])
+            runs.append((a - lo, b - lo, shape or (b - a,), w))
+            a = b
+    return runs
+
+
+def _weigh(runs: list, terms: np.ndarray) -> np.ndarray:
+    """terms, a contiguous (k,) array, multiplied in place by the weights of
+    _weight_runs (the reshape of a slice of it is a view), and returned."""
+    for start, stop, shape, w in runs:
+        run = terms[start:stop]
+        if len(shape) > 1:
+            run = run.reshape(shape)
+        run *= w
+    return terms
 
 
 def _jacobi_and_derivative(a, n: int, x):
@@ -280,18 +366,18 @@ def _product_rule_raw(alpha: float, degree: int, angular_count: int | None = Non
 
 def _rule_raw(n: int, alpha: float, degree: int, angular_count: int | None,
               zeta: np.ndarray | None, t_count: int | None):
-    """Raw weights of build_rule's rule and its factors (line, radii, angles,
-    t, phases); the one lift.
+    """Raw weight table of build_rule's rule and its factors (line, radii,
+    angles, t, phases); the one lift.
 
     At n = 1 the disc rule is the rule.  At n = 2 the disc rule at alpha + 1
     (degree and angular_count as in build_rule) is crossed, in the C order of
     (radius, angle, t, phase), with Gauss-Jacobi nodes in t and the phases
     e^{i psi}, each times zeta_perp: along e_1 with degree // 4 + 1 t nodes
     and every angle of the disc when zeta is None, else along zeta with
-    t_count t nodes and the one phase psi = 0.  The raw weights are w_ring
-    (alpha+1) w_t / P for P phases.  The ceiling is checked before anything
-    node-sized is allocated, and the weights, written once, are the one
-    node-sized array.
+    t_count t nodes and the one phase psi = 0.  The raw weight of node (i, j,
+    k, l) is w_ring[i] (alpha+1) w_t[k] / P for P phases, whatever its angle
+    j and phase l: the (R, T P) table holds it at [i, k P + l].  The ceiling
+    is checked first, and nothing node-sized is allocated.
     """
     n_rad, n_ang = _disc_sizes(degree, angular_count)
     line = phases = np.ones(1, dtype=complex)
@@ -318,9 +404,8 @@ def _rule_raw(n: int, alpha: float, degree: int, angular_count: int | None,
         t, w_t = _radial_jacobi(alpha, t_count)
         # int_0^1 (1-t)^alpha dt = 1 / (alpha + 1)
         w_fibre = (alpha + 1.0) * w_t / phases.size
-    raw_w = np.empty((n_rad, n_ang, t_count, phases.size))
-    raw_w[...] = (w_ring[:, None] * w_fibre)[:, None, :, None]
-    return raw_w.reshape(-1), (line, radii, angles, t, phases)
+    raw_table = np.repeat(w_ring[:, None] * w_fibre, phases.size, axis=1)
+    return raw_table, (line, radii, angles, t, phases)
 
 
 def _disc_nodes(radii: np.ndarray, angles: np.ndarray, first: int = 0,
@@ -412,36 +497,41 @@ def build_rule(measure: WeightedMeasure, degree: int, angular_count: int | None 
     if rule is not None:
         return rule
     try:
-        raw_w, factors = _rule_raw(n, alpha, degree, angular_count, zeta, t_count)
+        raw_table, factors = _rule_raw(n, alpha, degree, angular_count, zeta, t_count)
     except DomainError as exc:
         raise DomainError(f"no quadrature rule for alpha={alpha}: {exc}") from None
+    nodes = raw_table.size * factors[2].size
     if zeta is None:
-        rid = f"product:n={n},alpha={_alpha_id(alpha)},degree={degree},nodes={raw_w.size}"
+        rid = f"product:n={n},alpha={_alpha_id(alpha)},degree={degree},nodes={nodes}"
     else:
         z1, z2 = (f"{c.real:.6g}{c.imag:+.6g}j" for c in zeta)
         rid = (f"slice:n=2,alpha={_alpha_id(alpha)},zeta=({z1},{z2}),degree={degree},"
-               f"t={t_count},nodes={raw_w.size}")
+               f"t={t_count},nodes={nodes}")
     if angular_count is not None:
         rid = f"{rid},refined,angles={int(angular_count)}"
-    rule = _unit_mass_parts(raw_w, degree, rid, factors)
+    rule = _unit_mass_parts(raw_table, degree, rid, factors)
     if angular_count is not None:
         return rule
-    for arr in (rule.weights, *factors):
+    for arr in (rule.table, *factors):
         arr.flags.writeable = False
     measure._rules[key] = rule
     return rule
 
 
-def _unit_mass_parts(raw_w: np.ndarray, degree: int, rule_id: str,
+def _unit_mass_parts(raw_table: np.ndarray, degree: int, rule_id: str,
                      factors: tuple) -> QuadratureRule:
-    """The rule of the factors (line, radii, angles, t, phases) with the raw weights,
-    divided in place by their sum.  A sum that is not finite and positive
-    raises DomainError naming the rule, and so its alpha."""
-    total = float(np.sum(raw_w))
+    """The rule of the factors (line, radii, angles, t, phases) with the raw
+    weight table, divided in place by the raw mass.  The mass is the _tree_sum
+    of each leaf's np.sum of its raw weights, so it has the bits of one np.sum
+    over every node's.  A mass that is not finite and positive raises
+    DomainError naming the rule, and so its alpha."""
+    angle_count = factors[2].size
+    total = float(_tree_sum(raw_table.size * angle_count, lambda lo, hi: np.sum(
+        _weigh(_weight_runs(raw_table, angle_count, lo, hi), np.ones(hi - lo)))))
     if not (math.isfinite(total) and total > 0.0):
         raise DomainError(f"the weights of {rule_id} sum to {total}, not a finite "
                           f"positive mass")
-    return QuadratureRule(np.divide(raw_w, total, out=raw_w), degree, rule_id,
+    return QuadratureRule(np.divide(raw_table, total, out=raw_table), degree, rule_id,
                           abs(total - 1.0), *factors)
 
 
@@ -508,19 +598,6 @@ def _checked_node_values(rule: QuadratureRule, values, start: int | None = None)
             f"integrand is not finite at node {idx} (z={z})", node_index=idx
         )
     return values
-
-
-def integrate(rule: QuadratureRule, integrand) -> complex:
-    """Apply the rule to a vectorized integrand (callable or node-value array).
-
-    A callable receives the full (N, n) node array and must return (N,) values.
-    Non-finite values abort with the offending node index; the reduction is a
-    single deterministic numpy sum, so results do not depend on threading.
-    """
-    values = _checked_node_values(
-        rule, integrand(rule.points) if callable(integrand) else integrand)
-    acc = np.sum(rule.weights * values)
-    return complex(acc) if np.iscomplexobj(values) else float(acc)
 
 
 # ---------------------------------------------------------------------------

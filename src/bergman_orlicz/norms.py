@@ -11,14 +11,20 @@ bits of one np.sum over every node.  holo.on_rule yields f on each leaf of
 that tree, and each leaf is checked where it is produced
 (measure._checked_node_values: one finite value per node).  A norm writes
 the leaves' |F| (a kernel power's in real arithmetic) into one float
-array, once per function, so a bisection step, modular_of_values, only
-evaluates Phi.fn, weights and sums.  At n = 1 a rule has a few hundred
-nodes and a step is mostly fixed cost, so it pays little besides: one
-errstate per call, set by decorator, and per leaf Phi.fn, one in-place
-multiply and one np.add.reduce (np.sum's pairwise sum without its Python
+array, once per function, and holds nothing else node-sized: a bisection
+step, modular_of_values, only evaluates Phi.fn, weighs and sums.  Every sum
+weighs a leaf's terms in place from the rule's weight table
+(QuadratureRule.weigh), so each term meets the float it would meet in the
+rule's (N,) weights, which no sum builds.  At n = 1 a rule has a few
+hundred nodes and a step is mostly fixed cost, so it pays little besides:
+one errstate per call, set by decorator, and per leaf Phi.fn, one in-place
+weighing and one np.add.reduce (np.sum's pairwise sum without its Python
 wrapper).  The derivative modulars, the small-type sums and the Cesaro
-upper modular take the next block on each leaf, with no node-sized array.
-A NaN anywhere in Phi's output makes a sum NaN, which raises DomainError.
+upper modular take the next block on each leaf, with no node-sized array;
+the derivative modulars write each leaf's temporaries into scratch that
+lives across leaves (holo._Scratch), which the harness keeps across the
+walks of a suite.  A NaN anywhere in Phi's output makes a sum NaN, which
+raises DomainError.
 
 Quadrature selection: one measure.build_rule call per function.  Polynomial
 integrands get a plain rule with degree scaled to the function degree and
@@ -42,6 +48,7 @@ from .errors import DivergentNormError, DomainError, WorkbenchError
 from .growth import GrowthFunction
 from .holo import (
     HoloFunction,
+    _Scratch,
     _direction,
     _join_lines,
     _shape,
@@ -96,28 +103,33 @@ def _node_values(f: HoloFunction, rule: QuadratureRule) -> np.ndarray:
     return values
 
 
-def _phi_sum(values, weights, phi: GrowthFunction, scale: float) -> float:
-    """np.sum of w_i Phi(values_i / scale), weighting Phi's fresh output in place."""
-    y = phi.fn(values / scale)
-    y *= weights
-    return float(np.add.reduce(y))
-
-
 @np.errstate(over="ignore")
-def modular_of_values(values: np.ndarray, weights: np.ndarray,
-                      phi: GrowthFunction, scale: float = 1.0) -> float:
+def modular_of_values(values: np.ndarray, weights, phi: GrowthFunction,
+                      scale: float = 1.0, start: int = 0) -> float:
     """sum_i w_i Phi(values_i / scale); the workhorse behind modular and norms.
 
-    values must be moduli (non-negative), one finite value per weight, as
-    measure._checked_node_values checks where they are produced; they are
-    not checked again here, since a Luxembourg norm calls this once per step
-    on the same values.  Phi.fn runs without GrowthFunction's argument
-    check, one leaf at a time (_tree_sum), and the weights multiply its
-    output in place; the total is the np.sum of all nodes' terms bit for bit.
-    An overflow gives inf; a NaN sum raises DomainError.
+    weights is the QuadratureRule whose nodes start, start + 1, ... the
+    values sit on, whose table weighs each leaf (QuadratureRule.weigh), or
+    an array of one weight per value.  values must be moduli (non-negative),
+    one finite value per node, as measure._checked_node_values checks where
+    they are produced; they are not checked again here, since a Luxembourg
+    norm calls this once per step on the same values.  Phi.fn runs without
+    GrowthFunction's argument check, one leaf at a time (_tree_sum), and the
+    weights multiply its output in place; the total is the np.sum of all
+    nodes' terms bit for bit.  An overflow gives inf; a NaN sum raises
+    DomainError.
     """
-    total = _tree_sum(values.size, lambda lo, hi: _phi_sum(
-        values[lo:hi], weights[lo:hi], phi, scale))
+    by_table = isinstance(weights, QuadratureRule)
+
+    def leaf(lo, hi):
+        y = phi.fn(values[lo - start:hi - start] / scale)
+        if by_table:
+            weights.weigh(y, lo)
+        else:
+            y *= weights[lo - start:hi - start]
+        return float(np.add.reduce(y))
+
+    total = _tree_sum(values.size, leaf, start)
     if math.isnan(total):
         raise DomainError(f"modular of {phi.name} is NaN; node values must be "
                           "non-negative and finite")
@@ -126,7 +138,7 @@ def modular_of_values(values: np.ndarray, weights: np.ndarray,
 
 def modular(f: HoloFunction, phi: GrowthFunction, rule: QuadratureRule) -> float:
     """int Phi(|f|) d nu_alpha by quadrature."""
-    return modular_of_values(_node_values(f, rule), rule.weights, phi)
+    return modular_of_values(_node_values(f, rule), rule, phi)
 
 
 def luxemburg_norm(f: HoloFunction, phi: GrowthFunction, rule: QuadratureRule) -> LuxNorm:
@@ -142,14 +154,13 @@ def luxemburg_norm(f: HoloFunction, phi: GrowthFunction, rule: QuadratureRule) -
     is raised (a subnormal lambda can stall it).
     """
     vals = _node_values(f, rule)
-    w = rule.weights
     top = float(np.max(vals)) if vals.size else 0.0
     if top == 0.0:
         return LuxNorm(lambda_star=0.0, residual=0.0, iterations=0, rule_id=rule.rule_id)
 
     floor = max(_LAMBDA_FLOOR * min(top, 1.0), sys.float_info.min)
     lam = top
-    m = modular_of_values(vals, w, phi, lam)
+    m = modular_of_values(vals, rule, phi, lam)
     iterations = 0
     down = m <= 1.0
     while (m <= 1.0) == down:
@@ -165,7 +176,7 @@ def luxemburg_norm(f: HoloFunction, phi: GrowthFunction, rule: QuadratureRule) -
                 f"modular stays above 1 out to lambda={lam:.3e}; "
                 f"no finite Luxembourg norm on rule {rule.rule_id}"
             )
-        m = modular_of_values(vals, w, phi, lam)
+        m = modular_of_values(vals, rule, phi, lam)
     lo, hi = (lam, top) if down else (top, lam)
     cap = 2 * iterations + _BISECT_TOL_STEPS
 
@@ -176,17 +187,17 @@ def luxemburg_norm(f: HoloFunction, phi: GrowthFunction, rule: QuadratureRule) -
         # Halving each end is exact and cannot overflow near the largest float.
         mid = 0.5 * lo + 0.5 * hi
         iterations += 1
-        if modular_of_values(vals, w, phi, mid) > 1.0:
+        if modular_of_values(vals, rule, phi, mid) > 1.0:
             lo = mid
         else:
             hi = mid
-    residual = abs(modular_of_values(vals, w, phi, hi) - 1.0)
+    residual = abs(modular_of_values(vals, rule, phi, hi) - 1.0)
     return LuxNorm(lambda_star=hi, residual=residual, iterations=iterations,
                    rule_id=rule.rule_id)
 
 
-def derivative_modulars(f: HoloFunction, phi: GrowthFunction,
-                        rule: QuadratureRule) -> dict[str, float]:
+def derivative_modulars(f: HoloFunction, phi: GrowthFunction, rule: QuadratureRule,
+                        _scratch: _Scratch | None = None) -> dict[str, float]:
     """The four modulars whose simultaneous finiteness the theory equates.
 
     Keys, in order: "function" for |f - f(0)|, "invariant_gradient" for the
@@ -194,19 +205,26 @@ def derivative_modulars(f: HoloFunction, phi: GrowthFunction,
     (1-|z|^2)|grad f|, "weighted_radial" for (1-|z|^2)|Rf|.  Each leaf of
     _tree_sum takes holo.on_rule's next block, with f, its partials, Rf and
     1-|z|^2, through holo.gradient_norms once into a (4, k) array, checks it
-    and takes one modular_of_values per quantity.
+    and takes one modular_of_values per quantity.  Every temporary of a leaf
+    is written into _scratch (a holo._Scratch; by default one for this
+    walk), which the next leaf writes over.
     """
     f0 = f.eval(np.zeros(f.n, dtype=complex))
-    blocks = on_rule(f, rule, derivatives=True)
+    scratch = _scratch or _Scratch()
+    blocks = on_rule(f, rule, derivatives=True, _scratch=scratch)
 
     def leaf(lo, hi):
         block = next(blocks)
         radial, grad_norm, invariant = gradient_norms(block.coords, block.partials,
-                                                      block.radial, block.one_minus)
-        q = np.stack([np.abs(block.values - f0), invariant,
-                      block.one_minus * grad_norm, block.one_minus * radial])
+                                                      block.radial, block.one_minus, scratch)
+        q = scratch((4, hi - lo))
+        np.abs(np.subtract(block.values, f0, out=scratch((hi - lo,), complex)),
+               out=q[0])
+        q[1] = invariant
+        np.multiply(block.one_minus, grad_norm, out=q[2])
+        np.multiply(block.one_minus, radial, out=q[3])
         _checked_node_values(rule, q, lo)
-        return np.array([modular_of_values(v, rule.weights[lo:hi], phi) for v in q])
+        return np.array([modular_of_values(v, rule, phi, 1.0, lo) for v in q])
 
     totals = _tree_sum(rule.node_count, leaf)
     return {kind: float(total) for kind, total in zip(
@@ -327,8 +345,10 @@ def _small_type_ratio(f: HoloFunction, rule: QuadratureRule, p: float, w_exp: fl
     def leaf(lo, hi):
         block = next(blocks)
         vals = _checked_node_values(rule, np.abs(block.values), lo)
-        w = rule.weights[lo:hi]
-        return np.array([np.sum(w * vals * block.one_minus**w_exp), np.sum(w * vals**p)])
+        den = rule.weigh(vals**p, lo)
+        num = rule.weigh(vals, lo)
+        num *= block.one_minus**w_exp
+        return np.array([np.sum(num), np.sum(den)])
 
     num, den = _tree_sum(rule.node_count, leaf)
     if den == 0.0:

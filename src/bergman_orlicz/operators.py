@@ -298,7 +298,7 @@ def cesaro_upper_bound_check(symbol: CesaroSymbol, phi: GrowthFunction,
         def leaf(lo, hi):
             fb, rgb = next(f_blocks), next(rg_blocks)
             vals = _checked_node_values(r, fb.one_minus * np.abs(fb.values * rgb.values), lo)
-            return modular_of_values(vals, r.weights[lo:hi], phi, bloch_m * norm)
+            return modular_of_values(vals, r, phi, bloch_m * norm, lo)
 
         modulars.append(_tree_sum(r.node_count, leaf))
     return max(modulars, default=0.0)

@@ -35,7 +35,7 @@ from bergman_orlicz.harness import (
     verify_derivative_equivalence,
 )
 from bergman_orlicz.holo import Series, chain_inequality_check
-from bergman_orlicz.measure import build_rule, integrate, make_measure
+from bergman_orlicz.measure import build_rule, make_measure
 from bergman_orlicz.norms import luxemburg_norm, modular, rule_for_function
 from bergman_orlicz.operators import (
     CesaroSymbol,
@@ -45,6 +45,7 @@ from bergman_orlicz.operators import (
     cesaro_norm_lower_bound,
     radial_derivative_identity_check,
 )
+from quadrature_helpers import integrate
 
 
 def report(num, label, elapsed, cap):

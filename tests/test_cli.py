@@ -606,3 +606,32 @@ def test_n2_probes_run_with_scipy_blocked(tmp_path):
     assert result["exit"] == 0
     assert result["M"] == pytest.approx(0.25, rel=1e-12)
     assert json.loads((tmp_path / "pointwise_estimates.json").read_text())["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("config, suites", [
+    ('{"n":1}', None),
+    ('{"n":2}', "derivative_equivalence,small_type,cesaro_boundedness"),
+])
+def test_no_suite_builds_node_sized_weights_or_points(monkeypatch, tmp_path, config, suites):
+    # A rule holds its (R, T P) weight table; every sum weighs its leaves
+    # from it.  A kept polynomial rule whose (N,) weights were built once
+    # would hold them, 8 bytes per node, as long as its measure.  Only a
+    # rule of at most measure._KEPT_WEIGHTS nodes keeps a contiguous copy.
+    from bergman_orlicz import measure, norms
+
+    rules = []
+    build_rule = norms.build_rule
+
+    def spied(*args, **kwargs):
+        rules.append(build_rule(*args, **kwargs))
+        return rules[-1]
+
+    monkeypatch.setattr(norms, "build_rule", spied)
+    argv = ["verify", "--config", config, "--out", str(tmp_path)]
+    assert cli.main(argv + (["--suite", suites] if suites else [])) == 0
+    assert max(rule.node_count for rule in rules) > measure._KEPT_WEIGHTS
+    for rule in rules:
+        assert "weights" not in vars(rule) and "points" not in vars(rule), rule.rule_id
+        if rule.node_count > measure._KEPT_WEIGHTS:
+            runs = vars(rule)["_leaf_runs"].values()
+            assert all(w.base is rule.table for leaf in runs for *_, w in leaf), rule.rule_id

@@ -3,10 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bergman_orlicz
 from bergman_orlicz import harness
 from bergman_orlicz.cli import canonical_json
 from bergman_orlicz.growth import power_growth
@@ -205,3 +210,29 @@ def test_equivalence_constants_scale_invariant_for_powers():
     for key in ("C_plus", "C_minus"):
         assert r2.empirical_constants[key] == pytest.approx(
             r1.empirical_constants[key], rel=1e-8)
+
+
+# Two passes of the n = 2 derivative suite on the default family; prints the
+# minor page faults of the second.
+_FAULTS_CHILD = """
+import resource
+from bergman_orlicz.growth import power_growth
+from bergman_orlicz.harness import verify_derivative_equivalence
+verify_derivative_equivalence(power_growth(2), 0.0, 2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+verify_derivative_equivalence(power_growth(2), 0.0, 2)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's heap and ru_minflt")
+def test_a_warm_n2_derivative_pass_faults_few_pages():
+    # Each leaf of the walk writes its temporaries into scratch kept across
+    # leaves.  Allocated afresh, they were handed back to the OS after each
+    # leaf and faulted back in: about 570,000 minor faults per warm pass.
+    src = str(Path(bergman_orlicz.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _FAULTS_CHILD], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.split()[-1]) < 5_000
