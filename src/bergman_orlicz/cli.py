@@ -5,7 +5,9 @@ Three subcommands.  `norm` evaluates a Luxembourg norm for a function spec,
 `verify` runs the named suites and writes their reports.  All machine output
 is canonical JSON (sorted keys, tight separators), so parsing a report and
 re-serializing it reproduces the same bytes, and two runs with the same seed
-and configuration produce identical documents regardless of thread count.
+and configuration produce identical documents across reruns and fresh
+processes.  `verify --jobs` is accepted for compatibility and has no effect;
+it goes with the benchmark's next revision.
 
 Exit codes: 0 pass, 1 fail, 2 inconclusive, 64 usage, 65 data format
 (including a quadrature rule above the node ceiling of measure.py), 70
@@ -184,27 +186,27 @@ def _config_symbols(cfg: dict):
             for i, doc in enumerate(cfg["symbols"])]
 
 
-# Suite name -> runner(phi, cfg, jobs), in report order.  Each runner looks
-# its harness function up at call time, so a wrapper installed on the harness
+# Suite name -> runner(phi, cfg), in report order.  Each runner looks its
+# harness function up at call time, so a wrapper installed on the harness
 # module after import still sees the call.
 SUITES = {
-    "derivative_equivalence": lambda phi, c, jobs: harness.verify_derivative_equivalence(
-        phi, c["alpha"], c["n"], seed=c["seed"], base_degree=c["degree"], jobs=jobs),
-    "pointwise_estimates": lambda phi, c, jobs: harness.verify_pointwise_estimates(
-        phi, c["alpha"], c["n"], seed=c["seed"], jobs=jobs),
-    "test_functions": lambda phi, c, jobs: harness.verify_test_functions(
-        phi, c["alpha"], c["n"], seed=c["seed"], jobs=jobs),
-    "cesaro_boundedness": lambda phi, c, jobs: harness.verify_cesaro_boundedness(
+    "derivative_equivalence": lambda phi, c: harness.verify_derivative_equivalence(
+        phi, c["alpha"], c["n"], seed=c["seed"], base_degree=c["degree"]),
+    "pointwise_estimates": lambda phi, c: harness.verify_pointwise_estimates(
+        phi, c["alpha"], c["n"], seed=c["seed"]),
+    "test_functions": lambda phi, c: harness.verify_test_functions(
+        phi, c["alpha"], c["n"], seed=c["seed"]),
+    "cesaro_boundedness": lambda phi, c: harness.verify_cesaro_boundedness(
         phi, c["alpha"], c["n"], symbols=_config_symbols(c), seed=c["seed"],
-        tol=float(c["tolerances"].get("cesaro_upper", 1e-6)), jobs=jobs),
-    "cesaro_compactness": lambda phi, c, jobs: harness.verify_cesaro_compactness(
-        phi, c["alpha"], c["n"], seed=c["seed"], jobs=jobs),
-    "interpolation_power": lambda phi, c, jobs: harness.verify_interpolation_power(
+        tol=float(c["tolerances"].get("cesaro_upper", 1e-6))),
+    "cesaro_compactness": lambda phi, c: harness.verify_cesaro_compactness(
+        phi, c["alpha"], c["n"], seed=c["seed"]),
+    "interpolation_power": lambda phi, c: harness.verify_interpolation_power(
         float(c["interpolation"]["p0"]), float(c["interpolation"]["p1"]),
         float(c["interpolation"]["theta"]), alpha=c["alpha"], n=c["n"],
-        seed=c["seed"], jobs=jobs),
-    "small_type": lambda phi, c, jobs: harness.verify_small_type(
-        c["small_type_p"], c["alpha"], c["n"], seed=c["seed"], jobs=jobs),
+        seed=c["seed"]),
+    "small_type": lambda phi, c: harness.verify_small_type(
+        c["small_type_p"], c["alpha"], c["n"], seed=c["seed"]),
 }
 
 
@@ -239,7 +241,7 @@ def non_negative_int(value) -> int:
 
 
 def positive_int(value) -> int:
-    """The --jobs of bol verify: an integer of at least 1."""
+    """The --jobs of bol verify: an integer of at least 1, read and then unused."""
     count = non_negative_int(value)
     if count < 1:
         raise ValueError(value)
@@ -334,7 +336,7 @@ def cmd_verify(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     verdicts = []
     for name in cfg["suites"]:
-        report = SUITES[name](resolve_growth(cfg["growth"]), cfg, args.jobs)
+        report = SUITES[name](resolve_growth(cfg["growth"]), cfg)
         verdicts.append(report.verdict)
         doc = report.to_json_dict()
         doc["schema"] = REPORT_SCHEMA
@@ -397,8 +399,8 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("--csv", action="store_true",
                        help="also write per-case CSV next to each report")
     p_ver.add_argument("--jobs", type=positive_int, default=1,
-                       help="worker threads per suite (output is identical "
-                            "for any value)")
+                       help="accepted for compatibility, no effect (suites run "
+                            "on one thread); to be removed")
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

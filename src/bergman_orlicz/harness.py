@@ -11,15 +11,14 @@ module constants (CESARO_LOWER_OVER_M_MIN, _TEST_FUNCTION_BRACKET) or the
 tol of the Cesaro upper check.
 
 Reports are deterministic functions of (seed, configuration): families are
-drawn from a seeded generator, reductions are ordered, and case-level work is
-safe to fan out over threads without changing a single bit of the output.
+drawn from a seeded generator, each suite runs its cases in order on one
+thread, and reductions are ordered.  Every runner accepts jobs= for
+compatibility; it has no effect and goes with the benchmark's next revision.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -102,15 +101,6 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-def _map_ordered(fn, items, jobs: int):
-    """Apply fn over items, optionally threaded, preserving input order."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _drift(a: float, b: float) -> float:
@@ -196,12 +186,11 @@ def verify_derivative_equivalence(phi: GrowthFunction, alpha: float, n: int = 1,
     """
     measure = make_measure(n, alpha)
     fam = default_family(phi, measure, seed) if family is None else list(family)
-    # Each worker thread keeps one scratch for the leaves of all its walks.
-    workers = threading.local()
+    # One scratch serves the leaves of all the suite's walks.
+    scratch = _Scratch()
 
     def run_case(item):
         cid, f = item
-        scratch = workers.__dict__.setdefault("scratch", _Scratch())
         rule0 = rule_for_function(f, measure, phi, base_degree)
         rule1 = rule_for_function(f, measure, phi, base_degree, refine=1)
         m0 = derivative_modulars(f, phi, rule0, scratch)
@@ -220,7 +209,7 @@ def verify_derivative_equivalence(phi: GrowthFunction, alpha: float, n: int = 1,
             "rules": [rule0.rule_id, rule1.rule_id],
         }
 
-    cases = _map_ordered(run_case, fam, jobs)
+    cases = [run_case(x) for x in fam]
     c_plus0 = max(c["ratios"]["up_base"] for c in cases)
     c_plus1 = max(c["ratios"]["up_refined"] for c in cases)
     c_minus0 = max(c["ratios"]["down_base"] for c in cases)
@@ -261,7 +250,7 @@ def verify_pointwise_estimates(phi: GrowthFunction, alpha: float, n: int = 1,
             f"{kind}_{res}": sweep([f], phi, measure, refine=refine)
             for kind, sweep in sweeps for res, refine in (("base", 0), ("refined", 1))}}
 
-    cases = _map_ordered(run_case, fam, jobs)
+    cases = [run_case(x) for x in fam]
     top = {key: max(c["quantities"][key] for c in cases) for key in cases[0]["quantities"]}
     drifts = [_drift(top[f"{kind}_base"], top[f"{kind}_refined"]) for kind, _ in sweeps]
     verdict = _drift_verdict(drifts, top.values())
@@ -303,7 +292,7 @@ def verify_test_functions(phi: GrowthFunction, alpha: float, n: int = 1,
             "rules": [rule.rule_id],
         }
 
-    cases = _map_ordered(run_case, radii, jobs)
+    cases = [run_case(x) for x in radii]
     norms = [c["quantities"]["norm"] for c in cases]
     vmax, vmin = max(norms), min(norms)
     ratio = vmax / vmin if vmin > 0 else math.inf
@@ -358,7 +347,7 @@ def verify_cesaro_boundedness(phi: GrowthFunction, alpha: float, n: int = 1,
             "upper_passes": worst_upper <= 1.0 + tol,
         }
 
-    cases = _map_ordered(run_case, syms, jobs)
+    cases = [run_case(x) for x in syms]
     min_ratio = min(c["quantities"]["lower_over_m"] for c in cases)
     worst_mod = max(c["quantities"]["worst_upper_modular"] for c in cases)
     ok = all(c["upper_passes"] for c in cases) and min_ratio >= CESARO_LOWER_OVER_M_MIN
@@ -405,7 +394,7 @@ def verify_cesaro_compactness(phi: GrowthFunction, alpha: float, n: int = 1,
             },
         }
 
-    cases = _map_ordered(run_case, radii, jobs)
+    cases = [run_case(x) for x in radii]
     norms = [c["quantities"]["transformed_norm"] for c in cases]
     vmax = max(norms)
     j0 = norms.index(vmax)
@@ -457,7 +446,7 @@ def verify_interpolation_power(p0: float, p1: float, theta: float,
             "within_bracket": bool(1.0 / norm_bracket <= ratio <= norm_bracket),
         }
 
-    cases = _map_ordered(run_case, fam, jobs)
+    cases = [run_case(x) for x in fam]
     ok = (math.isfinite(c_two_sided) and c_two_sided <= 1.01
           and all(c["within_bracket"] for c in cases))
     constants = {"two_sided_constant": c_two_sided, "p_theta": p_theta,

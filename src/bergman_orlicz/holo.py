@@ -344,7 +344,8 @@ DEFAULT_TRUNCATION_DEGREE = 48
 
 def _kernel_to_series(kp: KernelPower, degree: int) -> Series:
     """Taylor expansion of c (1 - <z, a>)^(-s) to total degree: z^m gets
-    conj(a)^m c [(s)_k / k!] [k! / m!], k = |m|, from running products."""
+    conj(a)^m c [(s)_k / k!] [k! / m!], k = |m|, from running products, and
+    k! / m! as the product of the binomials C(m_1 + ... + m_j, m_j)."""
     rising = list(itertools.accumulate(range(1, degree + 1), initial=1.0,
                                        func=lambda c, k: c * (kp.exponent + k - 1.0) / k))
     powers = [list(itertools.accumulate([complex(w)] * degree, lambda x, y: x * y,
@@ -353,7 +354,7 @@ def _kernel_to_series(kp: KernelPower, degree: int) -> Series:
     for m in itertools.product(range(degree + 1), repeat=kp.n):
         k = sum(m)
         if k <= degree:
-            multinomial = math.factorial(k) // math.prod(map(math.factorial, m))
+            multinomial = math.prod(map(math.comb, itertools.accumulate(m), m))
             mono = math.prod(p[d] for p, d in zip(powers, m))
             terms[m] = mono * (kp.scale * (rising[k] * multinomial))
     return Series(kp.n, terms)

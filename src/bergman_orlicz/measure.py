@@ -476,11 +476,13 @@ def build_rule(measure: WeightedMeasure, degree: int, angular_count: int | None 
     is not finite raises DomainError naming it.
 
     Polynomial rules are kept on the measure by their arguments, arrays
-    read-only, and returned by later calls; threads that miss at once store
-    identical rules, so no lock is taken.  Kernel rules serve one centre and
-    are rebuilt on every call: keeping them raised the peak RSS of
-    test_functions over the four stock combinations from 110.8-111.0 MB to
-    114.0-114.2 MB (fresh process on a 2-core VM, 3 runs each).
+    read-only, and returned by later calls.  Kernel rules are rebuilt on every
+    call, although a kernel rule depends on the centre only through (degree,
+    angular_count): keeping them raised the peak RSS of test_functions at
+    the four stock combinations from 43.8-45.2 MB to 44.9-46.0 MB with the
+    same report bytes (one fresh process each on a 2-core VM, 2 runs), and a
+    measure that outlives one pass, as the n = 2 benchmark's does, would hold
+    every kernel rule it was asked for until it is dropped.
     """
     if degree < 0:
         raise DomainError(f"degree must be >= 0, got {degree}")

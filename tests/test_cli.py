@@ -473,15 +473,40 @@ def test_interp_with_rho_that_is_not_pseudo_concave_is_data_error(capsys):
     assert "not pseudo-concave" in err
 
 
-def test_reports_byte_identical_across_jobs(capsys, tmp_path):
-    args = ["verify", "--suite", "derivative_equivalence", "--seed", "3"]
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    assert cli.main(args + ["--out", str(d1), "--jobs", "1"]) == 0
-    assert cli.main(args + ["--out", str(d2), "--jobs", "4"]) == 0
-    capsys.readouterr()
-    f1 = (d1 / "derivative_equivalence.json").read_bytes()
-    f2 = (d2 / "derivative_equivalence.json").read_bytes()
-    assert f1 == f2
+_TWO_VERIFY_RUNS = """
+import json, sys
+from bergman_orlicz import cli
+out = sys.argv[1]
+print(json.dumps([
+    cli.main(["verify", "--suite", "derivative_equivalence,cesaro_boundedness,small_type",
+              "--seed", "13", "--out", out + "/n1"]),
+    cli.main(["verify", "--config", '{"n":2}', "--suite", "small_type,cesaro_boundedness",
+              "--out", out + "/n2"]),
+]))
+"""
+
+
+def test_reports_byte_identical_across_fresh_processes(tmp_path):
+    # Two interpreters whose string hashes differ, so any set or dict order
+    # keyed by strings differs between them, must write the same reports.
+    src = str(Path(bergman_orlicz.__file__).resolve().parents[1])
+    children = {}
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        children[hash_seed] = subprocess.Popen(
+            [sys.executable, "-c", _TWO_VERIFY_RUNS, str(tmp_path / hash_seed)], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    for child in children.values():
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err
+        assert json.loads(out.splitlines()[-1]) == [0, 0]
+    reports = [{p.relative_to(tmp_path / seed).as_posix(): p.read_bytes()
+                for p in (tmp_path / seed).rglob("*.json")} for seed in children]
+    assert sorted(reports[0]) == [
+        "n1/cesaro_boundedness.json", "n1/derivative_equivalence.json", "n1/small_type.json",
+        "n2/cesaro_boundedness.json", "n2/small_type.json"]
+    assert reports[0] == reports[1]
 
 
 def test_emitted_report_reserializes_to_same_bytes(capsys, tmp_path):

@@ -137,22 +137,6 @@ def test_small_type_suite():
     assert rep.empirical_constants["C_drift"] <= 0.10
 
 
-@pytest.mark.parametrize("jobs", [1, 3])
-def test_reports_identical_across_thread_counts(jobs):
-    base = as_canonical(verify_derivative_equivalence(PHI2, 0.0, seed=4, jobs=1))
-    other = as_canonical(verify_derivative_equivalence(PHI2, 0.0, seed=4, jobs=jobs))
-    assert base == other
-
-
-def test_n2_reports_identical_across_thread_counts():
-    # The threads share the measure's kept rules: z1 and z1^2 read one slice
-    # rule per refinement, z1 z2 the lifted product rules.
-    fam = [(f"monomial:m={m}", Series(2, {m: 1.0})) for m in ((1, 0), (2, 0), (1, 1))]
-    base = as_canonical(verify_derivative_equivalence(PHI2, 0.0, 2, family=fam, jobs=1))
-    threaded = as_canonical(verify_derivative_equivalence(PHI2, 0.0, 2, family=fam, jobs=3))
-    assert base == threaded
-
-
 def _n2_family():
     """A z1-slice, a z2-slice, an affine Series on a tilted line and a seeded
     two-variable quartic, which gets the lifted rule."""

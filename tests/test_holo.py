@@ -1,5 +1,6 @@
 """Holomorphic function representations: evaluation, derivatives, specs."""
 
+import itertools
 import math
 
 import numpy as np
@@ -113,6 +114,33 @@ def test_kernel_power_matches_series_expansion():
     pts = random_points(1, 25, radius=0.6)
     gap = np.abs(kp.eval(pts) - poly.eval(pts))
     assert np.max(gap) < 1e-12
+
+
+def _kernel_expansion_by_factorials(kp, degree):
+    # c conj(a)^m (s)_k / k! * k! / prod(m_j!), k = |m|, with the multinomial
+    # taken from exact factorials.
+    rising = list(itertools.accumulate(range(1, degree + 1), initial=1.0,
+                                       func=lambda c, k: c * (kp.exponent + k - 1.0) / k))
+    powers = [list(itertools.accumulate([complex(w)] * degree, lambda x, y: x * y,
+                                        initial=1.0 + 0.0j)) for w in np.conj(kp.center)]
+    terms = {}
+    for m in itertools.product(range(degree + 1), repeat=kp.n):
+        k = sum(m)
+        if k <= degree:
+            multinomial = math.factorial(k) // math.prod(map(math.factorial, m))
+            mono = math.prod(p[d] for p, d in zip(powers, m))
+            terms[m] = mono * (kp.scale * (rising[k] * multinomial))
+    return Series(kp.n, terms).terms
+
+
+@pytest.mark.parametrize("center, exponent, degree", [
+    # n = 2 at degree 64, and n = 1 at the largest truncation bol cesaro takes.
+    ([0.6 - 0.2j, 0.3 + 0.5j], 3.0, 64),
+    ([0.99 * np.exp(0.3j)], 2.5, 2144),
+])
+def test_kernel_expansion_keeps_the_factorial_coefficients(center, exponent, degree):
+    kp = KernelPower(center=np.array(center), exponent=exponent, scale=2.0 - 1j)
+    assert to_series(kp, degree).terms == _kernel_expansion_by_factorials(kp, degree)
 
 
 def test_kernel_power_partials_match_cauchy_circles():
